@@ -102,14 +102,6 @@ def log_binom_cdf(m: int, q: float, k: int) -> float:
     return math.log1p(-math.exp(log_sf))
 
 
-def binom_sf(m: int, q: float, k: int) -> float:
-    return math.exp(log_binom_sf(m, q, k))
-
-
-def binom_cdf(m: int, q: float, k: int) -> float:
-    return math.exp(log_binom_cdf(m, q, k))
-
-
 # ---------------------------------------------------------------------------
 # numpy grid variants
 

@@ -23,7 +23,7 @@ from .core import (CLASSIFY_LADDER, ModelParams, SequenceSpec, classify_regime,
 from .errors import BootpercError, ParameterError
 from .montecarlo import (estimate_tail, estimate_tail_splitting,
                          rate_convergence_study)
-from .oracle import exact_pmf, exact_stop_cdf
+from .oracle import PMF_NODE_CAP, exact_pmf, exact_stop_cdf
 from .process import SAMPLER_BATCHES, RngSpec, histogram
 from .ratefun import family_from_string, minimize_rate, rate_J, tail_exponent
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--truncate", type=int, default=None, metavar="TAU")
-    s.add_argument("--cap", type=int, default=2000)
+    s.add_argument("--cap", type=int, default=PMF_NODE_CAP)
     _add_common(s, fmt="csv")
     s.set_defaults(func=cmd_exact)
 
@@ -323,6 +323,8 @@ def _inject_config(argv: list) -> list:
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ParameterError("--config needs a path")
     path = argv[at + 1]
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):

@@ -18,7 +18,8 @@ import numpy as np
 from .core import ModelParams, SequenceSpec, classify_regime, critical_quantities
 from .errors import DegenerateLevels, ParameterError
 from .oracle import _log_q_schedule, exact_stop_cdf
-from .process import RngSpec, _as_generator, final_sizes_activation
+from .process import (RngSpec, _as_generator, _check_replicates,
+                      final_sizes_activation)
 from .ratefun import ScalingFamily, minimize_rate, tail_exponent
 from .scaled import ScaledFloat, scaled_sum
 
@@ -97,8 +98,7 @@ def estimate_tail(params: ModelParams, family: ScalingFamily, eps: float,
                   replicates: int, rng) -> TailEstimate:
     """Naive Monte Carlo for P((n - A*)/f(n) > eps) via the activation-time
     sampler.  Deterministic given the RngSpec."""
-    if replicates < 1:
-        raise ParameterError("replicates must be >= 1")
+    _check_replicates(replicates)
     threshold = event_threshold(params, family, eps)
     if threshold < params.a:
         return TailEstimate(0.0, 0.0, 0.0, replicates, -math.inf)
@@ -329,8 +329,7 @@ def poisson_distance(params: ModelParams, replicates: int, rng):
     would swamp a raw mean while saying nothing about the local limit;
     those excursions belong to the early-stop tail checks instead.
     """
-    if replicates < 1:
-        raise ParameterError("replicates must be >= 1")
+    _check_replicates(replicates)
     b = critical_quantities(params).b_c
     gaps = params.n - final_sizes_activation(params, replicates, rng)
     counts = np.bincount(gaps)

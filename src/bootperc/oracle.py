@@ -8,9 +8,10 @@ alive states (those with a + S(u) > u for all u <= t) therefore yields
 the exact distribution of T = A*.
 
 All state masses are carried in log space and reported as ScaledFloat, so
-tail atoms far below 1e-308 survive; binomial transition rows are
-truncated at 1e-30 relative to their peak with the discarded mass bound
-reported alongside the result.
+tail atoms far below 1e-308 survive.  One private kernel, _forward, runs
+the pass for every query: each step keeps the increments in one window
+whose edge lies below 1e-30 of every row's peak, and the transition mass
+it drops is bounded and reported alongside the result.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ PMF_NODE_CAP = 2000
 BRUTE_FORCE_CAP = 7
 _ROW_REL_TOL = 1e-30
 _LN_ROW_REL_TOL = math.log(_ROW_REL_TOL)
-_FULL_ROW_LIMIT = 64  # rows at most this wide are never truncated
 
 
 @dataclass(frozen=True)
 class FinalSizePmf:
     """Exact pmf of A* over {a, ..., n}, entries as ScaledFloat.
 
-    truncation_bound certifies the total transition mass discarded by row
-    truncation; it is exactly 0.0 for small instances.
+    truncation_bound certifies the transition mass dropped by the forward
+    pass's increment window (exactly 0.0 when n - a <= 45).  It does not
+    cover rounding, which dominates |total() - 1|: 1e-12 at n = 500.
     """
 
     params: ModelParams
@@ -119,87 +120,78 @@ def _log_q_schedule(p: float, r: int, t_max: int):
     return log_q, log_1mq
 
 
-def _scalar_log_pmf(m: int, j: int, log_q: float, log_1mq: float) -> float:
-    if j < 0 or j > m:
-        return -math.inf
-    if log_q == -math.inf:
-        return 0.0 if j == 0 else -math.inf
-    if log_1mq == -math.inf:
-        return 0.0 if j == m else -math.inf
-    return (math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
-            + j * log_q + (m - j) * log_1mq)
+# ---------------------------------------------------------------------------
+# forward pass over (t, S(t))
 
+def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
+    """Run the chain for t_max steps over the states S = 0..s_hi.
 
-def _row_window(m: int, log_q: float, log_1mq: float):
-    """[j_lo, j_hi] covering all increments above the relative cutoff.
+    Returns (absorbed, logvec, bound): absorbed[t] is the log-mass that
+    stops at time t + 1 (all -inf when absorb is False), logvec the
+    log-mass alive in each state after the last step, and bound the
+    certified transition mass lost to the increment window.  Mass moving
+    above s_hi is dropped on purpose and not counted in bound.
 
-    Log-concavity of the binomial pmf makes edge probing sound.  Returns
-    the window plus the number of support points dropped.
+    Each step keeps the increments 0..j_win for every state, with j_win
+    grown until each row's pmf at j_win is below _ROW_REL_TOL of its
+    peak; log-concavity puts every dropped increment below that cutoff.
+    Each target state adds its sources in ascending order.
     """
-    if m <= _FULL_ROW_LIMIT or log_q == -math.inf or log_1mq == -math.inf:
-        return 0, m, 0
-    q = math.exp(log_q)
-    mode = min(m, int((m + 1) * q))
-    cutoff = _scalar_log_pmf(m, mode, log_q, log_1mq) + _LN_ROW_REL_TOL
-    sigma = math.sqrt(max(m * q * (1.0 - q), 1.0))
-    j_hi = min(m, mode + int(12.0 * sigma) + 45)
-    while j_hi < m and _scalar_log_pmf(m, j_hi, log_q, log_1mq) >= cutoff:
-        j_hi = min(m, j_hi + 32)
-    j_lo = max(0, mode - int(12.0 * sigma) - 45)
-    while j_lo > 0 and _scalar_log_pmf(m, j_lo, log_q, log_1mq) >= cutoff:
-        j_lo = max(0, j_lo - 32)
-    return j_lo, j_hi, m + 1 - (j_hi - j_lo + 1)
+    n, p, r, a = params.n, params.p, params.r, params.a
+    big = n - a
+    log_q, log_1mq = _log_q_schedule(p, r, t_max)
+    states = np.arange(s_hi + 1, dtype=np.int64)
+    m_arr = (big - states).astype(np.float64)
+    logvec = np.full(s_hi + 1, -np.inf)
+    logvec[0] = 0.0
+    absorbed = np.full(t_max, -np.inf)
+    discard_ln = -math.inf
+
+    for t in range(t_max):
+        lq, l1 = float(log_q[t]), float(log_1mq[t])
+        if lq > -math.inf:  # otherwise increments are identically zero
+            q = math.exp(lq)
+            modes = np.clip(np.floor((m_arr + 1) * q), 0, m_arr)
+            log_cut = log_pmf_window(m_arr, lq, l1, modes) + _LN_ROW_REL_TOL
+            sigma = math.sqrt(max(big * q * (1.0 - q), 1.0))
+            j_win = min(s_hi, int(big * q + 12.0 * sigma) + 45)
+            while j_win < s_hi and np.any(log_pmf_window(
+                    m_arr, lq, l1, np.full(s_hi + 1, j_win)) >= log_cut):
+                j_win = min(s_hi, j_win + 32)
+            rows = log_pmf_window(m_arr[:, None], lq, l1,
+                                  np.arange(j_win + 1)[None, :])
+            new = np.full(s_hi + 1, -np.inf)
+            for jj in range(j_win, -1, -1):
+                hi = s_hi + 1 - jj
+                new[jj:] = np.logaddexp(new[jj:], logvec[:hi] + rows[:hi, jj])
+            with np.errstate(divide="ignore"):
+                lost = logvec + np.log(np.maximum(s_hi - states - j_win, 0))
+            discard_ln = float(np.logaddexp.reduce(lost + log_cut,
+                                                   initial=discard_ln))
+            logvec = new
+        k = t + 1 - a
+        if absorb and 0 <= k <= s_hi:
+            absorbed[t] = logvec[k]
+            logvec[k] = -np.inf
+        if not np.isfinite(logvec).any():
+            break
+    return absorbed, logvec, math.exp(discard_ln)
 
 
 # ---------------------------------------------------------------------------
-# full pmf (alive-state forward pass)
+# full pmf and truncated early-stop probability
 
 def exact_pmf(params: ModelParams, cap: int = PMF_NODE_CAP) -> FinalSizePmf:
     """Exact distribution of A* by dynamic programming over (t, S(t))."""
-    n, p, r, a = params.n, params.p, params.r, params.a
+    n, a = params.n, params.a
     if n > cap:
         raise ParameterError(
             f"exact_pmf refuses n = {n} above the cap {cap}; "
             "use exact_stop_cdf for truncated queries at large n")
-    big = n - a
-    log_q, log_1mq = _log_q_schedule(p, r, n)
-    logvec = np.full(big + 1, -np.inf)
-    logvec[0] = 0.0
-    pmf_ln: dict[int, float] = {}
-    discard_ln = -math.inf
-
-    for t in range(n):
-        lq, l1 = float(log_q[t]), float(log_1mq[t])
-        if lq == -math.inf:
-            new = logvec.copy()  # increments are identically zero
-        else:
-            new = np.full(big + 1, -np.inf)
-            for s in np.nonzero(np.isfinite(logvec))[0]:
-                s = int(s)
-                m = big - s
-                if m == 0:
-                    new[s] = np.logaddexp(new[s], logvec[s])
-                    continue
-                j_lo, j_hi, dropped = _row_window(m, lq, l1)
-                j = np.arange(j_lo, j_hi + 1)
-                row = log_pmf_window(m, lq, l1, j)
-                seg = slice(s + j_lo, s + j_hi + 1)
-                new[seg] = np.logaddexp(new[seg], logvec[s] + row)
-                if dropped:
-                    discard_ln = np.logaddexp(
-                        discard_ln, logvec[s] + math.log(dropped * _ROW_REL_TOL))
-        k = t + 1 - a
-        if 0 <= k <= big and math.isfinite(new[k]):
-            pmf_ln[t + 1] = float(new[k])
-            new[k] = -np.inf
-        logvec = new
-        if not np.isfinite(logvec).any():
-            break
-
-    probs = {k: ScaledFloat.from_ln(pmf_ln.get(k, -math.inf))
+    absorbed, _, bound = _forward(params, n, n - a)
+    probs = {k: ScaledFloat.from_ln(float(absorbed[k - 1]))
              for k in range(a, n + 1)}
-    return FinalSizePmf(params=params, probs=probs,
-                        truncation_bound=float(math.exp(discard_ln)))
+    return FinalSizePmf(params=params, probs=probs, truncation_bound=bound)
 
 
 def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
@@ -208,27 +200,8 @@ def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
     Test hook: must reproduce Bin(n - a, pi(t)) and thereby validate the
     q_t construction.
     """
-    n, p, r, a = params.n, params.p, params.r, params.a
-    big = n - a
-    log_q, log_1mq = _log_q_schedule(p, r, max(t, 1))
-    logvec = np.full(big + 1, -np.inf)
-    logvec[0] = 0.0
-    for u in range(t):
-        lq, l1 = float(log_q[u]), float(log_1mq[u])
-        new = np.full(big + 1, -np.inf)
-        for s in np.nonzero(np.isfinite(logvec))[0]:
-            s = int(s)
-            m = big - s
-            j = np.arange(0, m + 1)
-            row = log_pmf_window(m, lq, l1, j) if m else np.zeros(1)
-            seg = slice(s, s + m + 1)
-            new[seg] = np.logaddexp(new[seg], logvec[s] + row)
-        logvec = new
-    return logvec
+    return _forward(params, t, params.n - params.a, absorb=False)[1]
 
-
-# ---------------------------------------------------------------------------
-# truncated early-stop probability
 
 def exact_stop_cdf(params: ModelParams, tau: int,
                    with_bound: bool = False):
@@ -238,68 +211,16 @@ def exact_stop_cdf(params: ModelParams, tau: int,
     are dropped as permanently safe.  The cost is O(tau^2 * window),
     independent of n, which keeps n up to 1e6 cheap when tau = O(a_c).
     With with_bound=True also returns the certified bound on transition
-    mass lost to row truncation (0.0 whenever the band is narrow).
+    mass lost to the increment window (0.0 whenever the band is narrow).
     """
-    n, p, r, a = params.n, params.p, params.r, params.a
+    n, a = params.n, params.a
     if tau > n:
         raise ParameterError("tau must not exceed n")
     if tau < a:
         return (ScaledFloat(0.0), 0.0) if with_bound else ScaledFloat(0.0)
-    s_hi = min(tau - a + 1, n - a)
-    log_q, log_1mq = _log_q_schedule(p, r, tau)
-    states = np.arange(s_hi + 1, dtype=np.int64)
-    m_arr = ((n - a) - states).astype(np.float64)
-    logvec = np.full(s_hi + 1, -np.inf)
-    logvec[0] = 0.0
-    absorbed = -math.inf
-    discard_ln = -math.inf
-
-    for t in range(tau):
-        lq, l1 = float(log_q[t]), float(log_1mq[t])
-        if lq == -math.inf:
-            new = logvec.copy()  # increments are identically zero
-        else:
-            q = math.exp(lq)
-            modes = np.clip(np.floor((m_arr + 1) * q), 0, m_arr)
-            log_rowmax = log_pmf_window(m_arr, lq, l1, modes)
-            m_max = float(m_arr[0])
-            sigma = math.sqrt(max(m_max * q * (1.0 - q), 1.0))
-            j_win = min(s_hi, int(m_max * q + 12.0 * sigma) + 45)
-            while j_win < s_hi:
-                edge = log_pmf_window(m_arr, lq, l1, np.full(s_hi + 1, j_win))
-                if np.any(edge >= log_rowmax + _LN_ROW_REL_TOL):
-                    j_win = min(s_hi, j_win + 32)
-                else:
-                    break
-            j = np.arange(j_win + 1)
-            rows = log_pmf_window(m_arr[:, None], lq, l1, j[None, :])
-            new = np.full(s_hi + 1, -np.inf)
-            for jj in range(j_win + 1):
-                hi = s_hi + 1 - jj
-                if hi <= 0:
-                    break
-                seg = slice(jj, s_hi + 1)
-                new[seg] = np.logaddexp(new[seg], logvec[:hi] + rows[:hi, jj])
-            dropped = np.maximum(np.minimum(m_arr, s_hi - states) - j_win, 0)
-            live = np.isfinite(logvec) & (dropped > 0)
-            if live.any():
-                with np.errstate(divide="ignore"):
-                    add = (logvec[live] + np.log(dropped[live])
-                           + log_rowmax[live] + _LN_ROW_REL_TOL)
-                discard_ln = float(np.logaddexp(
-                    discard_ln,
-                    np.logaddexp.reduce(add)))
-        k = t + 1 - a
-        if 0 <= k <= s_hi and math.isfinite(new[k]):
-            absorbed = np.logaddexp(absorbed, new[k])
-            new[k] = -np.inf
-        logvec = new
-        if not np.isfinite(logvec).any():
-            break
-    result = ScaledFloat.from_ln(float(absorbed))
-    if with_bound:
-        return result, float(math.exp(discard_ln))
-    return result
+    absorbed, _, bound = _forward(params, tau, min(tau - a + 1, n - a))
+    result = ScaledFloat.from_ln(float(np.logaddexp.reduce(absorbed)))
+    return (result, bound) if with_bound else result
 
 
 def exact_tail_query(params: ModelParams, family: ScalingFamily,

@@ -71,6 +71,11 @@ class PercolationOutcome:
     generations: int | None = None
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ParameterError("replicates must be >= 1")
+
+
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngSpec):
         return rng.generator()
@@ -124,6 +129,7 @@ def _stop_from_sorted_times(y_sorted: np.ndarray, n: int, a: int) -> np.ndarray:
 
 def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the activation-time sampler."""
+    _check_replicates(replicates)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     m = n - a
@@ -175,6 +181,7 @@ def sample_markchain(params: ModelParams, rng) -> PercolationOutcome:
 
 
 def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarray:
+    _check_replicates(replicates)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)
@@ -380,6 +387,7 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng,
     drawn as one matrix and the cascade runs vectorized across replicates;
     above it the single-replicate sampler is looped.
     """
+    _check_replicates(replicates)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     if n > small_limit:

@@ -198,6 +198,11 @@ def test_exit_code_validation_errors(tmp_path):
     bad.write_text("nope")
     assert main(["regime", "--spec", str(bad), "--out", out]) == 2
     assert main(["validate", "--suite", "missing"]) == 2
+    assert main(["critical", "--n", "100", "--p", "0.1", "--r", "2",
+                 "--config"]) == 2
+    assert main(["simulate", "--sampler", "markchain", "--n", "6", "--p",
+                 "0.4", "--r", "2", "--a", "2", "--replicates", "-3",
+                 "--out", out]) == 2
 
 
 def test_exit_code_model_refusals(tmp_path):

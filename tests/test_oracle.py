@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc._binom import log_binom_cdf, log_binom_pmf, log_pmf_array
 from bootperc.core import ModelParams, activation_prob
@@ -58,6 +60,29 @@ def test_deep_tail_survives_in_log_scale():
     mid = pmf.probs[100]
     assert float(mid) == 0.0 or float(mid) < 1e-200
     assert -1e7 < mid.log2() < -300
+
+
+@st.composite
+def small_instances(draw):
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 6))
+    a = draw(st.integers(r, n))
+    return ModelParams(n=n, p=draw(st.floats(0.0, 1.0)), r=r, a=a)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_exact_law_matches_enumeration_property(params):
+    pmf = exact_pmf(params)
+    bf = brute_force_pmf(params)
+    for k in range(params.a, params.n + 1):
+        assert pmf.prob(k) == pytest.approx(bf.prob(k), abs=1e-9)
+    previous = 0.0
+    for tau in range(params.a, params.n + 1):
+        stop = float(exact_stop_cdf(params, tau))
+        assert stop == pytest.approx(float(pmf.cdf_at(tau)), abs=1e-12)
+        assert stop >= previous
+        previous = stop
 
 
 # ---------------------------------------------------------------------------

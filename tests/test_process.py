@@ -8,20 +8,15 @@ from bootperc._binom import log_binom_cdf
 from bootperc.core import ModelParams
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.oracle import brute_force_pmf
-from bootperc.process import (RngSpec, count_low_degree,
+from bootperc.process import (SAMPLER_BATCHES, RngSpec, count_low_degree,
                               final_size_from_edge_uniforms,
-                              final_sizes_activation, final_sizes_graph,
-                              final_sizes_markchain, histogram,
+                              final_sizes_activation, final_sizes_markchain,
+                              histogram,
                               low_degree_counts, sample_activation_times,
                               sample_graph, sample_graph_with_low_degree,
                               sample_markchain, _rth_success_times)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
-SAMPLERS = {
-    "graph": final_sizes_graph,
-    "markchain": final_sizes_markchain,
-    "activation": final_sizes_activation,
-}
 
 
 def empirical_pmf(sizes, n):
@@ -31,16 +26,26 @@ def empirical_pmf(sizes, n):
 # ---------------------------------------------------------------------------
 # degenerate anchors
 
-@pytest.mark.parametrize("batch", SAMPLERS.values(), ids=SAMPLERS.keys())
+@pytest.mark.parametrize("batch", SAMPLER_BATCHES.values(),
+                         ids=SAMPLER_BATCHES.keys())
 def test_p_zero_keeps_only_seeds(batch):
     sizes = batch(ModelParams(n=6, p=0.0, r=2, a=3), 50, RngSpec(0, 0))
     assert (sizes == 3).all()
 
 
-@pytest.mark.parametrize("batch", SAMPLERS.values(), ids=SAMPLERS.keys())
+@pytest.mark.parametrize("batch", SAMPLER_BATCHES.values(),
+                         ids=SAMPLER_BATCHES.keys())
 def test_p_one_percolates_when_seeds_reach_threshold(batch):
     sizes = batch(ModelParams(n=7, p=1.0, r=2, a=2), 50, RngSpec(0, 0))
     assert (sizes == 7).all()
+
+
+@pytest.mark.parametrize("batch", SAMPLER_BATCHES.values(),
+                         ids=SAMPLER_BATCHES.keys())
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_batches_reject_nonpositive_replicates(batch, replicates):
+    with pytest.raises(ParameterError, match="replicates"):
+        batch(P6, replicates, RngSpec(0, 0))
 
 
 def test_all_seeded_stops_at_n():
@@ -83,7 +88,7 @@ def test_trajectory_stays_above_the_clock():
 
 
 def test_deterministic_given_seed_and_stream():
-    for batch in SAMPLERS.values():
+    for batch in SAMPLER_BATCHES.values():
         a = batch(P6, 500, RngSpec(42, 7))
         b = batch(P6, 500, RngSpec(42, 7))
         assert np.array_equal(a, b)
@@ -153,7 +158,7 @@ def test_three_samplers_agree_with_enumeration(config):
     reps = 100_000
     bf = brute_force_pmf(config)
     pmfs = {}
-    for i, (name, batch) in enumerate(SAMPLERS.items()):
+    for i, (name, batch) in enumerate(SAMPLER_BATCHES.items()):
         sizes = batch(config, reps, RngSpec(100 + i, 0))
         emp = empirical_pmf(sizes, config.n)
         pmfs[name] = emp
