@@ -17,7 +17,8 @@ from .oracle import (FinalSizePmf, auxiliary_tail, brute_force_pmf, exact_pmf,
                      exact_stop_cdf, exact_tail_query)
 from .process import (PercolationOutcome, RngSpec, count_low_degree,
                       final_sizes_activation, final_sizes_graph,
-                      final_sizes_markchain, sample_activation_times,
+                      final_sizes_leap, final_sizes_markchain,
+                      sample_activation_times,
                       sample_graph, sample_markchain)
 from .ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN, BetweenBcAndAcNp,
                       Const, ScalingFamily, TailExponent, entropy_H,

@@ -131,6 +131,29 @@ def log_cdf_array(m: int, q: float) -> np.ndarray:
     return np.logaddexp.accumulate(log_pmf_array(m, q))
 
 
+def log_cdf_head(m, q: float, k: int) -> np.ndarray:
+    """log P(Bin(m, q) <= k) for an array of trial counts `m`, as a
+    (k + 1)-term log-sum; meant for small k, such as the r - 1 marks an
+    inactive node may hold.  Absolute error is a few ulps of the largest
+    term, so log values near 0 carry about 1e-16 absolute error."""
+    m = np.asarray(m, dtype=np.float64)
+    if q == 0.0:
+        return np.zeros(m.shape)
+    if q == 1.0:
+        return np.where(m <= k, 0.0, -np.inf)
+    from scipy.special import gammaln
+
+    j = np.arange(k + 1, dtype=np.float64)
+    terms = (gammaln(m[:, None] + 1) - gammaln(j[None, :] + 1)
+             - gammaln(m[:, None] - j[None, :] + 1)
+             + j[None, :] * math.log(q)
+             + (m[:, None] - j[None, :]) * math.log1p(-q))
+    terms = np.where(j[None, :] > m[:, None], -np.inf, terms)
+    with np.errstate(invalid="ignore"):
+        shift = terms.max(axis=1)
+        return shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
+
+
 def log_pmf_window(m, log_q: float, log_1mq: float, j: np.ndarray) -> np.ndarray:
     """Vectorized log pmf over increment window `j`, trial counts `m`.
 

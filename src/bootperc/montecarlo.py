@@ -1,11 +1,12 @@
 """Replicated tail estimation, multilevel splitting, and limit checks.
 
 Naive estimation counts stop times below a threshold with a Wilson 95%
-interval.  For rare early-stop events the fixed-effort multilevel
-splitting estimator conditions the Markov chain (t, S(t)) through a
-ladder of running-minimum-margin levels down to 0, multiplying the
-per-level crossing fractions; probabilities are carried as ScaledFloat so
-estimates below float underflow survive.
+interval; it, the naive rate study and the Poisson-limit distance draw
+their final sizes from the margin-leaping sampler.  For rare early-stop
+events the fixed-effort multilevel splitting estimator conditions the
+Markov chain (t, S(t)) through a ladder of running-minimum-margin levels
+down to 0, multiplying the per-level crossing fractions; probabilities
+are carried as ScaledFloat so estimates below float underflow survive.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from .core import ModelParams, SequenceSpec, classify_regime, critical_quantities
 from .errors import DegenerateLevels, ParameterError
 from .oracle import _log_q_schedule, exact_stop_cdf
+# final_sizes_activation stays bound here: bench/spans.py wraps it by this name
 from .process import (RngSpec, _as_generator, _check_replicates,
-                      final_sizes_activation)
+                      final_sizes_activation, final_sizes_leap)
 from .ratefun import ScalingFamily, minimize_rate, tail_exponent
 from .scaled import ScaledFloat, scaled_sum
 
@@ -96,7 +98,7 @@ def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> i
 
 def estimate_tail(params: ModelParams, family: ScalingFamily, eps: float,
                   replicates: int, rng) -> TailEstimate:
-    """Naive Monte Carlo for P((n - A*)/f(n) > eps) via the activation-time
+    """Naive Monte Carlo for P((n - A*)/f(n) > eps) via the margin-leaping
     sampler.  Deterministic given the RngSpec."""
     _check_replicates(replicates)
     threshold = event_threshold(params, family, eps)
@@ -104,7 +106,7 @@ def estimate_tail(params: ModelParams, family: ScalingFamily, eps: float,
         return TailEstimate(0.0, 0.0, 0.0, replicates, -math.inf)
     if threshold >= params.n:
         return TailEstimate(1.0, 1.0, 1.0, replicates, 0.0)
-    sizes = final_sizes_activation(params, replicates, rng)
+    sizes = final_sizes_leap(params, replicates, rng)
     hits = int((sizes <= threshold).sum())
     lo, hi = wilson_interval(hits, replicates)
     p_hat = hits / replicates
@@ -301,7 +303,7 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
             sub_rng = RngSpec(rng.seed, rng.stream + i) if rng is not None \
                 else RngSpec(0, i)
             if method == "naive":
-                sizes = final_sizes_activation(params, replicates, sub_rng)
+                sizes = final_sizes_leap(params, replicates, sub_rng)
                 hits = int((sizes <= threshold).sum())
                 p_hat = hits / replicates
                 log_p = math.log(p_hat) if hits else -math.inf
@@ -320,8 +322,9 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
 
 def poisson_distance(params: ModelParams, replicates: int, rng):
     """(total variation, relative mean gap) between the empirical law of
-    n - A* and Poisson(b_c).  Meaningful near the b_c -> b regime; that is
-    the caller's judgement, not enforced here.
+    n - A*, drawn by the margin-leaping sampler, and Poisson(b_c).
+    Meaningful near the b_c -> b regime; that is the caller's judgement,
+    not enforced here.
 
     The mean is taken over the Poisson bulk (gaps up to the 1 - 1e-9
     quantile of Poisson(b_c)).  At any finite n the sample also contains
@@ -331,18 +334,17 @@ def poisson_distance(params: ModelParams, replicates: int, rng):
     """
     _check_replicates(replicates)
     b = critical_quantities(params).b_c
-    gaps = params.n - final_sizes_activation(params, replicates, rng)
+    from scipy.special import gammaln, pdtrc
+
+    gaps = params.n - final_sizes_leap(params, replicates, rng)
     counts = np.bincount(gaps)
     emp = counts / replicates
 
     k_hi = len(emp) - 1
-    while True:  # extend until the Poisson tail beyond k_hi is negligible
-        tail = 1.0 - math.exp(_log_poisson_cdf(b, k_hi))
-        if tail < 1e-12 or k_hi > 100 * (b + 10):
-            break
+    # extend until the Poisson tail beyond k_hi is negligible
+    while pdtrc(k_hi, b) >= 1e-12 and k_hi <= 100 * (b + 10):
         k_hi = int(2 * k_hi + 10)
     k = np.arange(k_hi + 1)
-    from scipy.special import gammaln
 
     poi = np.exp(k * math.log(b) - b - gammaln(k + 1))
     emp_full = np.zeros(k_hi + 1)
@@ -350,17 +352,9 @@ def poisson_distance(params: ModelParams, replicates: int, rng):
     tv = 0.5 * (np.abs(emp_full - poi).sum() + max(0.0, 1.0 - poi.sum()))
 
     k_bulk = int(b) + 1
-    while math.exp(_log_poisson_cdf(b, k_bulk)) < 1.0 - 1e-9:
+    while pdtrc(k_bulk, b) > 1e-9:  # the 1 - 1e-9 quantile of Poisson(b)
         k_bulk += 1
     bulk = gaps[gaps <= k_bulk]
     mean_gap = abs(float(bulk.mean()) - b) / b if bulk.size else math.inf
     return float(tv), mean_gap
 
-
-def _log_poisson_cdf(b: float, k: int) -> float:
-    from scipy.special import gammaln
-
-    j = np.arange(k + 1)
-    terms = j * math.log(b) - b - gammaln(j + 1)
-    m = terms.max()
-    return float(m + math.log(np.exp(terms - m).sum()))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binom import log_binom_cdf, log_binom_pmf, log_pmf_window
+from ._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
+                     log_pmf_window)
 from .core import ModelParams, _pi, critical_quantities
 from .errors import NumericalDegeneracyError, ParameterError
 from .ratefun import ScalingFamily
@@ -83,23 +84,7 @@ def _log_q_schedule(p: float, r: int, t_max: int):
     """
     if p == 0.0:
         return (np.full(t_max, -np.inf), np.zeros(t_max))
-    from scipy.special import gammaln
-
-    t = np.arange(t_max + 1, dtype=np.float64)
-    k = np.arange(r, dtype=np.float64)
-    if p < 1.0:
-        terms = (gammaln(t[:, None] + 1) - gammaln(k[None, :] + 1)
-                 - gammaln(t[:, None] - k[None, :] + 1)
-                 + k[None, :] * math.log(p)
-                 + (t[:, None] - k[None, :]) * math.log1p(-p))
-        terms = np.where(k[None, :] > t[:, None], -np.inf, terms)
-        with np.errstate(invalid="ignore"):
-            shift = terms.max(axis=1)
-            log_q_inactive = shift + np.log(
-                np.exp(terms - shift[:, None]).sum(axis=1))
-    else:
-        log_q_inactive = np.where(t < r, 0.0, -np.inf)
-
+    log_q_inactive = log_cdf_head(np.arange(t_max + 1), p, r - 1)
     with np.errstate(invalid="ignore"):
         delta = log_q_inactive[1:] - log_q_inactive[:-1]
     dead = ~np.isfinite(log_q_inactive[:-1])

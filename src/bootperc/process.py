@@ -1,10 +1,13 @@
-"""Three distribution-equivalent samplers of the percolation outcome.
+"""Four distribution-equivalent samplers of the percolation outcome.
 
 * graph sampler: draws G(n, p) and iterates activation generations;
 * mark chain: one active node is used per time step and sends Bernoulli(p)
   marks to the inactive nodes; a node activates at its r-th mark;
 * activation times: each non-seed node gets an i.i.d. r-th-success time
-  Y_i, and the stop time is read off the order statistics in one sweep.
+  Y_i, and the stop time is read off the order statistics in one sweep;
+* leap: the count chain S(t) jumps over every stretch where it cannot
+  stop, so a replicate costs a few dozen binomial draws at any n; the
+  naive, rate-study and Poisson-limit estimators in montecarlo use it.
 
 All randomness flows through an RngSpec (seed, stream), so a replicate is
 reproducible bit-for-bit within one build.  Geometric variables are drawn
@@ -19,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._binom import log_cdf_head
 from .core import ModelParams
 from .errors import MemoryGuardError, ParameterError
 
@@ -27,14 +31,16 @@ __all__ = [
     "sample_graph", "sample_markchain", "sample_activation_times",
     "count_low_degree",
     "final_sizes_graph", "final_sizes_markchain", "final_sizes_activation",
-    "low_degree_counts", "final_size_from_edge_uniforms",
-    "DENSE_NODE_LIMIT", "GRAPH_NODE_CAP",
+    "final_sizes_leap", "low_degree_counts", "final_size_from_edge_uniforms",
+    "DENSE_NODE_LIMIT", "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
 ]
 
 #: bitset adjacency below this node count, sampled edge lists above
 DENSE_NODE_LIMIT = 10_000
 #: the graph sampler refuses instances above this node count
 GRAPH_NODE_CAP = 100_000
+#: the activation-time sampler refuses rows of more non-seed nodes (80 MB)
+ACTIVATION_NODE_CAP = 10_000_000
 
 _BATCH_ELEMENTS = 8_000_000  # target elements per internal numpy batch
 
@@ -130,9 +136,13 @@ def _stop_from_sorted_times(y_sorted: np.ndarray, n: int, a: int) -> np.ndarray:
 def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the activation-time sampler."""
     _check_replicates(replicates)
-    gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     m = n - a
+    if m > ACTIVATION_NODE_CAP:
+        raise MemoryGuardError(
+            f"activation-time sampler refuses n - a = {m} above the cap "
+            f"{ACTIVATION_NODE_CAP}; use the leap sampler instead")
+    gen = _as_generator(rng)
     if m == 0:
         return np.full(replicates, n, dtype=np.int64)
     out = np.empty(replicates, dtype=np.int64)
@@ -146,6 +156,37 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
         y.sort(axis=1)
         out[done:done + size] = _stop_from_sorted_times(y, n, a)
         done += size
+    return out
+
+
+def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
+    """Batch of A* values from the margin-leaping count chain.
+
+    S(t) never decreases, so from (t, S) with margin M = a + S - t > 0 the
+    chain cannot stop before t + M.  The M steps are one draw: each of the
+    n - a - S inactive nodes stays inactive with chance Q(t + M) / Q(t),
+    Q(t) = P(Bin(t, p) <= r - 1).  The new margin is the number of nodes
+    that activated, so a replicate stops at the first leap that activates
+    none; exact in law, after a few dozen leaps at any n.
+    """
+    _check_replicates(replicates)
+    gen = _as_generator(rng)
+    n, p, r, a = params.n, params.p, params.r, params.a
+    out = np.empty(replicates, dtype=np.int64)
+    idx = np.arange(replicates)
+    s = np.zeros(replicates, dtype=np.int64)
+    log_q = np.zeros(replicates)  # log Q(t), 0 at t = 0
+    while idx.size:
+        t = a + s  # t + M
+        log_q_next = log_cdf_head(t, p, r - 1)
+        # Q(t) = 0 leaves nobody inactive; fmin maps its NaN to 0
+        with np.errstate(invalid="ignore"):
+            log_stay = np.fmin(log_q_next - log_q, 0.0)
+        gained = gen.binomial(n - t, -np.expm1(log_stay))
+        done = gained == 0
+        out[idx[done]] = t[done]
+        keep = ~done
+        idx, s, log_q = idx[keep], s[keep] + gained[keep], log_q_next[keep]
     return out
 
 
@@ -444,6 +485,7 @@ SAMPLER_BATCHES = {
     "graph": final_sizes_graph,
     "markchain": final_sizes_markchain,
     "activation": final_sizes_activation,
+    "leap": final_sizes_leap,
 }
 
 

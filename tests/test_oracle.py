@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootperc._binom import log_binom_cdf, log_binom_pmf, log_pmf_array
-from bootperc.core import ModelParams, activation_prob
+from bootperc._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
+                            log_pmf_array)
+from bootperc.core import ModelParams, activation_prob, log_inactive_prob
 from bootperc.errors import ParameterError
 from bootperc.oracle import (_chain_marginal_log_pmf, auxiliary_tail,
                              brute_force_pmf, exact_pmf, exact_stop_cdf,
@@ -233,3 +234,16 @@ def test_log_binom_deep_tail_precision():
     got = log_binom_cdf(m, q, 1)
     want = m * math.log1p(-q) + math.log(1 + m * q / (1 - q))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
+def test_log_cdf_head_matches_scalar_log_inactive_prob(p, r):
+    # the abs floor covers |log Q| < 1, where the r-term log-sum of a
+    # value near 1 carries about 1e-16 absolute error: Q itself agrees to
+    # 1e-12 relative there
+    t = np.array([0, 1, 2, 3, 4, 5, 7, 10, 30, 100, 300, 1000, 2000])
+    got = log_cdf_head(t, p, r - 1)
+    for ti, value in zip(t.tolist(), got.tolist()):
+        want = log_inactive_prob(ti, p, r)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (ti, value)

@@ -1,17 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bootperc._binom import log_binom_cdf
-from bootperc.core import ModelParams
+from bootperc.core import ModelParams, critical_quantities
 from bootperc.errors import MemoryGuardError, ParameterError
-from bootperc.oracle import brute_force_pmf
+from bootperc.montecarlo import wilson_interval
+from bootperc.oracle import brute_force_pmf, exact_pmf
 from bootperc.process import (SAMPLER_BATCHES, RngSpec, count_low_degree,
                               final_size_from_edge_uniforms,
-                              final_sizes_activation, final_sizes_markchain,
-                              histogram,
+                              final_sizes_activation, final_sizes_leap,
+                              final_sizes_markchain, histogram,
                               low_degree_counts, sample_activation_times,
                               sample_graph, sample_graph_with_low_degree,
                               sample_markchain, _rth_success_times)
@@ -96,6 +100,24 @@ def test_deterministic_given_seed_and_stream():
     assert not np.array_equal(a, c)
 
 
+@st.composite
+def sampler_instances(draw):
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 30))
+    a = draw(st.integers(1, n))
+    return ModelParams(n=n, p=draw(st.floats(0.0, 1.0)), r=r, a=a)
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(sampler_instances(), st.integers(0, 2**64 - 1))
+def test_samplers_give_reproducible_sizes_in_range(params, seed):
+    for batch in SAMPLER_BATCHES.values():
+        sizes = batch(params, 16, RngSpec(seed, 3))
+        assert sizes.dtype == np.int64 and sizes.shape == (16,)
+        assert ((sizes >= params.a) & (sizes <= params.n)).all()
+        assert np.array_equal(sizes, batch(params, 16, RngSpec(seed, 3)))
+
+
 def test_rngspec_validation():
     with pytest.raises(ParameterError):
         RngSpec(seed=-1)
@@ -146,6 +168,18 @@ def test_memory_guard():
     final_sizes_activation(big, 1, RngSpec(0, 0))
 
 
+def test_activation_guard_refuses_before_allocating():
+    huge = ModelParams(n=10**9, p=2e-8, r=2, a=50)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryGuardError, match="leap"):
+            final_sizes_activation(huge, 1, RngSpec(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # distributional equality across samplers
 
@@ -177,6 +211,23 @@ def test_three_samplers_agree_with_enumeration(config):
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
     p_value = chi2.sf(stat, dof)
     assert p_value > 1e-3
+
+
+@pytest.mark.parametrize("n", [200, 500])
+def test_leap_matches_exact_law_beyond_brute_force(n):
+    p = n ** -0.7
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
+    params = ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
+    pmf = exact_pmf(params)
+    reps = 200_000
+    counts = np.bincount(final_sizes_leap(params, reps, RngSpec(9, n)),
+                         minlength=n + 1)
+    tv = bound = 0.0
+    for k in range(n + 1):  # bound: half the summed 5-sigma Wilson widths
+        tv += abs(counts[k] / reps - pmf.prob(k))
+        lo, hi = wilson_interval(int(counts[k]), reps, 5.0)
+        bound += (hi - lo) / 2.0
+    assert tv / 2.0 <= bound / 2.0, (tv / 2.0, bound / 2.0)
 
 
 def test_graph_generations_counter():
