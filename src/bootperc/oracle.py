@@ -252,25 +252,25 @@ def auxiliary_tail(params: ModelParams, t: int):
 def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSizePmf:
     """Exhaustive enumeration of all 2^C(n,2) graphs for n <= 7.
 
-    Graphs are grouped by edge count, so the per-graph weights are applied
-    to exact integer counts; the final summation is compensated.
+    Graph number g has slot s occupied iff bit s of g is set; the graph
+    sampler's cascade engine runs 4096 of them at a time as one disjoint
+    union.  Graphs are grouped by edge count, so the per-graph weights are
+    applied to exact integer counts; the final summation is compensated.
     """
     n, p, r, a = params.n, params.p, params.r, params.a
     if n > cap:
         raise ParameterError(f"brute force enumeration is capped at n = {cap}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ui = np.array([ij[0] for ij in pairs], dtype=np.int64)
-    vi = np.array([ij[1] for ij in pairs], dtype=np.int64)
-    n_edges = len(pairs)
+    n_edges = n * (n - 1) // 2
     counts = np.zeros((n_edges + 1, n + 1), dtype=np.int64)
 
-    from .process import _vector_cascade_sizes
+    from .process import _slot_pairs, _vector_cascade_sizes
 
-    chunk = 1 << 15
+    chunk = 1 << 12  # graphs per disjoint union
     for start in range(0, 1 << n_edges, chunk):
         ids = np.arange(start, min(start + chunk, 1 << n_edges), dtype=np.int64)
         bits = ((ids[:, None] >> np.arange(n_edges)[None, :]) & 1).astype(bool)
-        sizes = _vector_cascade_sizes(bits, ui, vi, n, r, a)
+        u, v = _slot_pairs(np.flatnonzero(bits), n)
+        sizes, _ = _vector_cascade_sizes(u, v, len(ids), n, r, a)
         np.add.at(counts, (bits.sum(axis=1), sizes), 1)
 
     probs = {}

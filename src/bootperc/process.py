@@ -1,6 +1,9 @@
 """Four distribution-equivalent samplers of the percolation outcome.
 
-* graph sampler: draws G(n, p) and iterates activation generations;
+* graph sampler: draws a batch of G(n, p) graphs as one disjoint union and
+  runs one synchronous-generation cascade on its edge list (the same
+  engine runs ``oracle.brute_force_pmf`` and the coupled edge-uniform
+  cascade);
 * mark chain: one active node is used per time step and sends Bernoulli(p)
   marks to the inactive nodes; a node activates at its r-th mark;
 * activation times: each non-seed node gets an i.i.d. r-th-success time
@@ -32,11 +35,9 @@ __all__ = [
     "count_low_degree",
     "final_sizes_graph", "final_sizes_markchain", "final_sizes_activation",
     "final_sizes_leap", "low_degree_counts", "final_size_from_edge_uniforms",
-    "DENSE_NODE_LIMIT", "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
+    "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
 ]
 
-#: bitset adjacency below this node count, sampled edge lists above
-DENSE_NODE_LIMIT = 10_000
 #: the graph sampler refuses instances above this node count
 GRAPH_NODE_CAP = 100_000
 #: the activation-time sampler refuses rows of more non-seed nodes (80 MB)
@@ -103,14 +104,18 @@ def _geometric_inverse(u: np.ndarray, p: float) -> np.ndarray:
         return np.full(u.shape, np.inf)
     if p == 1.0:
         return np.ones(u.shape)
-    return 1.0 + np.floor(np.log1p(-u) / math.log1p(-p))
+    # subnormal p overflows to an infinite time, which is the right answer
+    with np.errstate(over="ignore"):
+        return 1.0 + np.floor(np.log1p(-u) / math.log1p(-p))
 
 
-def _rth_success_times(count: int, r: int, p: float,
+def _rth_success_times(shape, r: int, p: float,
                        gen: np.random.Generator) -> np.ndarray:
-    y = np.zeros(count)
-    for _ in range(r):
-        y += _geometric_inverse(gen.random(count), p)
+    """Trials to the r-th success, one per entry of an array of `shape`."""
+    y = np.zeros(shape)
+    with np.errstate(over="ignore"):
+        for _ in range(r):
+            y += _geometric_inverse(gen.random(shape), p)
     return y
 
 
@@ -150,9 +155,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     done = 0
     while done < replicates:
         size = min(chunk, replicates - done)
-        y = np.zeros((size, m))
-        for _ in range(r):
-            y += _geometric_inverse(gen.random((size, m)), p)
+        y = _rth_success_times((size, m), r, p, gen)
         y.sort(axis=1)
         out[done:done + size] = _stop_from_sorted_times(y, n, a)
         done += size
@@ -252,12 +255,8 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# graph sampler
-
-def _triangular_offsets(n: int) -> np.ndarray:
-    i = np.arange(n, dtype=np.int64)
-    return i * (2 * n - i - 1) // 2
-
+# graph sampler: draw a batch of graphs as one disjoint union, then run one
+# synchronous-generation cascade on its edge list
 
 def _sample_edge_slots(total_slots: int, p: float,
                        gen: np.random.Generator) -> np.ndarray:
@@ -282,189 +281,105 @@ def _sample_edge_slots(total_slots: int, p: float,
     return np.concatenate(positions) if positions else np.empty(0, dtype=np.int64)
 
 
-def _sample_edges(n: int, p: float, gen: np.random.Generator):
-    slots = _sample_edge_slots(n * (n - 1) // 2, p, gen)
-    offsets = _triangular_offsets(n)
-    u = np.searchsorted(offsets, slots, side="right") - 1
-    v = slots - offsets[u] + u + 1
-    return u.astype(np.int64), v.astype(np.int64)
+def _slot_pairs(slots: np.ndarray, n: int):
+    """Edge ends (u, v) of slot indices: slot k * C(n, 2) + s is the s-th
+    pair i < j (row-major) of replicate k, whose node i is k * n + i."""
+    pairs = n * (n - 1) // 2
+    rep, local = np.divmod(slots, pairs)
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (2 * n - i - 1) // 2
+    u = np.searchsorted(offsets, local, side="right") - 1
+    v = local - offsets[u] + u + 1
+    return rep * n + u, rep * n + v
 
 
-def _cascade_edges(n: int, r: int, a: int, u: np.ndarray, v: np.ndarray):
-    """Generation sweeps on an edge list; returns (final_size, generations)."""
-    ends = np.concatenate([u, v])
-    peers = np.concatenate([v, u])
-    order = np.argsort(ends, kind="stable")
-    ends, peers = ends[order], peers[order]
-    indptr = np.searchsorted(ends, np.arange(n + 1))
-
-    active = np.zeros(n, dtype=bool)
-    active[:a] = True
-    marks = np.zeros(n, dtype=np.int64)
-    frontier = np.arange(a)
-    generations = 0
-    while frontier.size:
-        touched = np.concatenate(
-            [peers[indptr[i]:indptr[i + 1]] for i in frontier]
-        ) if frontier.size else np.empty(0, dtype=np.int64)
-        np.add.at(marks, touched, 1)
-        newly = np.nonzero(~active & (marks >= r))[0]
-        if newly.size == 0:
-            break
-        generations += 1
-        active[newly] = True
-        frontier = newly
-    return int(active.sum()), generations
+def _draw_graphs(params: ModelParams, replicates: int, gen: np.random.Generator):
+    """Yield (start, size, u, v) per chunk of replicates: the edges of
+    `size` independent draws of G(n, p) as one disjoint union."""
+    n, p = params.n, params.p
+    pairs = n * (n - 1) // 2
+    chunk = max(1, int(_BATCH_ELEMENTS / max(1.0, pairs * p + n)))
+    for start in range(0, replicates, chunk):
+        size = min(chunk, replicates - start)
+        yield (start, size,
+               *_slot_pairs(_sample_edge_slots(size * pairs, p, gen), n))
 
 
-def _cascade_bitset(n: int, r: int, a: int, u: np.ndarray, v: np.ndarray):
-    """Same cascade on python-int adjacency bitsets (dense storage)."""
-    adj = [0] * n
-    for i, j in zip(u.tolist(), v.tolist()):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    active_bits = (1 << a) - 1
-    inactive = list(range(a, n))
-    generations = 0
+def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
+                          n: int, r: int, a: int):
+    """Cascade on `reps` disjoint graphs of n nodes (node i of replicate k
+    is k * n + i, seeds i < a); each generation every node activated in
+    the last one sends one mark along each edge, and an inactive node
+    with r marks activates.  Returns per-replicate (final sizes,
+    generations that activated a node)."""
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    fresh = np.tile(np.arange(n) < a, reps)
+    active = fresh.copy()
+    marks = np.zeros(reps * n, dtype=np.int64)
+    generations = np.zeros(reps, dtype=np.int64)
     while True:
-        newly = [i for i in inactive
-                 if (adj[i] & active_bits).bit_count() >= r]
-        if not newly:
+        marks += np.bincount(dst[fresh[src]], minlength=reps * n)
+        fresh = ~active & (marks >= r)
+        grew = fresh.reshape(reps, n).any(axis=1)
+        if not grew.any():
             break
-        generations += 1
-        for i in newly:
-            active_bits |= 1 << i
-        newset = set(newly)
-        inactive = [i for i in inactive if i not in newset]
-    return active_bits.bit_count(), generations
+        generations += grew
+        active |= fresh
+    return active.reshape(reps, n).sum(axis=1, dtype=np.int64), generations
 
 
-def _check_graph_cap(n: int, cap: int) -> None:
-    if n > cap:
+def _check_graph_cap(n: int) -> None:
+    if n > GRAPH_NODE_CAP:
         raise MemoryGuardError(
-            f"graph sampler refuses n = {n} above the cap {cap}; "
-            "use the mark-chain or activation-time sampler instead")
+            f"graph sampler refuses n = {n} above the cap {GRAPH_NODE_CAP}; "
+            "use the leap, mark-chain or activation-time sampler instead")
 
 
-def sample_graph(params: ModelParams, rng, cap: int = GRAPH_NODE_CAP) -> PercolationOutcome:
+def sample_graph(params: ModelParams, rng) -> PercolationOutcome:
     """Draw G(n, p), seed nodes {1..a}, iterate generations to the fixpoint.
 
     Seeds are fixed rather than resampled uniformly: by node
     exchangeability the law of the final size is the same, and one
     randomness source less keeps coupling tests simple.
     """
-    _check_graph_cap(params.n, cap)
-    gen = _as_generator(rng)
-    u, v = _sample_edges(params.n, params.p, gen)
-    if params.n <= DENSE_NODE_LIMIT:
-        final, generations = _cascade_bitset(params.n, params.r, params.a, u, v)
-    else:
-        final, generations = _cascade_edges(params.n, params.r, params.a, u, v)
+    _check_graph_cap(params.n)
+    _, _, u, v = next(_draw_graphs(params, 1, _as_generator(rng)))
+    sizes, generations = _vector_cascade_sizes(u, v, 1, params.n, params.r,
+                                               params.a)
+    final = int(sizes[0])
     return PercolationOutcome(final_size=final, stop_time=final,
-                              generations=generations)
+                              generations=int(generations[0]))
 
 
-def count_low_degree(params: ModelParams, rng, cap: int = GRAPH_NODE_CAP) -> int:
+def count_low_degree(params: ModelParams, rng) -> int:
     """Number of nodes of degree < r in one draw of G(n, p)."""
-    _check_graph_cap(params.n, cap)
-    gen = _as_generator(rng)
-    u, v = _sample_edges(params.n, params.p, gen)
-    deg = np.bincount(u, minlength=params.n) + np.bincount(v, minlength=params.n)
-    return int((deg < params.r).sum())
+    return int(low_degree_counts(params, 1, rng)[0])
 
 
-def sample_graph_with_low_degree(params: ModelParams, rng,
-                                 cap: int = GRAPH_NODE_CAP):
-    """One graph draw returning (outcome, D_n, D_n over non-seeds).
-
-    The non-seed count is the one that is pathwise dominated by n - A*:
-    a low-degree node among the seeds {1..a} is active by fiat, so the
-    all-nodes count can exceed the number of inactive nodes.
-    """
-    _check_graph_cap(params.n, cap)
-    gen = _as_generator(rng)
-    u, v = _sample_edges(params.n, params.p, gen)
-    if params.n <= DENSE_NODE_LIMIT:
-        final, generations = _cascade_bitset(params.n, params.r, params.a, u, v)
-    else:
-        final, generations = _cascade_edges(params.n, params.r, params.a, u, v)
-    deg = np.bincount(u, minlength=params.n) + np.bincount(v, minlength=params.n)
-    low = deg < params.r
-    outcome = PercolationOutcome(final_size=final, stop_time=final,
-                                 generations=generations)
-    return outcome, int(low.sum()), int(low[params.a:].sum())
-
-
-def low_degree_counts(params: ModelParams, replicates: int, rng,
-                      cap: int = GRAPH_NODE_CAP) -> np.ndarray:
-    """Batch of D_n draws; replicates share one concatenated slot stream."""
-    _check_graph_cap(params.n, cap)
+def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
+    """Batch of D_n draws (nodes of degree < r in G(n, p))."""
+    _check_graph_cap(params.n)
     gen = _as_generator(rng)
     n = params.n
-    slots_per_rep = n * (n - 1) // 2
-    chunk = max(1, int(_BATCH_ELEMENTS / max(1.0, slots_per_rep * params.p + n)))
     out = np.empty(replicates, dtype=np.int64)
-    offsets = _triangular_offsets(n)
-    done = 0
-    while done < replicates:
-        size = min(chunk, replicates - done)
-        slots = _sample_edge_slots(size * slots_per_rep, params.p, gen)
-        rep = slots // slots_per_rep
-        local = slots - rep * slots_per_rep
-        u = np.searchsorted(offsets, local, side="right") - 1
-        v = local - offsets[u] + u + 1
-        deg = np.bincount(rep * n + u, minlength=size * n) \
-            + np.bincount(rep * n + v, minlength=size * n)
-        out[done:done + size] = (deg.reshape(size, n) < params.r).sum(axis=1)
-        done += size
+    for start, size, u, v in _draw_graphs(params, replicates, gen):
+        deg = np.bincount(u, minlength=size * n) \
+            + np.bincount(v, minlength=size * n)
+        out[start:start + size] = (deg.reshape(size, n) < params.r).sum(axis=1)
     return out
 
 
-def final_sizes_graph(params: ModelParams, replicates: int, rng,
-                      small_limit: int = 24) -> np.ndarray:
-    """Batch of A* values from the graph sampler.
-
-    Below `small_limit` nodes every replicate's C(n,2) edge indicators are
-    drawn as one matrix and the cascade runs vectorized across replicates;
-    above it the single-replicate sampler is looped.
-    """
+def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
+    """Batch of A* values from the graph sampler."""
     _check_replicates(replicates)
+    _check_graph_cap(params.n)
     gen = _as_generator(rng)
-    n, p, r, a = params.n, params.p, params.r, params.a
-    if n > small_limit:
-        _check_graph_cap(n, GRAPH_NODE_CAP)
-        return np.array([sample_graph(params, gen).final_size
-                         for _ in range(replicates)], dtype=np.int64)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ui = np.array([ij[0] for ij in pairs])
-    vi = np.array([ij[1] for ij in pairs])
+    n, r, a = params.n, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)
-    chunk = max(1, _BATCH_ELEMENTS // max(1, len(pairs)))
-    done = 0
-    while done < replicates:
-        size = min(chunk, replicates - done)
-        edges = gen.random((size, len(pairs))) < p
-        out[done:done + size] = _vector_cascade_sizes(edges, ui, vi, n, r, a)
-        done += size
+    for start, size, u, v in _draw_graphs(params, replicates, gen):
+        out[start:start + size] = _vector_cascade_sizes(u, v, size, n, r, a)[0]
     return out
-
-
-def _vector_cascade_sizes(edges: np.ndarray, ui: np.ndarray, vi: np.ndarray,
-                          n: int, r: int, a: int) -> np.ndarray:
-    reps = edges.shape[0]
-    active = np.zeros((reps, n), dtype=bool)
-    active[:, :a] = True
-    while True:
-        marks = np.zeros((reps, n), dtype=np.int32)
-        for e in range(len(ui)):
-            col = edges[:, e]
-            marks[:, vi[e]] += col & active[:, ui[e]]
-            marks[:, ui[e]] += col & active[:, vi[e]]
-        newly = ~active & (marks >= r)
-        if not newly.any():
-            break
-        active |= newly
-    return active.sum(axis=1).astype(np.int64)
 
 
 def final_size_from_edge_uniforms(n: int, r: int, a: int,
@@ -473,12 +388,8 @@ def final_size_from_edge_uniforms(n: int, r: int, a: int,
     different p values monotonically on one graph."""
     if uniforms.shape != (n * (n - 1) // 2,):
         raise ParameterError("need one uniform per node pair")
-    slots = np.nonzero(uniforms < p)[0]
-    offsets = _triangular_offsets(n)
-    u = np.searchsorted(offsets, slots, side="right") - 1
-    v = slots - offsets[u] + u + 1
-    final, _ = _cascade_edges(n, r, a, u.astype(np.int64), v.astype(np.int64))
-    return final
+    u, v = _slot_pairs(np.flatnonzero(uniforms < p), n)
+    return int(_vector_cascade_sizes(u, v, 1, n, r, a)[0][0])
 
 
 SAMPLER_BATCHES = {

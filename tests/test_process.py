@@ -14,10 +14,9 @@ from bootperc.montecarlo import wilson_interval
 from bootperc.oracle import brute_force_pmf, exact_pmf
 from bootperc.process import (SAMPLER_BATCHES, RngSpec, count_low_degree,
                               final_size_from_edge_uniforms,
-                              final_sizes_activation, final_sizes_leap,
-                              final_sizes_markchain, histogram,
-                              low_degree_counts, sample_activation_times,
-                              sample_graph, sample_graph_with_low_degree,
+                              final_sizes_activation, final_sizes_markchain,
+                              histogram, low_degree_counts,
+                              sample_activation_times, sample_graph,
                               sample_markchain, _rth_success_times)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
@@ -30,11 +29,13 @@ def empirical_pmf(sizes, n):
 # ---------------------------------------------------------------------------
 # degenerate anchors
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("batch", SAMPLER_BATCHES.values(),
                          ids=SAMPLER_BATCHES.keys())
 def test_p_zero_keeps_only_seeds(batch):
-    sizes = batch(ModelParams(n=6, p=0.0, r=2, a=3), 50, RngSpec(0, 0))
-    assert (sizes == 3).all()
+    for p in (0.0, 5e-324):  # subnormal p gives infinite times, no warning
+        sizes = batch(ModelParams(n=6, p=p, r=2, a=3), 50, RngSpec(0, 0))
+        assert (sizes == 3).all()
 
 
 @pytest.mark.parametrize("batch", SAMPLER_BATCHES.values(),
@@ -140,10 +141,15 @@ def test_coupled_monotonicity_in_p():
 
 
 def test_low_degree_nonseed_count_is_dominated_pathwise():
-    params = ModelParams(n=50, p=0.1, r=2, a=5)
+    # a low-degree seed is active by fiat, so only non-seeds are counted
+    n, p, r, a = 50, 0.1, 2, 5
+    ui, vi = np.triu_indices(n, k=1)
     for stream in range(300):
-        out, _, d_nonseed = sample_graph_with_low_degree(params, RngSpec(23, stream))
-        assert params.n - out.final_size >= d_nonseed
+        u = RngSpec(23, stream).generator().random(n * (n - 1) // 2)
+        final = final_size_from_edge_uniforms(n, r, a, u, p)
+        edges = u < p
+        deg = np.bincount(ui[edges], minlength=n) + np.bincount(vi[edges], minlength=n)
+        assert n - final >= (deg[a:] < r).sum()
 
 
 def test_low_degree_trivial_values():
@@ -213,15 +219,15 @@ def test_three_samplers_agree_with_enumeration(config):
     assert p_value > 1e-3
 
 
-@pytest.mark.parametrize("n", [200, 500])
-def test_leap_matches_exact_law_beyond_brute_force(n):
+@pytest.mark.parametrize("sampler, n, reps", [
+    ("leap", 200, 200_000), ("leap", 500, 200_000), ("graph", 40, 20_000)])
+def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
     p = n ** -0.7
     a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
     params = ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
     pmf = exact_pmf(params)
-    reps = 200_000
-    counts = np.bincount(final_sizes_leap(params, reps, RngSpec(9, n)),
-                         minlength=n + 1)
+    sizes = SAMPLER_BATCHES[sampler](params, reps, RngSpec(9, n))
+    counts = np.bincount(sizes, minlength=n + 1)
     tv = bound = 0.0
     for k in range(n + 1):  # bound: half the summed 5-sigma Wilson widths
         tv += abs(counts[k] / reps - pmf.prob(k))
