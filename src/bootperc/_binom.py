@@ -153,22 +153,3 @@ def log_cdf_head(m, q: float, k: int) -> np.ndarray:
         shift = terms.max(axis=1)
         return shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
 
-
-def log_pmf_window(m, log_q: float, log_1mq: float, j: np.ndarray) -> np.ndarray:
-    """Vectorized log pmf over increment window `j`, trial counts `m`.
-
-    `m` may be a scalar or an array broadcastable against `j`.  The success
-    probability enters through its log and log-complement so callers can
-    keep full precision when q is within 1e-16 of 0 or 1; 0 * (-inf)
-    products at the support edges are defined as 0.
-    """
-    from scipy.special import gammaln
-
-    m = np.asarray(m, dtype=np.float64)
-    j = np.asarray(j, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        term_q = np.where(j > 0, j * log_q, 0.0)
-        term_c = np.where(m - j > 0, (m - j) * log_1mq, 0.0)
-        out = (gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
-               + term_q + term_c)
-    return np.where((j > m) | (j < 0), -np.inf, out)

@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
 def cmd_exact(args) -> int:
     params = _params(args)
     if args.truncate is not None:
-        value = exact_stop_cdf(params, args.truncate)
+        value = exact_stop_cdf(params, args.truncate, cap=args.cap)
         _emit_json(args, {"tau": args.truncate, "prob": float(value),
                           "ln_prob": value.ln(), "log2_prob": value.log2(),
                           "log_base": "e_and_2"})
@@ -285,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--a", type=int, required=True)
     s.add_argument("--truncate", type=int, default=None, metavar="TAU")
-    s.add_argument("--cap", type=int, default=PMF_NODE_CAP)
+    s.add_argument("--cap", type=int, default=PMF_NODE_CAP,
+                   help="refuse n above this for the pmf, or more chain "
+                   "states than this for --truncate")
     _add_common(s, fmt="csv")
     s.set_defaults(func=cmd_exact)
 

@@ -9,9 +9,14 @@ the exact distribution of T = A*.
 
 All state masses are carried in log space and reported as ScaledFloat, so
 tail atoms far below 1e-308 survive.  One private kernel, _forward, runs
-the pass for every query: each step keeps the increments in one window
-whose edge lies below 1e-30 of every row's peak, and the transition mass
-it drops is bounded and reported alongside the result.
+the pass for every query.  The binomial kernel of a step factorises into
+a part of the source state, a part of the increment and a part of the
+target state, so each step is one 1-D log-space convolution over the
+live band of states; the log-factorials it needs are a running sum of
+logs centred at S = 0, never a difference of large log-gamma values.
+Each step keeps the increments in one window whose edge lies below 1e-30
+of every row's peak, and the transition mass it drops is bounded and
+reported alongside the result.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
-                     log_pmf_window)
+from ._binom import log_binom_cdf, log_binom_pmf, log_cdf_head
 from .core import ModelParams, _pi, critical_quantities
-from .errors import NumericalDegeneracyError, ParameterError
+from .errors import (MemoryGuardError, NumericalDegeneracyError,
+                     ParameterError)
 from .ratefun import ScalingFamily
 from .scaled import ScaledFloat, scaled_sum
 
@@ -33,7 +38,7 @@ __all__ = [
     "auxiliary_tail", "brute_force_pmf", "PMF_NODE_CAP", "BRUTE_FORCE_CAP",
 ]
 
-PMF_NODE_CAP = 2000
+PMF_NODE_CAP = 5000
 BRUTE_FORCE_CAP = 7
 _ROW_REL_TOL = 1e-30
 _LN_ROW_REL_TOL = math.log(_ROW_REL_TOL)
@@ -45,7 +50,9 @@ class FinalSizePmf:
 
     truncation_bound certifies the transition mass dropped by the forward
     pass's increment window (exactly 0.0 when n - a <= 45).  It does not
-    cover rounding, which dominates |total() - 1|: 1e-12 at n = 500.
+    cover rounding in the factorised log-space steps, which dominates
+    |total() - 1|: 3.5e-14 at n = 500 and 2e-12 at n = PMF_NODE_CAP
+    (p = n^-0.7, r = 2, a = ceil(2 a_c)).
     """
 
     params: ModelParams
@@ -117,50 +124,107 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
     certified transition mass lost to the increment window.  Mass moving
     above s_hi is dropped on purpose and not counted in bound.
 
+    With N = n - a, the increment from state s is Bin(N - s, q_t), and
+    its log pmf at the target k = s + j factorises as
+        H[s] - H[k] - lnG(j + 1) + j log q_t + (N - k) log(1 - q_t),
+    where H[s] = lnG(N - s + 1) - lnG(N + 1) = -sum_{i<s} log(N - i) is
+    built once as a running sum, centred at H[0] = 0, and never as a
+    difference of log-gamma values.  The pass carries u = log-mass + H
+    - shift, so a step is one 1-D log-space convolution
+        u'[k] = (N - k) log(1 - q_t) + logsumexp_j(u[k - j] + j log q_t
+                                                   - lnG(j + 1))
+    over the targets from the lowest live state to the highest one plus
+    j_win.  The integral shift puts the state of largest mass at u ~ 0
+    after each step and sums exactly, so rounding scales with the spread
+    of u over the band, not with |H| (~ N log N).
+
     Each step keeps the increments 0..j_win for every state, with j_win
     grown until each row's pmf at j_win is below _ROW_REL_TOL of its
     peak; log-concavity puts every dropped increment below that cutoff.
-    Each target state adds its sources in ascending order.
+    The rows are evaluated from the same H, for every state 0..s_hi.
+    A step with q_t = 1 (p = 1, or no inactive node left) moves all mass
+    to S = N.
     """
+    from scipy.special import gammaln
+
     n, p, r, a = params.n, params.p, params.r, params.a
     big = n - a
     log_q, log_1mq = _log_q_schedule(p, r, t_max)
-    states = np.arange(s_hi + 1, dtype=np.int64)
+    moving = (log_q > -np.inf) & (log_1mq > -np.inf)
+    q_max = math.exp(float(log_q[moving].max())) if moving.any() else 0.0
+    # rows reach H at s + mode <= s_hi + (N + 1) q and at s + j_win <= 2 s_hi
+    h_top = min(big, 2 * s_hi + math.ceil((big + 1) * q_max))
+    # extended-precision accumulation where numpy has it: a float64 cumsum
+    # errs by ~1e-12 at s ~ 500, and H[k] enters every atom at k
+    h = np.zeros(h_top + 1)
+    h[1:] = np.cumsum(-np.log(big - np.arange(h_top, dtype=np.float64)),
+                      dtype=np.longdouble)
+    states = np.arange(s_hi + 1)
     m_arr = (big - states).astype(np.float64)
-    logvec = np.full(s_hi + 1, -np.inf)
-    logvec[0] = 0.0
+    u = np.full(s_hi + 1, -np.inf)
+    u[0] = 0.0
+    shift = 0.0
     absorbed = np.full(t_max, -np.inf)
     discard_ln = -math.inf
 
+    def row_log_pmf(j, lq, l1):
+        """log P(Bin(N - s, q_t) = j) for every state s, from H."""
+        j = np.asarray(j, dtype=np.int64)
+        target = np.minimum(states + j, h_top)
+        out = (h[states] - h[target] - gammaln(j + 1.0)
+               + j * lq + (m_arr - j) * l1)
+        return np.where(j > m_arr, -np.inf, out)
+
     for t in range(t_max):
         lq, l1 = float(log_q[t]), float(log_1mq[t])
-        if lq > -math.inf:  # otherwise increments are identically zero
+        if l1 == -math.inf:  # q_t = 1: every inactive node activates
+            new = np.full(s_hi + 1, -np.inf)
+            if big <= s_hi:
+                new[big] = np.logaddexp.reduce(u - h[:s_hi + 1]) + h[big]
+            u = new
+        elif lq > -math.inf:  # otherwise increments are identically zero
             q = math.exp(lq)
             modes = np.clip(np.floor((m_arr + 1) * q), 0, m_arr)
-            log_cut = log_pmf_window(m_arr, lq, l1, modes) + _LN_ROW_REL_TOL
+            log_cut = row_log_pmf(modes, lq, l1) + _LN_ROW_REL_TOL
             sigma = math.sqrt(max(big * q * (1.0 - q), 1.0))
             j_win = min(s_hi, int(big * q + 12.0 * sigma) + 45)
-            while j_win < s_hi and np.any(log_pmf_window(
-                    m_arr, lq, l1, np.full(s_hi + 1, j_win)) >= log_cut):
+            while j_win < s_hi and np.any(
+                    row_log_pmf(j_win, lq, l1) >= log_cut):
                 j_win = min(s_hi, j_win + 32)
-            rows = log_pmf_window(m_arr[:, None], lq, l1,
-                                  np.arange(j_win + 1)[None, :])
-            new = np.full(s_hi + 1, -np.inf)
-            for jj in range(j_win, -1, -1):
-                hi = s_hi + 1 - jj
-                new[jj:] = np.logaddexp(new[jj:], logvec[:hi] + rows[:hi, jj])
+
+            live = np.flatnonzero(u > -np.inf)
+            lo, hi = int(live[0]), int(live[-1])
+            k_hi = min(hi + j_win, s_hi)
+            src = np.full(k_hi - lo + 1 + j_win, -np.inf)
+            src[j_win:j_win + hi - lo + 1] = u[lo:hi + 1]
+            jj = np.arange(j_win, -1, -1)
+            terms = (np.lib.stride_tricks.sliding_window_view(src, j_win + 1)
+                     + (jj * lq - gammaln(jj + 1.0)))
+            peak = terms.max(axis=1)
+            peak[peak == -np.inf] = 0.0
+            terms -= peak[:, None]
+            np.exp(terms, out=terms)
             with np.errstate(divide="ignore"):
-                lost = logvec + np.log(np.maximum(s_hi - states - j_win, 0))
-            discard_ln = float(np.logaddexp.reduce(lost + log_cut,
-                                                   initial=discard_ln))
-            logvec = new
+                conv = peak + np.log(terms.sum(axis=1))
+            conv += (big - np.arange(lo, k_hi + 1)) * l1
+            top = math.floor(conv[np.argmax(conv - h[lo:k_hi + 1])])
+            new = np.full(s_hi + 1, -np.inf)
+            new[lo:k_hi + 1] = conv - top
+
+            with np.errstate(divide="ignore"):
+                lost = u[lo:hi + 1] + (shift - h[lo:hi + 1]) + np.log(
+                    np.maximum(s_hi - states[lo:hi + 1] - j_win, 0))
+            discard_ln = float(np.logaddexp.reduce(
+                lost + log_cut[lo:hi + 1], initial=discard_ln))
+            u = new
+            shift += top
         k = t + 1 - a
         if absorb and 0 <= k <= s_hi:
-            absorbed[t] = logvec[k]
-            logvec[k] = -np.inf
-        if not np.isfinite(logvec).any():
+            absorbed[t] = u[k] + (shift - h[k])
+            u[k] = -np.inf
+        if not np.isfinite(u).any():
             break
-    return absorbed, logvec, math.exp(discard_ln)
+    return absorbed, u + (shift - h[:s_hi + 1]), math.exp(discard_ln)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +234,7 @@ def exact_pmf(params: ModelParams, cap: int = PMF_NODE_CAP) -> FinalSizePmf:
     """Exact distribution of A* by dynamic programming over (t, S(t))."""
     n, a = params.n, params.a
     if n > cap:
-        raise ParameterError(
+        raise MemoryGuardError(
             f"exact_pmf refuses n = {n} above the cap {cap}; "
             "use exact_stop_cdf for truncated queries at large n")
     absorbed, _, bound = _forward(params, n, n - a)
@@ -189,21 +253,28 @@ def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
 
 
 def exact_stop_cdf(params: ModelParams, tau: int,
-                   with_bound: bool = False):
+                   with_bound: bool = False, cap: int = PMF_NODE_CAP):
     """P(T <= tau), exactly, with states capped at S = tau - a + 1.
 
     Once a + S(t) > tau the chain can never stop by tau, so such states
     are dropped as permanently safe.  The cost is O(tau^2 * window),
     independent of n, which keeps n up to 1e6 cheap when tau = O(a_c).
-    With with_bound=True also returns the certified bound on transition
-    mass lost to the increment window (0.0 whenever the band is narrow).
+    A state count min(tau - a + 1, n - a) above `cap` is refused before
+    anything is allocated.  With with_bound=True also returns the
+    certified bound on transition mass lost to the increment window
+    (0.0 whenever the band is narrow).
     """
     n, a = params.n, params.a
     if tau > n:
         raise ParameterError("tau must not exceed n")
     if tau < a:
         return (ScaledFloat(0.0), 0.0) if with_bound else ScaledFloat(0.0)
-    absorbed, _, bound = _forward(params, tau, min(tau - a + 1, n - a))
+    s_hi = min(tau - a + 1, n - a)
+    if s_hi > cap:
+        raise MemoryGuardError(
+            f"exact_stop_cdf refuses {s_hi} chain states above the cap "
+            f"{cap}; pass a larger cap to run it anyway")
+    absorbed, _, bound = _forward(params, tau, s_hi)
     result = ScaledFloat.from_ln(float(np.logaddexp.reduce(absorbed)))
     return (result, bound) if with_bound else result
 

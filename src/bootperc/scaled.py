@@ -76,9 +76,8 @@ class ScaledFloat:
             return ScaledFloat(self.mantissa * other.mantissa,
                                self.exponent + other.exponent)
         if isinstance(other, (int, float)):
-            if other < 0:
-                raise ValueError("ScaledFloat holds nonnegative values only")
-            return ScaledFloat(self.mantissa * float(other), self.exponent)
+            # normalise first: mantissa * other would round a subnormal other
+            return self * ScaledFloat(float(other))
         return NotImplemented
 
     __rmul__ = __mul__

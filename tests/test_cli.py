@@ -112,6 +112,16 @@ def test_exact_truncate_below_seeds_is_zero(tmp_path):
     assert float(json.loads(text)["result"]["prob"]) == 0.0
 
 
+def test_exact_cap_refuses_both_paths(tmp_path):
+    # a 1e6-state truncated pass is refused up front with exit code 2
+    assert run(tmp_path, ["exact", "--n", "1000000", "--p", "1e-3", "--r", "2",
+                          "--a", "5", "--truncate", "1000000"])[0] == 2
+    small = ["exact", "--n", "200", "--p", "0.05", "--r", "2", "--a", "5"]
+    assert run(tmp_path, small + ["--truncate", "150", "--cap", "100"])[0] == 2
+    assert run(tmp_path, small + ["--truncate", "150"])[0] == 0
+    assert run(tmp_path, small + ["--cap", "100"])[0] == 2
+
+
 def test_tail_predict(tmp_path):
     spec = write_spec(tmp_path, SPEC_07)
     code, text = run(tmp_path, ["tail", "predict", "--spec", spec,

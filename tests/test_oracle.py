@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 
 from bootperc._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
                             log_pmf_array)
-from bootperc.core import ModelParams, activation_prob, log_inactive_prob
-from bootperc.errors import ParameterError
-from bootperc.oracle import (_chain_marginal_log_pmf, auxiliary_tail,
-                             brute_force_pmf, exact_pmf, exact_stop_cdf,
-                             exact_tail_query)
+from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
+                           log_inactive_prob)
+from bootperc.errors import MemoryGuardError, ParameterError
+from bootperc.montecarlo import default_stop_horizon
+from bootperc.oracle import (PMF_NODE_CAP, _chain_marginal_log_pmf,
+                             _log_q_schedule, auxiliary_tail, brute_force_pmf,
+                             exact_pmf, exact_stop_cdf, exact_tail_query)
 from bootperc.ratefun import Const
+
+SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +56,25 @@ def test_exact_pmf_support_and_normalization_midsize():
 
 
 def test_exact_pmf_cap():
-    with pytest.raises(ParameterError):
-        exact_pmf(ModelParams(n=5000, p=1e-3, r=2, a=5))
+    with pytest.raises(MemoryGuardError):
+        exact_pmf(ModelParams(n=PMF_NODE_CAP + 1, p=1e-3, r=2, a=5))
+
+
+def test_stop_cdf_cap_refuses_before_allocating():
+    huge = ModelParams(n=10**6, p=1e-3, r=2, a=5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryGuardError):
+            exact_stop_cdf(huge, 10**6)
+        with pytest.raises(MemoryGuardError):
+            exact_stop_cdf(huge, 1000, cap=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the state count, not tau, meets the cap: n - a states here
+    small = ModelParams(n=40, p=0.1, r=2, a=5)
+    assert float(exact_stop_cdf(small, 40, cap=35)) == pytest.approx(1.0)
 
 
 def test_deep_tail_survives_in_log_scale():
@@ -84,6 +106,21 @@ def test_exact_law_matches_enumeration_property(params):
         assert stop == pytest.approx(float(pmf.cdf_at(tau)), abs=1e-12)
         assert stop >= previous
         previous = stop
+
+
+@st.composite
+def midsize_instances(draw):
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 60))
+    return ModelParams(n=n, p=draw(st.floats(0.0, 1.0)), r=r,
+                       a=draw(st.integers(1, n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(midsize_instances())
+def test_exact_pmf_normalises_within_bound_property(params):
+    pmf = exact_pmf(params)
+    assert abs(float(pmf.total()) - 1.0) <= pmf.truncation_bound + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +156,49 @@ def test_stop_cdf_matches_large_n_small_n_scaling():
     full = exact_pmf(params)
     trunc = exact_stop_cdf(params, 25)
     assert float(trunc) == pytest.approx(float(full.cdf_at(25)), abs=1e-9)
+
+
+def _linear_stop_cdf(params, tau):
+    """P(T <= tau) from the same chain and q_t schedule, in linear space:
+    each row's pmf is exp(m log(1 - q)) times the running product of
+    (m - j + 1)/j * q/(1 - q), with no log-gamma anywhere."""
+    big, a = params.n - params.a, params.a
+    s_hi = min(tau - a + 1, big)
+    log_q, log_1mq = _log_q_schedule(params.p, params.r, tau)
+    m = (big - np.arange(s_hi + 1)).astype(np.float64)
+    j = np.arange(1, s_hi + 1, dtype=np.float64)
+    vec = np.zeros(s_hi + 1)
+    vec[0] = 1.0
+    stops = []
+    for t in range(tau):
+        if log_q[t] > -math.inf:
+            ratio = np.maximum(m[:, None] - j[None, :] + 1.0, 0.0) / j \
+                * math.exp(log_q[t] - log_1mq[t])
+            rows = np.exp(m * log_1mq[t])[:, None] * np.cumprod(
+                np.hstack([np.ones((s_hi + 1, 1)), ratio]), axis=1)
+            new = np.zeros(s_hi + 1)
+            for d in range(s_hi + 1):
+                new[d:] += vec[:s_hi + 1 - d] * rows[:s_hi + 1 - d, d]
+            vec = new
+        k = t + 1 - a
+        if 0 <= k <= s_hi:
+            stops.append(vec[k])
+            vec[k] = 0.0
+    return math.fsum(stops)
+
+
+def test_stop_cdf_matches_linear_space_reference_at_criterion_6_horizon():
+    # at n = 1e5 a log-gamma of N + 1 alone is ~1e6, so a kernel that
+    # differences such values loses ~1e-10 relative; the reference has
+    # no such term
+    n = 10**5
+    params = SPEC_07.params_at(n)
+    tau = math.floor(default_stop_horizon(SPEC_07.alpha, SPEC_07.r)
+                     * SPEC_07.crit_at(n).a_c)
+    want = _linear_stop_cdf(params, tau)
+    assert 0.0 < want < 1e-6
+    assert float(exact_stop_cdf(params, tau)) == pytest.approx(
+        want, rel=2e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

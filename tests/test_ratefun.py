@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc.core import (AcNpDiverges, AcNpFinite, AcNpVanishes, BcDiverges,
                            BcFinite, BcVanishes, SequenceSpec)
 from bootperc.errors import (EpsOutOfRange, ParameterError,
                              UnsupportedCombination)
 from bootperc.ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN,
-                              BetweenBcAndAcNp, Const, entropy_H,
-                              family_from_string, ldp_rate_value,
+                              BetweenBcAndAcNp, Const, ScalingFamily,
+                              entropy_H, family_from_string, ldp_rate_value,
                               minimize_rate, rate_J, tail_exponent)
 
 REG_BC_INF = BcDiverges()
@@ -347,6 +349,30 @@ def test_family_from_string():
         family_from_string("const")
     with pytest.raises(ParameterError):
         family_from_string("const:x")
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FAMILY_STRATEGIES = {
+    Const: _POSITIVE.map(Const),
+    AsymBc: _POSITIVE.map(AsymBc),
+    BetweenBcAndAcNp: st.floats(0.0, 1.0, exclude_min=True,
+                                exclude_max=True).map(BetweenBcAndAcNp),
+    AsymAcNp: _POSITIVE.map(AsymAcNp),
+    BetweenAcNpAndN: st.floats(min_value=0.0, allow_infinity=False)
+    .map(BetweenAcNpAndN),
+}
+
+
+def test_family_strategies_cover_every_family():
+    assert set(FAMILY_STRATEGIES) == set(ScalingFamily.__subclasses__())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(*FAMILY_STRATEGIES.values()))
+def test_family_spec_string_round_trips(family):
+    text = family.spec_string()
+    assert family_from_string(text) == family
+    assert family_from_string(text).spec_string() == text
 
 
 def test_family_validation():

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootperc.scaled import ScaledFloat, scaled_sum
 
@@ -63,3 +66,30 @@ def test_rejects_negative():
         ScaledFloat(-1.0)
     with pytest.raises(ValueError):
         ScaledFloat(1.0) * (-2.0)
+
+
+# log values down to -5000 reach far below the double range (ln 1e-308
+# is about -709); the tolerance is a few ulps of the log magnitudes
+LN_VALUES = st.floats(-5000.0, 700.0)
+
+
+def _close(got, want, *logs):
+    return abs(got - want) <= 8 * 2.0**-52 * (1.0 + sum(map(abs, logs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(LN_VALUES, LN_VALUES)
+def test_arithmetic_matches_log_space_references(x, y):
+    a, b = ScaledFloat.from_ln(x), ScaledFloat.from_ln(y)
+    assert _close((a + b).ln(), float(np.logaddexp(x, y)), x, y)
+    assert _close((a * b).ln(), x + y, x, y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(LN_VALUES, st.floats(min_value=0.0, max_value=1e300))
+def test_scalar_product_matches_log_space_reference(x, c):
+    got = ScaledFloat.from_ln(x) * c
+    if c == 0.0:
+        assert got.is_zero()
+    else:
+        assert _close(got.ln(), x + math.log(c), x, math.log(c))
