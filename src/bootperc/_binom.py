@@ -13,6 +13,9 @@ import math
 import numpy as np
 
 _TERM_CUTOFF = 1e-30  # relative term size below which a tail sum is closed
+# below this min(k, m - k), log C(m, k) is a falling factorial rather than
+# a difference of log-gamma values, which loses ~1e-16 m log m
+_FALLING_MAX = 64
 
 
 def _validate(m: int, q: float, what: str = "q") -> None:
@@ -31,8 +34,12 @@ def log_binom_pmf(m: int, q: float, k: int) -> float:
         return 0.0 if k == 0 else -math.inf
     if q == 1.0:
         return 0.0 if k == m else -math.inf
-    return (math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
-            + k * math.log(q) + (m - k) * math.log1p(-q))
+    j = min(k, m - k)
+    if j < _FALLING_MAX:  # exact to a few ulps, like log_cdf_head
+        log_comb = math.fsum(math.log((m - i) / (i + 1.0)) for i in range(j))
+    else:
+        log_comb = math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+    return log_comb + k * math.log(q) + (m - k) * math.log1p(-q)
 
 
 def _tail_sum_from_anchor(m: int, q: float, anchor: int, upward: bool) -> float:
@@ -132,24 +139,27 @@ def log_cdf_array(m: int, q: float) -> np.ndarray:
 
 
 def log_cdf_head(m, q: float, k: int) -> np.ndarray:
-    """log P(Bin(m, q) <= k) for an array of trial counts `m`, as a
-    (k + 1)-term log-sum; meant for small k, such as the r - 1 marks an
-    inactive node may hold.  Absolute error is a few ulps of the largest
-    term, so log values near 0 carry about 1e-16 absolute error."""
+    """log P(Bin(m, q) <= k) for an array (or scalar) of trial counts `m`;
+    meant for small k, such as the r - 1 marks an inactive node may hold.
+
+    Writes the head as (1 - q)^m * sum_{j <= k} C(m, j) (q / (1 - q))^j
+    and takes C(m, j) as the falling factorial prod_{i<j} (m - i) / j! in
+    log space, so no large log-gamma values are differenced.  Against
+    50-digit arithmetic up to m = 1e7 the error stays within 11 ulps of
+    max(|log P|, m q): 3e-15 relative wherever |log P| > 1/2."""
     m = np.asarray(m, dtype=np.float64)
     if q == 0.0:
         return np.zeros(m.shape)
     if q == 1.0:
         return np.where(m <= k, 0.0, -np.inf)
-    from scipy.special import gammaln
-
-    j = np.arange(k + 1, dtype=np.float64)
-    terms = (gammaln(m[:, None] + 1) - gammaln(j[None, :] + 1)
-             - gammaln(m[:, None] - j[None, :] + 1)
-             + j[None, :] * math.log(q)
-             + (m[:, None] - j[None, :]) * math.log1p(-q))
-    terms = np.where(j[None, :] > m[:, None], -np.inf, terms)
-    with np.errstate(invalid="ignore"):
-        shift = terms.max(axis=1)
-        return shift + np.log(np.exp(terms - shift[:, None]).sum(axis=1))
+    # c[j - 1] = log C(m, j) + j log(q / (1 - q)) for j = 1..k
+    i = np.arange(k)
+    with np.errstate(divide="ignore"):  # C(m, j) = 0 once j > m
+        c = np.cumsum(np.log(np.maximum(m[..., None] - i, 0.0) / (i + 1.0))
+                      + (math.log(q) - math.log1p(-q)), axis=-1)
+    # log(1 + sum_j e^c[j]) around the largest of 0 and the c[j]
+    top = c.max(axis=-1, initial=0.0)
+    rest = np.exp(c - top[..., None]).sum(axis=-1)
+    return m * math.log1p(-q) + np.where(
+        top > 0.0, top + np.log(np.exp(-top) + rest), np.log1p(rest))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from ._binom import log_binom_cdf, log_binom_sf
+from ._binom import log_binom_sf, log_cdf_head
 from .errors import InconclusiveTrend, ParameterError
 
 __all__ = [
@@ -73,7 +73,7 @@ def log_inactive_prob(t: float, p: float, r: int) -> float:
     m = math.floor(t)
     if m < r:
         return 0.0
-    return log_binom_cdf(m, p, r - 1)
+    return float(log_cdf_head(m, p, r - 1))
 
 
 def activation_prob(t: float, p: float, r: int) -> ActivationProb:
@@ -95,7 +95,7 @@ def activation_prob(t: float, p: float, r: int) -> ActivationProb:
         return ActivationProb(0.0, 1.0)
     if p == 1.0:
         return ActivationProb(1.0, 0.0)
-    one_minus_pi = math.exp(log_binom_cdf(m, p, r - 1))
+    one_minus_pi = math.exp(log_inactive_prob(m, p, r))
     if one_minus_pi >= 0.5:
         pi = math.exp(log_binom_sf(m, p, r))
     else:

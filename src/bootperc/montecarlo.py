@@ -5,8 +5,11 @@ interval; it, the naive rate study and the Poisson-limit distance draw
 their final sizes from the margin-leaping sampler.  For rare early-stop
 events the fixed-effort multilevel splitting estimator conditions the
 Markov chain (t, S(t)) through a ladder of running-minimum-margin levels
-down to 0, multiplying the per-level crossing fractions; probabilities
-are carried as ScaledFloat so estimates below float underflow survive.
+down to 0, multiplying the per-level crossing fractions.  Its stages
+leap from level to level on the sampler's kernel, and an integer level
+count spaces the ladder from the lowest mean margin down to 0, so the
+ladder costs no draws.  Probabilities are carried as ScaledFloat so
+estimates below float underflow survive.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._binom import log_cdf_head
 from .core import ModelParams, SequenceSpec, classify_regime, critical_quantities
 from .errors import DegenerateLevels, ParameterError
-from .oracle import _log_q_schedule, exact_stop_cdf
-# final_sizes_activation stays bound here: bench/spans.py wraps it by this name
+# _log_q_schedule and final_sizes_activation stay bound here, unused:
+# bench/spans.py wraps both by these names
+from .oracle import _log_q_schedule, event_threshold, exact_stop_cdf
 from .process import (RngSpec, _as_generator, _check_replicates,
-                      final_sizes_activation, final_sizes_leap)
+                      _leap_to_level, final_sizes_activation, final_sizes_leap)
 from .ratefun import ScalingFamily, minimize_rate, tail_exponent
 from .scaled import ScaledFloat, scaled_sum
 
@@ -82,87 +87,47 @@ class ConvergenceRow:
     target: float
 
 
-def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> int:
-    """floor(n - eps f(n)): the inclusive stop-time threshold of the event
-    {(n - A*)/f(n) > eps}."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    crit = critical_quantities(params) if params.p > 0 else None
-    try:
-        f_val = family.scale_at(params.n, params.p, crit)
-    except (AttributeError, TypeError) as exc:
-        raise ParameterError(
-            f"family {family.tag} needs critical quantities, so p > 0") from exc
-    return int(math.floor(params.n - eps * f_val))
-
-
-def estimate_tail(params: ModelParams, family: ScalingFamily, eps: float,
-                  replicates: int, rng) -> TailEstimate:
-    """Naive Monte Carlo for P((n - A*)/f(n) > eps) via the margin-leaping
-    sampler.  Deterministic given the RngSpec."""
+def _naive_tail(params: ModelParams, tau: int, replicates: int,
+                rng) -> TailEstimate:
+    """Plain Monte Carlo for P(T <= tau): the share of leap-sampler final
+    sizes at most tau, with a Wilson interval."""
     _check_replicates(replicates)
-    threshold = event_threshold(params, family, eps)
-    if threshold < params.a:
+    if tau < params.a:
         return TailEstimate(0.0, 0.0, 0.0, replicates, -math.inf)
-    if threshold >= params.n:
+    if tau >= params.n:
         return TailEstimate(1.0, 1.0, 1.0, replicates, 0.0)
-    sizes = final_sizes_leap(params, replicates, rng)
-    hits = int((sizes <= threshold).sum())
+    hits = int((final_sizes_leap(params, replicates, rng) <= tau).sum())
     lo, hi = wilson_interval(hits, replicates)
     p_hat = hits / replicates
     return TailEstimate(p_hat, lo, hi, replicates,
                         math.log(p_hat) if hits else -math.inf)
 
 
+def estimate_tail(params: ModelParams, family: ScalingFamily, eps: float,
+                  replicates: int, rng) -> TailEstimate:
+    """Naive Monte Carlo for P((n - A*)/f(n) > eps) via the margin-leaping
+    sampler.  Deterministic given the RngSpec."""
+    return _naive_tail(params, event_threshold(params, family, eps),
+                       replicates, rng)
+
+
 # ---------------------------------------------------------------------------
 # multilevel splitting on the margin chain
-
-def _run_stage(params: ModelParams, tau: int, q_sched: np.ndarray,
-               start_t: np.ndarray, start_s: np.ndarray, level: int,
-               gen: np.random.Generator):
-    """Advance chains to the first time the margin a + S(t) - t reaches
-    `level`, or to tau.  Margins fall by at most 1 per step, so crossing
-    states sit exactly on the level."""
-    n, a = params.n, params.a
-    s = start_s.astype(np.int64).copy()
-    crossed = np.zeros(len(s), dtype=bool)
-    cross_t = np.zeros(len(s), dtype=np.int64)
-    for t in range(tau):
-        stepping = (start_t <= t) & ~crossed
-        if stepping.any():
-            inc = gen.binomial((n - a) - s[stepping], q_sched[t])
-            s[stepping] += inc
-            margin = a + s[stepping] - (t + 1)
-            newly = margin <= level
-            if newly.any():
-                idx = np.nonzero(stepping)[0][newly]
-                crossed[idx] = True
-                cross_t[idx] = t + 1
-    return crossed, cross_t, s
-
-
-def _min_margins(params: ModelParams, tau: int, q_sched: np.ndarray,
-                 replicates: int, gen: np.random.Generator) -> np.ndarray:
-    n, a = params.n, params.a
-    s = np.zeros(replicates, dtype=np.int64)
-    lowest = np.full(replicates, a, dtype=np.int64)
-    for t in range(tau):
-        s += gen.binomial((n - a) - s, q_sched[t])
-        np.minimum(lowest, a + s - (t + 1), out=lowest)
-    return lowest
-
 
 _SPLIT_GROUPS = 4
 _T975_DF3 = 3.182446305284263  # t quantile for 4 groups
 
 
-def _split_ladder(params: ModelParams, tau: int, q_sched: np.ndarray,
-                  levels, reps: int, gen: np.random.Generator) -> list:
+def _split_ladder(params: ModelParams, tau: int, levels) -> list:
     if isinstance(levels, int):
         if levels < 1:
             raise ParameterError("need at least one level")
-        pilot = _min_margins(params, tau, q_sched, reps, gen)
-        top = int(np.median(pilot))
+        # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
+        n, a = params.n, params.a
+        t = np.arange(tau + 1)
+        top = math.floor(np.min(
+            a - (n - a) * np.expm1(log_cdf_head(t, params.p, params.r - 1))
+            - t))
         if top <= 0 or levels == 1:
             return [0]
         raw = np.linspace(top, 0, levels + 1)[1:]
@@ -181,14 +146,12 @@ def _split_ladder(params: ModelParams, tau: int, q_sched: np.ndarray,
 
 
 def _split_once(params: ModelParams, tau: int, ladder: list, reps: int,
-                q_sched: np.ndarray, gen: np.random.Generator) -> float:
+                gen: np.random.Generator) -> float:
     """One product-of-conditionals pass; returns ln of the estimate."""
-    start_t = np.zeros(reps, dtype=np.int64)
-    start_s = np.zeros(reps, dtype=np.int64)
+    t = s = np.zeros(reps, dtype=np.int64)
     log_p = 0.0
     for level in ladder:
-        crossed, cross_t, cross_s = _run_stage(
-            params, tau, q_sched, start_t, start_s, level, gen)
+        crossed, t, s = _leap_to_level(params, t, s, level, tau, gen)
         hits = int(crossed.sum())
         if hits == 0:
             raise DegenerateLevels(
@@ -197,8 +160,7 @@ def _split_once(params: ModelParams, tau: int, ladder: list, reps: int,
         if level == 0:
             break
         pick = gen.integers(0, hits, size=reps)
-        start_t = cross_t[crossed][pick]
-        start_s = cross_s[crossed][pick]
+        t, s = t[crossed][pick], s[crossed][pick]
     return log_p
 
 
@@ -208,12 +170,17 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
 
     `levels` is either an explicit decreasing ladder of margin levels
     ending at 0, or an integer count; in the latter case the ladder is
-    spaced evenly between the pilot-run median of the running minimum
-    margin and 0.  Each level multiplies the fraction of chains whose
-    running minimum margin reaches it.  Resampling entrance states makes
+    spaced evenly from the floor of the lowest mean margin,
+    min over t <= tau of a + (n - a)(1 - Q(t)) - t, down to 0, which
+    costs no draws.  Each level multiplies the fraction of chains whose
+    running minimum margin reaches it; the chains leap from level to
+    level like the leap sampler.  Resampling entrance states makes
     the per-level fractions dependent, so instead of the independent-level
     variance formula the run is replicated in four independent groups and
-    the interval is the t-interval over the group log-estimates.
+    the interval is the t-interval over the group log-estimates.  A
+    one-level ladder falls back to plain Monte Carlo on the full budget,
+    which answers an empty event (tau < a) with 0 and a sure one
+    (tau = n) with 1, interval included, without drawing.
     """
     if tau > params.n:
         raise ParameterError("tau must not exceed n")
@@ -221,25 +188,15 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
         raise ParameterError(
             f"need at least {2 * _SPLIT_GROUPS} replicates per level")
     gen = _as_generator(rng)
-    if tau < params.a:
-        return TailEstimate(0.0, 0.0, 0.0, per_level_replicates, -math.inf)
-    log_q, _ = _log_q_schedule(params.p, params.r, tau)
-    q_sched = np.exp(log_q)
     reps = per_level_replicates
-    ladder = _split_ladder(params, tau, q_sched, levels, reps, gen)
-
+    # an empty (tau < a) or a sure (tau = n) event needs no ladder
+    ladder = _split_ladder(params, tau, levels) \
+        if params.a <= tau < params.n else [0]
     if ladder == [0]:
-        # not rare at this horizon: plain Monte Carlo on the full budget
-        crossed, _, _ = _run_stage(
-            params, tau, q_sched, np.zeros(reps, dtype=np.int64),
-            np.zeros(reps, dtype=np.int64), 0, gen)
-        hits = int(crossed.sum())
-        lo, hi = wilson_interval(hits, reps)
-        return TailEstimate(hits / reps, lo, hi, reps,
-                            math.log(hits / reps) if hits else -math.inf)
+        return _naive_tail(params, tau, reps, gen)
 
     group_reps = reps // _SPLIT_GROUPS
-    logs = [_split_once(params, tau, ladder, group_reps, q_sched, gen)
+    logs = [_split_once(params, tau, ladder, group_reps, gen)
             for _ in range(_SPLIT_GROUPS)]
     estimate = scaled_sum(ScaledFloat.from_ln(lp) for lp in logs) \
         * (1.0 / _SPLIT_GROUPS)
@@ -303,14 +260,11 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
             sub_rng = RngSpec(rng.seed, rng.stream + i) if rng is not None \
                 else RngSpec(0, i)
             if method == "naive":
-                sizes = final_sizes_leap(params, replicates, sub_rng)
-                hits = int((sizes <= threshold).sum())
-                p_hat = hits / replicates
-                log_p = math.log(p_hat) if hits else -math.inf
+                est = _naive_tail(params, threshold, replicates, sub_rng)
             else:
                 est = estimate_tail_splitting(
                     params, threshold, levels, replicates, sub_rng)
-                p_hat, log_p = est.p_hat, est.log_p_hat
+            p_hat, log_p = est.p_hat, est.log_p_hat
         rows.append(ConvergenceRow(
             n=int(n), v_n=te.speed_at_n, p_hat=p_hat, log_p=log_p,
             normalized=log_p / te.speed_at_n, target=-te.rate_at_eps))

@@ -279,22 +279,32 @@ def exact_stop_cdf(params: ModelParams, tau: int,
     return (result, bound) if with_bound else result
 
 
+def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> int:
+    """floor(n - eps f(n)): the inclusive stop-time threshold of the event
+    {(n - A*)/f(n) > eps}."""
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
+    crit = critical_quantities(params) if params.p > 0 else None
+    try:
+        f_val = family.scale_at(params.n, params.p, crit)
+    except (AttributeError, TypeError) as exc:
+        raise ParameterError(
+            f"family {family.tag} needs critical quantities, so p > 0") from exc
+    return int(math.floor(params.n - eps * f_val))
+
+
 def exact_tail_query(params: ModelParams, family: ScalingFamily,
                      eps: float) -> ScaledFloat:
-    """P((n - A*)/f(n) > eps) = P(T <= floor(n - eps f(n))).
+    """P((n - A*)/f(n) > eps) = P(T <= event_threshold(params, family, eps)).
 
     Follows the inclusive union convention for the stopping events, i.e.
     the threshold floor(n - eps f(n)) itself is included; strict vs weak
     inequality only differs when eps f(n) hits the integer lattice.
     """
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
-    crit = critical_quantities(params)
-    f_val = family.scale_at(params.n, params.p, crit)
-    threshold = math.floor(params.n - eps * f_val)
+    threshold = event_threshold(params, family, eps)
     if threshold < params.a:
         return ScaledFloat(0.0)
-    return exact_stop_cdf(params, int(threshold))
+    return exact_stop_cdf(params, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@
   Y_i, and the stop time is read off the order statistics in one sweep;
 * leap: the count chain S(t) jumps over every stretch where it cannot
   stop, so a replicate costs a few dozen binomial draws at any n; the
-  naive, rate-study and Poisson-limit estimators in montecarlo use it.
+  naive, rate-study and Poisson-limit estimators in montecarlo use it,
+  and the splitting stages run its kernel down to each margin level.
 
 All randomness flows through an RngSpec (seed, stream), so a replicate is
 reproducible bit-for-bit within one build.  Geometric variables are drawn
@@ -162,35 +163,49 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     return out
 
 
-def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
-    """Batch of A* values from the margin-leaping count chain.
+def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
+                   level: int, tau: int, gen: np.random.Generator):
+    """Advance count chains from states (t, S) until the margin
+    M = a + S - t first falls to `level`, or until time tau.
 
-    S(t) never decreases, so from (t, S) with margin M = a + S - t > 0 the
-    chain cannot stop before t + M.  The M steps are one draw: each of the
-    n - a - S inactive nodes stays inactive with chance Q(t + M) / Q(t),
-    Q(t) = P(Bin(t, p) <= r - 1).  The new margin is the number of nodes
-    that activated, so a replicate stops at the first leap that activates
-    none; exact in law, after a few dozen leaps at any n.
+    S never decreases, so from margin M > level a chain cannot reach the
+    level before t + (M - level).  The L = min(M - level, tau - t) steps
+    are one draw: each of the n - a - S inactive nodes stays inactive with
+    chance Q(t + L) / Q(t), Q(t) = P(Bin(t, p) <= r - 1).  A leap that
+    activates no node lands exactly on the level; any other leaves the
+    margin above it.  Exact in law.  Returns (crossed, t, s): crossed
+    chains sit at their crossing state, the others at time tau.
     """
-    _check_replicates(replicates)
-    gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
-    out = np.empty(replicates, dtype=np.int64)
-    idx = np.arange(replicates)
-    s = np.zeros(replicates, dtype=np.int64)
-    log_q = np.zeros(replicates)  # log Q(t), 0 at t = 0
+    t = np.array(t, dtype=np.int64)
+    s = np.array(s, dtype=np.int64)
+    crossed = a + s - t <= level
+    idx = np.flatnonzero(~crossed & (t < tau))
+    log_q = log_cdf_head(t[idx], p, r - 1)
     while idx.size:
-        t = a + s  # t + M
-        log_q_next = log_cdf_head(t, p, r - 1)
+        s_i = s[idx]
+        t_next = np.minimum(a + s_i - level, tau)
+        log_q_next = log_cdf_head(t_next, p, r - 1)
         # Q(t) = 0 leaves nobody inactive; fmin maps its NaN to 0
         with np.errstate(invalid="ignore"):
             log_stay = np.fmin(log_q_next - log_q, 0.0)
-        gained = gen.binomial(n - t, -np.expm1(log_stay))
-        done = gained == 0
-        out[idx[done]] = t[done]
-        keep = ~done
-        idx, s, log_q = idx[keep], s[keep] + gained[keep], log_q_next[keep]
-    return out
+        s_i = s_i + gen.binomial(n - a - s_i, -np.expm1(log_stay))
+        t[idx], s[idx] = t_next, s_i
+        hit = a + s_i - t_next <= level
+        crossed[idx[hit]] = True
+        keep = ~hit & (t_next < tau)
+        idx, log_q = idx[keep], log_q_next[keep]
+    return crossed, t, s
+
+
+def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
+    """Batch of A* values from the margin-leaping count chain: every
+    replicate runs from (0, 0) until its margin falls to 0, which is the
+    stop time T = A*; a few dozen leaps at any n."""
+    _check_replicates(replicates)
+    start = np.zeros(replicates, dtype=np.int64)
+    return _leap_to_level(params, start, start, 0, params.n,
+                          _as_generator(rng))[1]
 
 
 def sample_activation_times(params: ModelParams, rng) -> PercolationOutcome:

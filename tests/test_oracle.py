@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +223,10 @@ def test_tail_query_matches_enumeration():
     want = bf.prob(2) + bf.prob(3) + bf.prob(4)
     got = float(exact_tail_query(params, Const(1.0), 1.5))
     assert got == pytest.approx(want, abs=1e-9)
+    # p = 0 stops at a surely, and Const needs no critical quantities
+    params = ModelParams(n=6, p=0.0, r=2, a=2)
+    assert brute_force_pmf(params).prob(2) == 1.0
+    assert float(exact_tail_query(params, Const(1.0), 1.5)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +321,28 @@ def test_log_binom_deep_tail_precision():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _exact_log_cdf_head(m: int, p: float, k: int) -> float:
+    """log P(Bin(m, p) <= k) in exact rational arithmetic on the float p.
+
+    The log splits off a power of two first: the log of a ratio of two
+    large integers, taken as a difference of their logs, loses ~1e-11."""
+    q = Fraction(p)
+    head = sum(math.comb(m, j) * q ** j * (1 - q) ** (m - j)
+               for j in range(min(k, m) + 1))
+    if head == 0:
+        return -math.inf
+    e = head.numerator.bit_length() - head.denominator.bit_length()
+    return e * math.log(2) + math.log(head / Fraction(2) ** e)
+
+
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
 def test_log_cdf_head_matches_scalar_log_inactive_prob(p, r):
-    # the abs floor covers |log Q| < 1, where the r-term log-sum of a
-    # value near 1 carries about 1e-16 absolute error: Q itself agrees to
-    # 1e-12 relative there
-    t = np.array([0, 1, 2, 3, 4, 5, 7, 10, 30, 100, 300, 1000, 2000])
-    got = log_cdf_head(t, p, r - 1)
-    for ti, value in zip(t.tolist(), got.tolist()):
-        want = log_inactive_prob(ti, p, r)
-        assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (ti, value)
+    # both against exact rationals, so each is within 1e-14 of the truth
+    t =[0, 1, 2, 3, 4, 5, 7, 10, 30, 100, 300, 1000, 2000, 10_000]
+    got = log_cdf_head(np.array(t), p, r - 1)
+    for ti, value in zip(t, got.tolist()):
+        want = _exact_log_cdf_head(ti, p, r - 1)
+        assert value == pytest.approx(want, rel=1e-14, abs=1e-14), (ti, value)
+        assert log_inactive_prob(ti, p, r) == pytest.approx(
+            want, rel=1e-14, abs=1e-14), ti

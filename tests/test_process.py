@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from bootperc.process import (SAMPLER_BATCHES, RngSpec, count_low_degree,
                               final_sizes_activation, final_sizes_markchain,
                               histogram, low_degree_counts,
                               sample_activation_times, sample_graph,
-                              sample_markchain, _rth_success_times)
+                              sample_markchain, _leap_to_level,
+                              _rth_success_times)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
 
@@ -234,6 +236,50 @@ def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
         lo, hi = wilson_interval(int(counts[k]), reps, 5.0)
         bound += (hi - lo) / 2.0
     assert tv / 2.0 <= bound / 2.0, (tv / 2.0, bound / 2.0)
+
+
+def _exact_crossing_law(params, t0, s0, level, tau):
+    """Law of the first time the margin a + S - t falls to `level`, from
+    (t0, S0), by a step-by-step forward recursion over S; the key None
+    holds the mass not crossed by tau."""
+    n, p, r, a = params.n, params.p, params.r, params.a
+
+    def inactive(t):  # Q(t) = P(Bin(t, p) <= r - 1)
+        return math.fsum(math.comb(t, j) * p ** j * (1 - p) ** (t - j)
+                         for j in range(min(r - 1, t) + 1))
+
+    law, alive = {}, {s0: 1.0}
+    for t in range(t0, tau):
+        q = 1.0 - inactive(t + 1) / inactive(t)
+        step = defaultdict(float)
+        for s, w in alive.items():
+            m = n - a - s
+            for j in range(m + 1):
+                step[s + j] += w * math.comb(m, j) * q ** j * (1 - q) ** (m - j)
+        law[t + 1] = math.fsum(w for s, w in step.items()
+                               if a + s - (t + 1) <= level)
+        alive = {s: w for s, w in step.items() if a + s - (t + 1) > level}
+    law[None] = math.fsum(alive.values())
+    return law
+
+
+def test_leap_to_level_matches_exact_crossing_law():
+    # from margin 4 at (t, S) = (2, 3) down to level 1, with tau = 12
+    # cutting about a tenth of the chains; a kernel that leaps one step
+    # past the level puts no mass at t = 5 and fails every bin
+    params = ModelParams(n=30, p=0.08, r=2, a=3)
+    t0, s0, level, tau, reps = 2, 3, 1, 12, 200_000
+    law = _exact_crossing_law(params, t0, s0, level, tau)
+    assert 0.05 < law[None] < 0.5 and law[5] > 0.1
+    crossed, t, s = _leap_to_level(
+        params, np.full(reps, t0), np.full(reps, s0), level, tau,
+        RngSpec(3, 0).generator())
+    assert np.all(params.a + s[crossed] - t[crossed] == level)
+    assert np.all(t[~crossed] == tau)
+    for when, prob in law.items():
+        hits = (~crossed if when is None else crossed & (t == when)).sum()
+        lo, hi = wilson_interval(int(hits), reps, 5.0)
+        assert lo <= prob <= hi, (when, prob, hits / reps)
 
 
 def test_graph_generations_counter():
