@@ -205,7 +205,7 @@ def cmd_tail(args) -> int:
         spec, family_from_string(args.family), args.eps,
         _parse_ladder(args.ladder), method=args.method,
         replicates=args.replicates, rng=RngSpec(args.seed, args.stream),
-        horizon_k=args.horizon_k)
+        horizon_k=args.horizon_k, levels=args.levels)
     _emit_csv(args, ["n", "v_n", "p_hat", "log_p", "normalized", "target"],
               [(r.n, r.v_n, r.p_hat, r.log_p, r.normalized, r.target)
                for r in rows])

@@ -161,7 +161,14 @@ def mean_usable_curve(params: ModelParams, t_grid: Sequence[int]):
 # ---------------------------------------------------------------------------
 # Parametric families n -> (p_n, a_n)
 
-_P_RULES = ("power", "log_form", "scaled_log", "table")
+#: each p-rule with the constants it requires
+_P_RULES = {"power": ("beta",), "log_form": ("d",), "scaled_log": ("c",),
+            "table": ("points",)}
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -185,12 +192,30 @@ class SequenceSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.rule not in _P_RULES:
-            raise ParameterError(f"unknown p-rule {self.rule!r}; choose from {_P_RULES}")
-        if not isinstance(self.r, int) or self.r < 2:
-            raise ParameterError("r must be an integer >= 2")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ParameterError("alpha must be positive")
+        if not isinstance(self.rule, str) or self.rule not in _P_RULES:
+            raise ParameterError(
+                f"unknown p-rule {self.rule!r}; choose from {tuple(_P_RULES)}")
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 2:
+            raise ParameterError(f"r must be an integer >= 2, got {self.r!r}")
+        if self.alpha is not None and not (_finite_number(self.alpha)
+                                           and self.alpha > 0):
+            raise ParameterError(
+                f"alpha must be a finite positive number, got {self.alpha!r}")
+        if not isinstance(self.constants, dict):
+            raise ParameterError("constants must be an object")
+        missing = [k for k in _P_RULES[self.rule] if k not in self.constants]
+        if missing:
+            raise ParameterError(f"rule {self.rule!r} needs constants {missing}")
+        for key, value in self.constants.items():
+            if key in ("points", "a_points"):
+                if not (isinstance(value, (list, tuple)) and all(
+                        isinstance(row, (list, tuple)) and len(row) == 2
+                        and all(map(_finite_number, row)) for row in value)):
+                    raise ParameterError(
+                        f"constants[{key!r}] must be a list of [n, value] pairs")
+            elif not _finite_number(value):
+                raise ParameterError(
+                    f"constant {key!r} must be a finite number, got {value!r}")
         if self.alpha is None and "a_points" not in self.constants:
             raise ParameterError("need alpha or constants['a_points'] for the seed rule")
 
@@ -238,8 +263,8 @@ class SequenceSpec:
         if not isinstance(doc, dict):
             raise ParameterError("sequence spec JSON must be an object")
         try:
-            return cls(rule=doc["rule"], constants=dict(doc.get("constants", {})),
-                       r=int(doc["r"]), alpha=doc.get("alpha"))
+            return cls(rule=doc["rule"], constants=doc.get("constants", {}),
+                       r=doc["r"], alpha=doc.get("alpha"))
         except KeyError as exc:
             raise ParameterError(f"sequence spec JSON missing field {exc}") from exc
 

@@ -27,7 +27,8 @@ from .errors import DegenerateLevels, ParameterError
 from .oracle import _log_q_schedule, event_threshold, exact_stop_cdf
 from .process import (RngSpec, _as_generator, _check_replicates,
                       _leap_to_level, final_sizes_activation, final_sizes_leap)
-from .ratefun import ScalingFamily, minimize_rate, tail_exponent
+from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
+                      tail_exponent)
 from .scaled import ScaledFloat, scaled_sum
 
 __all__ = [
@@ -212,10 +213,6 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
 # ---------------------------------------------------------------------------
 # rate-convergence studies
 
-_EARLY_STOP_ROWS = {"table1/col4", "table2/col3", "table3/col4",
-                    "table4/col2", "table5/col1"}
-
-
 def default_stop_horizon(alpha: float, r: int) -> float:
     """Multiple K of a_c bounding the early-stop window {T <= K a_c},
     adapted from the constant the dominance argument needs; exposed so
@@ -228,24 +225,23 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
                            eps: float, ladder, method: str = "exact_dp",
                            replicates: int = 10_000, rng: RngSpec | None = None,
                            horizon_k: float | None = None,
-                           levels: int = 4, regime=None):
+                           levels: int = 4):
     """One ConvergenceRow per ladder n, normalizing log P by the speed.
 
     For table cells whose rate is the pure early-stop exponent J(x0) the
     probed event is {T <= floor(K a_c)} (the dominant event), which the
     truncated DP prices at any n; other cells use the full event
-    {T <= floor(n - eps f(n))}.
+    {T <= floor(n - eps f(n))}.  `levels` is the splitting ladder of
+    estimate_tail_splitting.
     """
     if method not in ("exact_dp", "naive", "splitting"):
         raise ParameterError("method must be exact_dp, naive or splitting")
-    if regime is None:
-        regime = classify_regime(spec)
+    regime = classify_regime(spec)
     rows = []
     for i, n in enumerate(ladder):
         te = tail_exponent(spec, n, family, eps, regime)
         params = spec.params_at(n)
-        early = te.table_row in _EARLY_STOP_ROWS
-        if early:
+        if te.table_row in _EARLY_STOP_CELLS:
             k_const = horizon_k if horizon_k is not None \
                 else default_stop_horizon(spec.alpha, spec.r)
             threshold = int(math.floor(k_const * spec.crit_at(n).a_c))

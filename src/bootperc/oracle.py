@@ -30,7 +30,7 @@ from ._binom import log_binom_cdf, log_binom_pmf, log_cdf_head
 from .core import ModelParams, _pi, critical_quantities
 from .errors import (MemoryGuardError, NumericalDegeneracyError,
                      ParameterError)
-from .ratefun import ScalingFamily
+from .ratefun import ScalingFamily, _check_eps
 from .scaled import ScaledFloat, scaled_sum
 
 __all__ = [
@@ -282,8 +282,7 @@ def exact_stop_cdf(params: ModelParams, tau: int,
 def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> int:
     """floor(n - eps f(n)): the inclusive stop-time threshold of the event
     {(n - A*)/f(n) > eps}."""
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    _check_eps(eps)
     crit = critical_quantities(params) if params.p > 0 else None
     try:
         f_val = family.scale_at(params.n, params.p, crit)

@@ -9,7 +9,11 @@ minimum over x >= 0 of
 Tail predictions pair a speed v(n) with a deviation rate I(eps): the
 log-probability of {(n - A*)/f(n) > eps} behaves like -I(eps) * v(n).
 Which (v, I) applies depends on the regime of b_c(n) and on where the
-scaling family f sits between b_c, a_c/(n p), and n.
+scaling family f sits between b_c, a_c/(n p), and n.  The 15 cells of
+the paper's Tables 1-5 are written once, in _CELLS, which maps
+(regime label, family tag) to (cell, speed); ldp_rate_value refuses the
+pairs it lacks, tail_exponent contracts ldp_rate_value to {x >= eps},
+and _EARLY_STOP_CELLS names the five cells whose rate is J(x0).
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
-from .core import (AcNpDiverges, AcNpFinite, AcNpVanishes, BcDiverges,
-                   BcFinite, BcVanishes, CriticalQuantities, Regime,
+from .core import (AcNpDiverges, AcNpFinite, CriticalQuantities, Regime,
                    SequenceSpec, regime_label)
 from .errors import EpsOutOfRange, ParameterError, UnsupportedCombination
 
@@ -52,13 +55,18 @@ def _h_fun(x: float, alpha: float, r: int) -> float:
     return (alpha * (1.0 - 1.0 / r) + x) ** r / r
 
 
+def _check_supercritical(alpha: float, r: int) -> None:
+    if not 1.0 < alpha < math.inf:
+        raise ParameterError(
+            f"the rate function needs a finite supercritical alpha > 1, got {alpha!r}")
+    if r < 2:
+        raise ParameterError("r must be >= 2")
+
+
 def rate_J(x: float, alpha: float, r: int):
     """Evaluate (h(x), J(x)); J is finite and strictly positive for x >= 0
     whenever alpha > 1, because x < h(x) everywhere."""
-    if alpha <= 1.0:
-        raise ParameterError("rate function needs a supercritical alpha > 1")
-    if r < 2:
-        raise ParameterError("r must be >= 2")
+    _check_supercritical(alpha, r)
     if x < 0.0:
         raise ParameterError("J is evaluated on x >= 0 only")
     h_val = _h_fun(x, alpha, r)
@@ -68,7 +76,10 @@ def rate_J(x: float, alpha: float, r: int):
 
 def _ceil_tied(y: float) -> float:
     """Ceiling with a tie rule: values within 1e-9 of an integer are
-    treated as that integer, so float noise cannot flip the jump."""
+    treated as that integer, so float noise cannot flip the jump.  An
+    infinite y (an overflowed product) is returned as it is."""
+    if math.isinf(y):
+        return y
     nearest = round(y)
     if abs(y - nearest) <= _CEIL_TIE:
         return float(nearest)
@@ -86,10 +97,7 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
     floor even though the infimum value J(0+) stays perfectly computable.
     Returns (x0, J(x0)).
     """
-    if alpha <= 1.0:
-        raise ParameterError("minimize_rate needs alpha > 1")
-    if r < 2:
-        raise ParameterError("r must be >= 2")
+    _check_supercritical(alpha, r)
     if not 0.0 < tol <= 1e-3:
         raise ParameterError("tol must lie in (0, 1e-3]")
 
@@ -150,7 +158,8 @@ class ScalingFamily:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """'tag:constant', the text family_from_string parses back."""
+        return f"{self.tag}:{getattr(self, _FAMILY_TAGS[self.tag][1])!r}"
 
 
 @dataclass(frozen=True)
@@ -167,9 +176,6 @@ class Const(ScalingFamily):
     def scale_at(self, n, p, crit):
         return self.ell
 
-    def spec_string(self):
-        return f"const:{self.ell!r}"
-
 
 @dataclass(frozen=True)
 class AsymBc(ScalingFamily):
@@ -184,9 +190,6 @@ class AsymBc(ScalingFamily):
 
     def scale_at(self, n, p, crit):
         return self.ell2 * crit.b_c
-
-    def spec_string(self):
-        return f"asym_bc:{self.ell2!r}"
 
 
 @dataclass(frozen=True)
@@ -205,9 +208,6 @@ class BetweenBcAndAcNp(ScalingFamily):
         anchor = crit.a_c / (n * p)
         return max(crit.b_c, 1.0) ** (1.0 - self.theta) * anchor ** self.theta
 
-    def spec_string(self):
-        return f"between_bc_acnp:{self.theta!r}"
-
 
 @dataclass(frozen=True)
 class AsymAcNp(ScalingFamily):
@@ -222,9 +222,6 @@ class AsymAcNp(ScalingFamily):
 
     def scale_at(self, n, p, crit):
         return self.ell_prime * crit.a_c / (n * p)
-
-    def spec_string(self):
-        return f"asym_acnp:{self.ell_prime!r}"
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,6 @@ class BetweenAcNpAndN(ScalingFamily):
             return self.ell1 * n
         g = self.g if self.g is not None else math.log
         return max(1.0, g(n) * crit.a_c / (n * p))
-
-    def spec_string(self):
-        return f"between_acnp_n:{self.ell1!r}"
 
 
 _FAMILY_TAGS = {
@@ -284,6 +278,65 @@ def family_from_string(text: str) -> ScalingFamily:
 
 
 # ---------------------------------------------------------------------------
+# Tables 1-5: the (regime, family) cells
+
+_A_C, _B_C, _LOG_B_C, _F_LOG_F = "a_c", "b_c", "-log b_c", "f log(f/b_c)"
+
+#: (regime_label(regime), family.tag) -> (cell, speed v(n)) for the 15
+#: cells of Tables 1-5; no other pair has a deviation law.
+_CELLS = {
+    ("bc_diverges", "asym_bc"): ("table1/col1", _B_C),
+    ("bc_diverges", "between_bc_acnp"): ("table1/col2", _F_LOG_F),
+    ("bc_diverges", "asym_acnp"): ("table1/col3", _A_C),
+    ("bc_diverges", "between_acnp_n"): ("table1/col4", _A_C),
+    ("bc_finite", "between_bc_acnp"): ("table2/col1", _F_LOG_F),
+    ("bc_finite", "asym_acnp"): ("table2/col2", _A_C),
+    ("bc_finite", "between_acnp_n"): ("table2/col3", _A_C),
+    ("bc_vanishes/acnp_diverges", "const"): ("table3/col1", _LOG_B_C),
+    ("bc_vanishes/acnp_diverges", "between_bc_acnp"): ("table3/col2", _F_LOG_F),
+    ("bc_vanishes/acnp_diverges", "asym_acnp"): ("table3/col3", _A_C),
+    ("bc_vanishes/acnp_diverges", "between_acnp_n"): ("table3/col4", _A_C),
+    ("bc_vanishes/acnp_finite", "const"): ("table4/col1", _A_C),
+    ("bc_vanishes/acnp_finite", "between_acnp_n"): ("table4/col2", _A_C),
+    ("bc_vanishes/acnp_vanishes", "const"): ("table5/col1", _A_C),
+    ("bc_vanishes/acnp_vanishes", "between_acnp_n"): ("table5/col1", _A_C),
+}
+
+#: the cells whose rate is the pure early-stop exponent J(x0)
+_EARLY_STOP_CELLS = frozenset({"table1/col4", "table2/col3", "table3/col4",
+                               "table4/col2", "table5/col1"})
+
+
+def _cell(regime: Regime, family: ScalingFamily):
+    """(cell, speed) of the pair in Tables 1-5, or UnsupportedCombination."""
+    label = regime_label(regime)
+    try:
+        cell = _CELLS[label, family.tag]
+    except KeyError:
+        raise UnsupportedCombination(
+            f"Tables 1-5 have no cell for family {family.tag} in regime "
+            f"{label}") from None
+    if isinstance(family, Const) and cell[0] == "table5/col1" \
+            and family.ell < 1.0:
+        raise UnsupportedCombination(
+            "with a_c/(n p) -> 0 the admissible constant scalings have ell >= 1")
+    return cell
+
+
+def _support_top(family: ScalingFamily) -> float:
+    """xbar, the top of the rate function's finite support: 1/ell1 when
+    f(n)/n -> ell1 > 0, infinity otherwise."""
+    if isinstance(family, BetweenAcNpAndN) and family.ell1 > 0.0:
+        return 1.0 / family.ell1
+    return math.inf
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ParameterError(f"eps must be a positive finite number, got {eps!r}")
+
+
+# ---------------------------------------------------------------------------
 # Rate functions of the five limit theorems
 
 def ldp_rate_value(regime: Regime, family: ScalingFamily, x: float,
@@ -291,68 +344,38 @@ def ldp_rate_value(regime: Regime, family: ScalingFamily, x: float,
     """Rate-function value at x for the theorem matching (regime, family).
 
     x may be +-inf: the point at infinity is first-class, carrying the
-    early-stop exponent J(x0) for the families with speed a_c.
+    early-stop exponent J(x0) for the families with speed a_c.  Pairs
+    without a cell in Tables 1-5 raise UnsupportedCombination.
     """
     if math.isnan(x):
         raise ParameterError("x must not be NaN")
     j0 = _j_at_minimum(alpha, r)
-    acnp_diverges = isinstance(regime, (BcDiverges, BcFinite)) or (
-        isinstance(regime, BcVanishes) and isinstance(regime.sub, AcNpDiverges))
-
+    _cell(regime, family)
     if isinstance(family, BetweenAcNpAndN):
-        xbar = math.inf if family.ell1 == 0.0 else 1.0 / family.ell1
         if x == 0.0:
             return 0.0
-        if x == xbar:
-            return j0
-        return math.inf
-
+        return j0 if x == _support_top(family) else math.inf
     if isinstance(family, AsymBc):
-        if not isinstance(regime, BcDiverges):
-            raise UnsupportedCombination(
-                "f ~ b_c has a deviation law only when b_c diverges")
         return entropy_H(family.ell2 * x)
-
+    if x < 0:
+        return math.inf
     if isinstance(family, BetweenBcAndAcNp):
-        if not acnp_diverges:
-            raise UnsupportedCombination(
-                "no divergent f below a_c/(n p) exists when that ratio converges")
-        return math.inf if x < 0 else float(x)
-
+        return float(x)
     if isinstance(family, AsymAcNp):
-        if not acnp_diverges:
-            raise UnsupportedCombination(
-                "f ~ a_c/(n p) needs a_c/(n p) -> infinity")
-        if x < 0:
-            return math.inf
-        if math.isinf(x):
-            return j0
-        return family.ell_prime * x
-
-    if isinstance(family, Const):
-        if not isinstance(regime, BcVanishes):
-            raise UnsupportedCombination(
-                "a convergent f only has a deviation law when b_c -> 0")
-        if x < 0:
-            return math.inf
-        if isinstance(regime.sub, AcNpDiverges):
-            return math.inf if math.isinf(x) else _ceil_tied(family.ell * x)
-        if isinstance(regime.sub, AcNpFinite):
-            if math.isinf(x):
-                return j0
-            return _ceil_tied(family.ell * x) / regime.sub.gamma
-        if family.ell < 1.0:
-            raise UnsupportedCombination(
-                "with a_c/(n p) -> 0 the admissible constant scalings have ell >= 1")
-        if x == 0.0:
-            return 0.0
-        return j0 if math.isinf(x) else math.inf
-
-    raise UnsupportedCombination(f"unknown scaling family {family!r}")
+        return j0 if math.isinf(x) else family.ell_prime * x
+    # Const: the rate follows the limit of a_c/(n p)
+    sub = regime.sub
+    if isinstance(sub, AcNpDiverges):
+        return _ceil_tied(family.ell * x)
+    if isinstance(sub, AcNpFinite):
+        return j0 if math.isinf(x) else _ceil_tied(family.ell * x) / sub.gamma
+    if x == 0.0:
+        return 0.0
+    return j0 if math.isinf(x) else math.inf
 
 
 # ---------------------------------------------------------------------------
-# Tables 1-5: (speed, rate) lookup for the right tail
+# Tail predictions
 
 @dataclass(frozen=True)
 class TailExponent:
@@ -381,111 +404,43 @@ class TailExponent:
         }, sort_keys=True)
 
 
-def _speed_collapse(f_val: float, log_b_c: float) -> float:
-    # -f log(b_c/f); the theorem form, asymptotically equal to f log f when
-    # b_c converges, and used uniformly here.
-    return f_val * (math.log(f_val) - log_b_c)
-
-
 def tail_exponent(spec: SequenceSpec, n, family: ScalingFamily, eps: float,
                   regime: Regime) -> TailExponent:
     """Look up (v(n), I(eps)) for P((n - A*)/f(n) > eps) in Tables 1-5.
 
-    Raises UnsupportedCombination for cells absent from the tables and
+    The cell and its speed come from the (regime, family) table.  The
+    rate is the contraction of ldp_rate_value to {x >= eps}: every rate
+    function is nondecreasing on its finite support, so
+    I(eps) = min(I_x(eps), I_x(xbar)) with xbar the top of that support
+    (1/ell1 when f(n)/n -> ell1 > 0, infinity otherwise).
+
+    Raises ParameterError unless eps is a positive finite number,
+    UnsupportedCombination for cells absent from the tables and
     EpsOutOfRange where the tail estimate restricts eps (f ~ ell2 b_c
     needs eps > 1/ell2; f with lim f/n = ell1 > 0 needs eps < 1/ell1).
     """
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    _check_eps(eps)
     if spec.alpha is None or spec.alpha <= 1.0:
         raise ParameterError("tail predictions need a supercritical alpha > 1")
     crit = spec.crit_at(n)
     p = spec.p_at(n)
-    j0 = _j_at_minimum(spec.alpha, spec.r)
-
-    def build(v: float, rate: float, tag: str) -> TailExponent:
-        return TailExponent(speed_at_n=v, rate_at_eps=rate,
-                            log_prob_prediction=-rate * v, table_row=tag,
-                            n=int(n), eps=eps)
-
-    def early_stop_guard(ell1: float):
-        if ell1 > 0.0 and eps >= 1.0 / ell1:
-            raise EpsOutOfRange(
-                f"eps must lie in (0, {1.0 / ell1}) when f(n)/n -> {ell1}")
-
-    if isinstance(regime, BcDiverges):
-        table = "table1"
-        if isinstance(family, AsymBc):
-            if eps <= 1.0 / family.ell2:
-                raise EpsOutOfRange(
-                    f"the upper-tail estimate needs eps > {1.0 / family.ell2}")
-            return build(crit.b_c, entropy_H(family.ell2 * eps), f"{table}/col1")
-        if isinstance(family, BetweenBcAndAcNp):
-            f_val = family.scale_at(n, p, crit)
-            return build(_speed_collapse(f_val, crit.log_b_c), eps, f"{table}/col2")
-        if isinstance(family, AsymAcNp):
-            return build(crit.a_c, min(j0, family.ell_prime * eps), f"{table}/col3")
-        if isinstance(family, BetweenAcNpAndN):
-            early_stop_guard(family.ell1)
-            return build(crit.a_c, j0, f"{table}/col4")
-        raise UnsupportedCombination(
-            f"no prediction for family {family.tag} when b_c diverges")
-
-    if isinstance(regime, BcFinite):
-        table = "table2"
-        if isinstance(family, BetweenBcAndAcNp):
-            f_val = family.scale_at(n, p, crit)
-            return build(_speed_collapse(f_val, crit.log_b_c), eps, f"{table}/col1")
-        if isinstance(family, AsymAcNp):
-            return build(crit.a_c, min(j0, family.ell_prime * eps), f"{table}/col2")
-        if isinstance(family, BetweenAcNpAndN):
-            early_stop_guard(family.ell1)
-            return build(crit.a_c, j0, f"{table}/col3")
-        raise UnsupportedCombination(
-            f"no prediction for family {family.tag} when b_c converges in (0, inf)")
-
-    if isinstance(regime, BcVanishes):
-        sub = regime.sub
-        if isinstance(sub, AcNpDiverges):
-            table = "table3"
-            if isinstance(family, Const):
-                return build(-crit.log_b_c, _ceil_tied(family.ell * eps),
-                             f"{table}/col1")
-            if isinstance(family, BetweenBcAndAcNp):
-                f_val = family.scale_at(n, p, crit)
-                return build(_speed_collapse(f_val, crit.log_b_c), eps,
-                             f"{table}/col2")
-            if isinstance(family, AsymAcNp):
-                return build(crit.a_c, min(j0, family.ell_prime * eps),
-                             f"{table}/col3")
-            if isinstance(family, BetweenAcNpAndN):
-                early_stop_guard(family.ell1)
-                return build(crit.a_c, j0, f"{table}/col4")
-            raise UnsupportedCombination(
-                f"no prediction for family {family.tag} in the b_c -> 0, "
-                "a_c/(n p) -> inf regime")
-        if isinstance(sub, AcNpFinite):
-            table = "table4"
-            if isinstance(family, Const):
-                rate = min(j0, _ceil_tied(family.ell * eps) / sub.gamma)
-                return build(crit.a_c, rate, f"{table}/col1")
-            if isinstance(family, BetweenAcNpAndN):
-                early_stop_guard(family.ell1)
-                return build(crit.a_c, j0, f"{table}/col2")
-            raise UnsupportedCombination(
-                f"no prediction for family {family.tag} in the b_c -> 0, "
-                "a_c/(n p) -> gamma regime")
-        # a_c/(n p) -> 0: one cell, speed a_c, rate J(x0)
-        if isinstance(family, Const):
-            if family.ell < 1.0:
-                raise UnsupportedCombination(
-                    "constant scalings need ell >= 1 when a_c/(n p) -> 0")
-            return build(crit.a_c, j0, "table5/col1")
-        if isinstance(family, BetweenAcNpAndN):
-            early_stop_guard(family.ell1)
-            return build(crit.a_c, j0, "table5/col1")
-        raise UnsupportedCombination(
-            f"no prediction for family {family.tag} in the b_c -> 0, "
-            "a_c/(n p) -> 0 regime")
-
-    raise UnsupportedCombination(f"unknown regime {regime_label(regime)!r}")
+    cell, speed = _cell(regime, family)
+    if isinstance(family, AsymBc) and eps <= 1.0 / family.ell2:
+        raise EpsOutOfRange(
+            f"the upper-tail estimate needs eps > {1.0 / family.ell2}")
+    xbar = _support_top(family)
+    if eps >= xbar:
+        raise EpsOutOfRange(
+            f"eps must lie in (0, {xbar}) when f(n)/n -> {family.ell1}")
+    if speed == _F_LOG_F:
+        # -f log(b_c/f), the theorem form; asymptotically f log f when b_c
+        # converges, and used uniformly here
+        f_val = family.scale_at(n, p, crit)
+        v = f_val * (math.log(f_val) - crit.log_b_c)
+    else:
+        v = {_A_C: crit.a_c, _B_C: crit.b_c, _LOG_B_C: -crit.log_b_c}[speed]
+    rate = min(ldp_rate_value(regime, family, eps, spec.alpha, spec.r),
+               ldp_rate_value(regime, family, xbar, spec.alpha, spec.r))
+    return TailExponent(speed_at_n=v, rate_at_eps=rate,
+                        log_prob_prediction=-rate * v, table_row=cell,
+                        n=int(n), eps=eps)

@@ -161,6 +161,27 @@ def test_tail_study_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_tail_study_passes_levels_on(tmp_path):
+    from bootperc.core import SequenceSpec
+    from bootperc.montecarlo import rate_convergence_study
+    from bootperc.process import RngSpec
+    from bootperc.ratefun import BetweenAcNpAndN
+    spec = write_spec(tmp_path, SPEC_07)
+    code, text = run(tmp_path, ["tail", "study", "--spec", spec,
+                                "--family", "between_acnp_n", "--eps", "0.5",
+                                "--ladder", "2000", "--method", "splitting",
+                                "--levels", "2", "--replicates", "2000",
+                                "--seed", "5"])
+    assert code == 0
+    got = [[float(v) for v in line.split(",")]
+           for line in text.strip().splitlines()[2:]]
+    rows = rate_convergence_study(
+        SequenceSpec(**SPEC_07), BetweenAcNpAndN(), 0.5, [2000],
+        method="splitting", replicates=2000, rng=RngSpec(5, 0), levels=2)
+    assert got == [[r.n, r.v_n, r.p_hat, r.log_p, r.normalized, r.target]
+                   for r in rows]
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 10000, "p": 0.001, "r": 2}))
@@ -213,6 +234,22 @@ def test_exit_code_validation_errors(tmp_path):
     assert main(["simulate", "--sampler", "markchain", "--n", "6", "--p",
                  "0.4", "--r", "2", "--a", "2", "--replicates", "-3",
                  "--out", out]) == 2
+    # non-finite eps and alpha are refused, not carried into the arithmetic
+    spec = write_spec(tmp_path, SPEC_07)
+    for family, eps in [("const:1", "inf"), ("between_acnp_n", "nan")]:
+        assert main(["tail", "predict", "--spec", spec, "--n", "100000",
+                     "--family", family, "--eps", eps, "--out", out]) == 2
+    for eps in ["inf", "nan"]:
+        assert main(["tail", "estimate", "--n", "30", "--p", "0.4", "--r", "2",
+                     "--a", "12", "--family", "const:1", "--eps", eps,
+                     "--replicates", "100", "--out", out]) == 2
+    assert main(["tail", "study", "--spec", spec, "--family", "const:1",
+                 "--eps", "nan", "--ladder", "1000", "--out", out]) == 2
+    for alpha in ["inf", "nan"]:
+        assert main(["rate", "--alpha", alpha, "--r", "2", "--out", out]) == 2
+    # a spec file whose r is not an integer
+    bad.write_text(json.dumps(SPEC_07 | {"r": "abc"}))
+    assert main(["regime", "--spec", str(bad), "--out", out]) == 2
 
 
 def test_exit_code_model_refusals(tmp_path):

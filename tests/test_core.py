@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -282,6 +283,24 @@ def test_sequence_spec_validation():
         SequenceSpec(rule="exp", constants={}, r=2, alpha=2.0)
     with pytest.raises(ParameterError):
         SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=None)
+    for bad in [
+            {"r": 2.7}, {"r": "abc"}, {"r": True}, {"alpha": "2"},
+            {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": 0.0},
+            {"constants": [1]}, {"constants": {}}, {"constants": {"c": 1.0}},
+            {"constants": {"beta": "0.7"}}, {"constants": {"beta": math.nan}},
+            {"rule": "log_form", "constants": {}},
+            {"rule": "scaled_log", "constants": {"c": None}},
+            {"rule": "table", "constants": {"points": 5}},
+            {"rule": "table", "constants": {"points": [[100, 0.1, 3]]}},
+            {"rule": "table", "constants": {"points": [[100, "0.1"]]}},
+            {"constants": {"beta": 0.7, "a_points": [100, 7]}},
+            {"rule": ["power"]}]:
+        kwargs = {"rule": "power", "constants": {"beta": 0.7}, "r": 2,
+                  "alpha": 2.0} | bad
+        with pytest.raises(ParameterError):
+            SequenceSpec(**kwargs)
+        with pytest.raises(ParameterError):
+            SequenceSpec.from_json(json.dumps(kwargs))
     spec = SequenceSpec(rule="power", constants={"beta": 0.7, "c": 100.0},
                         r=2, alpha=2.0)
     with pytest.raises(ParameterError):

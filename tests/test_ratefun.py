@@ -104,6 +104,9 @@ def test_rate_J_validation():
         rate_J(-0.1, 2.0, 2)
     with pytest.raises(ParameterError):
         rate_J(0.5, 2.0, 1)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            rate_J(0.5, alpha, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +143,9 @@ def test_minimize_rate_validation():
         minimize_rate(2.0, 2, tol=1e-2)
     with pytest.raises(ParameterError):
         minimize_rate(2.0, 2, tol=0.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            minimize_rate(alpha, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +207,8 @@ def test_ceiling_tie_rule():
     assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 + 1e-10, 2.0, 2) == 2.0
     assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 - 1e-10, 2.0, 2) == 2.0
     assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 + 1e-6, 2.0, 2) == 3.0
+    # an overflowed product ell * x is infinite, not an error
+    assert ldp_rate_value(REG_V_DIV, Const(1e300), 1e300, 2.0, 2) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +263,9 @@ def test_tail_exponent_eps_restrictions():
     tail_exponent(SPEC_DIV, 10**5, AsymBc(2.0), 0.6, REG_BC_INF)
     with pytest.raises(EpsOutOfRange):
         tail_exponent(SPEC_07, 10**5, BetweenAcNpAndN(ell1=0.5), 2.5, REG_V_DIV)
-    with pytest.raises(ParameterError):
-        tail_exponent(SPEC_07, 10**5, Const(1.0), 0.0, REG_V_DIV)
+    for eps in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            tail_exponent(SPEC_07, 10**5, Const(1.0), eps, REG_V_DIV)
 
 
 FAMILIES = {
@@ -322,6 +331,39 @@ def test_table_cell_coverage_is_total():
                 assert te.table_row == expected[2]
                 seen.add(expected)
     assert seen == SUPPORTED
+
+
+CONTRACTION_FAMILIES = {
+    "const": [Const(1.0), Const(2.5)],
+    "asym_bc": [AsymBc(1.0), AsymBc(2.0)],
+    "between_bc_acnp": [BetweenBcAndAcNp(), BetweenBcAndAcNp(0.8)],
+    "asym_acnp": [AsymAcNp(0.5), AsymAcNp(3.0)],
+    "between_acnp_n": [BetweenAcNpAndN(), BetweenAcNpAndN(ell1=0.25)],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SUPPORTED),
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+def test_tail_rate_is_the_contraction_of_the_ldp_rate(cell):
+    """I(eps) of every table cell is the minimum of the rate function over
+    x in [eps, xbar], xbar (1/ell1 or +inf) included."""
+    reg_label, fam_label, _ = cell
+    regime, spec = REGIME_SPECS[reg_label]
+    checked = 0
+    for family in CONTRACTION_FAMILIES[fam_label]:
+        ell1 = getattr(family, "ell1", 0.0)
+        xbar = 1.0 / ell1 if ell1 > 0 else math.inf
+        for eps in [1e-3, 0.1, 0.4, 0.75, 1.5, 2.0, 3.9]:
+            try:
+                te = tail_exponent(spec, 10**5, family, eps, regime)
+            except EpsOutOfRange:
+                continue
+            xs = list(np.linspace(eps, min(xbar, eps + 10.0), 401)) + [xbar]
+            want = min(ldp_rate_value(regime, family, float(x), spec.alpha,
+                                      spec.r) for x in xs)
+            assert te.rate_at_eps == want
+            checked += 1
+    assert checked >= 7
 
 
 def test_tail_exponent_json_serialization():
