@@ -15,11 +15,9 @@ from .montecarlo import (ConvergenceRow, TailEstimate, estimate_tail,
                          rate_convergence_study, wilson_interval)
 from .oracle import (FinalSizePmf, auxiliary_tail, brute_force_pmf, exact_pmf,
                      exact_stop_cdf, exact_tail_query)
-from .process import (PercolationOutcome, RngSpec, count_low_degree,
-                      final_sizes_activation, final_sizes_graph,
+from .process import (RngSpec, final_sizes_activation, final_sizes_graph,
                       final_sizes_leap, final_sizes_markchain,
-                      sample_activation_times,
-                      sample_graph, sample_markchain)
+                      low_degree_counts)
 from .ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN, BetweenBcAndAcNp,
                       Const, ScalingFamily, TailExponent, entropy_H,
                       family_from_string, ldp_rate_value, minimize_rate,

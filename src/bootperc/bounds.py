@@ -237,32 +237,15 @@ def penrose_grid_violations(n_values, p_values, slack: float = 1e-12):
             lsf = log_sf_array(n, p)[1:n]
             lcdf = log_cdf_array(n, p)[1:n]
             ln_chernoff = -mu * _entropy_vec(k / mu)
-
-            upper_ok = k >= mu
-            exact = np.exp(lsf[upper_ok])
-            bound = np.exp(ln_chernoff[upper_ok])
-            checked += int(upper_ok.sum())
-            for idx in np.nonzero(exact > bound + slack)[0]:
-                kk = int(k[upper_ok][idx])
-                bad.append(("chernoff_upper", n, p, kk,
-                            float(exact[idx]), float(bound[idx])))
-
-            lower_ok = k <= mu
-            exact = np.exp(lcdf[lower_ok])
-            bound = np.exp(ln_chernoff[lower_ok])
-            checked += int(lower_ok.sum())
-            for idx in np.nonzero(exact > bound + slack)[0]:
-                kk = int(k[lower_ok][idx])
-                bad.append(("chernoff_lower", n, p, kk,
-                            float(exact[idx]), float(bound[idx])))
-
-            heavy_ok = k >= e2 * mu
-            if heavy_ok.any():
-                kh = k[heavy_ok]
-                exact = np.exp(lsf[heavy_ok])
-                bound = np.exp(-(kh / 2.0) * np.log(kh / mu))
-                checked += int(heavy_ok.sum())
+            ln_heavy = -(k / 2.0) * np.log(k / mu)
+            for name, ok, ln_exact, ln_bound in (
+                    ("chernoff_upper", k >= mu, lsf, ln_chernoff),
+                    ("chernoff_lower", k <= mu, lcdf, ln_chernoff),
+                    ("heavy_tail", k >= e2 * mu, lsf, ln_heavy)):
+                exact = np.exp(ln_exact[ok])
+                bound = np.exp(ln_bound[ok])
+                checked += int(ok.sum())
                 for idx in np.nonzero(exact > bound + slack)[0]:
-                    bad.append(("heavy_tail", n, p, int(kh[idx]),
+                    bad.append((name, n, p, int(k[ok][idx]),
                                 float(exact[idx]), float(bound[idx])))
     return checked, bad

@@ -350,7 +350,7 @@ def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSiz
         ids = np.arange(start, min(start + chunk, 1 << n_edges), dtype=np.int64)
         bits = ((ids[:, None] >> np.arange(n_edges)[None, :]) & 1).astype(bool)
         u, v = _slot_pairs(np.flatnonzero(bits), n)
-        sizes, _ = _vector_cascade_sizes(u, v, len(ids), n, r, a)
+        sizes = _vector_cascade_sizes(u, v, len(ids), n, r, a)
         np.add.at(counts, (bits.sum(axis=1), sizes), 1)
 
     probs = {}

@@ -31,12 +31,9 @@ from .core import ModelParams
 from .errors import MemoryGuardError, ParameterError
 
 __all__ = [
-    "RngSpec", "PercolationOutcome",
-    "sample_graph", "sample_markchain", "sample_activation_times",
-    "count_low_degree",
-    "final_sizes_graph", "final_sizes_markchain", "final_sizes_activation",
-    "final_sizes_leap", "low_degree_counts", "final_size_from_edge_uniforms",
-    "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
+    "RngSpec", "final_sizes_graph", "final_sizes_markchain",
+    "final_sizes_activation", "final_sizes_leap", "low_degree_counts",
+    "final_size_from_edge_uniforms", "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
 ]
 
 #: the graph sampler refuses instances above this node count
@@ -65,23 +62,17 @@ class RngSpec:
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream))))
 
 
-@dataclass(frozen=True)
-class PercolationOutcome:
-    """Final size A*, stop time T = A*, and optional extras.
-
-    The trajectory, when present, lists A(t) for t = 0..T; the generations
-    count is produced by the graph sampler only.
-    """
-
-    final_size: int
-    stop_time: int
-    trajectory: tuple | None = None
-    generations: int | None = None
-
-
 def _check_replicates(replicates: int) -> None:
     if replicates < 1:
         raise ParameterError("replicates must be >= 1")
+
+
+def _chunks(replicates: int, elements_per_replicate):
+    """Yield (start, size) runs of replicates holding about
+    _BATCH_ELEMENTS array elements each (at least one replicate)."""
+    chunk = max(1, int(_BATCH_ELEMENTS / max(1.0, elements_per_replicate)))
+    for start in range(0, replicates, chunk):
+        yield start, min(chunk, replicates - start)
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -152,14 +143,10 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     if m == 0:
         return np.full(replicates, n, dtype=np.int64)
     out = np.empty(replicates, dtype=np.int64)
-    chunk = max(1, _BATCH_ELEMENTS // max(1, m))
-    done = 0
-    while done < replicates:
-        size = min(chunk, replicates - done)
+    for start, size in _chunks(replicates, m):
         y = _rth_success_times((size, m), r, p, gen)
         y.sort(axis=1)
-        out[done:done + size] = _stop_from_sorted_times(y, n, a)
-        done += size
+        out[start:start + size] = _stop_from_sorted_times(y, n, a)
     return out
 
 
@@ -208,47 +195,17 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
                           _as_generator(rng))[1]
 
 
-def sample_activation_times(params: ModelParams, rng) -> PercolationOutcome:
-    t = int(final_sizes_activation(params, 1, rng)[0])
-    return PercolationOutcome(final_size=t, stop_time=t)
-
-
 # ---------------------------------------------------------------------------
 # mark-chain sampler
 
-def sample_markchain(params: ModelParams, rng) -> PercolationOutcome:
-    """One replicate of the used-node reformulation, with trajectory."""
-    gen = _as_generator(rng)
-    n, p, r, a = params.n, params.p, params.r, params.a
-    counts = [n - a] + [0] * (r - 1)  # inactive nodes by accumulated marks
-    active = a
-    t = 0
-    traj = [a]
-    while active > t:
-        t += 1
-        promoted = int(gen.binomial(counts[r - 1], p)) if counts[r - 1] else 0
-        # top level first so one mark cannot move a node twice in a step
-        for j in range(r - 2, -1, -1):
-            moved = int(gen.binomial(counts[j], p)) if counts[j] else 0
-            counts[j] -= moved
-            counts[j + 1] += moved
-        counts[r - 1] -= promoted
-        active += promoted
-        traj.append(active)
-    return PercolationOutcome(final_size=active, stop_time=t,
-                              trajectory=tuple(traj))
-
-
 def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarray:
+    """Batch of A* values from the used-node reformulation."""
     _check_replicates(replicates)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)
-    chunk = max(1, _BATCH_ELEMENTS // max(1, n))
-    done = 0
-    while done < replicates:
-        size = min(chunk, replicates - done)
-        counts = np.zeros((size, r), dtype=np.int64)
+    for start, size in _chunks(replicates, n):
+        counts = np.zeros((size, r), dtype=np.int64)  # inactive, by marks
         counts[:, 0] = n - a
         active = np.full(size, a, dtype=np.int64)
         alive = np.ones(size, dtype=bool)
@@ -257,6 +214,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
             t += 1
             gate = alive.astype(np.int64)
             promoted = gen.binomial(counts[:, r - 1] * gate, p)
+            # top level first so one mark cannot move a node twice in a step
             for j in range(r - 2, -1, -1):
                 moved = gen.binomial(counts[:, j] * gate, p)
                 counts[:, j] -= moved
@@ -264,8 +222,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
             counts[:, r - 1] -= promoted
             active += promoted
             alive &= active > t
-        out[done:done + size] = active
-        done += size
+        out[start:start + size] = active
     return out
 
 
@@ -313,9 +270,7 @@ def _draw_graphs(params: ModelParams, replicates: int, gen: np.random.Generator)
     `size` independent draws of G(n, p) as one disjoint union."""
     n, p = params.n, params.p
     pairs = n * (n - 1) // 2
-    chunk = max(1, int(_BATCH_ELEMENTS / max(1.0, pairs * p + n)))
-    for start in range(0, replicates, chunk):
-        size = min(chunk, replicates - start)
+    for start, size in _chunks(replicates, pairs * p + n):
         yield (start, size,
                *_slot_pairs(_sample_edge_slots(size * pairs, p, gen), n))
 
@@ -325,23 +280,17 @@ def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
     """Cascade on `reps` disjoint graphs of n nodes (node i of replicate k
     is k * n + i, seeds i < a); each generation every node activated in
     the last one sends one mark along each edge, and an inactive node
-    with r marks activates.  Returns per-replicate (final sizes,
-    generations that activated a node)."""
+    with r marks activates.  Returns the per-replicate final sizes."""
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     fresh = np.tile(np.arange(n) < a, reps)
     active = fresh.copy()
     marks = np.zeros(reps * n, dtype=np.int64)
-    generations = np.zeros(reps, dtype=np.int64)
-    while True:
+    while fresh.any():
         marks += np.bincount(dst[fresh[src]], minlength=reps * n)
         fresh = ~active & (marks >= r)
-        grew = fresh.reshape(reps, n).any(axis=1)
-        if not grew.any():
-            break
-        generations += grew
         active |= fresh
-    return active.reshape(reps, n).sum(axis=1, dtype=np.int64), generations
+    return active.reshape(reps, n).sum(axis=1, dtype=np.int64)
 
 
 def _check_graph_cap(n: int) -> None:
@@ -351,29 +300,9 @@ def _check_graph_cap(n: int) -> None:
             "use the leap, mark-chain or activation-time sampler instead")
 
 
-def sample_graph(params: ModelParams, rng) -> PercolationOutcome:
-    """Draw G(n, p), seed nodes {1..a}, iterate generations to the fixpoint.
-
-    Seeds are fixed rather than resampled uniformly: by node
-    exchangeability the law of the final size is the same, and one
-    randomness source less keeps coupling tests simple.
-    """
-    _check_graph_cap(params.n)
-    _, _, u, v = next(_draw_graphs(params, 1, _as_generator(rng)))
-    sizes, generations = _vector_cascade_sizes(u, v, 1, params.n, params.r,
-                                               params.a)
-    final = int(sizes[0])
-    return PercolationOutcome(final_size=final, stop_time=final,
-                              generations=int(generations[0]))
-
-
-def count_low_degree(params: ModelParams, rng) -> int:
-    """Number of nodes of degree < r in one draw of G(n, p)."""
-    return int(low_degree_counts(params, 1, rng)[0])
-
-
 def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of D_n draws (nodes of degree < r in G(n, p))."""
+    _check_replicates(replicates)
     _check_graph_cap(params.n)
     gen = _as_generator(rng)
     n = params.n
@@ -386,14 +315,20 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
-    """Batch of A* values from the graph sampler."""
+    """Batch of A* values from the graph sampler: draw G(n, p), seed
+    nodes {1..a}, iterate generations to the fixpoint.
+
+    Seeds are fixed rather than resampled uniformly: by node
+    exchangeability the law of the final size is the same, and one
+    randomness source less keeps coupling tests simple.
+    """
     _check_replicates(replicates)
     _check_graph_cap(params.n)
     gen = _as_generator(rng)
     n, r, a = params.n, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)
     for start, size, u, v in _draw_graphs(params, replicates, gen):
-        out[start:start + size] = _vector_cascade_sizes(u, v, size, n, r, a)[0]
+        out[start:start + size] = _vector_cascade_sizes(u, v, size, n, r, a)
     return out
 
 
@@ -404,7 +339,7 @@ def final_size_from_edge_uniforms(n: int, r: int, a: int,
     if uniforms.shape != (n * (n - 1) // 2,):
         raise ParameterError("need one uniform per node pair")
     u, v = _slot_pairs(np.flatnonzero(uniforms < p), n)
-    return int(_vector_cascade_sizes(u, v, 1, n, r, a)[0][0])
+    return int(_vector_cascade_sizes(u, v, 1, n, r, a)[0])
 
 
 SAMPLER_BATCHES = {

@@ -61,6 +61,12 @@ def _check_supercritical(alpha: float, r: int) -> None:
             f"the rate function needs a finite supercritical alpha > 1, got {alpha!r}")
     if r < 2:
         raise ParameterError("r must be >= 2")
+    try:  # minimize_rate's first probes of [0, alpha/r] end at this x
+        _h_fun(_INV_PHI * (alpha / r), alpha, r)
+    except OverflowError:
+        raise ParameterError(
+            f"alpha = {alpha!r} is too large: h overflows a float at r = {r}"
+        ) from None
 
 
 def rate_J(x: float, alpha: float, r: int):
@@ -76,14 +82,14 @@ def rate_J(x: float, alpha: float, r: int):
 
 def _ceil_tied(y: float) -> float:
     """Ceiling with a tie rule: values within 1e-9 of an integer are
-    treated as that integer, so float noise cannot flip the jump.  An
-    infinite y (an overflowed product) is returned as it is."""
+    treated as that integer, so float noise cannot flip the jump; a
+    positive y still counts at least 1.  An infinite y (an overflowed
+    product) is returned as it is."""
     if math.isinf(y):
         return y
     nearest = round(y)
-    if abs(y - nearest) <= _CEIL_TIE:
-        return float(nearest)
-    return float(math.ceil(y))
+    ceil = nearest if abs(y - nearest) <= _CEIL_TIE else math.ceil(y)
+    return float(max(ceil, 1) if y > 0.0 else ceil)
 
 
 def minimize_rate(alpha: float, r: int, tol: float = 1e-6):

@@ -245,7 +245,8 @@ def test_exit_code_validation_errors(tmp_path):
                      "--replicates", "100", "--out", out]) == 2
     assert main(["tail", "study", "--spec", spec, "--family", "const:1",
                  "--eps", "nan", "--ladder", "1000", "--out", out]) == 2
-    for alpha in ["inf", "nan"]:
+    # as is one whose h(x) = (alpha (1 - 1/r) + x)^r / r overflows a float
+    for alpha in ["inf", "nan", "1e200"]:
         assert main(["rate", "--alpha", alpha, "--r", "2", "--out", out]) == 2
     # a spec file whose r is not an integer
     bad.write_text(json.dumps(SPEC_07 | {"r": "abc"}))

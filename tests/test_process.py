@@ -13,12 +13,11 @@ from bootperc.core import ModelParams, critical_quantities
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.montecarlo import wilson_interval
 from bootperc.oracle import brute_force_pmf, exact_pmf
-from bootperc.process import (SAMPLER_BATCHES, RngSpec, count_low_degree,
+from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               final_size_from_edge_uniforms,
-                              final_sizes_activation, final_sizes_markchain,
-                              histogram, low_degree_counts,
-                              sample_activation_times, sample_graph,
-                              sample_markchain, _leap_to_level,
+                              final_sizes_activation, final_sizes_graph,
+                              final_sizes_markchain, histogram,
+                              low_degree_counts, _leap_to_level,
                               _rth_success_times)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
@@ -47,8 +46,10 @@ def test_p_one_percolates_when_seeds_reach_threshold(batch):
     assert (sizes == 7).all()
 
 
-@pytest.mark.parametrize("batch", SAMPLER_BATCHES.values(),
-                         ids=SAMPLER_BATCHES.keys())
+BATCHES = {**SAMPLER_BATCHES, "low_degree": low_degree_counts}
+
+
+@pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
 @pytest.mark.parametrize("replicates", [0, -3])
 def test_batches_reject_nonpositive_replicates(batch, replicates):
     with pytest.raises(ParameterError, match="replicates"):
@@ -56,9 +57,9 @@ def test_batches_reject_nonpositive_replicates(batch, replicates):
 
 
 def test_all_seeded_stops_at_n():
-    out = sample_markchain(ModelParams(n=4, p=0.5, r=2, a=4), RngSpec(0, 0))
-    assert out.final_size == 4 and out.stop_time == 4
-    assert out.trajectory == (4, 4, 4, 4, 4)
+    for batch in SAMPLER_BATCHES.values():
+        sizes = batch(ModelParams(n=4, p=0.5, r=2, a=4), 20, RngSpec(0, 0))
+        assert (sizes == 4).all()
 
 
 def test_markchain_hand_enumeration():
@@ -77,22 +78,6 @@ def test_rth_success_times_match_activation_law():
 
 # ---------------------------------------------------------------------------
 # invariants
-
-def test_stop_time_equals_final_size_and_bounds():
-    params = ModelParams(n=40, p=0.08, r=2, a=3)
-    for sampler in (sample_graph, sample_markchain, sample_activation_times):
-        for stream in range(30):
-            out = sampler(params, RngSpec(11, stream))
-            assert out.stop_time == out.final_size
-            assert params.a <= out.final_size <= params.n
-
-
-def test_trajectory_stays_above_the_clock():
-    out = sample_markchain(ModelParams(n=50, p=0.12, r=2, a=4), RngSpec(3, 2))
-    for t in range(out.stop_time):
-        assert out.trajectory[t] > t
-    assert out.trajectory[out.stop_time] == out.stop_time
-
 
 def test_deterministic_given_seed_and_stream():
     for batch in SAMPLER_BATCHES.values():
@@ -155,8 +140,10 @@ def test_low_degree_nonseed_count_is_dominated_pathwise():
 
 
 def test_low_degree_trivial_values():
-    assert count_low_degree(ModelParams(n=10, p=0.0, r=2, a=1), RngSpec(0, 0)) == 10
-    assert count_low_degree(ModelParams(n=10, p=1.0, r=2, a=1), RngSpec(0, 0)) == 0
+    for p, count in ((0.0, 10), (1.0, 0)):
+        counts = low_degree_counts(ModelParams(n=10, p=p, r=2, a=1), 5,
+                                   RngSpec(0, 0))
+        assert (counts == count).all()
 
 
 def test_low_degree_mean_matches_binomial():
@@ -169,9 +156,9 @@ def test_low_degree_mean_matches_binomial():
 def test_memory_guard():
     big = ModelParams(n=200_000, p=1e-5, r=2, a=10)
     with pytest.raises(MemoryGuardError):
-        sample_graph(big, RngSpec(0, 0))
+        final_sizes_graph(big, 1, RngSpec(0, 0))
     with pytest.raises(MemoryGuardError):
-        count_low_degree(big, RngSpec(0, 0))
+        low_degree_counts(big, 1, RngSpec(0, 0))
     # other samplers have no such cap
     final_sizes_activation(big, 1, RngSpec(0, 0))
 
@@ -280,13 +267,6 @@ def test_leap_to_level_matches_exact_crossing_law():
         hits = (~crossed if when is None else crossed & (t == when)).sum()
         lo, hi = wilson_interval(int(hits), reps, 5.0)
         assert lo <= prob <= hi, (when, prob, hits / reps)
-
-
-def test_graph_generations_counter():
-    out = sample_graph(ModelParams(n=7, p=1.0, r=2, a=2), RngSpec(0, 0))
-    assert out.generations == 1
-    out = sample_graph(ModelParams(n=7, p=0.0, r=2, a=2), RngSpec(0, 0))
-    assert out.generations == 0
 
 
 def test_histogram_helper():

@@ -207,6 +207,11 @@ def test_ceiling_tie_rule():
     assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 + 1e-10, 2.0, 2) == 2.0
     assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 - 1e-10, 2.0, 2) == 2.0
     assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 + 1e-6, 2.0, 2) == 3.0
+    # ... nor pull a positive product within 1e-9 of 0 down to no jump
+    # (table3/col1, then table4/col1 with gamma = 2)
+    for eps in (1e-10, 1e-320):
+        assert ldp_rate_value(REG_V_DIV, Const(1.0), eps, 2.0, 2) == 1.0
+        assert ldp_rate_value(REG_V_GAM, Const(1.0), eps, 2.0, 2) == 0.5
     # an overflowed product ell * x is infinite, not an error
     assert ldp_rate_value(REG_V_DIV, Const(1e300), 1e300, 2.0, 2) == math.inf
 
