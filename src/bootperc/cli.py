@@ -119,6 +119,10 @@ def cmd_rate(args) -> int:
     x0, j0 = minimize_rate(args.alpha, args.r, args.tol)
     if args.curve_out:
         x_hi = args.curve_max if args.curve_max else 3.0 * args.alpha / args.r
+        if not math.isfinite(x_hi):
+            raise ParameterError(f"--curve-max must be finite, got {x_hi!r}")
+        if args.curve_points < 1:
+            raise ParameterError("--curve-points must be at least 1")
         xs = np.linspace(0.0, x_hi, args.curve_points)
         rows = [(float(x), rate_J(float(x), args.alpha, args.r)[1]) for x in xs]
         lines = ["x,J"] + [f"{_fmt(x)},{_fmt(j)}" for x, j in rows]
@@ -171,6 +175,8 @@ def _require(args, *names) -> None:
 
 
 def cmd_tail(args) -> int:
+    if args.cap is not None and (args.mode, args.method) != ("study", "exact_dp"):
+        raise ParameterError("--cap applies to tail study --method exact_dp only")
     if args.mode == "predict":
         _require(args, "spec", "n", "family", "eps")
         spec = _load_spec(args.spec)
@@ -205,7 +211,8 @@ def cmd_tail(args) -> int:
         spec, family_from_string(args.family), args.eps,
         _parse_ladder(args.ladder), method=args.method,
         replicates=args.replicates, rng=RngSpec(args.seed, args.stream),
-        horizon_k=args.horizon_k, levels=args.levels)
+        horizon_k=args.horizon_k, levels=args.levels,
+        cap=PMF_NODE_CAP if args.cap is None else args.cap)
     _emit_csv(args, ["n", "v_n", "p_hat", "log_p", "normalized", "target"],
               [(r.n, r.v_n, r.p_hat, r.log_p, r.normalized, r.target)
                for r in rows])
@@ -308,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=int, default=None)
     s.add_argument("--levels", type=int, default=4)
     s.add_argument("--horizon-k", dest="horizon_k", type=float, default=None)
+    # default None keeps "cap" out of every other tail command's echo
+    s.add_argument("--cap", type=int, default=None,
+                   help="study --method exact_dp only: refuse more chain "
+                   f"states than this (default {PMF_NODE_CAP})")
     _add_common(s, seed=True, fmt="json")
     s.set_defaults(func=cmd_tail)
 

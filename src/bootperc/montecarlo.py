@@ -8,8 +8,10 @@ Markov chain (t, S(t)) through a ladder of running-minimum-margin levels
 down to 0, multiplying the per-level crossing fractions.  Its stages
 leap from level to level on the sampler's kernel, and an integer level
 count spaces the ladder from the lowest mean margin down to 0, so the
-ladder costs no draws.  Probabilities are carried as ScaledFloat so
-estimates below float underflow survive.
+ladder costs no draws.  Each estimate tabulates log Q(t) for t <= tau
+once; the ladder reads the table, and every leap of every stage gathers
+from it instead of re-evaluating log_cdf_head.  Probabilities are
+carried as ScaledFloat so estimates below float underflow survive.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .core import ModelParams, SequenceSpec, classify_regime, critical_quantitie
 from .errors import DegenerateLevels, ParameterError
 # _log_q_schedule and final_sizes_activation stay bound here, unused:
 # bench/spans.py wraps both by these names
-from .oracle import _log_q_schedule, event_threshold, exact_stop_cdf
+from .oracle import (PMF_NODE_CAP, _log_q_schedule, event_threshold,
+                     exact_stop_cdf)
 from .process import (RngSpec, _as_generator, _check_replicates,
                       _leap_to_level, final_sizes_activation, final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
@@ -119,16 +122,15 @@ _SPLIT_GROUPS = 4
 _T975_DF3 = 3.182446305284263  # t quantile for 4 groups
 
 
-def _split_ladder(params: ModelParams, tau: int, levels) -> list:
+def _split_ladder(params: ModelParams, log_q: np.ndarray, levels) -> list:
+    """The margin ladder; `log_q` is log Q(t) for t = 0..tau."""
     if isinstance(levels, int):
         if levels < 1:
             raise ParameterError("need at least one level")
         # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
         n, a = params.n, params.a
-        t = np.arange(tau + 1)
         top = math.floor(np.min(
-            a - (n - a) * np.expm1(log_cdf_head(t, params.p, params.r - 1))
-            - t))
+            a - (n - a) * np.expm1(log_q) - np.arange(log_q.size)))
         if top <= 0 or levels == 1:
             return [0]
         raw = np.linspace(top, 0, levels + 1)[1:]
@@ -146,13 +148,16 @@ def _split_ladder(params: ModelParams, tau: int, levels) -> list:
     return ladder
 
 
-def _split_once(params: ModelParams, tau: int, ladder: list, reps: int,
-                gen: np.random.Generator) -> float:
-    """One product-of-conditionals pass; returns ln of the estimate."""
+def _split_once(params: ModelParams, log_q: np.ndarray, ladder: list,
+                reps: int, gen: np.random.Generator) -> float:
+    """One product-of-conditionals pass up to tau = log_q.size - 1, the
+    chains reading log Q from the table; returns ln of the estimate."""
     t = s = np.zeros(reps, dtype=np.int64)
+    tau = log_q.size - 1
     log_p = 0.0
     for level in ladder:
-        crossed, t, s = _leap_to_level(params, t, s, level, tau, gen)
+        crossed, t, s = _leap_to_level(params, t, s, level, tau, gen,
+                                       log_q.take)
         hits = int(crossed.sum())
         if hits == 0:
             raise DegenerateLevels(
@@ -191,13 +196,16 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     gen = _as_generator(rng)
     reps = per_level_replicates
     # an empty (tau < a) or a sure (tau = n) event needs no ladder
-    ladder = _split_ladder(params, tau, levels) \
-        if params.a <= tau < params.n else [0]
+    if not params.a <= tau < params.n:
+        return _naive_tail(params, tau, reps, gen)
+    # log Q(t) for t <= tau, once for the ladder and every stage's leaps
+    log_q = log_cdf_head(np.arange(tau + 1), params.p, params.r - 1)
+    ladder = _split_ladder(params, log_q, levels)
     if ladder == [0]:
         return _naive_tail(params, tau, reps, gen)
 
     group_reps = reps // _SPLIT_GROUPS
-    logs = [_split_once(params, tau, ladder, group_reps, gen)
+    logs = [_split_once(params, log_q, ladder, group_reps, gen)
             for _ in range(_SPLIT_GROUPS)]
     estimate = scaled_sum(ScaledFloat.from_ln(lp) for lp in logs) \
         * (1.0 / _SPLIT_GROUPS)
@@ -225,14 +233,15 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
                            eps: float, ladder, method: str = "exact_dp",
                            replicates: int = 10_000, rng: RngSpec | None = None,
                            horizon_k: float | None = None,
-                           levels: int = 4):
+                           levels: int = 4, cap: int = PMF_NODE_CAP):
     """One ConvergenceRow per ladder n, normalizing log P by the speed.
 
     For table cells whose rate is the pure early-stop exponent J(x0) the
     probed event is {T <= floor(K a_c)} (the dominant event), which the
     truncated DP prices at any n; other cells use the full event
     {T <= floor(n - eps f(n))}.  `levels` is the splitting ladder of
-    estimate_tail_splitting.
+    estimate_tail_splitting, and `cap` the chain-state cap that
+    exact_stop_cdf applies under method exact_dp.
     """
     if method not in ("exact_dp", "naive", "splitting"):
         raise ParameterError("method must be exact_dp, naive or splitting")
@@ -250,7 +259,7 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
         threshold = min(threshold, params.n)
 
         if method == "exact_dp":
-            prob = exact_stop_cdf(params, threshold)
+            prob = exact_stop_cdf(params, threshold, cap=cap)
             p_hat, log_p = float(prob), prob.ln()
         else:
             sub_rng = RngSpec(rng.seed, rng.stream + i) if rng is not None \

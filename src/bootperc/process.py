@@ -12,6 +12,10 @@
   stop, so a replicate costs a few dozen binomial draws at any n; the
   naive, rate-study and Poisson-limit estimators in montecarlo use it,
   and the splitting stages run its kernel down to each margin level.
+  The kernel reads log Q(t) = log P(Bin(t, p) <= r - 1) through a lookup
+  its caller supplies: the splitting estimator gathers from one table
+  over 0..tau, while the sampler (tau = n) evaluates log_cdf_head at the
+  leap times, since a table over 0..n would cost O(n) time and memory.
 
 All randomness flows through an RngSpec (seed, stream), so a replicate is
 reproducible bit-for-bit within one build.  Geometric variables are drawn
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -151,7 +155,8 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
 
 
 def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
-                   level: int, tau: int, gen: np.random.Generator):
+                   level: int, tau: int, gen: np.random.Generator,
+                   log_q: Callable[[np.ndarray], np.ndarray]):
     """Advance count chains from states (t, S) until the margin
     M = a + S - t first falls to `level`, or until time tau.
 
@@ -160,39 +165,44 @@ def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
     are one draw: each of the n - a - S inactive nodes stays inactive with
     chance Q(t + L) / Q(t), Q(t) = P(Bin(t, p) <= r - 1).  A leap that
     activates no node lands exactly on the level; any other leaves the
-    margin above it.  Exact in law.  Returns (crossed, t, s): crossed
-    chains sit at their crossing state, the others at time tau.
+    margin above it.  Exact in law.  `log_q` maps an array of times
+    t <= tau to log Q(t): a gather from a table over 0..tau, or
+    log_cdf_head itself where tau is too large to tabulate.  Returns
+    (crossed, t, s): crossed chains sit at their crossing state, the
+    others at time tau.
     """
-    n, p, r, a = params.n, params.p, params.r, params.a
+    n, a = params.n, params.a
     t = np.array(t, dtype=np.int64)
     s = np.array(s, dtype=np.int64)
     crossed = a + s - t <= level
     idx = np.flatnonzero(~crossed & (t < tau))
-    log_q = log_cdf_head(t[idx], p, r - 1)
-    while idx.size:
-        s_i = s[idx]
-        t_next = np.minimum(a + s_i - level, tau)
-        log_q_next = log_cdf_head(t_next, p, r - 1)
-        # Q(t) = 0 leaves nobody inactive; fmin maps its NaN to 0
-        with np.errstate(invalid="ignore"):
-            log_stay = np.fmin(log_q_next - log_q, 0.0)
-        s_i = s_i + gen.binomial(n - a - s_i, -np.expm1(log_stay))
-        t[idx], s[idx] = t_next, s_i
-        hit = a + s_i - t_next <= level
-        crossed[idx[hit]] = True
-        keep = ~hit & (t_next < tau)
-        idx, log_q = idx[keep], log_q_next[keep]
+    s_i, log_q_i = s[idx], log_q(t[idx])
+    # Q(t) = 0 leaves nobody inactive; fmin maps its NaN to 0
+    with np.errstate(invalid="ignore"):
+        while idx.size:
+            t_next = np.minimum(a + s_i - level, tau)
+            log_q_next = log_q(t_next)
+            log_stay = np.fmin(log_q_next - log_q_i, 0.0)
+            s_i = s_i + gen.binomial(n - a - s_i, -np.expm1(log_stay))
+            t[idx], s[idx] = t_next, s_i
+            hit = a + s_i - t_next <= level
+            crossed[idx[hit]] = True
+            keep = ~hit & (t_next < tau)
+            idx, s_i, log_q_i = idx[keep], s_i[keep], log_q_next[keep]
     return crossed, t, s
 
 
 def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the margin-leaping count chain: every
     replicate runs from (0, 0) until its margin falls to 0, which is the
-    stop time T = A*; a few dozen leaps at any n."""
+    stop time T = A*; a few dozen leaps at any n.  Here tau = n, so log Q
+    is evaluated at the leap times rather than tabulated over 0..n."""
     _check_replicates(replicates)
+    p, k = params.p, params.r - 1
     start = np.zeros(replicates, dtype=np.int64)
     return _leap_to_level(params, start, start, 0, params.n,
-                          _as_generator(rng))[1]
+                          _as_generator(rng),
+                          lambda t: log_cdf_head(t, p, k))[1]
 
 
 # ---------------------------------------------------------------------------

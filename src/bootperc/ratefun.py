@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -52,7 +53,17 @@ def entropy_H(x: float) -> float:
 
 
 def _h_fun(x: float, alpha: float, r: int) -> float:
-    return (alpha * (1.0 - 1.0 / r) + x) ** r / r
+    try:
+        return (alpha * (1.0 - 1.0 / r) + x) ** r / r
+    except OverflowError:
+        # the power overflows once alpha (1 - 1/r) + x > DBL_MAX^(1/r)
+        x_max = math.exp(math.log(sys.float_info.max) / r) \
+            - alpha * (1.0 - 1.0 / r)
+        fits = f"the largest x whose h(x) fits is about {x_max:.6g}" \
+            if x_max > 0.0 else "alpha is too large for any x >= 0"
+        raise ParameterError(
+            f"h(x) overflows a float at x = {x!r}; at alpha = {alpha!r}, "
+            f"r = {r} {fits}") from None
 
 
 def _check_supercritical(alpha: float, r: int) -> None:
@@ -61,12 +72,9 @@ def _check_supercritical(alpha: float, r: int) -> None:
             f"the rate function needs a finite supercritical alpha > 1, got {alpha!r}")
     if r < 2:
         raise ParameterError("r must be >= 2")
-    try:  # minimize_rate's first probes of [0, alpha/r] end at this x
-        _h_fun(_INV_PHI * (alpha / r), alpha, r)
-    except OverflowError:
-        raise ParameterError(
-            f"alpha = {alpha!r} is too large: h overflows a float at r = {r}"
-        ) from None
+    # minimize_rate's first probes of [0, alpha/r] end at this x, so an
+    # alpha too large for them is refused here, naming the x that fits
+    _h_fun(_INV_PHI * (alpha / r), alpha, r)
 
 
 def rate_J(x: float, alpha: float, r: int):
@@ -101,7 +109,11 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
     below tol.  The bracket must include 0: for large alpha**(r-1) the
     dip sits at x ~ h(0) exp(-h'(0)), which can lie below any positive
     floor even though the infimum value J(0+) stays perfectly computable.
-    Returns (x0, J(x0)).
+    Both loops stop on a few float spacings where those exceed their
+    width targets.  An alpha whose x0 cannot be resolved to max(tol,
+    1e-7), because J's dip is below J's float spacing, is refused (at
+    tol = 1e-6 from about alpha = 3e9 to 9e9 for r = 2..6).  Returns
+    (x0, J(x0)).
     """
     _check_supercritical(alpha, r)
     if not 0.0 < tol <= 1e-3:
@@ -117,7 +129,9 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
     # far below tol on purpose: when the dip hugs 0 the bracket midpoint
     # is the answer and its J value must match the infimum tightly
     golden_target = 1e-9
-    while b - a > golden_target:
+    # a few float spacings at b as well: where they exceed the target
+    # the width could never reach it
+    while b - a > max(golden_target, 4.0 * math.ulp(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -129,14 +143,15 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
 
     def dj(x: float) -> float:
         # step relative to x: J''' grows like 1/x toward 0, so a fixed
-        # step would bias the difference quotient there
-        step = max(x * 1e-3, 1e-9)
+        # step would bias the difference quotient there; at most x, so
+        # the left probe stays in J's domain
+        step = min(max(x * 1e-3, 1e-9), x)
         return (j(x + step) - j(x - step)) / (2.0 * step)
 
     lo = max(a - golden_target, golden_target / 4.0)
     hi = min(b + golden_target, alpha / r)
     if a > 0.0 and lo < hi and dj(lo) < 0.0 < dj(hi):
-        while hi - lo > 1e-12:
+        while hi - lo > max(1e-12, 4.0 * math.ulp(hi)):
             mid = 0.5 * (lo + hi)
             if dj(mid) < 0.0:
                 lo = mid
@@ -144,7 +159,20 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
                 hi = mid
         a, b = lo, hi
     x0 = 0.5 * (a + b)
-    return x0, j(x0)
+    j0 = j(x0)
+    # J must rise within `width` of x0 on each side that is not an end of
+    # [0, alpha/r]; a tie means J's dip is below its float spacing (J
+    # grows like alpha**r) and x0 is rounding noise.  Any dip's rise
+    # J'' dx**2 / 2 sinks below J's float spacing from dx ~ 1e-8, so J
+    # values can only certify widths from 1e-7 up; a smaller tol gets
+    # the polished x0 with that check
+    width = max(tol, 1e-7)
+    if (x0 - width > 0.0 and j(x0 - width) <= j0) \
+            or (x0 + width < alpha / r and j(x0 + width) <= j0):
+        raise ParameterError(
+            f"alpha = {alpha!r} is too large: at r = {r} J's minimizer "
+            f"cannot be resolved to {width!r} in float arithmetic")
+    return x0, j0
 
 
 @lru_cache(maxsize=256)

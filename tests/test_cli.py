@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bootperc
 from bootperc.cli import main
 
 SPEC_07 = {"rule": "power", "constants": {"beta": 0.7}, "r": 2, "alpha": 2.0}
@@ -48,6 +53,15 @@ def test_rate_command_matches_library(tmp_path):
     x0, j0 = minimize_rate(2.0, 2)
     assert float(doc["result"]["x0"]) == pytest.approx(x0, abs=1e-9)
     assert float(doc["result"]["J_x0"]) == pytest.approx(j0, rel=1e-12)
+
+
+def test_rate_accepts_a_tol_below_what_j_values_resolve(tmp_path):
+    code, text = run(tmp_path, ["rate", "--alpha", "2", "--r", "2",
+                                "--tol", "1e-9"])
+    assert code == 0
+    assert json.loads(text)["result"]["x0"] == \
+        json.loads(run(tmp_path, ["rate", "--alpha", "2", "--r", "2"])[1])[
+            "result"]["x0"]
 
 
 def test_rate_curve_is_monotone_past_the_minimum(tmp_path):
@@ -182,6 +196,27 @@ def test_tail_study_passes_levels_on(tmp_path):
                    for r in rows]
 
 
+def test_tail_study_cap_works_like_exact_cap(tmp_path):
+    spec = write_spec(tmp_path, SPEC_07)
+    study = ["tail", "study", "--spec", spec, "--family", "const:2.0",
+             "--eps", "0.5"]
+    # the full event at n = 1e4 needs 9960 chain states: the default cap
+    # still refuses it
+    assert run(tmp_path, study + ["--ladder", "10000"])[0] == 2
+    assert run(tmp_path, study + ["--ladder", "600", "--cap", "100"])[0] == 2
+    code, capped = run(tmp_path, study + ["--ladder", "600", "--cap", "600"])
+    assert code == 0 and '"cap": 600' in capped.splitlines()[0]
+    _, default = run(tmp_path, study + ["--ladder", "600"])
+    assert '"cap"' not in default.splitlines()[0]
+    assert capped.splitlines()[1:] == default.splitlines()[1:]
+    # the other tail commands never read a cap, so they refuse one
+    assert run(tmp_path, study + ["--ladder", "600", "--cap", "600",
+                                  "--method", "naive"])[0] == 2
+    assert run(tmp_path, ["tail", "estimate", "--n", "200", "--p", "0.01",
+                          "--r", "2", "--a", "5", "--splitting", "--tau",
+                          "10", "--cap", "600"])[0] == 2
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 10000, "p": 0.001, "r": 2}))
@@ -266,6 +301,33 @@ def test_exit_code_model_refusals(tmp_path):
     # unsupported (regime, family) pair
     assert main(["tail", "predict", "--spec", spec, "--n", "100000",
                  "--family", "asym_bc:1.0", "--eps", "2.0", "--out", out]) == 3
+
+
+def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    rate = ["rate", "--alpha", "2", "--r", "2", "--curve-out", str(curve),
+            "--out", str(tmp_path / "x.json")]
+    assert main(rate + ["--curve-max", "1e200"]) == 2
+    # (alpha/2 + x)^2 overflows from x ~ sqrt(DBL_MAX) = 1.34078e+154
+    assert "1.34078e+154" in capsys.readouterr().err
+    assert not curve.exists()
+    assert main(rate + ["--curve-max", "inf"]) == 2
+    assert main(rate + ["--curve-points", "-1"]) == 2
+    assert main(rate + ["--curve-max", "1e150", "--curve-points", "3"]) == 0
+    assert curve.read_text().count("\n") == 4
+
+
+def test_rate_huge_alpha_is_refused_promptly():
+    # J ~ 2.5e59 at alpha = 1e30 hides its dip below the float spacing,
+    # and the golden bracket at 5e29 can never narrow to an absolute 1e-9
+    src = str(Path(bootperc.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootperc.cli", "rate", "--alpha", "1e30",
+         "--r", "2"], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot be resolved" in proc.stderr
 
 
 def test_rate_rejects_subcritical(tmp_path):

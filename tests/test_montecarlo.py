@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bootperc.core import ModelParams, SequenceSpec, critical_quantities
-from bootperc.errors import DegenerateLevels, ParameterError
+from bootperc.errors import DegenerateLevels, MemoryGuardError, ParameterError
 from bootperc.montecarlo import (default_stop_horizon, estimate_tail,
                                  estimate_tail_splitting, event_threshold,
                                  poisson_distance, rate_convergence_study,
@@ -149,6 +149,44 @@ def test_splitting_deterministic():
     assert a == b
 
 
+SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
+
+# to_dict() values of the kernel that evaluated log Q at every leap; the
+# table gathered since must reproduce them bit for bit
+PINNED_SPLITTING = [
+    ("crit9", 4, RngSpec(1234, 0),
+     (0.06195902680799999, 0.06073184426331703, 0.06320353526786507,
+      -2.781281970335389)),
+    ("crit9", 4, RngSpec(1234, 1),
+     (0.054456116703999996, 0.05056893155378925, 0.05854813243327178,
+      -2.9103600997507857)),
+    ("crit9", 4, RngSpec(1234, 2),
+     (0.054928191264, 0.045271483923735555, 0.06595409735114957,
+      -2.901728560187224)),
+    ("crit9", [9, 6, 3, 0], RngSpec(1234, 0),
+     (0.054370544927999996, 0.04309783117057663, 0.06757575834254109,
+      -2.911932725288549)),
+    ("spec07_full_event", 4, RngSpec(1234, 0),
+     (0.000496263324, 0.00030232522611306256, 0.0007640185349863004,
+      -7.608403876953034)),
+]
+
+
+@pytest.mark.parametrize("case,levels,rng,pinned", PINNED_SPLITTING,
+                         ids=[f"{c[0]}-{c[1]}-{c[2].stream}"
+                              for c in PINNED_SPLITTING])
+def test_splitting_values_are_pinned(case, levels, rng, pinned):
+    if case == "crit9":
+        params, tau = crit9_config()
+    else:  # n = 1e4, tau = 9000: the full-event range
+        params, tau = SPEC_07.params_at(10**4), 9000
+    got = estimate_tail_splitting(params, tau, levels, 2000, rng).to_dict()
+    p_hat, ci_low, ci_high, log_p_hat = pinned
+    assert got == {"p_hat": p_hat, "ci_low": ci_low, "ci_high": ci_high,
+                   "replicates": 2000, "log_p_hat": log_p_hat,
+                   "log_base": "e"}
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 
@@ -189,6 +227,16 @@ def test_study_splitting_method_runs():
     dp_row, = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5, [2000],
                                      method="exact_dp")
     assert row.log_p == pytest.approx(dp_row.log_p, rel=0.2)
+
+
+def test_study_forwards_the_dp_cap():
+    # the full event {T <= n - 1} needs n - a - 1 chain states
+    with pytest.raises(MemoryGuardError):
+        rate_convergence_study(SPEC_07, Const(2.0), 0.5, [10**4])
+    with pytest.raises(MemoryGuardError):
+        rate_convergence_study(SPEC_07, Const(2.0), 0.5, [600], cap=100)
+    assert rate_convergence_study(SPEC_07, Const(2.0), 0.5, [600], cap=600) \
+        == rate_convergence_study(SPEC_07, Const(2.0), 0.5, [600])
 
 
 def test_default_stop_horizon_formula():

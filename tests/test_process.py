@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from bootperc._binom import log_binom_cdf
+from bootperc._binom import log_binom_cdf, log_cdf_head
 from bootperc.core import ModelParams, critical_quantities
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.montecarlo import wilson_interval
@@ -16,8 +16,8 @@ from bootperc.oracle import brute_force_pmf, exact_pmf
 from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               final_size_from_edge_uniforms,
                               final_sizes_activation, final_sizes_graph,
-                              final_sizes_markchain, histogram,
-                              low_degree_counts, _leap_to_level,
+                              final_sizes_leap, final_sizes_markchain,
+                              histogram, low_degree_counts, _leap_to_level,
                               _rth_success_times)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
@@ -175,6 +175,20 @@ def test_activation_guard_refuses_before_allocating():
     assert peak < 1_000_000
 
 
+def test_leap_sampler_tabulates_nothing_over_n():
+    # tau = n: log Q is evaluated at the leap times; a float64 table over
+    # 0..n would alone take 8 MB here
+    params = ModelParams(n=10**6, p=6.3e-05, r=2, a=252)
+    tracemalloc.start()
+    try:
+        sizes = final_sizes_leap(params, 100, RngSpec(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ((params.a <= sizes) & (sizes <= params.n)).all()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # distributional equality across samplers
 
@@ -260,13 +274,34 @@ def test_leap_to_level_matches_exact_crossing_law():
     assert 0.05 < law[None] < 0.5 and law[5] > 0.1
     crossed, t, s = _leap_to_level(
         params, np.full(reps, t0), np.full(reps, s0), level, tau,
-        RngSpec(3, 0).generator())
+        RngSpec(3, 0).generator(),
+        lambda t: log_cdf_head(t, params.p, params.r - 1))
     assert np.all(params.a + s[crossed] - t[crossed] == level)
     assert np.all(t[~crossed] == tau)
     for when, prob in law.items():
         hits = (~crossed if when is None else crossed & (t == when)).sum()
         lo, hi = wilson_interval(int(hits), reps, 5.0)
         assert lo <= prob <= hi, (when, prob, hits / reps)
+
+
+@pytest.mark.parametrize("params,t0,s0,level,tau,reps", [
+    (ModelParams(n=30, p=0.08, r=2, a=3), 2, 3, 1, 12, 20_000),
+    # tau close to n: the full event {T <= 9000} of the beta = 0.7 spec
+    (ModelParams(n=10_000, p=10_000 ** -0.7, r=2, a=40), 0, 0, 0, 9000, 2000),
+])
+def test_leap_to_level_table_lookup_matches_direct_evaluation(
+        params, t0, s0, level, tau, reps):
+    # log_cdf_head is elementwise, so a gather from its table over 0..tau
+    # must drive the same draws to the same states bit for bit
+    table = log_cdf_head(np.arange(tau + 1), params.p, params.r - 1)
+    runs = [_leap_to_level(params, np.full(reps, t0), np.full(reps, s0),
+                           level, tau, RngSpec(8, 0).generator(), log_q)
+            for log_q in (table.take,
+                          lambda t: log_cdf_head(t, params.p, params.r - 1))]
+    crossed = runs[0][0]
+    assert 0 < crossed.sum() < reps
+    for from_table, direct in zip(*runs):
+        np.testing.assert_array_equal(from_table, direct)
 
 
 def test_histogram_helper():

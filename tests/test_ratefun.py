@@ -107,6 +107,10 @@ def test_rate_J_validation():
     for alpha in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             rate_J(0.5, alpha, 2)
+    # (alpha/2 + x)^2 overflows a float from x ~ sqrt(DBL_MAX) - alpha/2
+    assert math.isfinite(rate_J(1.3e154, 2.0, 2)[1])
+    with pytest.raises(ParameterError, match="1.34078e"):
+        rate_J(1.35e154, 2.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +150,35 @@ def test_minimize_rate_validation():
     for alpha in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             minimize_rate(alpha, 2)
+    # at alpha = 1e9 the dip hugs 0 and x0 is within tol of it; from about
+    # 9e9 (r = 2) J's rise over tol is below its float spacing; at 1e30
+    # and 1e100 the bracket's float spacing exceeds the 1e-9 width target
+    assert 0.0 <= minimize_rate(1e9, 2)[0] <= 1e-6
+    for alpha in (1e10, 1e13, 1e30, 1e100):
+        with pytest.raises(ParameterError, match="cannot be resolved"):
+            minimize_rate(alpha, 2)
+
+
+def test_minimize_rate_small_tol_keeps_the_polished_minimizer():
+    # tol only gates the refusal: J values cannot certify widths below
+    # 1e-7, where the derivative polish has already placed x0
+    for alpha, r, x0, j0 in ((2.0, 2, 0.47221216146291445, 0.43843970548989514),
+                             (1.5, 3, 0.2475413855012479, 0.24263527672142238)):
+        for tol in (1e-9, 1e-8, 1e-7, 1e-6):
+            assert minimize_rate(alpha, r, tol=tol) == (x0, j0)
+    # the check still runs at width 1e-7: x0 = 1.8e-7 at alpha = 2e9 sits
+    # on J's float plateau over the true minimizer, about 0
+    assert minimize_rate(2e9, 2, tol=1e-6)[0] < 1e-6
+    with pytest.raises(ParameterError, match="resolved to 1e-07"):
+        minimize_rate(2e9, 2, tol=1e-9)
+
+
+def test_minimize_rate_polish_stays_in_the_domain():
+    # the golden bracket ends just right of 0 here, so the derivative
+    # polish starts below its 1e-9 step and must not probe J at x < 0
+    for alpha, r in ((52.974021939340595, 2), (7.31076466338304, 3)):
+        x0, j0 = minimize_rate(alpha, r)
+        assert 0.0 < x0 < 1e-6 and j0 == rate_J(x0, alpha, r)[1]
 
 
 # ---------------------------------------------------------------------------
