@@ -20,6 +20,10 @@
 All randomness flows through an RngSpec (seed, stream), so a replicate is
 reproducible bit-for-bit within one build.  Geometric variables are drawn
 by inversion of a single uniform, which makes coupling in p monotone.
+The graph, mark-chain and activation-time samplers run replicates in
+batches of about _BATCH_ELEMENTS elements per array, so each holds a few
+MB beyond its output at any replicate count; the budget moves the
+realised draws, not the law.
 """
 
 from __future__ import annotations
@@ -42,10 +46,14 @@ __all__ = [
 
 #: the graph sampler refuses instances above this node count
 GRAPH_NODE_CAP = 100_000
-#: the activation-time sampler refuses rows of more non-seed nodes (80 MB)
+#: the activation-time sampler refuses rows of more non-seed nodes; one
+#: replicate at the cap peaks near 3 x 80 MB (times, candidates and ramp)
 ACTIVATION_NODE_CAP = 10_000_000
 
-_BATCH_ELEMENTS = 8_000_000  # target elements per internal numpy batch
+#: array elements per batch of replicates (2 MB as float64); beyond its
+#: output a chunked sampler peaks below 6 * 8 * _BATCH_ELEMENTS bytes
+#: (12 MB) unless a single replicate outgrows the budget
+_BATCH_ELEMENTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,8 @@ def _check_replicates(replicates: int) -> None:
 
 def _chunks(replicates: int, elements_per_replicate):
     """Yield (start, size) runs of replicates holding about
-    _BATCH_ELEMENTS array elements each (at least one replicate)."""
+    _BATCH_ELEMENTS array elements each (at least one replicate), so
+    the budget bounds every array sized by a replicate's largest state."""
     chunk = max(1, int(_BATCH_ELEMENTS / max(1.0, elements_per_replicate)))
     for start in range(0, replicates, chunk):
         yield start, min(chunk, replicates - start)
@@ -90,28 +99,34 @@ def _as_generator(rng) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # geometric / r-th-success machinery
 
-def _geometric_inverse(u: np.ndarray, p: float) -> np.ndarray:
-    """Trials-to-first-success from uniforms via inversion; support {1,2,...}.
-
-    Monotone nonincreasing in p for fixed u.  p = 0 gives +inf, p = 1
-    gives 1.
-    """
-    if p == 0.0:
-        return np.full(u.shape, np.inf)
-    if p == 1.0:
-        return np.ones(u.shape)
+def _geometric_fill(buf: np.ndarray, p: float,
+                    gen: np.random.Generator) -> np.ndarray:
+    """Fill `buf` in place with trials to the first success, 1 +
+    floor(log1p(-u) / log1p(-p)) of uniforms u: monotone nonincreasing in
+    p for fixed u, +inf at p = 0 and 1 at p = 1."""
+    gen.random(out=buf)
+    if p in (0.0, 1.0):  # log1p(-p) is 0 or undefined
+        buf.fill(np.inf if p == 0.0 else 1.0)
+        return buf
+    np.negative(buf, out=buf)
+    np.log1p(buf, out=buf)
     # subnormal p overflows to an infinite time, which is the right answer
     with np.errstate(over="ignore"):
-        return 1.0 + np.floor(np.log1p(-u) / math.log1p(-p))
+        buf /= math.log1p(-p)
+    np.floor(buf, out=buf)
+    buf += 1.0
+    return buf
 
 
 def _rth_success_times(shape, r: int, p: float,
                        gen: np.random.Generator) -> np.ndarray:
-    """Trials to the r-th success, one per entry of an array of `shape`."""
-    y = np.zeros(shape)
+    """Trials to the r-th success, one per entry of an array of `shape`;
+    draws after the first pass through one reused buffer."""
+    y = _geometric_fill(np.empty(shape), p, gen)
+    buf = np.empty(shape) if r > 1 else None
     with np.errstate(over="ignore"):
-        for _ in range(r):
-            y += _geometric_inverse(gen.random(shape), p)
+        for _ in range(r - 1):
+            y += _geometric_fill(buf, p, gen)
     return y
 
 
@@ -126,10 +141,12 @@ def _stop_from_sorted_times(y_sorted: np.ndarray, n: int, a: int) -> np.ndarray:
     whose candidate precedes y_(k+1).  Always <= n because S(n) <= n - a.
     """
     reps, m = y_sorted.shape
-    pad = np.concatenate([
-        np.zeros((reps, 1)), y_sorted, np.full((reps, 1), np.inf)], axis=1)
-    cand = np.maximum(float(a) + np.arange(m + 1), pad[:, :m + 1])
-    valid = cand < pad[:, 1:]
+    cand = np.empty((reps, m + 1))
+    cand[:, 0] = a  # y_(0) = 0
+    np.maximum(np.arange(a + 1, a + m + 1, dtype=np.float64), y_sorted,
+               out=cand[:, 1:])
+    valid = np.ones((reps, m + 1), dtype=bool)  # y_(m+1) = inf
+    np.less(cand[:, :m], y_sorted, out=valid[:, :m])
     k_star = np.argmax(valid, axis=1)
     return cand[np.arange(reps), k_star].astype(np.int64)
 
@@ -151,6 +168,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
         y = _rth_success_times((size, m), r, p, gen)
         y.sort(axis=1)
         out[start:start + size] = _stop_from_sorted_times(y, n, a)
+        del y  # free this batch before the next one is drawn
     return out
 
 
@@ -214,7 +232,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)
-    for start, size in _chunks(replicates, n):
+    for start, size in _chunks(replicates, r + 2):
         counts = np.zeros((size, r), dtype=np.int64)  # inactive, by marks
         counts[:, 0] = n - a
         active = np.full(size, a, dtype=np.int64)
@@ -253,36 +271,46 @@ def _sample_edge_slots(total_slots: int, p: float,
     mean_gap = 1.0 / p
     while base < total_slots:
         want = max(64, int((total_slots - base) / mean_gap * 1.2) + 16)
-        gaps = _geometric_inverse(gen.random(want), p)
-        pos = base + np.cumsum(gaps) - 1
-        keep = pos[pos < total_slots]
-        positions.append(keep.astype(np.int64))
-        if len(keep) < len(pos):
+        pos = _geometric_fill(np.empty(want), p, gen)
+        np.cumsum(pos, out=pos)
+        pos += base - 1  # exact: kept positions are integers below 2^53
+        keep = np.searchsorted(pos, total_slots)  # pos ascends
+        positions.append(pos[:keep].astype(np.int64))
+        if keep < want:
             break
         base = int(pos[-1]) + 1
-    return np.concatenate(positions) if positions else np.empty(0, dtype=np.int64)
+    return positions[0] if len(positions) == 1 else np.concatenate(positions)
 
 
 def _slot_pairs(slots: np.ndarray, n: int):
     """Edge ends (u, v) of slot indices: slot k * C(n, 2) + s is the s-th
     pair i < j (row-major) of replicate k, whose node i is k * n + i."""
     pairs = n * (n - 1) // 2
-    rep, local = np.divmod(slots, pairs)
+    rep, v = np.divmod(slots, pairs)
     i = np.arange(n, dtype=np.int64)
     offsets = i * (2 * n - i - 1) // 2
-    u = np.searchsorted(offsets, local, side="right") - 1
-    v = local - offsets[u] + u + 1
-    return rep * n + u, rep * n + v
+    u = np.searchsorted(offsets, v, side="right") - 1
+    v -= offsets[u] - u - 1
+    rep *= n
+    u += rep
+    v += rep
+    return u, v
 
 
-def _draw_graphs(params: ModelParams, replicates: int, gen: np.random.Generator):
-    """Yield (start, size, u, v) per chunk of replicates: the edges of
-    `size` independent draws of G(n, p) as one disjoint union."""
+def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
+    """Per chunk of `size` replicates, draw the edges (u, v) of `size`
+    independent G(n, p) graphs as one disjoint union and keep the
+    `size` values reduce(u, v, size); returns all of them in order."""
+    _check_replicates(replicates)
+    _check_graph_cap(params.n)
+    gen = _as_generator(rng)
     n, p = params.n, params.p
     pairs = n * (n - 1) // 2
+    out = np.empty(replicates, dtype=np.int64)
     for start, size in _chunks(replicates, pairs * p + n):
-        yield (start, size,
-               *_slot_pairs(_sample_edge_slots(size * pairs, p, gen), n))
+        out[start:start + size] = reduce(
+            *_slot_pairs(_sample_edge_slots(size * pairs, p, gen), n), size)
+    return out
 
 
 def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
@@ -291,13 +319,12 @@ def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
     is k * n + i, seeds i < a); each generation every node activated in
     the last one sends one mark along each edge, and an inactive node
     with r marks activates.  Returns the per-replicate final sizes."""
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
     fresh = np.tile(np.arange(n) < a, reps)
     active = fresh.copy()
     marks = np.zeros(reps * n, dtype=np.int64)
     while fresh.any():
-        marks += np.bincount(dst[fresh[src]], minlength=reps * n)
+        marks += np.bincount(v[fresh[u]], minlength=reps * n)
+        marks += np.bincount(u[fresh[v]], minlength=reps * n)
         fresh = ~active & (marks >= r)
         active |= fresh
     return active.reshape(reps, n).sum(axis=1, dtype=np.int64)
@@ -312,16 +339,13 @@ def _check_graph_cap(n: int) -> None:
 
 def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of D_n draws (nodes of degree < r in G(n, p))."""
-    _check_replicates(replicates)
-    _check_graph_cap(params.n)
-    gen = _as_generator(rng)
-    n = params.n
-    out = np.empty(replicates, dtype=np.int64)
-    for start, size, u, v in _draw_graphs(params, replicates, gen):
-        deg = np.bincount(u, minlength=size * n) \
-            + np.bincount(v, minlength=size * n)
-        out[start:start + size] = (deg.reshape(size, n) < params.r).sum(axis=1)
-    return out
+    n, r = params.n, params.r
+
+    def low_degree(u, v, size):
+        deg = np.bincount(u, minlength=size * n)
+        deg += np.bincount(v, minlength=size * n)
+        return (deg.reshape(size, n) < r).sum(axis=1)
+    return _graph_batches(params, replicates, rng, low_degree)
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
@@ -332,14 +356,10 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     exchangeability the law of the final size is the same, and one
     randomness source less keeps coupling tests simple.
     """
-    _check_replicates(replicates)
-    _check_graph_cap(params.n)
-    gen = _as_generator(rng)
     n, r, a = params.n, params.r, params.a
-    out = np.empty(replicates, dtype=np.int64)
-    for start, size, u, v in _draw_graphs(params, replicates, gen):
-        out[start:start + size] = _vector_cascade_sizes(u, v, size, n, r, a)
-    return out
+    return _graph_batches(
+        params, replicates, rng,
+        lambda u, v, size: _vector_cascade_sizes(u, v, size, n, r, a))
 
 
 def final_size_from_edge_uniforms(n: int, r: int, a: int,

@@ -13,12 +13,13 @@ from bootperc.core import ModelParams, critical_quantities
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.montecarlo import wilson_interval
 from bootperc.oracle import brute_force_pmf, exact_pmf
+from bootperc import process
 from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               final_size_from_edge_uniforms,
                               final_sizes_activation, final_sizes_graph,
                               final_sizes_leap, final_sizes_markchain,
                               histogram, low_degree_counts, _leap_to_level,
-                              _rth_success_times)
+                              _rth_success_times, _stop_from_sorted_times)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
 
@@ -74,6 +75,37 @@ def test_rth_success_times_match_activation_law():
     gen = RngSpec(5, 0).generator()
     y = _rth_success_times(200_000, 2, 0.5, gen)
     assert (y <= 2).mean() == pytest.approx(0.25, abs=0.005)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.002, 0.4, 1.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rth_success_times_are_the_inversion_formula_bit_for_bit(p, r):
+    # sum over r of 1 + floor(log1p(-u) / log1p(-p)), one fresh array of
+    # uniforms per term in the same order; p = 0 and p = 1 give +inf and
+    # 1, a subnormal p overflows to +inf
+    shape = (7, 13)
+    got = _rth_success_times(shape, r, p, RngSpec(31, 4).generator())
+    gen = RngSpec(31, 4).generator()
+    want = np.zeros(shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_q = np.log1p(-np.float64(p))
+        for _ in range(r):
+            want += 1.0 + np.floor(np.log1p(-gen.random(shape)) / log_q)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_stop_from_sorted_times_matches_a_plain_loop():
+    gen = np.random.default_rng(12)
+    for _ in range(200):
+        reps, m, a = (int(k) for k in gen.integers([1, 1, 0], [5, 9, 5]))
+        n = a + m
+        y = gen.integers(1, n + 4, size=(reps, m)).astype(float)
+        y[gen.random((reps, m)) < 0.2] = np.inf  # nodes that never activate
+        y.sort(axis=1)
+        want = [next(t for t in range(n + 1) if a + (row <= t).sum() <= t)
+                for row in y]
+        np.testing.assert_array_equal(_stop_from_sorted_times(y, n, a), want)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +205,41 @@ def test_activation_guard_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _poisson_rule_instance(n):
+    """Criterion-4 rule p = (log n + log log n - log 2)/n, a = ceil(2 a_c)."""
+    p = (math.log(n) + math.log(math.log(n)) - math.log(2)) / n
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
+    return ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
+
+
+#: the bound stated at process._BATCH_ELEMENTS: beyond its output, a
+#: chunked sampler peaks below this many batch budgets of 2^18 float64
+WORKING_SET_BUDGETS = 6
+BATCH_BYTES = 8 * 2 ** 18
+
+
+@pytest.mark.parametrize("batch, params, replicates", [
+    (final_sizes_activation, _poisson_rule_instance(2000), 300),
+    (final_sizes_graph, _poisson_rule_instance(2000), 60),
+    (low_degree_counts, _poisson_rule_instance(2000), 60),
+    # the mark chain keeps O(r) counts per replicate at any n, so it takes
+    # many replicates of a small instance to fill two batches
+    (final_sizes_markchain, P6, 400_000),
+], ids=["activation", "graph", "low_degree", "markchain"])
+def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
+                                                    replicates):
+    # each case spans two or more batches of process._BATCH_ELEMENTS
+    tracemalloc.start()
+    try:
+        sizes = batch(params, replicates, RngSpec(3, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = (peak - sizes.nbytes) / BATCH_BYTES
+    assert held < WORKING_SET_BUDGETS, f"{held:.2f} budgets"
+    assert 8 * process._BATCH_ELEMENTS <= BATCH_BYTES
 
 
 def test_leap_sampler_tabulates_nothing_over_n():
