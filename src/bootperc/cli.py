@@ -69,7 +69,7 @@ def _emit_csv(args, header: list, rows) -> None:
 def _parse_ladder(text: str) -> list:
     try:
         return [int(float(tok)) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParameterError(f"bad ladder {text!r}") from exc
 
 
@@ -89,7 +89,8 @@ def _params(args) -> ModelParams:
 # command bodies
 
 def cmd_critical(args) -> int:
-    params = ModelParams(n=args.n, p=args.p, r=args.r, a=args.a or 1)
+    params = ModelParams(n=args.n, p=args.p, r=args.r,
+                         a=1 if args.a is None else args.a)
     crit = critical_quantities(params)
     result = {"t_c": crit.t_c, "a_c": crit.a_c, "b_c": crit.b_c,
               "b_c_prime": crit.b_c_prime, "ln_b_c": crit.log_b_c,
@@ -268,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("rate", help="minimize the early-stop rate J")
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--tol", type=float, default=1e-6,
+                   help="in (0, 1e-3]; x0 is resolved to a few ulps "
+                   "whatever it is")
     s.add_argument("--curve-out", default=None)
     s.add_argument("--curve-points", type=int, default=200)
     s.add_argument("--curve-max", type=float, default=None)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,8 +36,8 @@ __all__ = [
     "BetweenAcNpAndN", "TailExponent", "family_from_string",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CEIL_TIE = 1e-9
+_TINY = 5e-324  # the smallest positive double
 
 
 def entropy_H(x: float) -> float:
@@ -67,14 +68,13 @@ def _h_fun(x: float, alpha: float, r: int) -> float:
 
 
 def _check_supercritical(alpha: float, r: int) -> None:
+    """Refuse alpha outside (1, inf) and r < 2.  An alpha too large for
+    h to fit a float is refused where h is evaluated, by _h_fun."""
     if not 1.0 < alpha < math.inf:
         raise ParameterError(
             f"the rate function needs a finite supercritical alpha > 1, got {alpha!r}")
     if r < 2:
         raise ParameterError("r must be >= 2")
-    # minimize_rate's first probes of [0, alpha/r] end at this x, so an
-    # alpha too large for them is refused here, naming the x that fits
-    _h_fun(_INV_PHI * (alpha / r), alpha, r)
 
 
 def rate_J(x: float, alpha: float, r: int):
@@ -100,79 +100,59 @@ def _ceil_tied(y: float) -> float:
     return float(max(ceil, 1) if y > 0.0 else ceil)
 
 
+def _float_bits(x: float) -> int:
+    # the bit patterns of nonnegative doubles are ordered like their values
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
     """Locate the unique minimizer x0 of J on [0, alpha/r].
 
-    J'(0+) = -inf and J'(alpha/r) > 0 with strict convexity between, so
-    the minimum is interior; golden-section on [0, alpha/r], then
-    bisection on the central-difference derivative sign to polish well
-    below tol.  The bracket must include 0: for large alpha**(r-1) the
-    dip sits at x ~ h(0) exp(-h'(0)), which can lie below any positive
-    floor even though the infimum value J(0+) stays perfectly computable.
-    Both loops stop on a few float spacings where those exceed their
-    width targets.  An alpha whose x0 cannot be resolved to max(tol,
-    1e-7), because J's dip is below J's float spacing, is refused (at
-    tol = 1e-6 from about alpha = 3e9 to 9e9 for r = 2..6).  Returns
-    (x0, J(x0)).
+    With u = alpha(1 - 1/r) + x and w = x/h, J'(x) is proportional to
+    h'(x)(1 - w) + log w: -inf at 0+, positive at alpha/r, one sign change
+    between.  Its sign is bisected on (5e-324, alpha/r) down to two
+    adjacent floats, over the ordered bit patterns of the doubles, so it
+    takes at most 63 steps wherever the root lies.  The sign test compares
+    h'(1 - w) with -log w in logs, log w = log x - r log u + log r, so
+    nothing overflows or underflows before h itself is evaluated.  For large
+    alpha**(r-1) the dip sits at x ~ h(0) exp(-h'(0)), which can lie below
+    the smallest double; then x0 = 5e-324 and J(x0) = r/(r-1) h(0), the
+    infimum J(0+).  x0 is resolved to a few ulps whatever tol is: the
+    sign test's rounding leaves log x0 within a few dozen ulps of
+    max(1, |log x0|), within 1e-14 relative at ordinary alpha.  tol is only
+    range-checked, to (0, 1e-3].  Returns (x0, J(x0)) with J(x0) from
+    rate_J, whose h overflow refuses alpha too large for a float.
     """
     _check_supercritical(alpha, r)
     if not 0.0 < tol <= 1e-3:
         raise ParameterError("tol must lie in (0, 1e-3]")
+    shift = alpha * (1.0 - 1.0 / r)
+    log_r = math.log(r)
 
-    def j(x: float) -> float:
-        return rate_J(x, alpha, r)[1]
+    def rising(x: float) -> bool:
+        # J'(x) >= 0, i.e. log h' + log(1 - w) >= log(-log w); a log w
+        # that rounds to >= 0 can only occur near alpha/r at alpha within
+        # ulps of 1, where log(-log w) is undefined
+        log_u = math.log(shift + x)
+        log_w = math.log(x) - r * log_u + log_r
+        return log_w >= 0.0 or (r - 1) * log_u \
+            + math.log1p(-math.exp(log_w)) >= math.log(-log_w)
 
-    a, b = 0.0, alpha / r
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = j(c), j(d)
-    # far below tol on purpose: when the dip hugs 0 the bracket midpoint
-    # is the answer and its J value must match the infimum tightly
-    golden_target = 1e-9
-    # a few float spacings at b as well: where they exceed the target
-    # the width could never reach it
-    while b - a > max(golden_target, 4.0 * math.ulp(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = j(c)
+    lo, hi = _float_bits(_TINY), _float_bits(alpha / r)
+    if rising(_TINY):
+        hi = lo  # the dip lies below the smallest double
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rising(_bits_float(mid)):
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = j(d)
-
-    def dj(x: float) -> float:
-        # step relative to x: J''' grows like 1/x toward 0, so a fixed
-        # step would bias the difference quotient there; at most x, so
-        # the left probe stays in J's domain
-        step = min(max(x * 1e-3, 1e-9), x)
-        return (j(x + step) - j(x - step)) / (2.0 * step)
-
-    lo = max(a - golden_target, golden_target / 4.0)
-    hi = min(b + golden_target, alpha / r)
-    if a > 0.0 and lo < hi and dj(lo) < 0.0 < dj(hi):
-        while hi - lo > max(1e-12, 4.0 * math.ulp(hi)):
-            mid = 0.5 * (lo + hi)
-            if dj(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        a, b = lo, hi
-    x0 = 0.5 * (a + b)
-    j0 = j(x0)
-    # J must rise within `width` of x0 on each side that is not an end of
-    # [0, alpha/r]; a tie means J's dip is below its float spacing (J
-    # grows like alpha**r) and x0 is rounding noise.  Any dip's rise
-    # J'' dx**2 / 2 sinks below J's float spacing from dx ~ 1e-8, so J
-    # values can only certify widths from 1e-7 up; a smaller tol gets
-    # the polished x0 with that check
-    width = max(tol, 1e-7)
-    if (x0 - width > 0.0 and j(x0 - width) <= j0) \
-            or (x0 + width < alpha / r and j(x0 + width) <= j0):
-        raise ParameterError(
-            f"alpha = {alpha!r} is too large: at r = {r} J's minimizer "
-            f"cannot be resolved to {width!r} in float arithmetic")
-    return x0, j0
+            lo = mid
+    x0 = _bits_float(hi)
+    return x0, rate_J(x0, alpha, r)[1]
 
 
 @lru_cache(maxsize=256)

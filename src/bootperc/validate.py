@@ -72,14 +72,17 @@ def _check_bounds():
 def _check_samplers():
     params = ModelParams(n=5, p=0.3, r=2, a=2)
     bf = brute_force_pmf(params)
-    sizes = final_sizes_activation(params, 40_000, RngSpec(7, 0))
-    counts = np.bincount(sizes, minlength=6)[2:6] / 40_000
-    tv = 0.5 * sum(abs(counts[k - 2] - bf.prob(k)) for k in range(2, 6))
+    reps = 40_000
+    sizes = final_sizes_activation(params, reps, RngSpec(7, 0))
+    counts = np.bincount(sizes, minlength=6)
+    tv = 0.5 * sum(abs(counts[k] / reps - bf.prob(k)) for k in range(2, 6))
     if tv > 0.02:
         return False, f"TV distance {tv:.4f} > 0.02"
-    lo, hi = wilson_interval(int(round(counts[3] * 40_000)), 40_000)
-    if not lo <= bf.prob(5) + 0.02:
-        return False, "full-percolation mass far from enumeration"
+    for k in range(2, 6):
+        lo, hi = wilson_interval(int(counts[k]), reps, 5.0)
+        if not lo <= bf.prob(k) <= hi:
+            return False, (f"P(A* = {k}) = {bf.prob(k):.4f} outside the "
+                           f"5-sigma interval [{lo:.4f}, {hi:.4f}]")
     return True, f"activation sampler within TV {tv:.4f} of enumeration"
 
 

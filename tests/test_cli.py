@@ -283,6 +283,17 @@ def test_exit_code_validation_errors(tmp_path):
     # as is one whose h(x) = (alpha (1 - 1/r) + x)^r / r overflows a float
     for alpha in ["inf", "nan", "1e200"]:
         assert main(["rate", "--alpha", alpha, "--r", "2", "--out", out]) == 2
+    assert main(["rate", "--alpha", "1e200", "--r", "3", "--out", out]) == 2
+    # a ladder entry that is no finite integer
+    for ladder in ["1e400", "inf", "nan"]:
+        assert main(["regime", "--spec", spec, "--ladder", f"100,{ladder}",
+                     "--out", out]) == 2
+        assert main(["tail", "study", "--spec", spec, "--family",
+                     "between_acnp_n", "--eps", "0.5", "--ladder", ladder,
+                     "--out", out]) == 2
+    # only an absent --a defaults to one seed
+    assert main(["critical", "--n", "100", "--p", "0.1", "--r", "2",
+                 "--a", "0", "--out", out]) == 2
     # a spec file whose r is not an integer
     bad.write_text(json.dumps(SPEC_07 | {"r": "abc"}))
     assert main(["regime", "--spec", str(bad), "--out", out]) == 2
@@ -317,22 +328,30 @@ def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):
     assert curve.read_text().count("\n") == 4
 
 
-def test_rate_huge_alpha_is_refused_promptly():
-    # J ~ 2.5e59 at alpha = 1e30 hides its dip below the float spacing,
-    # and the golden bracket at 5e29 can never narrow to an absolute 1e-9
+def test_rate_huge_alpha_returns_promptly():
+    # J's dip at alpha = 1e30 lies below the smallest double, so x0 is
+    # 5e-324 and J(x0) = 2 h(0) = 2.5e59
     src = str(Path(bootperc.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "bootperc.cli", "rate", "--alpha", "1e30",
          "--r", "2"], capture_output=True, text=True, env=env, timeout=30)
-    assert proc.returncode == 2, proc.stderr
-    assert "cannot be resolved" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert float(result["x0"]) == 5e-324
+    assert float(result["J_x0"]) == pytest.approx(2.5e59, rel=1e-15)
 
 
 def test_rate_rejects_subcritical(tmp_path):
     assert main(["rate", "--alpha", "1.0", "--r", "2",
                  "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_validate_all_suites_pass(capsys):
+    assert main(["validate", "--suite", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
 
 
 def test_validate_list(capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bootperc.ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN,
                               BetweenBcAndAcNp, Const, ScalingFamily,
                               entropy_H, family_from_string, ldp_rate_value,
                               minimize_rate, rate_J, tail_exponent)
+from bootperc.ratefun import _h_fun
 
 REG_BC_INF = BcDiverges()
 REG_BC_FIN = BcFinite(b=2.0)
@@ -150,32 +153,95 @@ def test_minimize_rate_validation():
     for alpha in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             minimize_rate(alpha, 2)
-    # at alpha = 1e9 the dip hugs 0 and x0 is within tol of it; from about
-    # 9e9 (r = 2) J's rise over tol is below its float spacing; at 1e30
-    # and 1e100 the bracket's float spacing exceeds the 1e-9 width target
+    # from about alpha = 1e9 (r = 2) the dip x ~ h(0) exp(-h'(0)) lies
+    # below the smallest double, so x0 = 5e-324 carries J(0+) = 2 h(0)
     assert 0.0 <= minimize_rate(1e9, 2)[0] <= 1e-6
     for alpha in (1e10, 1e13, 1e30, 1e100):
-        with pytest.raises(ParameterError, match="cannot be resolved"):
-            minimize_rate(alpha, 2)
+        h0 = rate_J(0.0, alpha, 2)[0]
+        assert minimize_rate(alpha, 2) == (5e-324, 2.0 * h0)
 
 
-def test_minimize_rate_small_tol_keeps_the_polished_minimizer():
-    # tol only gates the refusal: J values cannot certify widths below
-    # 1e-7, where the derivative polish has already placed x0
-    for alpha, r, x0, j0 in ((2.0, 2, 0.47221216146291445, 0.43843970548989514),
-                             (1.5, 3, 0.2475413855012479, 0.24263527672142238)):
-        for tol in (1e-9, 1e-8, 1e-7, 1e-6):
-            assert minimize_rate(alpha, r, tol=tol) == (x0, j0)
-    # the check still runs at width 1e-7: x0 = 1.8e-7 at alpha = 2e9 sits
-    # on J's float plateau over the true minimizer, about 0
-    assert minimize_rate(2e9, 2, tol=1e-6)[0] < 1e-6
-    with pytest.raises(ParameterError, match="resolved to 1e-07"):
-        minimize_rate(2e9, 2, tol=1e-9)
+def test_minimize_rate_does_not_depend_on_tol():
+    # x0 is resolved to adjacent floats; tol is only range-checked
+    for alpha, r in ((2.0, 2), (1.5, 3), (5.0, 4), (2e9, 2)):
+        results = {minimize_rate(alpha, r, tol=tol)
+                   for tol in (1e-9, 1e-8, 1e-7, 1e-6)}
+        assert len(results) == 1
+
+
+# 60-digit roots of the closed form h'(x)(1 - x/h) + log(x/h) = 0
+_X0_ROOTS = {
+    (2.0, 2): 0.472212150452149555710803049039868004466021010699595652661652,
+    (5.0, 2): 0.294798435941527046149527905398044865786335657498205102323315,
+    (1.5, 3): 0.247541396944829199256197946246025831451346547925861938559340,
+    (2.0, 5): 0.00290135848040487822754102569377888658538835975882026443704516,
+    (5.0, 4): 6.19180129194531052839981371505771791186609614548399307266580e-22,
+}
+
+
+@pytest.mark.parametrize("alpha,r", sorted(_X0_ROOTS))
+def test_minimize_rate_matches_closed_form_root(alpha, r):
+    x0, j0 = minimize_rate(alpha, r)
+    assert x0 == pytest.approx(_X0_ROOTS[alpha, r], rel=1e-14, abs=0.0)
+    assert j0 == rate_J(x0, alpha, r)[1]
+
+
+def test_minimize_rate_tiny_dip_carries_j_at_zero():
+    # x0 = 6.2e-22 at (5, 4): J is J(0+) = r/(r-1) h(0) to the last bit
+    x0, j0 = minimize_rate(5.0, 4)
+    assert x0 < 1e-20
+    assert j0 == 4 / 3 * rate_J(0.0, 5.0, 4)[0]
+
+
+def _dj_exact(x, alpha, r):
+    """h'(x)(1 - w) + log w, w = x/h, to 40 digits: J'(x) up to a positive
+    factor, at the exact binary values of x and alpha."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x, alpha = Decimal(x), Decimal(alpha)
+        u = alpha * (1 - Decimal(1) / r) + x
+        w = x * r / u ** r
+        return u ** (r - 1) * (1 - w) + w.ln()
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(1.01, 1e12), r=st.integers(2, 12))
+def test_closed_form_dj_changes_sign_at_the_minimizer(alpha, r):
+    x0, _ = minimize_rate(alpha, r)
+    if x0 == 5e-324:
+        assert _dj_exact(x0, alpha, r) >= 0
+        return
+    # the float sign test rounds log x0, so it places log x0 within a few
+    # dozen ulps of max(1, |log x0|) of the root; subnormal x0 are coarser
+    spread = max(x0 * 64 * math.ulp(max(1.0, -math.log(x0))),
+                 4 * math.ulp(x0))
+    assert _dj_exact(max(x0 - spread, 5e-324), alpha, r) < 0
+    assert _dj_exact(x0 + spread, alpha, r) > 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8, 12])
+def test_minimize_rate_answers_until_h_overflows(r):
+    # every alpha either returns or is refused by _h_fun, and only where
+    # h(0) itself overflows; every alpha the minimizer can answer is answered
+    edge = math.exp(math.log(sys.float_info.max) / r) * r / (r - 1)
+    alphas = list(np.geomspace(1.01, 1e308, 400)) \
+        + [edge * (1 + d) for d in (-1e-12, -1e-15, 0.0, 1e-15, 1e-12)] \
+        + [math.nextafter(1.0, 2.0), 1.0 + 1e-12, sys.float_info.max]
+    for alpha in map(float, alphas):
+        try:
+            h0 = _h_fun(0.0, alpha, r)
+        except ParameterError:
+            with pytest.raises(ParameterError, match="overflows"):
+                minimize_rate(alpha, r)
+            continue
+        x0, j0 = minimize_rate(alpha, r)
+        assert 0.0 < x0 <= alpha / r
+        assert math.isfinite(j0) and j0 <= r / (r - 1) * h0
 
 
 def test_minimize_rate_polish_stays_in_the_domain():
-    # the golden bracket ends just right of 0 here, so the derivative
-    # polish starts below its 1e-9 step and must not probe J at x < 0
+    # x0 lies just right of 0 here; it must stay in J's domain and carry
+    # J(x0) itself
     for alpha, r in ((52.974021939340595, 2), (7.31076466338304, 3)):
         x0, j0 = minimize_rate(alpha, r)
         assert 0.0 < x0 < 1e-6 and j0 == rate_J(x0, alpha, r)[1]
