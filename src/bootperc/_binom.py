@@ -138,6 +138,19 @@ def log_cdf_array(m: int, q: float) -> np.ndarray:
     return np.logaddexp.accumulate(log_pmf_array(m, q))
 
 
+def _log_head_terms(m: np.ndarray, q: float, k: int) -> np.ndarray:
+    """c[..., j - 1] = log C(m, j) + j log(q / (1 - q)) for j = 1..k, with
+    C(m, j) as the falling factorial prod_{i<j} (m - i) / j!; 0 < q < 1."""
+    i = np.arange(k)
+    c = m[..., None] - i
+    np.maximum(c, 0.0, out=c)
+    c /= i + 1.0
+    with np.errstate(divide="ignore"):  # C(m, j) = 0 once j > m
+        np.log(c, out=c)
+    c += math.log(q) - math.log1p(-q)
+    return np.cumsum(c, axis=-1, out=c)
+
+
 def log_cdf_head(m, q: float, k: int) -> np.ndarray:
     """log P(Bin(m, q) <= k) for an array (or scalar) of trial counts `m`;
     meant for small k, such as the r - 1 marks an inactive node may hold.
@@ -152,14 +165,28 @@ def log_cdf_head(m, q: float, k: int) -> np.ndarray:
         return np.zeros(m.shape)
     if q == 1.0:
         return np.where(m <= k, 0.0, -np.inf)
-    # c[j - 1] = log C(m, j) + j log(q / (1 - q)) for j = 1..k
-    i = np.arange(k)
-    with np.errstate(divide="ignore"):  # C(m, j) = 0 once j > m
-        c = np.cumsum(np.log(np.maximum(m[..., None] - i, 0.0) / (i + 1.0))
-                      + (math.log(q) - math.log1p(-q)), axis=-1)
+    c = _log_head_terms(m, q, k)
     # log(1 + sum_j e^c[j]) around the largest of 0 and the c[j]
     top = c.max(axis=-1, initial=0.0)
     rest = np.exp(c - top[..., None]).sum(axis=-1)
     return m * math.log1p(-q) + np.where(
         top > 0.0, top + np.log(np.exp(-top) + rest), np.log1p(rest))
 
+
+def log_cdf_heads(m, q: float, k: int) -> np.ndarray:
+    """log P(Bin(m, q) <= d) for d = 0..k along a new first axis, from
+    one pass over the head terms of log_cdf_head: the prefix sums
+    log(1 + sum_{j <= d} C(m, j) (q / (1 - q))^j) are one logaddexp
+    accumulation, so no prefix underflows against a larger one."""
+    m = np.asarray(m, dtype=np.float64)
+    d = np.arange(k + 1).reshape((k + 1,) + (1,) * m.ndim)
+    if q == 0.0:
+        return np.zeros(d.shape[:1] + m.shape)
+    if q == 1.0:
+        return np.where(m <= d, 0.0, -np.inf)
+    out = np.empty(d.shape[:1] + m.shape)
+    out[0] = 0.0
+    out[1:] = np.moveaxis(_log_head_terms(m, q, k), -1, 0)
+    np.logaddexp.accumulate(out, axis=0, out=out)
+    out += m * math.log1p(-q)
+    return out

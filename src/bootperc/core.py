@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -29,6 +30,17 @@ __all__ = [
 ]
 
 
+def _check_r(r) -> None:
+    """Refuse an r that is no integer >= 2, or too large for a float
+    (every formula in r, from lgamma(r) to 1/r, takes it as a float)."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 2:
+        raise ParameterError(f"r must be an integer >= 2, got {r!r}")
+    if r > sys.float_info.max:
+        raise ParameterError(
+            f"r must fit a float (at most {sys.float_info.max:.4g}), "
+            f"got one of {len(str(r))} digits")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """One finite instance (n, p, r, a) of the percolation model.
@@ -45,8 +57,7 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n}")
-        if not isinstance(self.r, int) or self.r < 2:
-            raise ParameterError(f"r must be an integer >= 2, got {self.r}")
+        _check_r(self.r)
         if not isinstance(self.a, int) or not 1 <= self.a <= self.n:
             raise ParameterError(f"a must satisfy 1 <= a <= n, got {self.a}")
         if not 0.0 <= self.p <= 1.0:
@@ -195,8 +206,7 @@ class SequenceSpec:
         if not isinstance(self.rule, str) or self.rule not in _P_RULES:
             raise ParameterError(
                 f"unknown p-rule {self.rule!r}; choose from {tuple(_P_RULES)}")
-        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 2:
-            raise ParameterError(f"r must be an integer >= 2, got {self.r!r}")
+        _check_r(self.r)
         if self.alpha is not None and not (_finite_number(self.alpha)
                                            and self.alpha > 0):
             raise ParameterError(

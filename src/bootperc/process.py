@@ -5,7 +5,11 @@
   engine runs ``oracle.brute_force_pmf`` and the coupled edge-uniform
   cascade);
 * mark chain: one active node is used per time step and sends Bernoulli(p)
-  marks to the inactive nodes; a node activates at its r-th mark;
+  marks to the inactive nodes; a node activates at its r-th mark.  It
+  keeps the inactive nodes counted by marks held and leaps over each
+  stretch where it cannot stop: the M = A - t steps of a leap give every
+  inactive node Bin(M, p) marks at once, so a replicate costs a few dozen
+  leaps of r(r + 1)/2 binomial draws at any n;
 * activation times: each non-seed node gets an i.i.d. r-th-success time
   Y_i, and the stop time is read off the order statistics in one sweep;
 * leap: the count chain S(t) jumps over every stretch where it cannot
@@ -34,7 +38,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._binom import log_cdf_head
+from ._binom import log_cdf_head, log_cdf_heads
 from .core import ModelParams
 from .errors import MemoryGuardError, ParameterError
 
@@ -226,31 +230,75 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mark-chain sampler
 
+def _leap_chances(margin: np.ndarray, p: float, r: int):
+    """(act, up) for mark-chain leaps of `margin` steps, G ~ Bin(M, p):
+    act[d] = P(G > d) for d = 0..r-1 and up[d - 1] = P(G = d | G <= d)
+    for d = 1..r-1.  F(d) = 0 leaves nobody to split; fmin maps the NaN
+    of -inf - -inf to a zero chance."""
+    log_f = log_cdf_heads(margin, p, r - 1)
+    with np.errstate(invalid="ignore"):
+        up = np.subtract(log_f[:-1], log_f[1:])
+    for x in (log_f, up):  # in place: -expm1(min(x, 0)), NaN to 0
+        np.fmin(x, 0.0, out=x)
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+    return log_f, up
+
+
 def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarray:
-    """Batch of A* values from the used-node reformulation."""
+    """Batch of A* values from the used-node reformulation, leaping over
+    each stretch where it cannot stop.
+
+    From (t, A, counts) with margin M = A - t > 0 the chain runs M more
+    steps before it can stop, so the M steps are one draw: an inactive
+    node holding j marks gains G ~ Bin(M, p) and activates iff
+    j + G >= r.  Per level j the activations are Bin(c_j, 1 - F(r-1-j)),
+    F(d) = P(G <= d), and the rest are split from the top down, Bin with
+    chance 1 - F(d-1)/F(d) of having gained exactly d.  After the leap
+    t = A and the margin is the number activated, so a leap that
+    activates nobody stops the replicate at A* = A.  Exact in law.
+    """
     _check_replicates(replicates)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)
-    for start, size in _chunks(replicates, r + 2):
-        counts = np.zeros((size, r), dtype=np.int64)  # inactive, by marks
-        counts[:, 0] = n - a
+    # batched by a leap's working set, not the chain's r + 2 counts: at its
+    # peak a leap holds the counts before and after compaction, log F and
+    # the split chances, about 6r + 6 numbers per chain (1.6 budgets)
+    for start, size in _chunks(replicates, 4 * r + 4):
+        res = out[start:start + size]
+        idx = np.arange(size)
         active = np.full(size, a, dtype=np.int64)
-        alive = np.ones(size, dtype=bool)
-        t = 0
-        while alive.any():
-            t += 1
-            gate = alive.astype(np.int64)
-            promoted = gen.binomial(counts[:, r - 1] * gate, p)
-            # top level first so one mark cannot move a node twice in a step
-            for j in range(r - 2, -1, -1):
-                moved = gen.binomial(counts[:, j] * gate, p)
-                counts[:, j] -= moved
-                counts[:, j + 1] += moved
-            counts[:, r - 1] -= promoted
-            active += promoted
-            alive &= active > t
-        out[start:start + size] = active
+        margin = np.full(size, a, dtype=np.int64)  # t = active - margin
+        counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
+        counts[0] = n - a
+        while idx.size:
+            # the law of a leap depends on its margin alone; where the
+            # margins span fewer values than there are chains, gather
+            # from a table over 0..max margin (same values, bit for bit)
+            m_hi = int(margin.max())
+            if m_hi < margin.size:
+                act, up = _leap_chances(np.arange(m_hi + 1), p, r)
+                act, up = act.take(margin, axis=1), up.take(margin, axis=1)
+            else:
+                act, up = _leap_chances(margin, p, r)
+            gained = 0
+            # top level first: nodes move up onto levels already drawn
+            for j in range(r - 1, -1, -1):
+                rest = counts[j]
+                hit = gen.binomial(rest, act[r - 1 - j])
+                gained = gained + hit
+                rest -= hit
+                for d in range(r - 1 - j, 0, -1):
+                    moved = gen.binomial(rest, up[d - 1])
+                    rest -= moved
+                    counts[j + d] += moved
+            active += gained
+            done = gained == 0
+            res[idx[done]] = active[done]
+            keep = np.flatnonzero(gained)
+            idx, active, margin, counts = (
+                idx[keep], active[keep], gained[keep], counts[:, keep])
     return out
 
 
@@ -284,12 +332,24 @@ def _sample_edge_slots(total_slots: int, p: float,
 
 def _slot_pairs(slots: np.ndarray, n: int):
     """Edge ends (u, v) of slot indices: slot k * C(n, 2) + s is the s-th
-    pair i < j (row-major) of replicate k, whose node i is k * n + i."""
+    pair i < j (row-major) of replicate k, whose node i is k * n + i.
+
+    Row i starts at offsets[i] = i (2n - i - 1) / 2, whose inverse is
+    u = floor(((2n - 1) - sqrt((2n - 1)^2 - 8s)) / 2).  In floats that
+    root is off by far less than one, so one integer correction each way
+    against the offsets gives the row exactly (offsets[n] = C(n, 2))."""
     pairs = n * (n - 1) // 2
     rep, v = np.divmod(slots, pairs)
-    i = np.arange(n, dtype=np.int64)
+    i = np.arange(n + 1, dtype=np.int64)
     offsets = i * (2 * n - i - 1) // 2
-    u = np.searchsorted(offsets, v, side="right") - 1
+    w = 2 * n - 1
+    root = np.sqrt(w * w - 8 * v)  # float64, exact below 2^53
+    np.subtract(w, root, out=root)
+    root *= 0.5
+    u = np.floor(root, out=root).astype(np.int64)
+    del root
+    u += offsets[u + 1] <= v
+    u -= offsets[u] > v
     v -= offsets[u] - u - 1
     rep *= n
     u += rep

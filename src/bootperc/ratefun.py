@@ -68,13 +68,14 @@ def _h_fun(x: float, alpha: float, r: int) -> float:
 
 
 def _check_supercritical(alpha: float, r: int) -> None:
-    """Refuse alpha outside (1, inf) and r < 2.  An alpha too large for
-    h to fit a float is refused where h is evaluated, by _h_fun."""
+    """Refuse alpha outside (1, inf) and r outside [2, the largest float].
+    An alpha too large for h to fit a float is refused where h is
+    evaluated, by _h_fun."""
     if not 1.0 < alpha < math.inf:
         raise ParameterError(
             f"the rate function needs a finite supercritical alpha > 1, got {alpha!r}")
-    if r < 2:
-        raise ParameterError("r must be >= 2")
+    if not 2 <= r <= sys.float_info.max:
+        raise ParameterError(f"r must lie in [2, {sys.float_info.max:.4g}]")
 
 
 def rate_J(x: float, alpha: float, r: int):

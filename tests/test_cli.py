@@ -297,6 +297,14 @@ def test_exit_code_validation_errors(tmp_path):
     # a spec file whose r is not an integer
     bad.write_text(json.dumps(SPEC_07 | {"r": "abc"}))
     assert main(["regime", "--spec", str(bad), "--out", out]) == 2
+    # an r too large for a float is refused before any formula or array
+    huge_r = "1" + "0" * 400
+    for argv in (["critical", "--n", "100", "--p", "0.1"],
+                 ["rate", "--alpha", "2"],
+                 ["simulate", "--sampler", "markchain", "--n", "6", "--p",
+                  "0.4", "--a", "2", "--replicates", "10"],
+                 ["exact", "--n", "6", "--p", "0.4", "--a", "2"]):
+        assert main(argv + ["--r", huge_r, "--out", out]) == 2, argv[0]
 
 
 def test_exit_code_model_refusals(tmp_path):

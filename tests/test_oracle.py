@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootperc._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
-                            log_pmf_array)
+                            log_cdf_heads, log_pmf_array)
 from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
                            log_inactive_prob)
 from bootperc.errors import MemoryGuardError, ParameterError
@@ -346,3 +346,16 @@ def test_log_cdf_head_matches_scalar_log_inactive_prob(p, r):
         assert value == pytest.approx(want, rel=1e-14, abs=1e-14), (ti, value)
         assert log_inactive_prob(ti, p, r) == pytest.approx(
             want, rel=1e-14, abs=1e-14), ti
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
+def test_log_cdf_heads_match_exact_prefix_heads(p):
+    # every prefix d = 0..k of one accumulation, against exact rationals
+    m = [0, 1, 2, 3, 4, 5, 7, 10, 30, 100, 1000]
+    k = 3
+    got = log_cdf_heads(np.array(m), p, k)
+    assert got.shape == (k + 1, len(m))
+    for d in range(k + 1):
+        for mi, value in zip(m, got[d].tolist()):
+            want = _exact_log_cdf_head(mi, p, d)
+            assert value == pytest.approx(want, rel=1e-14, abs=1e-14), (d, mi)

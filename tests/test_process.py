@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency
 
 from bootperc._binom import log_binom_cdf, log_cdf_head
 from bootperc.core import ModelParams, critical_quantities
@@ -69,6 +69,19 @@ def test_markchain_hand_enumeration():
                                   40_000, RngSpec(21, 0))
     frac = (sizes == 3).mean()
     assert frac == pytest.approx(0.25, abs=0.01)
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.003, 0.4, 1.0])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_markchain_leap_chances_gather_equals_direct_evaluation(p, r):
+    # the sampler gathers them from a table over 0..max margin when that
+    # is shorter than the batch, so both must give the same draws
+    margin = np.random.default_rng(r).integers(1, 300, size=1000)
+    direct = process._leap_chances(margin, p, r)
+    table = process._leap_chances(np.arange(margin.max() + 1), p, r)
+    for got, want in zip(table, direct):
+        np.testing.assert_array_equal(got.take(margin, axis=1), want)
+        assert ((0.0 <= want) & (want <= 1.0)).all()
 
 
 def test_rth_success_times_match_activation_law():
@@ -169,6 +182,27 @@ def test_low_degree_nonseed_count_is_dominated_pathwise():
         edges = u < p
         deg = np.bincount(ui[edges], minlength=n) + np.bincount(vi[edges], minlength=n)
         assert n - final >= (deg[a:] < r).sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, 99_999, process.GRAPH_NODE_CAP])
+def test_slot_pairs_match_a_binary_search_at_every_row_boundary(n):
+    # row i of the pair triangle starts at offsets[i] = i (2n - i - 1) / 2;
+    # the closed-form decoder must land on the row a search gives, bit for
+    # bit, at the slots either side of every row start, in two replicates
+    pairs = n * (n - 1) // 2
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (2 * n - i - 1) // 2
+    v = np.unique(np.concatenate([offsets - 1, offsets, offsets + 1]))
+    v = v[(v >= 0) & (v < pairs)]
+    slots = np.concatenate([v, v + 5 * pairs])
+    rep, s = np.divmod(slots, pairs)
+    row = np.searchsorted(offsets, s, side="right") - 1
+    want_u = rep * n + row
+    want_v = rep * n + s - offsets[row] + row + 1
+    got_u, got_v = process._slot_pairs(slots, n)
+    np.testing.assert_array_equal(got_u, want_u)
+    np.testing.assert_array_equal(got_v, want_v)
+    assert (got_u < got_v).all() and (got_v < (rep + 1) * n).all()
 
 
 def test_low_degree_trivial_values():
@@ -289,21 +323,61 @@ def test_three_samplers_agree_with_enumeration(config):
     assert p_value > 1e-3
 
 
-@pytest.mark.parametrize("sampler, n, reps", [
-    ("leap", 200, 200_000), ("leap", 500, 200_000), ("graph", 40, 20_000)])
-def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
-    p = n ** -0.7
-    a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
-    params = ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
-    pmf = exact_pmf(params)
-    sizes = SAMPLER_BATCHES[sampler](params, reps, RngSpec(9, n))
+def assert_tv_within_noise(sizes, pmf, n):
+    """TV between the sizes and the exact pmf within half the summed
+    5-sigma Wilson widths of the bins 0..n."""
+    reps = len(sizes)
     counts = np.bincount(sizes, minlength=n + 1)
     tv = bound = 0.0
-    for k in range(n + 1):  # bound: half the summed 5-sigma Wilson widths
+    for k in range(n + 1):
         tv += abs(counts[k] / reps - pmf.prob(k))
         lo, hi = wilson_interval(int(counts[k]), reps, 5.0)
         bound += (hi - lo) / 2.0
     assert tv / 2.0 <= bound / 2.0, (tv / 2.0, bound / 2.0)
+
+
+@pytest.mark.parametrize("sampler, n, reps", [
+    ("leap", 200, 200_000), ("leap", 500, 200_000), ("graph", 40, 20_000),
+    ("markchain", 200, 200_000), ("markchain", 500, 200_000)])
+def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
+    p = n ** -0.7
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
+    params = ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
+    sizes = SAMPLER_BATCHES[sampler](params, reps, RngSpec(9, n))
+    assert_tv_within_noise(sizes, exact_pmf(params), n)
+
+
+def test_markchain_matches_exact_law_at_r3():
+    # supercritical at r = 3: most replicates end with nodes at one and
+    # two marks, so every leap splits its non-activated nodes over levels
+    n = 200
+    p = n ** -0.6
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=3, a=1)).a_c
+    params = ModelParams(n=n, p=p, r=3, a=math.ceil(2 * a_c))
+    pmf = exact_pmf(params)
+    assert sum(pmf.prob(k) for k in range(n - 4, n)) > 0.5
+    sizes = final_sizes_markchain(params, 200_000, RngSpec(9, 3))
+    assert_tv_within_noise(sizes, pmf, n)
+
+
+def test_markchain_agrees_with_leap_at_criterion_5_instance():
+    # n = 1e5 lies beyond the exact oracle; the mark chain (per-node marks)
+    # and the leap sampler (count chain) are built independently, so a
+    # two-sample chi-square on the gaps n - A* checks one against the other
+    n = 100_000
+    p = math.log(n) / (2 * n)
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
+    params = ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
+    gaps = [n - batch(params, 20_000, RngSpec(41, i)) for i, batch
+            in enumerate((final_sizes_markchain, final_sizes_leap))]
+    # one bin per gap value seen 20 times in the pool, one for the rest
+    values, pooled = np.unique(np.concatenate(gaps), return_counts=True)
+    common = values[pooled >= 20]
+    table = np.array([[*(np.count_nonzero(g == v) for v in common),
+                       np.count_nonzero(~np.isin(g, common))] for g in gaps])
+    table = table[:, table.sum(axis=0) > 0]
+    assert table.shape[1] >= 10
+    assert chi2_contingency(table).pvalue > 1e-3
 
 
 def _exact_crossing_law(params, t0, s0, level, tau):
