@@ -151,6 +151,14 @@ def _log_head_terms(m: np.ndarray, q: float, k: int) -> np.ndarray:
     return np.cumsum(c, axis=-1, out=c)
 
 
+def _log1p_sum_exp(c: np.ndarray) -> np.ndarray:
+    """log(1 + sum_j e^c[..., j]), around the largest of 0 and the c."""
+    top = c.max(axis=-1, initial=0.0)
+    rest = np.exp(c - top[..., None]).sum(axis=-1)
+    return np.where(top > 0.0, top + np.log(np.exp(-top) + rest),
+                    np.log1p(rest))
+
+
 def log_cdf_head(m, q: float, k: int) -> np.ndarray:
     """log P(Bin(m, q) <= k) for an array (or scalar) of trial counts `m`;
     meant for small k, such as the r - 1 marks an inactive node may hold.
@@ -165,12 +173,7 @@ def log_cdf_head(m, q: float, k: int) -> np.ndarray:
         return np.zeros(m.shape)
     if q == 1.0:
         return np.where(m <= k, 0.0, -np.inf)
-    c = _log_head_terms(m, q, k)
-    # log(1 + sum_j e^c[j]) around the largest of 0 and the c[j]
-    top = c.max(axis=-1, initial=0.0)
-    rest = np.exp(c - top[..., None]).sum(axis=-1)
-    return m * math.log1p(-q) + np.where(
-        top > 0.0, top + np.log(np.exp(-top) + rest), np.log1p(rest))
+    return m * math.log1p(-q) + _log1p_sum_exp(_log_head_terms(m, q, k))
 
 
 def log_cdf_heads(m, q: float, k: int) -> np.ndarray:

@@ -64,6 +64,17 @@ class ModelParams:
             raise ParameterError(f"p must lie in [0, 1], got {self.p}")
 
 
+def _sure_final_size(params: ModelParams) -> int | None:
+    """A* where it is not random, else None: A* = a when p = 0, r >= n (a
+    node hears at most n - 1 others) or a = n; with p = 1 every node hears
+    every seed, so all activate iff a >= r."""
+    if params.p == 0.0 or params.r >= params.n or params.a == params.n:
+        return params.a
+    if params.p == 1.0:
+        return params.n if params.a >= params.r else params.a
+    return None
+
+
 class ActivationProb(NamedTuple):
     pi: float
     one_minus_pi: float

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._binom import log_cdf_head
-from .core import ModelParams, SequenceSpec, classify_regime, critical_quantities
+from .core import (ModelParams, SequenceSpec, _sure_final_size,
+                   classify_regime, critical_quantities)
 from .errors import DegenerateLevels, ParameterError
 # _log_q_schedule and final_sizes_activation stay bound here, unused:
 # bench/spans.py wraps both by these names
@@ -195,8 +196,8 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
             f"need at least {2 * _SPLIT_GROUPS} replicates per level")
     gen = _as_generator(rng)
     reps = per_level_replicates
-    # an empty (tau < a) or a sure (tau = n) event needs no ladder
-    if not params.a <= tau < params.n:
+    # an empty (tau < a) or sure (tau = n) event, or a sure A*: no ladder
+    if not params.a <= tau < params.n or _sure_final_size(params) is not None:
         return _naive_tail(params, tau, reps, gen)
     # log Q(t) for t <= tau, once for the ladder and every stage's leaps
     log_q = log_cdf_head(np.arange(tau + 1), params.p, params.r - 1)

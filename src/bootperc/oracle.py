@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binom import log_binom_cdf, log_binom_pmf, log_cdf_head
-from .core import ModelParams, _pi, critical_quantities
-from .errors import (MemoryGuardError, NumericalDegeneracyError,
-                     ParameterError)
+from ._binom import _log1p_sum_exp, _log_head_terms, log_binom_cdf, log_binom_pmf
+from .core import ModelParams, _pi, _sure_final_size, critical_quantities
+from .errors import MemoryGuardError, ParameterError
 from .ratefun import ScalingFamily, _check_eps
 from .scaled import ScaledFloat, scaled_sum
 
@@ -51,7 +50,7 @@ class FinalSizePmf:
     truncation_bound certifies the transition mass dropped by the forward
     pass's increment window (exactly 0.0 when n - a <= 45).  It does not
     cover rounding in the factorised log-space steps, which dominates
-    |total() - 1|: 3.5e-14 at n = 500 and 2e-12 at n = PMF_NODE_CAP
+    |total() - 1|: 4.7e-14 at n = 500 and 1.9e-12 at n = PMF_NODE_CAP
     (p = n^-0.7, r = 2, a = ceil(2 a_c)).
     """
 
@@ -86,30 +85,14 @@ def _log_q_schedule(p: float, r: int, t_max: int):
     """For t = 0..t_max-1, the log of q_t and of 1 - q_t, where q_t is the
     chance an inactive node activates at step t+1 given inactivity at t.
 
-    Computed from the log of the inactivity probability Q(t), whose
-    difference gives log(1 - q_t) without cancellation even when pi ~ 1.
+    Hazard form: q_t = p P(Bin(t, p) = r - 1) / P(Bin(t, p) <= r - 1), so
+        log q_t = log p + c_{r-1}(t) - log(1 + sum_{j<r} e^{c_j(t)})
+    with the head terms c_j = log C(t, j) + j log(p / (1 - p)); nothing is
+    differenced, and 0 <= q_t <= p.  Needs 0 < p < 1.
     """
-    if p == 0.0:
-        return (np.full(t_max, -np.inf), np.zeros(t_max))
-    log_q_inactive = log_cdf_head(np.arange(t_max + 1), p, r - 1)
-    with np.errstate(invalid="ignore"):
-        delta = log_q_inactive[1:] - log_q_inactive[:-1]
-    dead = ~np.isfinite(log_q_inactive[:-1])
-    delta = np.where(dead, -np.inf, delta)  # no inactive nodes remain
-    with np.errstate(invalid="ignore"):
-        q = -np.expm1(delta)
-    q = np.where(dead, 1.0, q)
-    bad = (q < -1e-12) | (q > 1.0 + 1e-12)
-    if bad.any():
-        t_bad = int(np.nonzero(bad)[0][0])
-        raise NumericalDegeneracyError(
-            f"conditional activation probability q_{t_bad} = {q[t_bad]} "
-            "left [0, 1] by more than 1e-12")
-    q = np.clip(q, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)
-    log_1mq = np.where(dead, -np.inf, delta)
-    return log_q, log_1mq
+    c = _log_head_terms(np.arange(t_max, dtype=np.float64), p, r - 1)
+    log_q = math.log(p) + c[:, -1] - _log1p_sum_exp(c)
+    return log_q, np.log1p(-np.exp(log_q))
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +125,16 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
     grown until each row's pmf at j_win is below _ROW_REL_TOL of its
     peak; log-concavity puts every dropped increment below that cutoff.
     The rows are evaluated from the same H, for every state 0..s_hi.
-    A step with q_t = 1 (p = 1, or no inactive node left) moves all mass
-    to S = N.
+    Needs 0 < p < 1 and r < n (_sure_final_size answers the rest), so
+    0 <= q_t <= p < 1 at every step.
     """
     from scipy.special import gammaln
 
     n, p, r, a = params.n, params.p, params.r, params.a
     big = n - a
     log_q, log_1mq = _log_q_schedule(p, r, t_max)
-    moving = (log_q > -np.inf) & (log_1mq > -np.inf)
-    q_max = math.exp(float(log_q[moving].max())) if moving.any() else 0.0
-    # rows reach H at s + mode <= s_hi + (N + 1) q and at s + j_win <= 2 s_hi
-    h_top = min(big, 2 * s_hi + math.ceil((big + 1) * q_max))
+    # rows reach H at s + mode <= s_hi + (N + 1) p and at s + j_win <= 2 s_hi
+    h_top = min(big, 2 * s_hi + math.ceil((big + 1) * p))
     # extended-precision accumulation where numpy has it: a float64 cumsum
     # errs by ~1e-12 at s ~ 500, and H[k] enters every atom at k
     h = np.zeros(h_top + 1)
@@ -177,12 +158,7 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
 
     for t in range(t_max):
         lq, l1 = float(log_q[t]), float(log_1mq[t])
-        if l1 == -math.inf:  # q_t = 1: every inactive node activates
-            new = np.full(s_hi + 1, -np.inf)
-            if big <= s_hi:
-                new[big] = np.logaddexp.reduce(u - h[:s_hi + 1]) + h[big]
-            u = new
-        elif lq > -math.inf:  # otherwise increments are identically zero
+        if lq > -math.inf:  # otherwise increments are identically zero
             q = math.exp(lq)
             modes = np.clip(np.floor((m_arr + 1) * q), 0, m_arr)
             log_cut = row_log_pmf(modes, lq, l1) + _LN_ROW_REL_TOL
@@ -237,6 +213,10 @@ def exact_pmf(params: ModelParams, cap: int = PMF_NODE_CAP) -> FinalSizePmf:
         raise MemoryGuardError(
             f"exact_pmf refuses n = {n} above the cap {cap}; "
             "use exact_stop_cdf for truncated queries at large n")
+    sure = _sure_final_size(params)
+    if sure is not None:
+        return FinalSizePmf(params=params, probs={
+            k: ScaledFloat(float(k == sure)) for k in range(a, n + 1)})
     absorbed, _, bound = _forward(params, n, n - a)
     probs = {k: ScaledFloat.from_ln(float(absorbed[k - 1]))
              for k in range(a, n + 1)}
@@ -267,13 +247,15 @@ def exact_stop_cdf(params: ModelParams, tau: int,
     n, a = params.n, params.a
     if tau > n:
         raise ParameterError("tau must not exceed n")
-    if tau < a:
-        return (ScaledFloat(0.0), 0.0) if with_bound else ScaledFloat(0.0)
     s_hi = min(tau - a + 1, n - a)
     if s_hi > cap:
         raise MemoryGuardError(
             f"exact_stop_cdf refuses {s_hi} chain states above the cap "
             f"{cap}; pass a larger cap to run it anyway")
+    sure = _sure_final_size(params)
+    if tau < a or sure is not None:  # an empty event or a sure A*: no DP
+        result = ScaledFloat(float(sure is not None and sure <= tau))
+        return (result, 0.0) if with_bound else result
     absorbed, _, bound = _forward(params, tau, s_hi)
     result = ScaledFloat.from_ln(float(np.logaddexp.reduce(absorbed)))
     return (result, bound) if with_bound else result
@@ -300,10 +282,7 @@ def exact_tail_query(params: ModelParams, family: ScalingFamily,
     the threshold floor(n - eps f(n)) itself is included; strict vs weak
     inequality only differs when eps f(n) hits the integer lattice.
     """
-    threshold = event_threshold(params, family, eps)
-    if threshold < params.a:
-        return ScaledFloat(0.0)
-    return exact_stop_cdf(params, threshold)
+    return exact_stop_cdf(params, event_threshold(params, family, eps))
 
 
 # ---------------------------------------------------------------------------

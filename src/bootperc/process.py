@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ._binom import log_cdf_head, log_cdf_heads
-from .core import ModelParams
+from .core import ModelParams, _sure_final_size
 from .errors import MemoryGuardError, ParameterError
 
 __all__ = [
@@ -158,6 +158,9 @@ def _stop_from_sorted_times(y_sorted: np.ndarray, n: int, a: int) -> np.ndarray:
 def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the activation-time sampler."""
     _check_replicates(replicates)
+    sure = _sure_final_size(params)
+    if sure is not None:
+        return np.full(replicates, sure, dtype=np.int64)
     n, p, r, a = params.n, params.p, params.r, params.a
     m = n - a
     if m > ACTIVATION_NODE_CAP:
@@ -165,8 +168,6 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
             f"activation-time sampler refuses n - a = {m} above the cap "
             f"{ACTIVATION_NODE_CAP}; use the leap sampler instead")
     gen = _as_generator(rng)
-    if m == 0:
-        return np.full(replicates, n, dtype=np.int64)
     out = np.empty(replicates, dtype=np.int64)
     for start, size in _chunks(replicates, m):
         y = _rth_success_times((size, m), r, p, gen)
@@ -199,18 +200,16 @@ def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
     crossed = a + s - t <= level
     idx = np.flatnonzero(~crossed & (t < tau))
     s_i, log_q_i = s[idx], log_q(t[idx])
-    # Q(t) = 0 leaves nobody inactive; fmin maps its NaN to 0
-    with np.errstate(invalid="ignore"):
-        while idx.size:
-            t_next = np.minimum(a + s_i - level, tau)
-            log_q_next = log_q(t_next)
-            log_stay = np.fmin(log_q_next - log_q_i, 0.0)
-            s_i = s_i + gen.binomial(n - a - s_i, -np.expm1(log_stay))
-            t[idx], s[idx] = t_next, s_i
-            hit = a + s_i - t_next <= level
-            crossed[idx[hit]] = True
-            keep = ~hit & (t_next < tau)
-            idx, s_i, log_q_i = idx[keep], s_i[keep], log_q_next[keep]
+    while idx.size:
+        t_next = np.minimum(a + s_i - level, tau)
+        log_q_next = log_q(t_next)
+        log_stay = np.fmin(log_q_next - log_q_i, 0.0)
+        s_i = s_i + gen.binomial(n - a - s_i, -np.expm1(log_stay))
+        t[idx], s[idx] = t_next, s_i
+        hit = a + s_i - t_next <= level
+        crossed[idx[hit]] = True
+        keep = ~hit & (t_next < tau)
+        idx, s_i, log_q_i = idx[keep], s_i[keep], log_q_next[keep]
     return crossed, t, s
 
 
@@ -220,6 +219,9 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     stop time T = A*; a few dozen leaps at any n.  Here tau = n, so log Q
     is evaluated at the leap times rather than tabulated over 0..n."""
     _check_replicates(replicates)
+    sure = _sure_final_size(params)
+    if sure is not None:
+        return np.full(replicates, sure, dtype=np.int64)
     p, k = params.p, params.r - 1
     start = np.zeros(replicates, dtype=np.int64)
     return _leap_to_level(params, start, start, 0, params.n,
@@ -259,6 +261,9 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     activates nobody stops the replicate at A* = A.  Exact in law.
     """
     _check_replicates(replicates)
+    sure = _sure_final_size(params)
+    if sure is not None:
+        return np.full(replicates, sure, dtype=np.int64)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     out = np.empty(replicates, dtype=np.int64)

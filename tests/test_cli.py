@@ -126,6 +126,25 @@ def test_exact_truncate_below_seeds_is_zero(tmp_path):
     assert float(json.loads(text)["result"]["prob"]) == 0.0
 
 
+def test_r_of_n_or_more_keeps_only_the_seeds(tmp_path):
+    # no node hears r >= n others, so A* = a with no draw and no DP; an r of
+    # 31 digits would size an array by r or loop r - 1 times
+    model = ["--n", "50", "--p", "0.1", "--r", "1" + "0" * 30, "--a", "3"]
+    for sampler in ("markchain", "leap", "activation"):
+        code, text = run(tmp_path, ["simulate", "--sampler", sampler,
+                                    "--replicates", "20"] + model)
+        assert code == 0, sampler
+        assert text.strip().splitlines()[1:] == ["final_size,count", "3,20"]
+    code, text = run(tmp_path, ["tail", "estimate", "--splitting", "--tau",
+                                "3", "--replicates", "40"] + model)
+    assert code == 0 and json.loads(text)["result"]["p_hat"] == 1.0
+    code, text = run(tmp_path, ["exact"] + model)
+    rows = [line.split(",") for line in text.strip().splitlines()[2:]]
+    assert code == 0 and [k for k, p, _ in rows if float(p)] == ["3"]
+    code, text = run(tmp_path, ["exact", "--truncate", "10"] + model)
+    assert code == 0 and json.loads(text)["result"]["prob"] == 1.0
+
+
 def test_exact_cap_refuses_both_paths(tmp_path):
     # a 1e6-state truncated pass is refused up front with exit code 2
     assert run(tmp_path, ["exact", "--n", "1000000", "--p", "1e-3", "--r", "2",

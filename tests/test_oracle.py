@@ -202,6 +202,54 @@ def test_stop_cdf_matches_linear_space_reference_at_criterion_6_horizon():
         want, rel=2e-11, abs=0.0)
 
 
+# 40-digit values of the same (t, S) DP, every step in full precision
+@pytest.mark.parametrize("n, tau, want, rel", [
+    (10**5, 197, 8.134737883566768830e-10, 2e-13),
+    (10**6, 495, 6.031289119136568653e-24, 1.5e-12),
+])
+def test_stop_cdf_matches_40_digit_dp_at_criterion_6_horizon(n, tau, want, rel):
+    got = float(exact_stop_cdf(SPEC_07.params_at(n), tau))
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+# log q_t from 60-digit arithmetic; 0.004889663842714644 = 2000^-0.7, and
+# 1.574815529188034e-05 is the criterion-4 rule at n = 1e6
+@pytest.mark.parametrize("p, r, t, want", [
+    (0.004889663842714644, 2, 1, -10.64126344335891454285765),
+    (0.004889663842714644, 2, 100, -6.430886099181818051457885),
+    (0.004889663842714644, 2, 1999, -5.417583663933379682100252),
+    (0.004889663842714644, 3, 2, -15.96189516503837181428647),
+    (0.004889663842714644, 3, 500, -6.085023622520953594625588),
+    (0.004889663842714644, 3, 1999, -5.523128900518291914078193),
+    (1.574815529188034e-05, 2, 10, -19.81513127811491059634755),
+    (1.574815529188034e-05, 2, 100_000, -11.55042095893821656120672),
+    (1.574815529188034e-05, 2, 999_998, -11.12035138929059146561168),
+])
+def test_log_q_schedule_matches_60_digit_hazard(p, r, t, want):
+    log_q, log_1mq = _log_q_schedule(p, r, t + 1)
+    assert log_q[t] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert log_1mq[t] == pytest.approx(math.log1p(-math.exp(want)),
+                                       rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("r_from_n", [None, 0, 2], ids=["r2", "r=n", "r=n+2"])
+@pytest.mark.parametrize("a_pick", [1, 2, None], ids=["a1", "a2", "a=n"])
+def test_sure_instances_match_enumeration(n, p, r_from_n, a_pick):
+    # A* is not random at p = 0 or 1, or when r >= n; enumeration does not
+    # know that, so it checks the closed-form answer
+    r = 2 if r_from_n is None else n + r_from_n
+    params = ModelParams(n=n, p=p, r=r, a=n if a_pick is None else a_pick)
+    bf = brute_force_pmf(params)
+    pmf = exact_pmf(params)
+    assert pmf.support() == bf.support()
+    for k in bf.support():
+        assert pmf.prob(k) == bf.prob(k), k
+    for tau in range(n + 1):
+        assert float(exact_stop_cdf(params, tau)) == float(bf.cdf_at(tau)), tau
+
+
 # ---------------------------------------------------------------------------
 # tail queries
 
