@@ -1,11 +1,9 @@
 """Bootstrap percolation on G(n, p): exact final-size law, samplers, and
 regime-aware tail-exponent predictions with Monte Carlo validation."""
 
-from .core import (ActivationProb, AcNpDiverges, AcNpFinite, AcNpVanishes,
-                   BcDiverges, BcFinite, BcVanishes, CriticalQuantities,
-                   ModelParams, Regime, SequenceSpec, activation_prob,
-                   check_hypotheses, classify_regime, critical_quantities,
-                   mean_usable_curve, regime_label)
+from .core import (ActivationProb, CriticalQuantities, ModelParams, Regime,
+                   SequenceSpec, activation_prob, check_hypotheses,
+                   classify_regime, critical_quantities, mean_usable_curve)
 from .errors import (BootpercError, DegenerateLevels, EpsOutOfRange,
                      InconclusiveTrend, MemoryGuardError,
                      NumericalDegeneracyError, ParameterError, RegimeMismatch,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._binom import (log_binom_cdf, log_binom_sf, log_cdf_array, log_sf_array)
-from .core import (BcVanishes, Regime, SequenceSpec, CLASSIFY_LADDER,
-                   classify_regime, log_inactive_prob)
+from .core import (Regime, SequenceSpec, CLASSIFY_LADDER, classify_regime,
+                   log_inactive_prob)
 from .errors import ParameterError, RegimeMismatch
 from .ratefun import entropy_H
 
@@ -179,7 +179,7 @@ def asymptotic_diagnostics(spec: SequenceSpec, relation: str, ladder,
         raise ParameterError(f"unknown relation {relation!r}; choose from {_RELATIONS}")
     if relation == "log_bc":
         got = regime if regime is not None else classify_regime(spec, CLASSIFY_LADDER)
-        if not isinstance(got, BcVanishes):
+        if not got.label.startswith("bc_vanishes"):
             raise RegimeMismatch("log b_c ~ -n p holds only when b_c -> 0")
     rows = []
     r = spec.r

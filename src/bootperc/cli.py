@@ -19,7 +19,7 @@ import numpy as np
 
 from . import validate as validate_suites
 from .core import (CLASSIFY_LADDER, ModelParams, SequenceSpec, classify_regime,
-                   critical_quantities, regime_label)
+                   critical_quantities)
 from .errors import BootpercError, ParameterError
 from .montecarlo import (estimate_tail, estimate_tail_splitting,
                          rate_convergence_study)
@@ -107,12 +107,8 @@ def cmd_regime(args) -> int:
     spec = _load_spec(args.spec)
     ladder = _parse_ladder(args.ladder) if args.ladder else list(CLASSIFY_LADDER)
     regime = classify_regime(spec, ladder)
-    result = {"regime": regime_label(regime)}
-    if hasattr(regime, "b"):
-        result["b"] = regime.b
-    if hasattr(regime, "sub") and hasattr(regime.sub, "gamma"):
-        result["gamma"] = regime.sub.gamma
-    _emit_json(args, result)
+    result = {"regime": regime.label, "b": regime.b, "gamma": regime.gamma}
+    _emit_json(args, {k: v for k, v in result.items() if v is not None})
     return 0
 
 
@@ -185,7 +181,7 @@ def cmd_tail(args) -> int:
         regime = classify_regime(spec, ladder)
         te = tail_exponent(spec, args.n, family_from_string(args.family),
                            args.eps, regime)
-        _emit_json(args, json.loads(te.to_json()) | {"regime": regime_label(regime)})
+        _emit_json(args, json.loads(te.to_json()) | {"regime": regime.label})
         return 0
     if args.mode == "estimate":
         _require(args, "n", "p", "r", "a")

@@ -12,21 +12,19 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._binom import log_binom_sf, log_cdf_head
 from .errors import InconclusiveTrend, ParameterError
 
 __all__ = [
     "ModelParams", "CriticalQuantities", "SequenceSpec", "Regime",
-    "BcDiverges", "BcFinite", "BcVanishes",
-    "AcNpDiverges", "AcNpFinite", "AcNpVanishes",
-    "ActivationProb", "activation_prob", "log_inactive_prob",
+    "REGIME_LABELS", "ActivationProb", "activation_prob", "log_inactive_prob",
     "critical_quantities", "check_hypotheses", "classify_regime",
     "mean_usable_curve", "detect_trend", "Trend", "TrendResult",
-    "TrendOptions", "CLASSIFY_LADDER",
+    "CLASSIFY_LADDER",
 ]
 
 
@@ -314,36 +312,31 @@ class TrendResult:
     value: float | None = None  # stabilized mean when kind is STABLE
 
 
-@dataclass(frozen=True)
-class TrendOptions:
-    """Thresholds for committing to a trend verdict.
-
-    A finite ladder can only certify trends, never limits; these defaults
-    (strictly monotone window with a 10x move, or < 5% relative spread)
-    are deliberately crude and configurable.
-    """
-
-    window: int = 4
-    growth_factor: float = 10.0
-    spread_tol: float = 0.05
+#: A trend verdict reads the last TREND_WINDOW ladder values: stable when
+#: they spread less than TREND_SPREAD relative, otherwise a strictly
+#: monotone move by more than a factor TREND_GROWTH.  A finite ladder can
+#: only certify trends, never limits, so these thresholds are crude.
+TREND_WINDOW = 4
+TREND_GROWTH = 10.0
+TREND_SPREAD = 0.05
 
 
-def detect_trend(values: Sequence[float], opts: TrendOptions = TrendOptions()) -> TrendResult:
-    if len(values) < opts.window:
-        raise ParameterError(f"need at least {opts.window} ladder values")
-    w = list(values[-opts.window:])
+def detect_trend(values: Sequence[float]) -> TrendResult:
+    if len(values) < TREND_WINDOW:
+        raise ParameterError(f"need at least {TREND_WINDOW} ladder values")
+    w = list(values[-TREND_WINDOW:])
     scale = max(abs(v) for v in w)
     if scale == 0.0:
         return TrendResult(Trend.STABLE, 0.0)
-    if (max(w) - min(w)) / scale < opts.spread_tol:
+    if (max(w) - min(w)) / scale < TREND_SPREAD:
         return TrendResult(Trend.STABLE, math.fsum(w) / len(w))
     increasing = all(b > a for a, b in zip(w, w[1:]))
     decreasing = all(b < a for a, b in zip(w, w[1:]))
-    if decreasing and all(v > 0 for v in w) and w[-1] < w[0] / opts.growth_factor:
+    if decreasing and all(v > 0 for v in w) and w[-1] < w[0] / TREND_GROWTH:
         return TrendResult(Trend.VANISHES)
-    if increasing and w[-1] > 0 and w[-1] > opts.growth_factor * w[0]:
+    if increasing and w[-1] > 0 and w[-1] > TREND_GROWTH * w[0]:
         return TrendResult(Trend.DIVERGES_UP)
-    if decreasing and w[-1] < 0 and w[-1] < opts.growth_factor * w[0]:
+    if decreasing and w[-1] < 0 and w[-1] < TREND_GROWTH * w[0]:
         return TrendResult(Trend.DIVERGES_DOWN)
     return TrendResult(Trend.INCONCLUSIVE)
 
@@ -395,8 +388,7 @@ def _validate_ladder(ladder: Sequence, min_len: int = 4) -> list:
     return ladder
 
 
-def check_hypotheses(spec: SequenceSpec, ladder: Sequence,
-                     opts: TrendOptions = TrendOptions()) -> HypothesisReport:
+def check_hypotheses(spec: SequenceSpec, ladder: Sequence) -> HypothesisReport:
     """Evaluate the three standing hypotheses along the ladder.
 
     Verdicts are trend verdicts, never limit claims: 1/(n p_n) must trend
@@ -411,16 +403,16 @@ def check_hypotheses(spec: SequenceSpec, ladder: Sequence,
     checks = {
         "np_diverges": HypothesisCheck(
             "np_diverges", tuple(inv_np),
-            _vanishing_verdict(detect_trend(inv_np, opts))),
+            _vanishing_verdict(detect_trend(inv_np))),
         "p_subcritical_power": HypothesisCheck(
             "p_subcritical_power", tuple(p_power),
-            _vanishing_verdict(detect_trend(p_power, opts))),
+            _vanishing_verdict(detect_trend(p_power))),
     }
 
     if spec.alpha is not None and spec.alpha <= 1.0:
         verdict = VIOLATED
     else:
-        trend = detect_trend(seed_ratio, opts)
+        trend = detect_trend(seed_ratio)
         if trend.kind == Trend.STABLE:
             verdict = SATISFIED if trend.value > 1.0 else VIOLATED
         elif trend.kind == Trend.INCONCLUSIVE:
@@ -432,58 +424,40 @@ def check_hypotheses(spec: SequenceSpec, ladder: Sequence,
     return HypothesisReport(checks)
 
 
+#: the limit of b_c(n), refined by the limit of a_c/(n p_n) when b_c -> 0
+REGIME_LABELS = ("bc_diverges", "bc_finite", "bc_vanishes/acnp_diverges",
+                 "bc_vanishes/acnp_finite", "bc_vanishes/acnp_vanishes")
+
+
+@dataclass(frozen=True)
 class Regime:
-    """Tagged union over the limit of b_c(n); see the concrete classes."""
+    """One of REGIME_LABELS, with b = lim b_c(n) exactly for bc_finite and
+    gamma = lim a_c/(n p_n) exactly for bc_vanishes/acnp_finite."""
 
-    tag = "regime"
+    label: str
+    b: float | None = None
+    gamma: float | None = None
 
-
-@dataclass(frozen=True)
-class BcDiverges(Regime):
-    tag: str = field(default="bc_diverges", init=False)
-
-
-@dataclass(frozen=True)
-class BcFinite(Regime):
-    b: float
-    tag: str = field(default="bc_finite", init=False)
-
-
-class AcNpSub:
-    tag = "acnp"
+    def __post_init__(self):
+        if self.label not in REGIME_LABELS:
+            raise ParameterError(
+                f"unknown regime {self.label!r}; choose from {REGIME_LABELS}")
+        if (self.b is None) == (self.label == "bc_finite"):
+            raise ParameterError("b is given for bc_finite and only there")
+        if (self.gamma is None) == (self.label == "bc_vanishes/acnp_finite"):
+            raise ParameterError(
+                "gamma is given for bc_vanishes/acnp_finite and only there")
 
 
-@dataclass(frozen=True)
-class AcNpDiverges(AcNpSub):
-    tag: str = field(default="acnp_diverges", init=False)
-
-
-@dataclass(frozen=True)
-class AcNpFinite(AcNpSub):
-    gamma: float
-    tag: str = field(default="acnp_finite", init=False)
-
-
-@dataclass(frozen=True)
-class AcNpVanishes(AcNpSub):
-    tag: str = field(default="acnp_vanishes", init=False)
-
-
-@dataclass(frozen=True)
-class BcVanishes(Regime):
-    sub: AcNpSub
-    tag: str = field(default="bc_vanishes", init=False)
-
-
-def classify_regime(spec: SequenceSpec, ladder: Sequence = CLASSIFY_LADDER,
-                    opts: TrendOptions = TrendOptions()) -> Regime:
+def classify_regime(spec: SequenceSpec,
+                    ladder: Sequence = CLASSIFY_LADDER) -> Regime:
     """Classify the limit of b_c(n) through d(n) = n p_n - log n - (r-1)loglog n.
 
     d -> -inf, a finite limit, or +inf correspond to b_c -> +inf,
     b = exp(-lim d)/(r-1)!, or 0; in the last case the ratio a_c/(n p_n)
     is classified further.  Hypothesis checking is the caller's concern:
-    crude trend thresholds may be inconclusive on sequences a wider ladder
-    or looser TrendOptions would resolve.
+    the crude trend thresholds may be inconclusive on sequences a wider
+    ladder would resolve.
     """
     ladder = _validate_ladder(ladder)
     d_vals = []
@@ -491,29 +465,24 @@ def classify_regime(spec: SequenceSpec, ladder: Sequence = CLASSIFY_LADDER,
         p = spec.p_at(n)
         ln = math.log(n)
         d_vals.append(n * p - ln - (spec.r - 1) * math.log(ln))
-    d_trend = detect_trend(d_vals, opts)
+    d_trend = detect_trend(d_vals)
 
     if d_trend.kind == Trend.DIVERGES_DOWN:
-        return BcDiverges()
+        return Regime("bc_diverges")
     if d_trend.kind == Trend.STABLE:
-        return BcFinite(b=math.exp(-d_trend.value) / math.gamma(spec.r))
+        return Regime("bc_finite",
+                      b=math.exp(-d_trend.value) / math.gamma(spec.r))
     if d_trend.kind != Trend.DIVERGES_UP:
         raise InconclusiveTrend(
             f"cannot commit to a trend for d(n): values {d_vals}")
 
     ratio = [spec.crit_at(n).a_c / (n * spec.p_at(n)) for n in ladder]
-    r_trend = detect_trend(ratio, opts)
+    r_trend = detect_trend(ratio)
     if r_trend.kind == Trend.DIVERGES_UP:
-        return BcVanishes(sub=AcNpDiverges())
+        return Regime("bc_vanishes/acnp_diverges")
     if r_trend.kind == Trend.STABLE:
-        return BcVanishes(sub=AcNpFinite(gamma=r_trend.value))
+        return Regime("bc_vanishes/acnp_finite", gamma=r_trend.value)
     if r_trend.kind == Trend.VANISHES:
-        return BcVanishes(sub=AcNpVanishes())
+        return Regime("bc_vanishes/acnp_vanishes")
     raise InconclusiveTrend(
         f"b_c vanishes but a_c/(n p_n) trend is inconclusive: values {ratio}")
-
-
-def regime_label(regime: Regime) -> str:
-    if isinstance(regime, BcVanishes):
-        return f"{regime.tag}/{regime.sub.tag}"
-    return regime.tag

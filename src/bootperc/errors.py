@@ -47,7 +47,8 @@ class RegimeMismatch(BootpercError):
 
 
 class DegenerateLevels(BootpercError):
-    """A splitting level was never reached by any replicate."""
+    """A splitting level was never reached by any replicate, or a
+    splitting ladder of several levels collapsed to level 0 alone."""
 
     exit_code = 3
 

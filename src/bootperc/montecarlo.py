@@ -128,16 +128,20 @@ def _split_ladder(params: ModelParams, log_q: np.ndarray, levels) -> list:
     if isinstance(levels, int):
         if levels < 1:
             raise ParameterError("need at least one level")
+        if levels == 1:
+            return [0]
         # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
         n, a = params.n, params.a
         top = math.floor(np.min(
             a - (n - a) * np.expm1(log_q) - np.arange(log_q.size)))
-        if top <= 0 or levels == 1:
-            return [0]
-        raw = np.linspace(top, 0, levels + 1)[1:]
+        # linspace ends exactly at 0, so every ladder ends at level 0
+        raw = np.linspace(max(top, 0), 0, levels + 1)[1:]
         ladder = sorted({int(round(v)) for v in raw}, reverse=True)
-        if ladder[-1] != 0:
-            ladder.append(0)
+        if ladder == [0]:
+            raise DegenerateLevels(
+                f"the {levels}-level ladder collapses to [0]: the lowest mean "
+                f"margin over t <= tau is {top}; levels=1 runs plain Monte "
+                f"Carlo")
         return ladder
     ladder = [int(v) for v in levels]
     if not ladder or ladder[-1] != 0:
@@ -187,7 +191,10 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     the interval is the t-interval over the group log-estimates.  A
     one-level ladder falls back to plain Monte Carlo on the full budget,
     which answers an empty event (tau < a) with 0 and a sure one
-    (tau = n) with 1, interval included, without drawing.
+    (tau = n) with 1, interval included, without drawing.  An integer
+    count above one whose ladder collapses to [0], because the lowest
+    mean margin is too low to space levels above 0, raises
+    DegenerateLevels instead.
     """
     if tau > params.n:
         raise ParameterError("tau must not exceed n")

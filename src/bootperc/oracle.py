@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,11 +89,15 @@ def _log_q_schedule(p: float, r: int, t_max: int):
     Hazard form: q_t = p P(Bin(t, p) = r - 1) / P(Bin(t, p) <= r - 1), so
         log q_t = log p + c_{r-1}(t) - log(1 + sum_{j<r} e^{c_j(t)})
     with the head terms c_j = log C(t, j) + j log(p / (1 - p)); nothing is
-    differenced, and 0 <= q_t <= p.  Needs 0 < p < 1.
+    differenced, and 0 <= q_t <= p.  Needs 0 < p < 1.  q_t = 0 while
+    t < r - 1, so head terms are built only from t = r - 1 on.
     """
-    c = _log_head_terms(np.arange(t_max, dtype=np.float64), p, r - 1)
-    log_q = math.log(p) + c[:, -1] - _log1p_sum_exp(c)
-    return log_q, np.log1p(-np.exp(log_q))
+    log_q = np.full(t_max, -np.inf)
+    log_1mq = np.zeros(t_max)
+    c = _log_head_terms(np.arange(r - 1, t_max, dtype=np.float64), p, r - 1)
+    log_q[r - 1:] = math.log(p) + c[:, -1] - _log1p_sum_exp(c)
+    log_1mq[r - 1:] = np.log1p(-np.exp(log_q[r - 1:]))
+    return log_q, log_1mq
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +313,17 @@ def auxiliary_tail(params: ModelParams, t: int):
     return p_event, p_aux
 
 
-def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSizePmf:
-    """Exhaustive enumeration of all 2^C(n,2) graphs for n <= 7.
-
-    Graph number g has slot s occupied iff bit s of g is set; the graph
-    sampler's cascade engine runs 4096 of them at a time as one disjoint
-    union.  Graphs are grouped by edge count, so the per-graph weights are
-    applied to exact integer counts; the final summation is compensated.
-    """
-    n, p, r, a = params.n, params.p, params.r, params.a
-    if n > cap:
-        raise ParameterError(f"brute force enumeration is capped at n = {cap}")
-    n_edges = n * (n - 1) // 2
-    counts = np.zeros((n_edges + 1, n + 1), dtype=np.int64)
-
+@lru_cache(maxsize=128)
+def _final_size_counts(n: int, r: int, a: int) -> np.ndarray:
+    """counts[e, k], the number of graphs on n nodes with e edges whose
+    final size is k.  Graph number g has slot s occupied iff bit s of g is
+    set; the graph sampler's cascade engine runs 4096 of them at a time as
+    one disjoint union.  The table does not depend on p, so it is cached,
+    and read-only because the cache hands the same array to every call."""
     from .process import _slot_pairs, _vector_cascade_sizes
 
+    n_edges = n * (n - 1) // 2
+    counts = np.zeros((n_edges + 1, n + 1), dtype=np.int64)
     chunk = 1 << 12  # graphs per disjoint union
     for start in range(0, 1 << n_edges, chunk):
         ids = np.arange(start, min(start + chunk, 1 << n_edges), dtype=np.int64)
@@ -331,6 +331,22 @@ def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSiz
         u, v = _slot_pairs(np.flatnonzero(bits), n)
         sizes = _vector_cascade_sizes(u, v, len(ids), n, r, a)
         np.add.at(counts, (bits.sum(axis=1), sizes), 1)
+    counts.setflags(write=False)
+    return counts
+
+
+def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSizePmf:
+    """Exhaustive enumeration of all 2^C(n,2) graphs for n <= 7.
+
+    Graphs are grouped by edge count (_final_size_counts), so the
+    per-graph weights are applied to exact integer counts; the final
+    summation is compensated.
+    """
+    n, p, r, a = params.n, params.p, params.r, params.a
+    if n > cap:
+        raise ParameterError(f"brute force enumeration is capped at n = {cap}")
+    n_edges = n * (n - 1) // 2
+    counts = _final_size_counts(n, r, a)
 
     probs = {}
     for k in range(a, n + 1):

@@ -24,10 +24,8 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
-from .core import (AcNpDiverges, AcNpFinite, CriticalQuantities, Regime,
-                   SequenceSpec, regime_label)
+from .core import CriticalQuantities, Regime, SequenceSpec
 from .errors import EpsOutOfRange, ParameterError, UnsupportedCombination
 
 __all__ = [
@@ -243,27 +241,22 @@ class AsymAcNp(ScalingFamily):
 class BetweenAcNpAndN(ScalingFamily):
     """a_c/(n p) << f(n) <~ n, the range where early stopping dominates.
 
-    With ell1 = 0 the default is f(n) = max(1, g(n) a_c/(n p)) with
-    g(n) = log n; g is an arbitrary diverging function in the theory, so
-    it is exposed as a parameter.  With ell1 > 0, f(n) = ell1 * n and
-    deviations are capped at 1/ell1.
+    With ell1 = 0, f(n) = max(1, log(n) a_c/(n p)); the theory admits
+    any diverging factor in place of log n.  With ell1 > 0,
+    f(n) = ell1 * n and deviations are capped at 1/ell1.
     """
 
     ell1: float = 0.0
-    g: Callable[[float], float] | None = None
     tag: str = field(default="between_acnp_n", init=False)
 
     def __post_init__(self):
         if self.ell1 < 0:
             raise ParameterError("ell1 must be >= 0")
-        if self.ell1 > 0 and self.g is not None:
-            raise ParameterError("give either ell1 > 0 or a diverging g, not both")
 
     def scale_at(self, n, p, crit):
         if self.ell1 > 0:
             return self.ell1 * n
-        g = self.g if self.g is not None else math.log
-        return max(1.0, g(n) * crit.a_c / (n * p))
+        return max(1.0, math.log(n) * crit.a_c / (n * p))
 
 
 _FAMILY_TAGS = {
@@ -297,7 +290,7 @@ def family_from_string(text: str) -> ScalingFamily:
 
 _A_C, _B_C, _LOG_B_C, _F_LOG_F = "a_c", "b_c", "-log b_c", "f log(f/b_c)"
 
-#: (regime_label(regime), family.tag) -> (cell, speed v(n)) for the 15
+#: (regime.label, family.tag) -> (cell, speed v(n)) for the 15
 #: cells of Tables 1-5; no other pair has a deviation law.
 _CELLS = {
     ("bc_diverges", "asym_bc"): ("table1/col1", _B_C),
@@ -324,13 +317,12 @@ _EARLY_STOP_CELLS = frozenset({"table1/col4", "table2/col3", "table3/col4",
 
 def _cell(regime: Regime, family: ScalingFamily):
     """(cell, speed) of the pair in Tables 1-5, or UnsupportedCombination."""
-    label = regime_label(regime)
     try:
-        cell = _CELLS[label, family.tag]
+        cell = _CELLS[regime.label, family.tag]
     except KeyError:
         raise UnsupportedCombination(
             f"Tables 1-5 have no cell for family {family.tag} in regime "
-            f"{label}") from None
+            f"{regime.label}") from None
     if isinstance(family, Const) and cell[0] == "table5/col1" \
             and family.ell < 1.0:
         raise UnsupportedCombination(
@@ -379,11 +371,10 @@ def ldp_rate_value(regime: Regime, family: ScalingFamily, x: float,
     if isinstance(family, AsymAcNp):
         return j0 if math.isinf(x) else family.ell_prime * x
     # Const: the rate follows the limit of a_c/(n p)
-    sub = regime.sub
-    if isinstance(sub, AcNpDiverges):
+    if regime.label == "bc_vanishes/acnp_diverges":
         return _ceil_tied(family.ell * x)
-    if isinstance(sub, AcNpFinite):
-        return j0 if math.isinf(x) else _ceil_tied(family.ell * x) / sub.gamma
+    if regime.label == "bc_vanishes/acnp_finite":
+        return j0 if math.isinf(x) else _ceil_tied(family.ell * x) / regime.gamma
     if x == 0.0:
         return 0.0
     return j0 if math.isinf(x) else math.inf

@@ -166,6 +166,66 @@ def test_tail_predict(tmp_path):
     assert float(doc["speed_at_n"]) == pytest.approx(50.0, rel=1e-6)
 
 
+# one spec per regime label, with a family whose cell that label has
+PINNED_SPECS = [
+    ({"rule": "scaled_log", "constants": {"c": 0.5}, "r": 2, "alpha": 2.0},
+     "asym_bc:1.0", "2.0"),
+    ({"rule": "log_form", "constants": {"d": -math.log(2)}, "r": 2,
+      "alpha": 2.0}, "asym_acnp:1.0", "0.5"),
+    (SPEC_07, "const:2.0", "0.5"),
+    ({"rule": "power", "constants": {"c": 1.0, "beta": 2 / 3}, "r": 2,
+      "alpha": 2.0}, "const:1.0", "0.5"),
+    ({"rule": "power", "constants": {"beta": 0.6}, "r": 2, "alpha": 2.0},
+     "const:1.0", "0.5"),
+]
+_REGIME_ECHO = '{"config": {"command": "regime", "format": "json", ' \
+    '"spec": "spec.json"}, "result": '
+_PREDICT_ECHO = '{"config": {"command": "tail", "eps": %s, "family": "%s", ' \
+    '"format": "json", "levels": 4, "method": "exact_dp", "mode": "predict", ' \
+    '"n": 10000, "replicates": 10000, "seed": 0, "spec": "spec.json", ' \
+    '"splitting": false, "stream": 0}, "result": '
+PINNED_REGIME = [
+    '{"regime": "bc_diverges"}}',
+    '{"b": 2.000000000000004, "regime": "bc_finite"}}',
+    '{"regime": "bc_vanishes/acnp_diverges"}}',
+    '{"gamma": 0.49999999999999034, "regime": "bc_vanishes/acnp_finite"}}',
+    '{"regime": "bc_vanishes/acnp_vanishes"}}',
+]
+PINNED_PREDICT = [
+    '{"eps": 2.0, "log_base": "e", "log_prob_prediction": -177.89512748446396, '
+    '"n": 10000, "rate_at_eps": 0.3862943611198906, "regime": "bc_diverges", '
+    '"speed_at_n": 460.51701859880967, "table_row": "table1/col1"}}',
+    '{"eps": 0.5, "log_base": "e", "log_prob_prediction": -19.013930858669095, '
+    '"n": 10000, "rate_at_eps": 0.4384397054898949, "regime": "bc_finite", '
+    '"speed_at_n": 43.36726491827124, "table_row": "table2/col2"}}',
+    '{"eps": 0.5, "log_base": "e", "log_prob_prediction": -3.8754894410421006, '
+    '"n": 10000, "rate_at_eps": 1.0, "regime": "bc_vanishes/acnp_diverges", '
+    '"speed_at_n": 3.8754894410421006, "table_row": "table3/col1"}}',
+    '{"eps": 0.5, "log_base": "e", "log_prob_prediction": -4.722948554973954, '
+    '"n": 10000, "rate_at_eps": 0.4384397054898949, "regime": '
+    '"bc_vanishes/acnp_finite", "speed_at_n": 10.772173450159402, '
+    '"table_row": "table4/col1"}}',
+    '{"eps": 0.5, "log_base": "e", "log_prob_prediction": -1.3831837614529097, '
+    '"n": 10000, "rate_at_eps": 0.4384397054898949, "regime": '
+    '"bc_vanishes/acnp_vanishes", "speed_at_n": 3.1547867224009645, '
+    '"table_row": "table5/col1"}}',
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_SPECS)))
+def test_regime_and_predict_stdout_is_pinned(case, tmp_path, monkeypatch,
+                                             capsys):
+    spec, family, eps = PINNED_SPECS[case]
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, spec)
+    assert main(["regime", "--spec", "spec.json"]) == 0
+    assert capsys.readouterr().out == _REGIME_ECHO + PINNED_REGIME[case] + "\n"
+    assert main(["tail", "predict", "--spec", "spec.json", "--n", "10000",
+                 "--family", family, "--eps", eps]) == 0
+    assert capsys.readouterr().out == \
+        _PREDICT_ECHO % (eps, family) + PINNED_PREDICT[case] + "\n"
+
+
 def test_tail_estimate_and_note_on_zero_hits(tmp_path):
     code, text = run(tmp_path, ["tail", "estimate", "--n", "6", "--p", "0.4",
                                 "--r", "2", "--a", "2", "--family", "const:1.0",
@@ -339,6 +399,20 @@ def test_exit_code_model_refusals(tmp_path):
     # unsupported (regime, family) pair
     assert main(["tail", "predict", "--spec", spec, "--n", "100000",
                  "--family", "asym_bc:1.0", "--eps", "2.0", "--out", out]) == 3
+
+
+def test_collapsed_splitting_ladder_is_refused(tmp_path):
+    # scaled_log c = 3 at n = 2000: the lowest mean margin before the full
+    # event's threshold is 0, so a four-level ladder keeps only level 0
+    spec = write_spec(tmp_path, {"rule": "scaled_log", "constants": {"c": 3.0},
+                                 "r": 2, "alpha": 2.0})
+    args = ["tail", "study", "--spec", spec, "--family", "const:2.0",
+            "--eps", "0.5", "--ladder", "2000", "--method", "splitting",
+            "--replicates", "400"]
+    assert run(tmp_path, args)[0] == 3
+    # one level asks for plain Monte Carlo
+    code, text = run(tmp_path, args + ["--levels", "1"])
+    assert code == 0 and text.splitlines()[2].startswith("2000,")
 
 
 def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):

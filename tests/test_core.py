@@ -3,12 +3,10 @@ import math
 
 import pytest
 
-from bootperc.core import (CLASSIFY_LADDER, AcNpDiverges, AcNpFinite,
-                           AcNpVanishes, BcDiverges, BcFinite, BcVanishes,
-                           ModelParams, SequenceSpec, Trend, TrendOptions,
-                           activation_prob, check_hypotheses, classify_regime,
-                           critical_quantities, detect_trend,
-                           mean_usable_curve, regime_label)
+from bootperc.core import (CLASSIFY_LADDER, ModelParams, Regime, SequenceSpec,
+                           Trend, activation_prob, check_hypotheses,
+                           classify_regime, critical_quantities, detect_trend,
+                           mean_usable_curve)
 from bootperc.errors import InconclusiveTrend, ParameterError
 
 
@@ -220,21 +218,18 @@ def test_classify_log_form_gives_finite_b():
     spec = SequenceSpec(rule="log_form", constants={"d": -math.log(2)},
                         r=2, alpha=2.0)
     regime = classify_regime(spec)
-    assert isinstance(regime, BcFinite)
+    assert regime.label == "bc_finite" and regime.gamma is None
     assert regime.b == pytest.approx(2.0, rel=1e-9)
 
 
 def test_classify_scaled_log_diverges():
     spec = SequenceSpec(rule="scaled_log", constants={"c": 0.5}, r=2, alpha=2.0)
-    assert isinstance(classify_regime(spec), BcDiverges)
+    assert classify_regime(spec) == Regime("bc_diverges")
 
 
 def test_classify_power_07_vanishes_with_acnp_divergent():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    regime = classify_regime(spec)
-    assert isinstance(regime, BcVanishes)
-    assert isinstance(regime.sub, AcNpDiverges)
-    assert regime_label(regime) == "bc_vanishes/acnp_diverges"
+    assert classify_regime(spec) == Regime("bc_vanishes/acnp_diverges")
 
 
 def test_classify_power_two_thirds_gives_gamma():
@@ -242,13 +237,27 @@ def test_classify_power_two_thirds_gives_gamma():
     spec = SequenceSpec(rule="power", constants={"c": 1.0, "beta": 2 / 3},
                         r=2, alpha=2.0)
     regime = classify_regime(spec)
-    assert isinstance(regime.sub, AcNpFinite)
-    assert regime.sub.gamma == pytest.approx(0.5, rel=1e-9)
+    assert regime.label == "bc_vanishes/acnp_finite" and regime.b is None
+    assert regime.gamma == pytest.approx(0.5, rel=1e-9)
 
 
 def test_classify_power_06_acnp_vanishes():
     spec = SequenceSpec(rule="power", constants={"beta": 0.6}, r=2, alpha=2.0)
-    assert isinstance(classify_regime(spec).sub, AcNpVanishes)
+    assert classify_regime(spec) == Regime("bc_vanishes/acnp_vanishes")
+
+
+@pytest.mark.parametrize("label, b, gamma", [
+    ("bc_vanishes", None, None),
+    ("acnp_finite", None, 0.5),
+    ("bc_finite", None, None),
+    ("bc_finite", 2.0, 0.5),
+    ("bc_diverges", 2.0, None),
+    ("bc_vanishes/acnp_finite", None, None),
+    ("bc_vanishes/acnp_diverges", None, 0.5),
+])
+def test_malformed_regime_is_refused(label, b, gamma):
+    with pytest.raises(ParameterError):
+        Regime(label, b=b, gamma=gamma)
 
 
 def test_classify_inconclusive_raises():

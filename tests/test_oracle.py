@@ -14,8 +14,9 @@ from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.montecarlo import default_stop_horizon
 from bootperc.oracle import (PMF_NODE_CAP, _chain_marginal_log_pmf,
-                             _log_q_schedule, auxiliary_tail, brute_force_pmf,
-                             exact_pmf, exact_stop_cdf, exact_tail_query)
+                             _final_size_counts, _log_q_schedule,
+                             auxiliary_tail, brute_force_pmf, exact_pmf,
+                             exact_stop_cdf, exact_tail_query)
 from bootperc.ratefun import Const
 
 SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
@@ -76,6 +77,20 @@ def test_stop_cdf_cap_refuses_before_allocating():
     # the state count, not tau, meets the cap: n - a states here
     small = ModelParams(n=40, p=0.1, r=2, a=5)
     assert float(exact_stop_cdf(small, 40, cap=35)) == pytest.approx(1.0)
+
+
+def test_hazard_schedule_skips_steps_no_node_can_activate_at():
+    # q_t = 0 for t < r - 1 = 1999, every step up to tau = 1500 here; a
+    # head-term table for those steps alone holds 1500 x 1999 doubles (24 MB)
+    tracemalloc.start()
+    try:
+        value = exact_stop_cdf(ModelParams(n=3000, p=0.05, r=2000, a=1000),
+                               1500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert float(value) == 1.0
+    assert peak < 40_000_000
 
 
 def test_deep_tail_survives_in_log_scale():
@@ -343,6 +358,16 @@ def test_brute_force_eight_graphs_by_hand():
 def test_brute_force_degenerate_p():
     assert brute_force_pmf(ModelParams(n=4, p=0.0, r=2, a=2)).prob(2) == 1.0
     assert brute_force_pmf(ModelParams(n=4, p=1.0, r=2, a=2)).prob(4) == 1.0
+
+
+def test_brute_force_shares_one_read_only_table_across_p():
+    table = _final_size_counts(4, 2, 2)
+    assert not table.flags.writeable
+    # A* = 2 iff neither non-seed node is joined to both seeds
+    for p in (0.3, 0.6):
+        assert brute_force_pmf(ModelParams(n=4, p=p, r=2, a=2)).prob(2) == \
+            pytest.approx((1 - p * p) ** 2, rel=1e-12)
+    assert _final_size_counts(4, 2, 2) is table
 
 
 def test_brute_force_cap():

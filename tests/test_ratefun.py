@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootperc.core import (AcNpDiverges, AcNpFinite, AcNpVanishes, BcDiverges,
-                           BcFinite, BcVanishes, SequenceSpec)
+from bootperc.core import Regime, SequenceSpec
 from bootperc.errors import (EpsOutOfRange, ParameterError,
                              UnsupportedCombination)
 from bootperc.ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN,
@@ -18,11 +17,11 @@ from bootperc.ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN,
                               minimize_rate, rate_J, tail_exponent)
 from bootperc.ratefun import _h_fun
 
-REG_BC_INF = BcDiverges()
-REG_BC_FIN = BcFinite(b=2.0)
-REG_V_DIV = BcVanishes(sub=AcNpDiverges())
-REG_V_GAM = BcVanishes(sub=AcNpFinite(gamma=2.0))
-REG_V_VAN = BcVanishes(sub=AcNpVanishes())
+REG_BC_INF = Regime("bc_diverges")
+REG_BC_FIN = Regime("bc_finite", b=2.0)
+REG_V_DIV = Regime("bc_vanishes/acnp_diverges")
+REG_V_GAM = Regime("bc_vanishes/acnp_finite", gamma=2.0)
+REG_V_VAN = Regime("bc_vanishes/acnp_vanishes")
 
 
 def grid_J(x, alpha, r):
