@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,91 @@ def test_regime_and_predict_stdout_is_pinned(case, tmp_path, monkeypatch,
                  "--family", family, "--eps", eps]) == 0
     assert capsys.readouterr().out == \
         _PREDICT_ECHO % (eps, family) + PINNED_PREDICT[case] + "\n"
+
+
+_SMALL_EXACT = ["--n", "12", "--p", "0.2", "--r", "2", "--a", "3"]
+_SMALL_EXACT_CONFIG = '"a": 3, "cap": 5000, "command": "exact", ' \
+    '"format": "%s", "n": 12, "p": 0.2, "r": 2'
+_SMALL_PMF_ROWS = [
+    "3,0.37219633039002703,-1.4258642634403469",
+    "4,0.18984335389017967,-2.3971186014742774",
+    "5,0.11421124618637039,-3.1302233774750108",
+    "6,0.080135714671129593,-3.6414108273483179",
+    "7,0.063073794869778252,-3.9868154534087288",
+    "8,0.053517587572699435,-4.2238431050985135",
+    "9,0.046710183034076036,-4.4201190914181119",
+    "10,0.039215218709681171,-4.6724425431872589",
+    "11,0.028139248007873135,-5.1512724152091076",
+    "12,0.01295732266818511,-6.2700885404071647",
+]
+_SMALL_PMF_JSON = (
+    '"result": {"log2_probs": {"10": -4.672442543187259, '
+    '"11": -5.151272415209108, "12": -6.270088540407165, '
+    '"3": -1.425864263440347, "4": -2.3971186014742774, '
+    '"5": -3.130223377475011, "6": -3.641410827348318, '
+    '"7": -3.986815453408729, "8": -4.2238431050985135, '
+    '"9": -4.420119091418112}, "probs": {"10": 0.03921521870968117, '
+    '"11": 0.028139248007873135, "12": 0.01295732266818511, '
+    '"3": 0.37219633039002703, "4": 0.18984335389017967, '
+    '"5": 0.1142112461863704, "6": 0.0801357146711296, '
+    '"7": 0.06307379486977825, "8": 0.053517587572699435, '
+    '"9": 0.046710183034076036}, "truncation_bound": 0.0}}')
+_STUDY_CONFIG = (
+    '"command": "tail", "eps": 0.5, "family": "between_acnp_n", '
+    '"format": "json", "ladder": "1000,10000", "levels": 4, '
+    '"method": "exact_dp", "mode": "study", "replicates": 10000, "seed": 0, '
+    '"spec": "spec.json", "splitting": false, "stream": 0')
+PINNED_STDOUT = [
+    (["exact"] + _SMALL_EXACT,
+     "# config {" + _SMALL_EXACT_CONFIG % "csv" + "}\nk,prob,log2_prob\n"
+     + "".join(row + "\n" for row in _SMALL_PMF_ROWS)),
+    (["exact"] + _SMALL_EXACT + ["--format", "json"],
+     '{"config": {' + _SMALL_EXACT_CONFIG % "json" + "}, "
+     + _SMALL_PMF_JSON + "\n"),
+    (["exact"] + _SMALL_EXACT + ["--truncate", "6"],
+     '{"config": {' + _SMALL_EXACT_CONFIG % "csv" + ', "truncate": 6}, '
+     '"result": {"ln_prob": -0.2792025981737603, '
+     '"log2_prob": -0.40280420378859794, "log_base": "e_and_2", '
+     '"prob": 0.7563866451377067, "tau": 6}}\n'),
+    (["tail", "estimate", "--n", "200", "--p", "0.05", "--r", "2", "--a", "5",
+      "--splitting", "--tau", "12", "--replicates", "800", "--seed", "7"],
+     '{"config": {"a": 5, "command": "tail", "format": "json", "levels": 4, '
+     '"method": "exact_dp", "mode": "estimate", "n": 200, "p": 0.05, '
+     '"r": 2, "replicates": 800, "seed": 7, "splitting": true, '
+     '"stream": 0, "tau": 12}, "result": {"ci_high": 0.03532372532262014, '
+     '"ci_low": 0.013931153454994643, "log_base": "e", '
+     '"log_p_hat": -3.7765474102408447, "p_hat": 0.022901624999999995, '
+     '"replicates": 800}}\n'),
+    (["tail", "study", "--spec", "spec.json", "--family", "between_acnp_n",
+      "--eps", "0.5", "--ladder", "1000,10000", "--method", "exact_dp"],
+     "# config {" + _STUDY_CONFIG + "}\n"
+     "n,v_n,p_hat,log_p,normalized,target\n"
+     "1000,7.9244659623055611,0.077758498668899917,-2.5541474262578538,"
+     "-0.32231161549651538,-0.43843970548989492\n"
+     "10000,19.905358527674842,0.00055807989299975233,-7.4910084284129601,"
+     "-0.37633124859308875,-0.43843970548989492\n"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_STDOUT)))
+def test_exact_and_tail_stdout_is_pinned(case, tmp_path, monkeypatch, capsys):
+    args, expected = PINNED_STDOUT[case]
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, SPEC_07)
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_deep_tail_pmf_stdout_is_pinned(capsys):
+    # atoms from k = 32 on lie below the smallest subnormal double: the
+    # prob column reads 0 while log2_prob stays finite
+    assert main(["exact", "--n", "200", "--p", "0.2", "--r", "2",
+                 "--a", "4"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 199
+    assert "\n32,0,-1086.1541125115264\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "608346f690be4bbdd3242344cad64571fa136dba54a0381937d52250eef5e795"
 
 
 def test_tail_estimate_and_note_on_zero_hits(tmp_path):
