@@ -11,8 +11,8 @@ from .errors import (BootpercError, DegenerateLevels, EpsOutOfRange,
 from .montecarlo import (ConvergenceRow, TailEstimate, estimate_tail,
                          estimate_tail_splitting, poisson_distance,
                          rate_convergence_study, wilson_interval)
-from .oracle import (FinalSizePmf, auxiliary_tail, brute_force_pmf, exact_pmf,
-                     exact_stop_cdf, exact_tail_query)
+from .oracle import (FinalSizePmf, LogProb, auxiliary_tail, brute_force_pmf,
+                     exact_pmf, exact_stop_cdf, exact_tail_query)
 from .process import (RngSpec, final_sizes_activation, final_sizes_graph,
                       final_sizes_leap, final_sizes_markchain,
                       low_degree_counts)
@@ -20,6 +20,5 @@ from .ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN, BetweenBcAndAcNp,
                       Const, ScalingFamily, TailExponent, entropy_H,
                       family_from_string, ldp_rate_value, minimize_rate,
                       rate_J, tail_exponent)
-from .scaled import ScaledFloat
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from . import validate as validate_suites
 from .core import (CLASSIFY_LADDER, ModelParams, SequenceSpec, classify_regime,
                    critical_quantities)
-from .errors import BootpercError, ParameterError
+from .errors import BootpercError, MemoryGuardError, ParameterError
 from .montecarlo import (estimate_tail, estimate_tail_splitting,
                          rate_convergence_study)
 from .oracle import PMF_NODE_CAP, exact_pmf, exact_stop_cdf
@@ -28,6 +28,9 @@ from .process import SAMPLER_BATCHES, RngSpec, histogram
 from .ratefun import family_from_string, minimize_rate, rate_J, tail_exponent
 
 __all__ = ["main"]
+
+#: rate --curve-points above this is refused before the grid is allocated
+CURVE_POINT_CAP = 10 ** 6
 
 
 def _fmt(value) -> str:
@@ -120,6 +123,9 @@ def cmd_rate(args) -> int:
             raise ParameterError(f"--curve-max must be finite, got {x_hi!r}")
         if args.curve_points < 1:
             raise ParameterError("--curve-points must be at least 1")
+        if args.curve_points > CURVE_POINT_CAP:
+            raise MemoryGuardError(
+                f"--curve-points above the cap {CURVE_POINT_CAP}")
         xs = np.linspace(0.0, x_hi, args.curve_points)
         rows = [(float(x), rate_J(float(x), args.alpha, args.r)[1]) for x in xs]
         lines = ["x,J"] + [f"{_fmt(x)},{_fmt(j)}" for x, j in rows]

@@ -11,7 +11,7 @@ count spaces the ladder from the lowest mean margin down to 0, so the
 ladder costs no draws.  Each estimate tabulates log Q(t) for t <= tau
 once; the ladder reads the table, and every leap of every stage gathers
 from it instead of re-evaluating log_cdf_head.  Probabilities are
-carried as ScaledFloat so estimates below float underflow survive.
+carried as natural logs so estimates below float underflow survive.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .core import (ModelParams, SequenceSpec, _sure_final_size,
 from .errors import DegenerateLevels, ParameterError
 # _log_q_schedule and final_sizes_activation stay bound here, unused:
 # bench/spans.py wraps both by these names
-from .oracle import (PMF_NODE_CAP, _log_q_schedule, event_threshold,
-                     exact_stop_cdf)
+from .oracle import (_LN2, PMF_NODE_CAP, LogProb, _log_q_schedule, _pow2_mean,
+                     event_threshold, exact_stop_cdf)
 from .process import (RngSpec, _as_generator, _check_replicates,
                       _leap_to_level, final_sizes_activation, final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
                       tail_exponent)
-from .scaled import ScaledFloat, scaled_sum
 
 __all__ = [
     "TailEstimate", "ConvergenceRow", "estimate_tail",
@@ -201,6 +200,7 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     if per_level_replicates < 2 * _SPLIT_GROUPS:
         raise ParameterError(
             f"need at least {2 * _SPLIT_GROUPS} replicates per level")
+    _check_replicates(per_level_replicates)
     gen = _as_generator(rng)
     reps = per_level_replicates
     # an empty (tau < a) or sure (tau = n) event, or a sure A*: no ladder
@@ -215,15 +215,14 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     group_reps = reps // _SPLIT_GROUPS
     logs = [_split_once(params, log_q, ladder, group_reps, gen)
             for _ in range(_SPLIT_GROUPS)]
-    estimate = scaled_sum(ScaledFloat.from_ln(lp) for lp in logs) \
-        * (1.0 / _SPLIT_GROUPS)
+    p_hat, log2_p = _pow2_mean(logs)
     mean_log = math.fsum(logs) / len(logs)
     sd = math.sqrt(math.fsum((lp - mean_log) ** 2 for lp in logs)
                    / (len(logs) - 1))
     spread = _T975_DF3 * sd / math.sqrt(len(logs))
-    lo = float(ScaledFloat.from_ln(mean_log - spread))
-    hi = min(float(ScaledFloat.from_ln(mean_log + spread)), 1.0)
-    return TailEstimate(float(estimate), lo, hi, reps, estimate.ln())
+    lo = float(LogProb(mean_log - spread))
+    hi = min(float(LogProb(mean_log + spread)), 1.0)
+    return TailEstimate(p_hat, lo, hi, reps, log2_p * _LN2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ process stops at the first t with a + S(t) = t.  A forward pass over the
 alive states (those with a + S(u) > u for all u <= t) therefore yields
 the exact distribution of T = A*.
 
-All state masses are carried in log space and reported as ScaledFloat, so
-tail atoms far below 1e-308 survive.  One private kernel, _forward, runs
+All state masses are carried and returned as natural logs, so tail
+atoms far below 1e-308 survive.  One private kernel, _forward, runs
 the pass for every query.  The binomial kernel of a step factorises into
 a part of the source state, a part of the increment and a part of the
 target state, so each step is one 1-D log-space convolution over the
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,10 +32,9 @@ from ._binom import _log1p_sum_exp, _log_head_terms, log_binom_cdf, log_binom_pm
 from .core import ModelParams, _pi, _sure_final_size, critical_quantities
 from .errors import MemoryGuardError, ParameterError
 from .ratefun import ScalingFamily, _check_eps
-from .scaled import ScaledFloat, scaled_sum
 
 __all__ = [
-    "FinalSizePmf", "exact_pmf", "exact_stop_cdf", "exact_tail_query",
+    "FinalSizePmf", "LogProb", "exact_pmf", "exact_stop_cdf", "exact_tail_query",
     "auxiliary_tail", "brute_force_pmf", "PMF_NODE_CAP", "BRUTE_FORCE_CAP",
 ]
 
@@ -42,11 +42,48 @@ PMF_NODE_CAP = 5000
 BRUTE_FORCE_CAP = 7
 _ROW_REL_TOL = 1e-30
 _LN_ROW_REL_TOL = math.log(_ROW_REL_TOL)
+_LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+def _pow2_mean(log_values) -> tuple:
+    """(P, log2 P) for the mean P of e^x over the ln values x.  Each e^x
+    is split as 2^(l2 - e) 2^e with l2 = x / ln 2 and e = floor(l2), the
+    parts are added in order at the largest e, and the mean is put back
+    in [1, 2) 2^e before log2 is read.  Every reported P and log2 P comes
+    from here, so a single value and the splitting group mean round alike.
+    """
+    l2s = [float(x) / _LN2 for x in log_values if x > -math.inf]
+    if not l2s:
+        return 0.0, -math.inf
+    top = max(math.floor(l2) for l2 in l2s)
+    total = 0.0
+    for l2 in l2s:
+        e = math.floor(l2)
+        total += math.ldexp(2.0 ** (l2 - e), e - top)
+    m, e = math.frexp(total / len(log_values))  # m in [0.5, 1)
+    return math.ldexp(m, top + e), math.log2(2.0 * m) + (top + e - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class LogProb:
+    """A probability held as its natural log ln_p; float() is 0.0 below
+    the smallest double, while ln() and log2() stay finite."""
+
+    ln_p: float
+
+    def __float__(self) -> float:
+        return _pow2_mean([self.ln_p])[0]
+
+    def log2(self) -> float:
+        return _pow2_mean([self.ln_p])[1]
+
+    def ln(self) -> float:
+        return self.log2() * _LN2
+
+
+@dataclass(frozen=True, eq=False)
 class FinalSizePmf:
-    """Exact pmf of A* over {a, ..., n}, entries as ScaledFloat.
+    """Exact pmf of A* over {a, ..., n}: log_probs[k - a] = ln P(A* = k).
 
     truncation_bound certifies the transition mass dropped by the forward
     pass's increment window (exactly 0.0 when n - a <= 45).  It does not
@@ -56,23 +93,34 @@ class FinalSizePmf:
     """
 
     params: ModelParams
-    probs: dict
+    log_probs: np.ndarray
     truncation_bound: float = 0.0
 
+    def _at(self, k: int) -> LogProb:
+        a = self.params.a
+        return LogProb(float(self.log_probs[k - a])
+                       if a <= k <= self.params.n else -math.inf)
+
     def prob(self, k: int) -> float:
-        return float(self.probs.get(k, ScaledFloat(0.0)))
+        return float(self._at(k))
 
     def log2_prob(self, k: int) -> float:
-        return self.probs.get(k, ScaledFloat(0.0)).log2()
+        return self._at(k).log2()
 
-    def total(self) -> ScaledFloat:
-        return scaled_sum(self.probs.values())
+    @property
+    def probs(self):
+        """Read-only {k: P(A* = k)} over the support."""
+        return MappingProxyType({k: self.prob(k) for k in self.support()})
+
+    def total(self) -> LogProb:
+        return self.cdf_at(self.params.n)
 
     def support(self):
-        return sorted(self.probs)
+        return list(range(self.params.a, self.params.n + 1))
 
-    def cdf_at(self, k: int) -> ScaledFloat:
-        return scaled_sum(v for t, v in self.probs.items() if t <= k)
+    def cdf_at(self, k: int) -> LogProb:
+        head = self.log_probs[:max(k - self.params.a + 1, 0)]
+        return LogProb(float(np.logaddexp.reduce(head, initial=-math.inf)))
 
     def csv_rows(self):
         for k in self.support():
@@ -220,12 +268,10 @@ def exact_pmf(params: ModelParams, cap: int = PMF_NODE_CAP) -> FinalSizePmf:
             "use exact_stop_cdf for truncated queries at large n")
     sure = _sure_final_size(params)
     if sure is not None:
-        return FinalSizePmf(params=params, probs={
-            k: ScaledFloat(float(k == sure)) for k in range(a, n + 1)})
+        return FinalSizePmf(params, np.where(np.arange(a, n + 1) == sure,
+                                             0.0, -np.inf))
     absorbed, _, bound = _forward(params, n, n - a)
-    probs = {k: ScaledFloat.from_ln(float(absorbed[k - 1]))
-             for k in range(a, n + 1)}
-    return FinalSizePmf(params=params, probs=probs, truncation_bound=bound)
+    return FinalSizePmf(params, absorbed[a - 1:], bound)
 
 
 def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
@@ -259,10 +305,10 @@ def exact_stop_cdf(params: ModelParams, tau: int,
             f"{cap}; pass a larger cap to run it anyway")
     sure = _sure_final_size(params)
     if tau < a or sure is not None:  # an empty event or a sure A*: no DP
-        result = ScaledFloat(float(sure is not None and sure <= tau))
+        result = LogProb(0.0 if sure is not None and sure <= tau else -math.inf)
         return (result, 0.0) if with_bound else result
     absorbed, _, bound = _forward(params, tau, s_hi)
-    result = ScaledFloat.from_ln(float(np.logaddexp.reduce(absorbed)))
+    result = LogProb(float(np.logaddexp.reduce(absorbed)))
     return (result, bound) if with_bound else result
 
 
@@ -280,7 +326,7 @@ def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> i
 
 
 def exact_tail_query(params: ModelParams, family: ScalingFamily,
-                     eps: float) -> ScaledFloat:
+                     eps: float) -> LogProb:
     """P((n - A*)/f(n) > eps) = P(T <= event_threshold(params, family, eps)).
 
     Follows the inclusive union convention for the stopping events, i.e.
@@ -304,13 +350,10 @@ def auxiliary_tail(params: ModelParams, t: int):
         raise ParameterError("t must not exceed n")
     pi = _pi(t, p, r)
     p_event = math.exp(log_binom_cdf(n - a, pi, t - a)) if t >= a else 0.0
-    terms = []
-    for j in range(min(a, t) + 1):
-        lp = log_binom_pmf(a, pi, j) + log_binom_cdf(n - a, pi, t - j)
-        if lp > -math.inf:
-            terms.append(math.exp(lp))
-    p_aux = min(math.fsum(terms), 1.0) if terms else 0.0
-    return p_event, p_aux
+    p_aux = math.fsum(math.exp(log_binom_pmf(a, pi, j)
+                               + log_binom_cdf(n - a, pi, t - j))
+                      for j in range(min(a, t) + 1))
+    return p_event, min(p_aux, 1.0)
 
 
 @lru_cache(maxsize=128)
@@ -338,27 +381,17 @@ def _final_size_counts(n: int, r: int, a: int) -> np.ndarray:
 def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSizePmf:
     """Exhaustive enumeration of all 2^C(n,2) graphs for n <= 7.
 
-    Graphs are grouped by edge count (_final_size_counts), so the
-    per-graph weights are applied to exact integer counts; the final
-    summation is compensated.
+    Graphs are grouped by edge count (_final_size_counts), so each atom
+    is one log-sum-exp of exact integer counts times per-graph weights.
     """
+    from scipy.special import logsumexp, xlog1py, xlogy
+
     n, p, r, a = params.n, params.p, params.r, params.a
     if n > cap:
         raise ParameterError(f"brute force enumeration is capped at n = {cap}")
     n_edges = n * (n - 1) // 2
     counts = _final_size_counts(n, r, a)
-
-    probs = {}
-    for k in range(a, n + 1):
-        if p == 0.0:
-            val = 1.0 if counts[0, k] else 0.0
-        elif p == 1.0:
-            val = 1.0 if counts[n_edges, k] else 0.0
-        else:
-            terms = [
-                count * math.exp(e * math.log(p) + (n_edges - e) * math.log1p(-p))
-                for e, count in enumerate(counts[:, k]) if count
-            ]
-            val = math.fsum(terms)
-        probs[k] = ScaledFloat(val)
-    return FinalSizePmf(params=params, probs=probs)
+    e = np.arange(n_edges + 1)
+    log_w = xlogy(e, p) + xlog1py(n_edges - e, -p)
+    return FinalSizePmf(params, logsumexp(log_w[:, None], b=counts[:, a:],
+                                          axis=0))

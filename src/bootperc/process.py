@@ -46,6 +46,7 @@ __all__ = [
     "RngSpec", "final_sizes_graph", "final_sizes_markchain",
     "final_sizes_activation", "final_sizes_leap", "low_degree_counts",
     "final_size_from_edge_uniforms", "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
+    "REPLICATE_CAP",
 ]
 
 #: the graph sampler refuses instances above this node count
@@ -53,6 +54,8 @@ GRAPH_NODE_CAP = 100_000
 #: the activation-time sampler refuses rows of more non-seed nodes; one
 #: replicate at the cap peaks near 3 x 80 MB (times, candidates and ramp)
 ACTIVATION_NODE_CAP = 10_000_000
+#: samplers and estimators refuse more replicates than this (800 MB output)
+REPLICATE_CAP = 10 ** 8
 
 #: array elements per batch of replicates (2 MB as float64); beyond its
 #: output a chunked sampler peaks below 6 * 8 * _BATCH_ELEMENTS bytes
@@ -81,6 +84,8 @@ class RngSpec:
 def _check_replicates(replicates: int) -> None:
     if replicates < 1:
         raise ParameterError("replicates must be >= 1")
+    if replicates > REPLICATE_CAP:
+        raise MemoryGuardError(f"replicates above the cap {REPLICATE_CAP}")
 
 
 def _chunks(replicates: int, elements_per_replicate):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -513,6 +514,29 @@ def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):
     assert main(rate + ["--curve-points", "-1"]) == 2
     assert main(rate + ["--curve-max", "1e150", "--curve-points", "3"]) == 0
     assert curve.read_text().count("\n") == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--sampler", "leap", "--n", "100", "--p", "0.1", "--r", "2",
+     "--a", "5", "--replicates", "1000000000000"],
+    ["tail", "estimate", "--n", "100", "--p", "0.1", "--r", "2", "--a", "5",
+     "--splitting", "--tau", "10", "--replicates", "1000000000000"],
+    ["rate", "--alpha", "2", "--r", "2", "--curve-out", "curve.csv",
+     "--curve-points", "1000000000000"],
+], ids=["simulate", "splitting", "rate-curve"])
+def test_oversized_requests_are_refused_before_allocating(argv, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", "x.json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "above the cap" in capsys.readouterr().err
+    assert peak < 1_000_000
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_rate_huge_alpha_returns_promptly():

@@ -13,7 +13,7 @@ from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
                            log_inactive_prob)
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.montecarlo import default_stop_horizon
-from bootperc.oracle import (PMF_NODE_CAP, _chain_marginal_log_pmf,
+from bootperc.oracle import (PMF_NODE_CAP, LogProb, _chain_marginal_log_pmf,
                              _final_size_counts, _log_q_schedule,
                              auxiliary_tail, brute_force_pmf, exact_pmf,
                              exact_stop_cdf, exact_tail_query)
@@ -96,9 +96,28 @@ def test_hazard_schedule_skips_steps_no_node_can_activate_at():
 def test_deep_tail_survives_in_log_scale():
     # mid-range stop values are astronomically unlikely but stay resolved
     pmf = exact_pmf(ModelParams(n=200, p=0.2, r=2, a=4))
-    mid = pmf.probs[100]
-    assert float(mid) == 0.0 or float(mid) < 1e-200
-    assert -1e7 < mid.log2() < -300
+    assert pmf.prob(100) == 0.0 or pmf.prob(100) < 1e-200
+    assert -1e7 < pmf.log2_prob(100) < -300
+
+
+# (ln P, float P, ln(), log2()): each view rounds through one mantissa/
+# exponent split, so the constants are exact
+LOG_PROB_VIEWS = [
+    (-math.inf, 0.0, -math.inf, -math.inf),
+    (0.0, 1.0, 0.0, 0.0),
+    (-1e-3, 0.9990004998333749, -0.001000000000000108, -0.0014426950408891193),
+    (-800.0, 0.0, -800.0, -1154.1560327111708),
+    (-5000.0, 0.0, -5000.0, -7213.475204444817),
+]
+
+
+@pytest.mark.parametrize("ln_p,value,ln,log2", LOG_PROB_VIEWS,
+                         ids=["zero", "one", "ln-1e-3", "ln-800", "ln-5000"])
+def test_log_prob_views(ln_p, value, ln, log2):
+    prob = LogProb(ln_p)
+    assert (float(prob), prob.ln(), prob.log2()) == (value, ln, log2)
+    if -math.inf < ln_p < -745:  # below the smallest subnormal double
+        assert float(prob) == 0.0 and math.isfinite(prob.log2())
 
 
 @st.composite
