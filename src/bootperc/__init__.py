@@ -16,8 +16,7 @@ from .oracle import (FinalSizePmf, LogProb, auxiliary_tail, brute_force_pmf,
 from .process import (RngSpec, final_sizes_activation, final_sizes_graph,
                       final_sizes_leap, final_sizes_markchain,
                       low_degree_counts)
-from .ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN, BetweenBcAndAcNp,
-                      Const, ScalingFamily, TailExponent, entropy_H,
+from .ratefun import (ScalingFamily, TailExponent, entropy_H,
                       family_from_string, ldp_rate_value, minimize_rate,
                       rate_J, tail_exponent)
 

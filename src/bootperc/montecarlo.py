@@ -252,6 +252,8 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
     """
     if method not in ("exact_dp", "naive", "splitting"):
         raise ParameterError("method must be exact_dp, naive or splitting")
+    if horizon_k is not None and not math.isfinite(horizon_k):
+        raise ParameterError(f"horizon_k must be finite, got {horizon_k!r}")
     regime = classify_regime(spec)
     rows = []
     for i, n in enumerate(ladder):

@@ -317,11 +317,7 @@ def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> i
     {(n - A*)/f(n) > eps}."""
     _check_eps(eps)
     crit = critical_quantities(params) if params.p > 0 else None
-    try:
-        f_val = family.scale_at(params.n, params.p, crit)
-    except (AttributeError, TypeError) as exc:
-        raise ParameterError(
-            f"family {family.tag} needs critical quantities, so p > 0") from exc
+    f_val = family.scale_at(params.n, params.p, crit)
     return int(math.floor(params.n - eps * f_val))
 
 

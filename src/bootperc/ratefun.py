@@ -22,7 +22,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import CriticalQuantities, Regime, SequenceSpec
@@ -30,8 +30,7 @@ from .errors import EpsOutOfRange, ParameterError, UnsupportedCombination
 
 __all__ = [
     "entropy_H", "rate_J", "minimize_rate", "ldp_rate_value", "tail_exponent",
-    "ScalingFamily", "Const", "AsymBc", "BetweenBcAndAcNp", "AsymAcNp",
-    "BetweenAcNpAndN", "TailExponent", "family_from_string",
+    "ScalingFamily", "TailExponent", "family_from_string",
 ]
 
 _CEIL_TIE = 1e-9
@@ -162,127 +161,85 @@ def _j_at_minimum(alpha: float, r: int) -> float:
 # ---------------------------------------------------------------------------
 # Scaling families
 
+#: tag -> (the constant's name in the paper, its default; None if required)
+_FAMILY_CONSTANTS = {
+    "const": ("ell", None),
+    "asym_bc": ("ell2", None),
+    "between_bc_acnp": ("theta", 0.5),
+    "asym_acnp": ("ell'", None),
+    "between_acnp_n": ("ell1", 0.0),
+}
+
+
+@dataclass(frozen=True)
 class ScalingFamily:
-    """Where the scaling function f(n) sits relative to b_c and a_c/(n p)."""
+    """Where the scaling function f(n) sits relative to b_c and a_c/(n p).
 
-    tag = "family"
+    tag is a key of _FAMILY_CONSTANTS and c its constant; scale_at gives
+    f(n).  between_bc_acnp interpolates geometrically between max(b_c, 1)
+    and a_c/(n p) with exponent c.  between_acnp_n is the range where early
+    stopping dominates: with c = 0, f(n) = max(1, log(n) a_c/(n p)), and the
+    theory admits any diverging factor in place of log n; with c > 0,
+    f(n) = c n and deviations are capped at 1/c.
+    """
 
-    def scale_at(self, n, p: float, crit: CriticalQuantities) -> float:
-        raise NotImplementedError
+    tag: str
+    c: float | None = None
+
+    def __post_init__(self):
+        if self.tag not in _FAMILY_CONSTANTS:
+            raise ParameterError(f"unknown family tag {self.tag!r}; choose "
+                                 f"from {sorted(_FAMILY_CONSTANTS)}")
+        name, default = _FAMILY_CONSTANTS[self.tag]
+        if self.c is None:
+            if default is None:
+                raise ParameterError(f"family {self.tag!r} needs a constant, "
+                                     f"e.g. '{self.tag}:1.0'")
+            object.__setattr__(self, "c", default)
+        c = self.c
+        if self.tag == "between_bc_acnp":
+            ok, need = 0.0 < c < 1.0, "in (0, 1)"
+        elif self.tag == "between_acnp_n":
+            ok, need = c >= 0.0, ">= 0"
+        else:
+            ok, need = c > 0.0, "> 0"
+        if not (ok and math.isfinite(c)):
+            raise ParameterError(
+                f"{self.tag} scaling needs a finite {name} {need}, got {c!r}")
+
+    def scale_at(self, n, p: float, crit: CriticalQuantities | None) -> float:
+        """f(n) at edge probability p; crit may be None (p = 0) only for the
+        families that read neither b_c nor a_c."""
+        tag, c = self.tag, self.c
+        if tag == "const":
+            return c
+        if tag == "between_acnp_n" and c > 0:
+            return c * n
+        if crit is None:
+            raise ParameterError(
+                f"family {tag} needs critical quantities, so p > 0")
+        if tag == "asym_bc":
+            return c * crit.b_c
+        if tag == "between_bc_acnp":
+            anchor = crit.a_c / (n * p)
+            return max(crit.b_c, 1.0) ** (1.0 - c) * anchor ** c
+        if tag == "asym_acnp":
+            return c * crit.a_c / (n * p)
+        return max(1.0, math.log(n) * crit.a_c / (n * p))
 
     def spec_string(self) -> str:
         """'tag:constant', the text family_from_string parses back."""
-        return f"{self.tag}:{getattr(self, _FAMILY_TAGS[self.tag][1])!r}"
-
-
-@dataclass(frozen=True)
-class Const(ScalingFamily):
-    """f(n) -> ell, a positive constant."""
-
-    ell: float
-    tag: str = field(default="const", init=False)
-
-    def __post_init__(self):
-        if self.ell <= 0:
-            raise ParameterError("constant scaling needs ell > 0")
-
-    def scale_at(self, n, p, crit):
-        return self.ell
-
-
-@dataclass(frozen=True)
-class AsymBc(ScalingFamily):
-    """f(n) = ell2 * b_c(n)."""
-
-    ell2: float
-    tag: str = field(default="asym_bc", init=False)
-
-    def __post_init__(self):
-        if self.ell2 <= 0:
-            raise ParameterError("asym_bc scaling needs ell2 > 0")
-
-    def scale_at(self, n, p, crit):
-        return self.ell2 * crit.b_c
-
-
-@dataclass(frozen=True)
-class BetweenBcAndAcNp(ScalingFamily):
-    """Divergent f with b_c << f << a_c/(n p); geometric interpolation
-    f = max(b_c, 1)**(1-theta) * (a_c/(n p))**theta."""
-
-    theta: float = 0.5
-    tag: str = field(default="between_bc_acnp", init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ParameterError("interpolation exponent theta must lie in (0, 1)")
-
-    def scale_at(self, n, p, crit):
-        anchor = crit.a_c / (n * p)
-        return max(crit.b_c, 1.0) ** (1.0 - self.theta) * anchor ** self.theta
-
-
-@dataclass(frozen=True)
-class AsymAcNp(ScalingFamily):
-    """f(n) = ell' * a_c(n)/(n p_n)."""
-
-    ell_prime: float
-    tag: str = field(default="asym_acnp", init=False)
-
-    def __post_init__(self):
-        if self.ell_prime <= 0:
-            raise ParameterError("asym_acnp scaling needs ell' > 0")
-
-    def scale_at(self, n, p, crit):
-        return self.ell_prime * crit.a_c / (n * p)
-
-
-@dataclass(frozen=True)
-class BetweenAcNpAndN(ScalingFamily):
-    """a_c/(n p) << f(n) <~ n, the range where early stopping dominates.
-
-    With ell1 = 0, f(n) = max(1, log(n) a_c/(n p)); the theory admits
-    any diverging factor in place of log n.  With ell1 > 0,
-    f(n) = ell1 * n and deviations are capped at 1/ell1.
-    """
-
-    ell1: float = 0.0
-    tag: str = field(default="between_acnp_n", init=False)
-
-    def __post_init__(self):
-        if self.ell1 < 0:
-            raise ParameterError("ell1 must be >= 0")
-
-    def scale_at(self, n, p, crit):
-        if self.ell1 > 0:
-            return self.ell1 * n
-        return max(1.0, math.log(n) * crit.a_c / (n * p))
-
-
-_FAMILY_TAGS = {
-    "const": (Const, "ell"),
-    "asym_bc": (AsymBc, "ell2"),
-    "between_bc_acnp": (BetweenBcAndAcNp, "theta"),
-    "asym_acnp": (AsymAcNp, "ell_prime"),
-    "between_acnp_n": (BetweenAcNpAndN, "ell1"),
-}
+        return f"{self.tag}:{self.c!r}"
 
 
 def family_from_string(text: str) -> ScalingFamily:
     """Parse 'tag' or 'tag:constant' into a ScalingFamily."""
     tag, _, arg = text.partition(":")
-    if tag not in _FAMILY_TAGS:
-        raise ParameterError(
-            f"unknown family tag {tag!r}; choose from {sorted(_FAMILY_TAGS)}")
-    cls, kw = _FAMILY_TAGS[tag]
-    if not arg:
-        if tag in ("between_bc_acnp", "between_acnp_n"):
-            return cls()
-        raise ParameterError(f"family {tag!r} needs a constant, e.g. '{tag}:1.0'")
-    try:
-        return cls(**{kw: float(arg)})
+    try:  # an unknown tag is refused as such, whatever follows it
+        c = float(arg) if arg and tag in _FAMILY_CONSTANTS else None
     except ValueError as exc:
         raise ParameterError(f"bad family constant in {text!r}") from exc
+    return ScalingFamily(tag, c)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +280,17 @@ def _cell(regime: Regime, family: ScalingFamily):
         raise UnsupportedCombination(
             f"Tables 1-5 have no cell for family {family.tag} in regime "
             f"{regime.label}") from None
-    if isinstance(family, Const) and cell[0] == "table5/col1" \
-            and family.ell < 1.0:
+    if family.tag == "const" and cell[0] == "table5/col1" and family.c < 1.0:
         raise UnsupportedCombination(
             "with a_c/(n p) -> 0 the admissible constant scalings have ell >= 1")
     return cell
 
 
 def _support_top(family: ScalingFamily) -> float:
-    """xbar, the top of the rate function's finite support: 1/ell1 when
-    f(n)/n -> ell1 > 0, infinity otherwise."""
-    if isinstance(family, BetweenAcNpAndN) and family.ell1 > 0.0:
-        return 1.0 / family.ell1
+    """xbar, the top of the rate function's finite support: 1/c when
+    f(n)/n -> c > 0 (between_acnp_n), infinity otherwise."""
+    if family.tag == "between_acnp_n" and family.c > 0.0:
+        return 1.0 / family.c
     return math.inf
 
 
@@ -358,23 +314,24 @@ def ldp_rate_value(regime: Regime, family: ScalingFamily, x: float,
         raise ParameterError("x must not be NaN")
     j0 = _j_at_minimum(alpha, r)
     _cell(regime, family)
-    if isinstance(family, BetweenAcNpAndN):
+    tag, c = family.tag, family.c
+    if tag == "between_acnp_n":
         if x == 0.0:
             return 0.0
         return j0 if x == _support_top(family) else math.inf
-    if isinstance(family, AsymBc):
-        return entropy_H(family.ell2 * x)
+    if tag == "asym_bc":
+        return entropy_H(c * x)
     if x < 0:
         return math.inf
-    if isinstance(family, BetweenBcAndAcNp):
+    if tag == "between_bc_acnp":
         return float(x)
-    if isinstance(family, AsymAcNp):
-        return j0 if math.isinf(x) else family.ell_prime * x
-    # Const: the rate follows the limit of a_c/(n p)
+    if tag == "asym_acnp":
+        return j0 if math.isinf(x) else c * x
+    # const: the rate follows the limit of a_c/(n p)
     if regime.label == "bc_vanishes/acnp_diverges":
-        return _ceil_tied(family.ell * x)
+        return _ceil_tied(c * x)
     if regime.label == "bc_vanishes/acnp_finite":
-        return j0 if math.isinf(x) else _ceil_tied(family.ell * x) / regime.gamma
+        return j0 if math.isinf(x) else _ceil_tied(c * x) / regime.gamma
     if x == 0.0:
         return 0.0
     return j0 if math.isinf(x) else math.inf
@@ -418,12 +375,12 @@ def tail_exponent(spec: SequenceSpec, n, family: ScalingFamily, eps: float,
     rate is the contraction of ldp_rate_value to {x >= eps}: every rate
     function is nondecreasing on its finite support, so
     I(eps) = min(I_x(eps), I_x(xbar)) with xbar the top of that support
-    (1/ell1 when f(n)/n -> ell1 > 0, infinity otherwise).
+    (1/c when f(n)/n -> c > 0, infinity otherwise).
 
     Raises ParameterError unless eps is a positive finite number,
     UnsupportedCombination for cells absent from the tables and
-    EpsOutOfRange where the tail estimate restricts eps (f ~ ell2 b_c
-    needs eps > 1/ell2; f with lim f/n = ell1 > 0 needs eps < 1/ell1).
+    EpsOutOfRange where the tail estimate restricts eps (f ~ c b_c
+    needs eps > 1/c; f with lim f/n = c > 0 needs eps < 1/c).
     """
     _check_eps(eps)
     if spec.alpha is None or spec.alpha <= 1.0:
@@ -431,13 +388,12 @@ def tail_exponent(spec: SequenceSpec, n, family: ScalingFamily, eps: float,
     crit = spec.crit_at(n)
     p = spec.p_at(n)
     cell, speed = _cell(regime, family)
-    if isinstance(family, AsymBc) and eps <= 1.0 / family.ell2:
-        raise EpsOutOfRange(
-            f"the upper-tail estimate needs eps > {1.0 / family.ell2}")
+    if family.tag == "asym_bc" and eps <= 1.0 / family.c:
+        raise EpsOutOfRange(f"the upper-tail estimate needs eps > {1.0 / family.c}")
     xbar = _support_top(family)
     if eps >= xbar:
         raise EpsOutOfRange(
-            f"eps must lie in (0, {xbar}) when f(n)/n -> {family.ell1}")
+            f"eps must lie in (0, {xbar}) when f(n)/n -> {family.c}")
     if speed == _F_LOG_F:
         # -f log(b_c/f), the theorem form; asymptotically f log f when b_c
         # converges, and used uniformly here

@@ -313,6 +313,54 @@ def test_deep_tail_pmf_stdout_is_pinned(capsys):
         "608346f690be4bbdd3242344cad64571fa136dba54a0381937d52250eef5e795"
 
 
+_FAMILY_PREDICT_CONFIG = (
+    '{"config": {"command": "tail", "eps": 0.5, "family": "%s", '
+    '"format": "json", "levels": 4, "method": "exact_dp", "mode": "predict", '
+    '"n": %s, "replicates": 10000, "seed": 0, "spec": "spec.json", '
+    '"splitting": false, "stream": 0}, "result": ')
+# the two between_* families in predict, and a threshold reached through
+# the family's f(n) in estimate; n = 1e10 in the first case because that
+# cell's speed is still negative at n <= 1e8
+PINNED_FAMILY_STDOUT = [
+    ({"rule": "scaled_log", "constants": {"c": 0.5}, "r": 2, "alpha": 2.0},
+     ["tail", "predict", "--spec", "spec.json", "--n", "10000000000",
+      "--family", "between_bc_acnp:0.3", "--eps", "0.5"],
+     _FAMILY_PREDICT_CONFIG % ("between_bc_acnp:0.3", "10000000000")
+     + '{"eps": 0.5, "log_base": "e", "log_prob_prediction": '
+     '-247191.7535057952, "n": 10000000000, "rate_at_eps": 0.5, '
+     '"regime": "bc_diverges", "speed_at_n": 494383.5070115904, '
+     '"table_row": "table1/col2"}}\n'),
+    (SPEC_07,
+     ["tail", "predict", "--spec", "spec.json", "--n", "10000",
+      "--family", "between_acnp_n:0.5", "--eps", "0.5"],
+     _FAMILY_PREDICT_CONFIG % ("between_acnp_n:0.5", "10000")
+     + '{"eps": 0.5, "log_base": "e", "log_prob_prediction": '
+     '-8.727299530544526, "n": 10000, "rate_at_eps": 0.4384397054898949, '
+     '"regime": "bc_vanishes/acnp_diverges", "speed_at_n": '
+     '19.905358527674842, "table_row": "table3/col4"}}\n'),
+    (SPEC_07,
+     ["tail", "estimate", "--n", "6", "--p", "0.4", "--r", "2", "--a", "2",
+      "--family", "const:1.0", "--eps", "1.5", "--replicates", "5000",
+      "--seed", "3", "--stream", "9"],
+     '{"config": {"a": 2, "command": "tail", "eps": 1.5, "family": '
+     '"const:1.0", "format": "json", "levels": 4, "method": "exact_dp", '
+     '"mode": "estimate", "n": 6, "p": 0.4, "r": 2, "replicates": 5000, '
+     '"seed": 3, "splitting": false, "stream": 9}, "result": {"ci_high": '
+     '0.7955781055106957, "ci_low": 0.7727852256229558, "log_base": "e", '
+     '"log_p_hat": -0.24283618465994586, "p_hat": 0.7844, '
+     '"replicates": 5000}}\n'),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_FAMILY_STDOUT)))
+def test_family_stdout_is_pinned(case, tmp_path, monkeypatch, capsys):
+    spec, args, expected = PINNED_FAMILY_STDOUT[case]
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, spec)
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_tail_estimate_and_note_on_zero_hits(tmp_path):
     code, text = run(tmp_path, ["tail", "estimate", "--n", "6", "--p", "0.4",
                                 "--r", "2", "--a", "2", "--family", "const:1.0",
@@ -345,7 +393,7 @@ def test_tail_study_passes_levels_on(tmp_path):
     from bootperc.core import SequenceSpec
     from bootperc.montecarlo import rate_convergence_study
     from bootperc.process import RngSpec
-    from bootperc.ratefun import BetweenAcNpAndN
+    from bootperc.ratefun import ScalingFamily
     spec = write_spec(tmp_path, SPEC_07)
     code, text = run(tmp_path, ["tail", "study", "--spec", spec,
                                 "--family", "between_acnp_n", "--eps", "0.5",
@@ -356,7 +404,8 @@ def test_tail_study_passes_levels_on(tmp_path):
     got = [[float(v) for v in line.split(",")]
            for line in text.strip().splitlines()[2:]]
     rows = rate_convergence_study(
-        SequenceSpec(**SPEC_07), BetweenAcNpAndN(), 0.5, [2000],
+        SequenceSpec(**SPEC_07), ScalingFamily("between_acnp_n"), 0.5,
+        [2000],
         method="splitting", replicates=2000, rng=RngSpec(5, 0), levels=2)
     assert got == [[r.n, r.v_n, r.p_hat, r.log_p, r.normalized, r.target]
                    for r in rows]
@@ -471,6 +520,33 @@ def test_exit_code_validation_errors(tmp_path):
                   "0.4", "--a", "2", "--replicates", "10"],
                  ["exact", "--n", "6", "--p", "0.4", "--a", "2"]):
         assert main(argv + ["--r", huge_r, "--out", out]) == 2, argv[0]
+
+
+@pytest.mark.parametrize("family", [
+    "const:nan", "const:inf", "const:1e400", "asym_bc:inf",
+    "between_acnp_n:inf", "asym_acnp:nan", "between_acnp_n:nan"])
+@pytest.mark.parametrize("mode", ["estimate", "predict"])
+def test_non_finite_family_constant_is_refused(family, mode, tmp_path,
+                                               capsys):
+    if mode == "estimate":
+        argv = ["tail", "estimate", "--n", "6", "--p", "0.4", "--r", "2",
+                "--a", "2", "--eps", "1.5", "--replicates", "50"]
+    else:
+        argv = ["tail", "predict", "--spec", write_spec(tmp_path, SPEC_07),
+                "--n", "10000", "--eps", "0.5"]
+    out = tmp_path / "x.json"
+    assert main(argv + ["--family", family, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon_k", ["nan", "inf"])
+def test_non_finite_horizon_k_is_refused(horizon_k, tmp_path, capsys):
+    spec = write_spec(tmp_path, SPEC_07)
+    assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
+                 "--eps", "0.5", "--ladder", "1000", "--horizon-k", horizon_k,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "horizon_k must be finite" in capsys.readouterr().err
 
 
 def test_exit_code_model_refusals(tmp_path):

@@ -11,9 +11,11 @@ from bootperc.montecarlo import (default_stop_horizon, estimate_tail,
                                  wilson_interval)
 from bootperc.oracle import exact_stop_cdf, exact_tail_query
 from bootperc.process import RngSpec
-from bootperc.ratefun import BetweenAcNpAndN, Const, minimize_rate
+from bootperc.ratefun import ScalingFamily, minimize_rate
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
+CONST_1, CONST_2 = ScalingFamily("const", 1.0), ScalingFamily("const", 2.0)
+ACNP_N = ScalingFamily("between_acnp_n")
 
 
 def crit9_config():
@@ -45,40 +47,40 @@ def test_wilson_basic_shape():
 
 def test_estimate_tail_sure_event():
     # p = 0 stops at a; with eps f(n) < n - a the event is certain
-    est = estimate_tail(ModelParams(n=10, p=0.0, r=2, a=2), Const(1.0),
+    est = estimate_tail(ModelParams(n=10, p=0.0, r=2, a=2), CONST_1,
                         1.5, 2000, RngSpec(1, 0))
     assert est.p_hat == 1.0 and est.log_p_hat == 0.0
 
 
 def test_estimate_tail_empty_event():
-    est = estimate_tail(P6, Const(1.0), 9.0, 2000, RngSpec(1, 0))
+    est = estimate_tail(P6, CONST_1, 9.0, 2000, RngSpec(1, 0))
     assert est.p_hat == 0.0 and est.log_p_hat == -math.inf
 
 
 def test_estimate_tail_ci_contains_exact_value():
-    exact = float(exact_tail_query(P6, Const(1.0), 1.5))
-    est = estimate_tail(P6, Const(1.0), 1.5, 200_000, RngSpec(5, 0))
+    exact = float(exact_tail_query(P6, CONST_1, 1.5))
+    est = estimate_tail(P6, CONST_1, 1.5, 200_000, RngSpec(5, 0))
     assert est.ci_low <= exact <= est.ci_high
     assert est.ci_low <= est.p_hat <= est.ci_high
 
 
 def test_estimate_tail_deterministic():
-    a = estimate_tail(P6, Const(1.0), 1.5, 5000, RngSpec(3, 9))
-    b = estimate_tail(P6, Const(1.0), 1.5, 5000, RngSpec(3, 9))
+    a = estimate_tail(P6, CONST_1, 1.5, 5000, RngSpec(3, 9))
+    b = estimate_tail(P6, CONST_1, 1.5, 5000, RngSpec(3, 9))
     assert a == b
 
 
 def test_estimate_tail_threshold_convention():
     # floor(n - eps f) is included in the event, matching the oracle
-    assert event_threshold(P6, Const(1.0), 1.5) == 4
-    assert event_threshold(P6, Const(2.0), 0.75) == 4
+    assert event_threshold(P6, CONST_1, 1.5) == 4
+    assert event_threshold(P6, CONST_2, 0.75) == 4
 
 
 def test_wilson_ci_calibration_against_exact():
-    exact = float(exact_tail_query(P6, Const(1.0), 1.5))
+    exact = float(exact_tail_query(P6, CONST_1, 1.5))
     hits = 0
     for trial in range(100):
-        est = estimate_tail(P6, Const(1.0), 1.5, 5000, RngSpec(808, trial))
+        est = estimate_tail(P6, CONST_1, 1.5, 5000, RngSpec(808, trial))
         hits += est.ci_low <= exact <= est.ci_high
     assert hits >= 90
 
@@ -117,8 +119,8 @@ def test_splitting_and_naive_cis_overlap():
     split = estimate_tail_splitting(params, tau, 4, 4000, RngSpec(77, 0))
     # the same event {T <= tau} through the naive path
     eps = (n - tau) / 1.0
-    naive = estimate_tail(params, Const(1.0), eps, 20_000, RngSpec(77, 1))
-    assert event_threshold(params, Const(1.0), eps) == tau
+    naive = estimate_tail(params, CONST_1, eps, 20_000, RngSpec(77, 1))
+    assert event_threshold(params, CONST_1, eps) == tau
     assert naive.p_hat >= 10 / naive.replicates
     assert naive.ci_low <= split.ci_high and split.ci_low <= naive.ci_high
 
@@ -192,7 +194,7 @@ def test_splitting_values_are_pinned(case, levels, rng, pinned):
 
 def test_study_early_stop_rows_normalize_toward_rate():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    rows = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5,
+    rows = rate_convergence_study(spec, ACNP_N, 0.5,
                                   [10**3, 10**4, 10**5], method="exact_dp")
     j0 = minimize_rate(2.0, 2)[1]
     gaps = [abs(row.normalized - row.target) for row in rows]
@@ -203,7 +205,7 @@ def test_study_early_stop_rows_normalize_toward_rate():
 
 def test_study_single_rung_no_trend_claim():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    rows = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5, [2000],
+    rows = rate_convergence_study(spec, ACNP_N, 0.5, [2000],
                                   method="exact_dp")
     assert len(rows) == 1
     assert rows[0].v_n > 0
@@ -211,9 +213,9 @@ def test_study_single_rung_no_trend_claim():
 
 def test_study_naive_agrees_with_dp_at_small_n():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    dp_row, = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5, [1000],
+    dp_row, = rate_convergence_study(spec, ACNP_N, 0.5, [1000],
                                      method="exact_dp")
-    mc_row, = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5, [1000],
+    mc_row, = rate_convergence_study(spec, ACNP_N, 0.5, [1000],
                                      method="naive", replicates=40_000,
                                      rng=RngSpec(9, 0))
     assert mc_row.p_hat == pytest.approx(dp_row.p_hat, rel=0.15)
@@ -221,10 +223,10 @@ def test_study_naive_agrees_with_dp_at_small_n():
 
 def test_study_splitting_method_runs():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    row, = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5, [2000],
+    row, = rate_convergence_study(spec, ACNP_N, 0.5, [2000],
                                   method="splitting", replicates=2000,
                                   rng=RngSpec(13, 0))
-    dp_row, = rate_convergence_study(spec, BetweenAcNpAndN(), 0.5, [2000],
+    dp_row, = rate_convergence_study(spec, ACNP_N, 0.5, [2000],
                                      method="exact_dp")
     assert row.log_p == pytest.approx(dp_row.log_p, rel=0.2)
 
@@ -232,11 +234,11 @@ def test_study_splitting_method_runs():
 def test_study_forwards_the_dp_cap():
     # the full event {T <= n - 1} needs n - a - 1 chain states
     with pytest.raises(MemoryGuardError):
-        rate_convergence_study(SPEC_07, Const(2.0), 0.5, [10**4])
+        rate_convergence_study(SPEC_07, CONST_2, 0.5, [10**4])
     with pytest.raises(MemoryGuardError):
-        rate_convergence_study(SPEC_07, Const(2.0), 0.5, [600], cap=100)
-    assert rate_convergence_study(SPEC_07, Const(2.0), 0.5, [600], cap=600) \
-        == rate_convergence_study(SPEC_07, Const(2.0), 0.5, [600])
+        rate_convergence_study(SPEC_07, CONST_2, 0.5, [600], cap=100)
+    assert rate_convergence_study(SPEC_07, CONST_2, 0.5, [600], cap=600) \
+        == rate_convergence_study(SPEC_07, CONST_2, 0.5, [600])
 
 
 def test_default_stop_horizon_formula():

@@ -17,9 +17,10 @@ from bootperc.oracle import (PMF_NODE_CAP, LogProb, _chain_marginal_log_pmf,
                              _final_size_counts, _log_q_schedule,
                              auxiliary_tail, brute_force_pmf, exact_pmf,
                              exact_stop_cdf, exact_tail_query)
-from bootperc.ratefun import Const
+from bootperc.ratefun import ScalingFamily
 
 SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
+CONST_1 = ScalingFamily("const", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +290,13 @@ def test_sure_instances_match_enumeration(n, p, r_from_n, a_pick):
 
 def test_tail_query_empty_union_is_zero():
     params = ModelParams(n=6, p=0.4, r=2, a=2)
-    assert float(exact_tail_query(params, Const(1.0), 5.0)) == 0.0
+    assert float(exact_tail_query(params, CONST_1, 5.0)) == 0.0
 
 
 def test_tail_query_eps_to_zero_complements_full_percolation():
     params = ModelParams(n=6, p=0.4, r=2, a=2)
     pmf = exact_pmf(params)
-    val = float(exact_tail_query(params, Const(1.0), 1e-9))
+    val = float(exact_tail_query(params, CONST_1, 1e-9))
     assert val == pytest.approx(1.0 - pmf.prob(6), abs=1e-9)
 
 
@@ -303,12 +304,12 @@ def test_tail_query_matches_enumeration():
     params = ModelParams(n=6, p=0.4, r=2, a=2)
     bf = brute_force_pmf(params)
     want = bf.prob(2) + bf.prob(3) + bf.prob(4)
-    got = float(exact_tail_query(params, Const(1.0), 1.5))
+    got = float(exact_tail_query(params, CONST_1, 1.5))
     assert got == pytest.approx(want, abs=1e-9)
-    # p = 0 stops at a surely, and Const needs no critical quantities
+    # p = 0 stops at a surely, and const needs no critical quantities
     params = ModelParams(n=6, p=0.0, r=2, a=2)
     assert brute_force_pmf(params).prob(2) == 1.0
-    assert float(exact_tail_query(params, Const(1.0), 1.5)) == 1.0
+    assert float(exact_tail_query(params, CONST_1, 1.5)) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,19 @@ from hypothesis import strategies as st
 from bootperc.core import Regime, SequenceSpec
 from bootperc.errors import (EpsOutOfRange, ParameterError,
                              UnsupportedCombination)
-from bootperc.ratefun import (AsymAcNp, AsymBc, BetweenAcNpAndN,
-                              BetweenBcAndAcNp, Const, ScalingFamily,
-                              entropy_H, family_from_string, ldp_rate_value,
-                              minimize_rate, rate_J, tail_exponent)
-from bootperc.ratefun import _h_fun
+from bootperc.ratefun import (ScalingFamily, entropy_H, family_from_string,
+                              ldp_rate_value, minimize_rate, rate_J,
+                              tail_exponent)
+from bootperc.ratefun import _FAMILY_CONSTANTS, _h_fun
 
 REG_BC_INF = Regime("bc_diverges")
 REG_BC_FIN = Regime("bc_finite", b=2.0)
 REG_V_DIV = Regime("bc_vanishes/acnp_diverges")
 REG_V_GAM = Regime("bc_vanishes/acnp_finite", gamma=2.0)
 REG_V_VAN = Regime("bc_vanishes/acnp_vanishes")
+CONST_1 = ScalingFamily("const", 1.0)
+MID = ScalingFamily("between_bc_acnp")
+EARLY = ScalingFamily("between_acnp_n")
 
 
 def grid_J(x, alpha, r):
@@ -250,68 +252,71 @@ def test_minimize_rate_polish_stays_in_the_domain():
 # theorem rate functions
 
 def test_rate_I2_vanishes_at_inverse_ell():
-    assert ldp_rate_value(REG_BC_INF, AsymBc(1.0), 1.0, 2.0, 2) == 0.0
-    assert ldp_rate_value(REG_BC_INF, AsymBc(2.0), 0.5, 2.0, 2) == 0.0
+    assert ldp_rate_value(REG_BC_INF, ScalingFamily("asym_bc", 1.0), 1.0,
+                          2.0, 2) == 0.0
+    assert ldp_rate_value(REG_BC_INF, ScalingFamily("asym_bc", 2.0), 0.5,
+                          2.0, 2) == 0.0
 
 
 def test_rate_I4_ceiling():
-    assert ldp_rate_value(REG_V_DIV, Const(1.0), 0.5, 2.0, 2) == 1.0
-    assert ldp_rate_value(REG_V_DIV, Const(1.0), -0.5, 2.0, 2) == math.inf
+    assert ldp_rate_value(REG_V_DIV, CONST_1, 0.5, 2.0, 2) == 1.0
+    assert ldp_rate_value(REG_V_DIV, CONST_1, -0.5, 2.0, 2) == math.inf
 
 
 def test_rate_I5_two_branches():
     j0 = minimize_rate(2.0, 2)[1]
-    assert ldp_rate_value(REG_V_GAM, Const(1.0), 3.0, 2.0, 2) == pytest.approx(1.5)
-    assert ldp_rate_value(REG_V_GAM, Const(1.0), math.inf, 2.0, 2) == pytest.approx(j0)
+    assert ldp_rate_value(REG_V_GAM, CONST_1, 3.0, 2.0, 2) == pytest.approx(1.5)
+    assert ldp_rate_value(REG_V_GAM, CONST_1, math.inf, 2.0, 2) == pytest.approx(j0)
 
 
 def test_rate_I1_two_point_structure():
     j0 = minimize_rate(2.0, 2)[1]
-    fam = BetweenAcNpAndN()
+    fam = EARLY
     assert ldp_rate_value(REG_BC_INF, fam, 0.0, 2.0, 2) == 0.0
     assert ldp_rate_value(REG_BC_INF, fam, math.inf, 2.0, 2) == pytest.approx(j0)
     assert ldp_rate_value(REG_BC_INF, fam, 0.5, 2.0, 2) == math.inf
-    lin = BetweenAcNpAndN(ell1=0.25)
+    lin = ScalingFamily("between_acnp_n", 0.25)
     assert ldp_rate_value(REG_BC_FIN, lin, 4.0, 2.0, 2) == pytest.approx(j0)
     assert ldp_rate_value(REG_BC_FIN, lin, 5.0, 2.0, 2) == math.inf
 
 
 def test_rate_I3_identity():
     for regime in (REG_BC_INF, REG_BC_FIN, REG_V_DIV):
-        assert ldp_rate_value(regime, BetweenBcAndAcNp(), 1.7, 2.0, 2) == 1.7
-        assert ldp_rate_value(regime, BetweenBcAndAcNp(), -1.0, 2.0, 2) == math.inf
+        assert ldp_rate_value(regime, MID, 1.7, 2.0, 2) == 1.7
+        assert ldp_rate_value(regime, MID, -1.0, 2.0, 2) == math.inf
 
 
 def test_rate_I5_prime_linear():
     j0 = minimize_rate(2.0, 2)[1]
-    fam = AsymAcNp(0.5)
+    fam = ScalingFamily("asym_acnp", 0.5)
     assert ldp_rate_value(REG_BC_INF, fam, 2.0, 2.0, 2) == pytest.approx(1.0)
     assert ldp_rate_value(REG_V_DIV, fam, math.inf, 2.0, 2) == pytest.approx(j0)
 
 
 def test_rate_value_unsupported_combinations():
     with pytest.raises(UnsupportedCombination):
-        ldp_rate_value(REG_BC_FIN, AsymBc(1.0), 1.0, 2.0, 2)
+        ldp_rate_value(REG_BC_FIN, ScalingFamily("asym_bc", 1.0), 1.0, 2.0, 2)
     with pytest.raises(UnsupportedCombination):
-        ldp_rate_value(REG_V_GAM, BetweenBcAndAcNp(), 1.0, 2.0, 2)
+        ldp_rate_value(REG_V_GAM, MID, 1.0, 2.0, 2)
     with pytest.raises(UnsupportedCombination):
-        ldp_rate_value(REG_BC_INF, Const(1.0), 1.0, 2.0, 2)
+        ldp_rate_value(REG_BC_INF, CONST_1, 1.0, 2.0, 2)
     with pytest.raises(UnsupportedCombination):
-        ldp_rate_value(REG_V_VAN, Const(0.5), 1.0, 2.0, 2)
+        ldp_rate_value(REG_V_VAN, ScalingFamily("const", 0.5), 1.0, 2.0, 2)
 
 
 def test_ceiling_tie_rule():
     # float noise within 1e-9 of an integer must not bump the ceiling
-    assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 + 1e-10, 2.0, 2) == 2.0
-    assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 - 1e-10, 2.0, 2) == 2.0
-    assert ldp_rate_value(REG_V_DIV, Const(1.0), 2.0 + 1e-6, 2.0, 2) == 3.0
+    assert ldp_rate_value(REG_V_DIV, CONST_1, 2.0 + 1e-10, 2.0, 2) == 2.0
+    assert ldp_rate_value(REG_V_DIV, CONST_1, 2.0 - 1e-10, 2.0, 2) == 2.0
+    assert ldp_rate_value(REG_V_DIV, CONST_1, 2.0 + 1e-6, 2.0, 2) == 3.0
     # ... nor pull a positive product within 1e-9 of 0 down to no jump
     # (table3/col1, then table4/col1 with gamma = 2)
     for eps in (1e-10, 1e-320):
-        assert ldp_rate_value(REG_V_DIV, Const(1.0), eps, 2.0, 2) == 1.0
-        assert ldp_rate_value(REG_V_GAM, Const(1.0), eps, 2.0, 2) == 0.5
+        assert ldp_rate_value(REG_V_DIV, CONST_1, eps, 2.0, 2) == 1.0
+        assert ldp_rate_value(REG_V_GAM, CONST_1, eps, 2.0, 2) == 0.5
     # an overflowed product ell * x is infinite, not an error
-    assert ldp_rate_value(REG_V_DIV, Const(1e300), 1e300, 2.0, 2) == math.inf
+    assert ldp_rate_value(REG_V_DIV, ScalingFamily("const", 1e300), 1e300,
+                          2.0, 2) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +329,7 @@ SPEC_DIV = SequenceSpec(rule="scaled_log", constants={"c": 0.5}, r=2, alpha=2.0)
 
 
 def test_tail_exponent_early_stop_cell():
-    te = tail_exponent(SPEC_DIV, 10**5, BetweenAcNpAndN(), 0.5, REG_BC_INF)
+    te = tail_exponent(SPEC_DIV, 10**5, EARLY, 0.5, REG_BC_INF)
     j0 = minimize_rate(2.0, 2)[1]
     assert te.table_row == "table1/col4"
     assert te.speed_at_n == pytest.approx(SPEC_DIV.crit_at(10**5).a_c)
@@ -332,7 +337,8 @@ def test_tail_exponent_early_stop_cell():
 
 
 def test_tail_exponent_const_cell_in_table3():
-    te = tail_exponent(SPEC_07, 10**5, Const(2.0), 0.5, REG_V_DIV)
+    te = tail_exponent(SPEC_07, 10**5, ScalingFamily("const", 2.0), 0.5,
+                       REG_V_DIV)
     crit = SPEC_07.crit_at(10**5)
     assert te.table_row == "table3/col1"
     assert te.speed_at_n == pytest.approx(-crit.log_b_c)
@@ -340,43 +346,47 @@ def test_tail_exponent_const_cell_in_table3():
 
 
 def test_tail_exponent_asym_acnp_in_table2():
-    te = tail_exponent(SPEC_FIN, 10**5, AsymAcNp(1.0), 0.3, REG_BC_FIN)
+    te = tail_exponent(SPEC_FIN, 10**5, ScalingFamily("asym_acnp", 1.0), 0.3,
+                       REG_BC_FIN)
     j0 = minimize_rate(2.0, 2)[1]
     assert te.table_row == "table2/col2"
     assert te.rate_at_eps == pytest.approx(min(j0, 0.3))
 
 
 def test_tail_exponent_speed_for_mid_family():
-    te = tail_exponent(SPEC_DIV, 10**6, BetweenBcAndAcNp(), 0.5, REG_BC_INF)
+    te = tail_exponent(SPEC_DIV, 10**6, MID, 0.5, REG_BC_INF)
     crit = SPEC_DIV.crit_at(10**6)
-    f_val = BetweenBcAndAcNp().scale_at(10**6, SPEC_DIV.p_at(10**6), crit)
+    f_val = MID.scale_at(10**6, SPEC_DIV.p_at(10**6), crit)
     assert te.speed_at_n == pytest.approx(-f_val * (crit.log_b_c - math.log(f_val)))
     assert te.rate_at_eps == 0.5
 
 
 def test_tail_exponent_product_invariant():
-    te = tail_exponent(SPEC_07, 10**4, BetweenAcNpAndN(), 0.25, REG_V_DIV)
+    te = tail_exponent(SPEC_07, 10**4, EARLY, 0.25, REG_V_DIV)
     assert te.log_prob_prediction == pytest.approx(
         -te.rate_at_eps * te.speed_at_n)
 
 
 def test_tail_exponent_eps_restrictions():
     with pytest.raises(EpsOutOfRange):
-        tail_exponent(SPEC_DIV, 10**5, AsymBc(2.0), 0.4, REG_BC_INF)
-    tail_exponent(SPEC_DIV, 10**5, AsymBc(2.0), 0.6, REG_BC_INF)
+        tail_exponent(SPEC_DIV, 10**5, ScalingFamily("asym_bc", 2.0), 0.4,
+                      REG_BC_INF)
+    tail_exponent(SPEC_DIV, 10**5, ScalingFamily("asym_bc", 2.0), 0.6,
+                  REG_BC_INF)
     with pytest.raises(EpsOutOfRange):
-        tail_exponent(SPEC_07, 10**5, BetweenAcNpAndN(ell1=0.5), 2.5, REG_V_DIV)
+        tail_exponent(SPEC_07, 10**5, ScalingFamily("between_acnp_n", 0.5),
+                      2.5, REG_V_DIV)
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
-            tail_exponent(SPEC_07, 10**5, Const(1.0), eps, REG_V_DIV)
+            tail_exponent(SPEC_07, 10**5, CONST_1, eps, REG_V_DIV)
 
 
 FAMILIES = {
-    "const": Const(1.0),
-    "asym_bc": AsymBc(1.0),
-    "between_bc_acnp": BetweenBcAndAcNp(),
-    "asym_acnp": AsymAcNp(1.0),
-    "between_acnp_n": BetweenAcNpAndN(),
+    "const": CONST_1,
+    "asym_bc": ScalingFamily("asym_bc", 1.0),
+    "between_bc_acnp": MID,
+    "asym_acnp": ScalingFamily("asym_acnp", 1.0),
+    "between_acnp_n": EARLY,
 }
 
 # (regime, family) cells present in the five tables
@@ -437,11 +447,12 @@ def test_table_cell_coverage_is_total():
 
 
 CONTRACTION_FAMILIES = {
-    "const": [Const(1.0), Const(2.5)],
-    "asym_bc": [AsymBc(1.0), AsymBc(2.0)],
-    "between_bc_acnp": [BetweenBcAndAcNp(), BetweenBcAndAcNp(0.8)],
-    "asym_acnp": [AsymAcNp(0.5), AsymAcNp(3.0)],
-    "between_acnp_n": [BetweenAcNpAndN(), BetweenAcNpAndN(ell1=0.25)],
+    "const": [CONST_1, ScalingFamily("const", 2.5)],
+    "asym_bc": [ScalingFamily("asym_bc", 1.0), ScalingFamily("asym_bc", 2.0)],
+    "between_bc_acnp": [MID, ScalingFamily("between_bc_acnp", 0.8)],
+    "asym_acnp": [ScalingFamily("asym_acnp", 0.5),
+                  ScalingFamily("asym_acnp", 3.0)],
+    "between_acnp_n": [EARLY, ScalingFamily("between_acnp_n", 0.25)],
 }
 
 
@@ -454,7 +465,7 @@ def test_tail_rate_is_the_contraction_of_the_ldp_rate(cell):
     regime, spec = REGIME_SPECS[reg_label]
     checked = 0
     for family in CONTRACTION_FAMILIES[fam_label]:
-        ell1 = getattr(family, "ell1", 0.0)
+        ell1 = family.c if family.tag == "between_acnp_n" else 0.0
         xbar = 1.0 / ell1 if ell1 > 0 else math.inf
         for eps in [1e-3, 0.1, 0.4, 0.75, 1.5, 2.0, 3.9]:
             try:
@@ -470,7 +481,7 @@ def test_tail_rate_is_the_contraction_of_the_ldp_rate(cell):
 
 
 def test_tail_exponent_json_serialization():
-    te = tail_exponent(SPEC_07, 10**4, Const(1.0), 0.7, REG_V_DIV)
+    te = tail_exponent(SPEC_07, 10**4, CONST_1, 0.7, REG_V_DIV)
     doc = json.loads(te.to_json())
     assert doc["table_row"] == "table3/col1"
     assert doc["log_base"] == "e"
@@ -481,13 +492,15 @@ def test_tail_exponent_json_serialization():
 # family parsing
 
 def test_family_from_string():
-    assert family_from_string("const:2.5") == Const(2.5)
-    assert family_from_string("asym_bc:1.0") == AsymBc(1.0)
-    assert family_from_string("between_bc_acnp") == BetweenBcAndAcNp()
-    assert family_from_string("between_bc_acnp:0.3") == BetweenBcAndAcNp(0.3)
-    assert family_from_string("asym_acnp:0.7") == AsymAcNp(0.7)
-    assert family_from_string("between_acnp_n") == BetweenAcNpAndN()
-    assert family_from_string("between_acnp_n:0.2") == BetweenAcNpAndN(ell1=0.2)
+    assert family_from_string("const:2.5") == ScalingFamily("const", 2.5)
+    assert family_from_string("asym_bc:1.0") == ScalingFamily("asym_bc", 1.0)
+    assert family_from_string("between_bc_acnp") == MID
+    assert family_from_string("between_bc_acnp:0.3") \
+        == ScalingFamily("between_bc_acnp", 0.3)
+    assert family_from_string("asym_acnp:0.7") == ScalingFamily("asym_acnp", 0.7)
+    assert family_from_string("between_acnp_n") == EARLY
+    assert family_from_string("between_acnp_n:0.2") \
+        == ScalingFamily("between_acnp_n", 0.2)
     with pytest.raises(ParameterError):
         family_from_string("nope:1")
     with pytest.raises(ParameterError):
@@ -498,18 +511,19 @@ def test_family_from_string():
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 FAMILY_STRATEGIES = {
-    Const: _POSITIVE.map(Const),
-    AsymBc: _POSITIVE.map(AsymBc),
-    BetweenBcAndAcNp: st.floats(0.0, 1.0, exclude_min=True,
-                                exclude_max=True).map(BetweenBcAndAcNp),
-    AsymAcNp: _POSITIVE.map(AsymAcNp),
-    BetweenAcNpAndN: st.floats(min_value=0.0, allow_infinity=False)
-    .map(BetweenAcNpAndN),
-}
+    tag: consts.map(lambda c, tag=tag: ScalingFamily(tag, c))
+    for tag, consts in {
+        "const": _POSITIVE,
+        "asym_bc": _POSITIVE,
+        "between_bc_acnp": st.floats(0.0, 1.0, exclude_min=True,
+                                     exclude_max=True),
+        "asym_acnp": _POSITIVE,
+        "between_acnp_n": st.floats(min_value=0.0, allow_infinity=False),
+    }.items()}
 
 
 def test_family_strategies_cover_every_family():
-    assert set(FAMILY_STRATEGIES) == set(ScalingFamily.__subclasses__())
+    assert set(FAMILY_STRATEGIES) == set(_FAMILY_CONSTANTS)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -522,8 +536,8 @@ def test_family_spec_string_round_trips(family):
 
 def test_family_validation():
     with pytest.raises(ParameterError):
-        Const(0.0)
+        ScalingFamily("const", 0.0)
     with pytest.raises(ParameterError):
-        BetweenBcAndAcNp(theta=1.0)
+        ScalingFamily("between_bc_acnp", 1.0)
     with pytest.raises(ParameterError):
-        BetweenAcNpAndN(ell1=-1.0)
+        ScalingFamily("between_acnp_n", -1.0)
