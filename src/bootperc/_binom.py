@@ -1,9 +1,10 @@
-"""Binomial tail probabilities by direct log-space summation.
+"""Binomial and Poisson tail probabilities by direct log-space summation.
 
 Tails are summed from the smaller side with compensated accumulation, so
 the results keep full relative precision without relying on
 incomplete-beta implementations.  Scalar routines are pure ``math``;
-array routines use numpy for grid workloads.
+array routines use numpy for grid workloads.  Log-factorials come from
+one cached table, log_factorials, so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -16,6 +17,45 @@ _TERM_CUTOFF = 1e-30  # relative term size below which a tail sum is closed
 # below this min(k, m - k), log C(m, k) is a falling factorial rather than
 # a difference of log-gamma values, which loses ~1e-16 m log m
 _FALLING_MAX = 64
+# cephes lgam: log sqrt(2 pi) and the Stirling series below x = 1000
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+_ln_factorial = np.zeros(1)  # ln k! for k = 0..len - 1
+
+
+def log_factorials(k_max: int) -> np.ndarray:
+    """ln k! for k = 0..k_max at least, as one read-only cached array,
+    grown on demand to twice its size or to k_max, whichever is larger.
+
+    Entry k is cephes lgam(k + 1), the formula scipy.special.gammaln
+    evaluates, bit for bit: log of the exact product below x = 13,
+    otherwise Stirling, (x - 1/2) log x - x + log sqrt(2 pi), plus a
+    five-term series in 1/x^2 (three terms from x = 1000, none above
+    1e8).  Each log x is taken by math.log, libm's log; numpy's
+    vectorised log is not correctly rounded and differs at a few points.
+    """
+    global _ln_factorial
+    have = len(_ln_factorial)
+    if k_max < have:
+        return _ln_factorial
+    x = np.arange(have + 1, max(k_max + 1, 2 * have) + 1, dtype=np.float64)
+    log_x = np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+    new = (x - 0.5) * log_x - x + _LS2PI
+    inv2 = 1.0 / (x * x)
+    series = np.full(len(x), _STIRLING[0])
+    for coef in _STIRLING[1:]:
+        series = series * inv2 + coef
+    short = ((7.9365079365079365079365e-4 * inv2 - 2.7777777777777777777778e-3)
+             * inv2 + 0.0833333333333333333333)
+    series = np.where(x >= 1000.0, short, series)
+    new = np.where(x > 1e8, new, new + series / x)
+    for i in range(min(len(x), 13 - (have + 1))):  # x < 13: log((x - 1)!)
+        new[i] = math.log(math.factorial(have + i))
+    _ln_factorial = np.concatenate([_ln_factorial, new])
+    _ln_factorial.setflags(write=False)
+    return _ln_factorial
 
 
 def _validate(m: int, q: float, what: str = "q") -> None:
@@ -109,6 +149,27 @@ def log_binom_cdf(m: int, q: float, k: int) -> float:
     return math.log1p(-math.exp(log_sf))
 
 
+def log_poisson_sf(k: int, b: float) -> float:
+    """log P(Poisson(b) > k) for b > 0, summed like the binomial tails:
+    from the anchor k + 1 upward when it lies at or above the mode,
+    otherwise through the lower tail summed downward from k."""
+    if k < 0:
+        return 0.0
+    upward = k + 1 >= b
+    anchor = j = k + 1 if upward else k
+    rel = 1.0
+    terms = [1.0]
+    while upward or j > 0:
+        rel *= b / (j + 1.0) if upward else j / b
+        if rel < _TERM_CUTOFF:
+            break
+        terms.append(rel)
+        j += 1 if upward else -1
+    log_tail = (anchor * math.log(b) - b - float(log_factorials(anchor)[anchor])
+                + math.log(math.fsum(terms)))
+    return log_tail if upward else math.log1p(-math.exp(log_tail))
+
+
 # ---------------------------------------------------------------------------
 # numpy grid variants
 
@@ -121,9 +182,8 @@ def log_pmf_array(m: int, q: float) -> np.ndarray:
         out = np.full(m + 1, -np.inf)
         out[0 if q == 0.0 else m] = 0.0
         return out
-    from scipy.special import gammaln
-
-    return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+    lnf = log_factorials(m)
+    return (lnf[m] - lnf[:m + 1] - lnf[m::-1]
             + k * math.log(q) + (m - k) * math.log1p(-q))
 
 

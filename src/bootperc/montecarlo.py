@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binom import log_cdf_head
+from ._binom import log_cdf_head, log_factorials, log_poisson_sf
 from .core import (ModelParams, SequenceSpec, _sure_final_size,
                    classify_regime, critical_quantities)
 from .errors import DegenerateLevels, ParameterError
@@ -252,8 +252,10 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
     """
     if method not in ("exact_dp", "naive", "splitting"):
         raise ParameterError("method must be exact_dp, naive or splitting")
-    if horizon_k is not None and not math.isfinite(horizon_k):
-        raise ParameterError(f"horizon_k must be finite, got {horizon_k!r}")
+    if horizon_k is not None and not (math.isfinite(horizon_k)
+                                      and horizon_k > 0):
+        raise ParameterError(
+            f"horizon_k must be finite and > 0, got {horizon_k!r}")
     regime = classify_regime(spec)
     rows = []
     for i, n in enumerate(ladder):
@@ -288,6 +290,20 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
 # ---------------------------------------------------------------------------
 # Poisson-limit distance
 
+def _poisson_cut_points(b: float, k_start: int) -> tuple:
+    """(k_hi, k_bulk) for Poisson(b): k_hi grows from k_start, doubling,
+    until the tail beyond it is below 1e-12 (or k_hi > 100 (b + 10)), and
+    k_bulk, the 1 - 1e-9 quantile, is the first k > b whose tail is at
+    most 1e-9."""
+    k_hi = k_start
+    while log_poisson_sf(k_hi, b) >= math.log(1e-12) and k_hi <= 100 * (b + 10):
+        k_hi = int(2 * k_hi + 10)
+    k_bulk = int(b) + 1
+    while log_poisson_sf(k_bulk, b) > math.log(1e-9):
+        k_bulk += 1
+    return k_hi, k_bulk
+
+
 def poisson_distance(params: ModelParams, replicates: int, rng):
     """(total variation, relative mean gap) between the empirical law of
     n - A*, drawn by the margin-leaping sampler, and Poisson(b_c).
@@ -302,26 +318,17 @@ def poisson_distance(params: ModelParams, replicates: int, rng):
     """
     _check_replicates(replicates)
     b = critical_quantities(params).b_c
-    from scipy.special import gammaln, pdtrc
-
     gaps = params.n - final_sizes_leap(params, replicates, rng)
     counts = np.bincount(gaps)
     emp = counts / replicates
 
-    k_hi = len(emp) - 1
-    # extend until the Poisson tail beyond k_hi is negligible
-    while pdtrc(k_hi, b) >= 1e-12 and k_hi <= 100 * (b + 10):
-        k_hi = int(2 * k_hi + 10)
+    k_hi, k_bulk = _poisson_cut_points(b, len(emp) - 1)
     k = np.arange(k_hi + 1)
-
-    poi = np.exp(k * math.log(b) - b - gammaln(k + 1))
+    poi = np.exp(k * math.log(b) - b - log_factorials(k_hi)[:k_hi + 1])
     emp_full = np.zeros(k_hi + 1)
     emp_full[:len(emp)] = emp[:k_hi + 1]
     tv = 0.5 * (np.abs(emp_full - poi).sum() + max(0.0, 1.0 - poi.sum()))
 
-    k_bulk = int(b) + 1
-    while pdtrc(k_bulk, b) > 1e-9:  # the 1 - 1e-9 quantile of Poisson(b)
-        k_bulk += 1
     bulk = gaps[gaps <= k_bulk]
     mean_gap = abs(float(bulk.mean()) - b) / b if bulk.size else math.inf
     return float(tv), mean_gap

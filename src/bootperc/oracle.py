@@ -12,8 +12,9 @@ atoms far below 1e-308 survive.  One private kernel, _forward, runs
 the pass for every query.  The binomial kernel of a step factorises into
 a part of the source state, a part of the increment and a part of the
 target state, so each step is one 1-D log-space convolution over the
-live band of states; the log-factorials it needs are a running sum of
-logs centred at S = 0, never a difference of large log-gamma values.
+live band of states; the log-factorials of the states are a running sum
+of logs centred at S = 0, never a difference of large log-factorials, and
+those of the increments come from _binom.log_factorials.
 Each step keeps the increments in one window whose edge lies below 1e-30
 of every row's peak, and the transition mass it drops is bounded and
 reported alongside the result.
@@ -28,7 +29,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._binom import _log1p_sum_exp, _log_head_terms, log_binom_cdf, log_binom_pmf
+from ._binom import (_log1p_sum_exp, _log_head_terms, log_binom_cdf,
+                     log_binom_pmf, log_factorials)
 from .core import ModelParams, _pi, _sure_final_size, critical_quantities
 from .errors import MemoryGuardError, ParameterError
 from .ratefun import ScalingFamily, _check_eps
@@ -162,13 +164,14 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
 
     With N = n - a, the increment from state s is Bin(N - s, q_t), and
     its log pmf at the target k = s + j factorises as
-        H[s] - H[k] - lnG(j + 1) + j log q_t + (N - k) log(1 - q_t),
-    where H[s] = lnG(N - s + 1) - lnG(N + 1) = -sum_{i<s} log(N - i) is
-    built once as a running sum, centred at H[0] = 0, and never as a
-    difference of log-gamma values.  The pass carries u = log-mass + H
-    - shift, so a step is one 1-D log-space convolution
+        H[s] - H[k] - ln j! + j log q_t + (N - k) log(1 - q_t),
+    where H[s] = ln (N - s)! - ln N! = -sum_{i<s} log(N - i) is built
+    once as a running sum, centred at H[0] = 0, and never as a difference
+    of log-factorials; ln j! is read from the cached log_factorials table.
+    The pass carries u = log-mass + H - shift, so a step is one 1-D
+    log-space convolution
         u'[k] = (N - k) log(1 - q_t) + logsumexp_j(u[k - j] + j log q_t
-                                                   - lnG(j + 1))
+                                                   - ln j!)
     over the targets from the lowest live state to the highest one plus
     j_win.  The integral shift puts the state of largest mass at u ~ 0
     after each step and sums exactly, so rounding scales with the spread
@@ -181,11 +184,12 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
     Needs 0 < p < 1 and r < n (_sure_final_size answers the rest), so
     0 <= q_t <= p < 1 at every step.
     """
-    from scipy.special import gammaln
-
     n, p, r, a = params.n, params.p, params.r, params.a
     big = n - a
     log_q, log_1mq = _log_q_schedule(p, r, t_max)
+    # ln j! for the increments j <= j_win <= s_hi and the row modes
+    # floor((N - s + 1) q_t) <= (N + 1) p, one more for rounding in q_t
+    lnf = log_factorials(min(big, max(s_hi, math.ceil((big + 1) * p) + 1)))
     # rows reach H at s + mode <= s_hi + (N + 1) p and at s + j_win <= 2 s_hi
     h_top = min(big, 2 * s_hi + math.ceil((big + 1) * p))
     # extended-precision accumulation where numpy has it: a float64 cumsum
@@ -205,7 +209,7 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
         """log P(Bin(N - s, q_t) = j) for every state s, from H."""
         j = np.asarray(j, dtype=np.int64)
         target = np.minimum(states + j, h_top)
-        out = (h[states] - h[target] - gammaln(j + 1.0)
+        out = (h[states] - h[target] - lnf[j]
                + j * lq + (m_arr - j) * l1)
         return np.where(j > m_arr, -np.inf, out)
 
@@ -228,7 +232,7 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
             src[j_win:j_win + hi - lo + 1] = u[lo:hi + 1]
             jj = np.arange(j_win, -1, -1)
             terms = (np.lib.stride_tricks.sliding_window_view(src, j_win + 1)
-                     + (jj * lq - gammaln(jj + 1.0)))
+                     + (jj * lq - lnf[j_win::-1]))
             peak = terms.max(axis=1)
             peak[peak == -np.inf] = 0.0
             terms -= peak[:, None]
@@ -378,16 +382,22 @@ def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSiz
     """Exhaustive enumeration of all 2^C(n,2) graphs for n <= 7.
 
     Graphs are grouped by edge count (_final_size_counts), so each atom
-    is one log-sum-exp of exact integer counts times per-graph weights.
+    is one log-sum-exp, shifted by its largest term, over the edge counts
+    e with a nonzero count: log(count) + e log p + (C(n, 2) - e) log(1 - p).
     """
-    from scipy.special import logsumexp, xlog1py, xlogy
-
     n, p, r, a = params.n, params.p, params.r, params.a
     if n > cap:
         raise ParameterError(f"brute force enumeration is capped at n = {cap}")
     n_edges = n * (n - 1) // 2
     counts = _final_size_counts(n, r, a)
     e = np.arange(n_edges + 1)
-    log_w = xlogy(e, p) + xlog1py(n_edges - e, -p)
-    return FinalSizePmf(params, logsumexp(log_w[:, None], b=counts[:, a:],
-                                          axis=0))
+    if p == 0.0 or p == 1.0:  # every graph weight is 0 but one
+        log_w = np.where(e == (0 if p == 0.0 else n_edges), 0.0, -np.inf)
+    else:
+        log_w = e * math.log(p) + (n_edges - e) * math.log1p(-p)
+    with np.errstate(divide="ignore"):  # log 0 = -inf drops an empty count
+        terms = log_w[:, None] + np.log(counts[:, a:])
+        peak = terms.max(axis=0)
+        peak[peak == -np.inf] = 0.0
+        log_probs = peak + np.log(np.exp(terms - peak).sum(axis=0))
+    return FinalSizePmf(params, log_probs)

@@ -378,7 +378,9 @@ def tail_exponent(spec: SequenceSpec, n, family: ScalingFamily, eps: float,
     (1/c when f(n)/n -> c > 0, infinity otherwise).
 
     Raises ParameterError unless eps is a positive finite number,
-    UnsupportedCombination for cells absent from the tables and
+    UnsupportedCombination for cells absent from the tables or whose
+    speed v(n) is not positive at this n (the scales the cell compares,
+    such as f and b_c, are not yet in its order), and
     EpsOutOfRange where the tail estimate restricts eps (f ~ c b_c
     needs eps > 1/c; f with lim f/n = c > 0 needs eps < 1/c).
     """
@@ -401,6 +403,10 @@ def tail_exponent(spec: SequenceSpec, n, family: ScalingFamily, eps: float,
         v = f_val * (math.log(f_val) - crit.log_b_c)
     else:
         v = {_A_C: crit.a_c, _B_C: crit.b_c, _LOG_B_C: -crit.log_b_c}[speed]
+    if not v > 0.0:
+        raise UnsupportedCombination(
+            f"cell {cell} has speed v(n) = {speed} = {v!r} at n = {n}; "
+            "it predicts only where v(n) > 0")
     rate = min(ldp_rate_value(regime, family, eps, spec.alpha, spec.r),
                ldp_rate_value(regime, family, xbar, spec.alpha, spec.r))
     return TailExponent(speed_at_n=v, rate_at_eps=rate,

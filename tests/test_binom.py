@@ -1,0 +1,63 @@
+"""The scipy-free log-factorial table and Poisson tail reproduce the scipy
+values they replace, bit for bit where the output depends on them."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import gammaln, pdtrc
+
+from bootperc._binom import log_factorials, log_pmf_array, log_poisson_sf
+from bootperc.montecarlo import _poisson_cut_points
+
+# the p grid of the Penrose inequality sweep (acceptance criterion 3)
+PENROSE_P = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9)
+
+
+def test_log_factorials_equal_gammaln_bit_for_bit():
+    k_max = 200_000
+    lnf = log_factorials(k_max)
+    want = gammaln(np.arange(k_max + 1, dtype=np.float64) + 1.0)
+    assert np.array_equal(lnf[:k_max + 1], want)
+    assert not lnf.flags.writeable
+
+
+def test_log_factorials_grow_without_moving_entries():
+    before = log_factorials(10).copy()
+    grown = log_factorials(len(before) * 3 + 7)
+    assert len(grown) > len(before) * 3 + 7
+    assert np.array_equal(grown[:len(before)], before)
+
+
+def test_log_pmf_array_equals_the_gammaln_formula_on_the_penrose_grid():
+    for n in range(5, 201):
+        k = np.arange(n + 1, dtype=np.float64)
+        for p in PENROSE_P:
+            old = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                   + k * math.log(p) + (n - k) * math.log1p(-p))
+            assert np.array_equal(log_pmf_array(n, p), old), (n, p)
+
+
+def _pdtrc_cut_points(b, k_start):
+    k_hi = k_start
+    while pdtrc(k_hi, b) >= 1e-12 and k_hi <= 100 * (b + 10):
+        k_hi = int(2 * k_hi + 10)
+    k_bulk = int(b) + 1
+    while pdtrc(k_bulk, b) > 1e-9:
+        k_bulk += 1
+    return k_hi, k_bulk
+
+
+@pytest.mark.parametrize("b", [float(b) for b in np.geomspace(1e-3, 50, 61)])
+def test_poisson_cut_points_equal_the_pdtrc_ones(b):
+    for k_start in (0, 1, 3, int(b), int(2 * b) + 5, 60, 300):
+        assert _poisson_cut_points(b, k_start) == _pdtrc_cut_points(b, k_start)
+
+
+@pytest.mark.parametrize("b", [1e-3, 0.5, 2.7, 17.0, 50.0])
+def test_log_poisson_sf_matches_pdtrc(b):
+    for k in range(int(4 * b) + 40):
+        want = pdtrc(k, b)
+        if want > 1e-300:
+            assert math.exp(log_poisson_sf(k, b)) == pytest.approx(
+                want, rel=1e-12)

@@ -418,6 +418,12 @@ def test_tail_study_cap_works_like_exact_cap(tmp_path):
     # the full event at n = 1e4 needs 9960 chain states: the default cap
     # still refuses it
     assert run(tmp_path, study + ["--ladder", "10000"])[0] == 2
+    # at n = 600 that cell's speed is negative, so the small ladder runs
+    # the table4/col1 const cell, a full event with a positive speed
+    spec = write_spec(tmp_path, {"rule": "power", "constants": {
+        "c": 1.0, "beta": 2 / 3}, "r": 2, "alpha": 2.0})
+    study = ["tail", "study", "--spec", spec, "--family", "const:1.0",
+             "--eps", "0.5"]
     assert run(tmp_path, study + ["--ladder", "600", "--cap", "100"])[0] == 2
     code, capped = run(tmp_path, study + ["--ladder", "600", "--cap", "600"])
     assert code == 0 and '"cap": 600' in capped.splitlines()[0]
@@ -549,6 +555,46 @@ def test_non_finite_horizon_k_is_refused(horizon_k, tmp_path, capsys):
     assert "horizon_k must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon_k", ["0", "-1"])
+def test_non_positive_horizon_k_is_refused(horizon_k, tmp_path, capsys):
+    # K <= 0 would probe the empty event {T <= floor(K a_c) < a}
+    spec = write_spec(tmp_path, SPEC_07)
+    out = tmp_path / "x.csv"
+    assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
+                 "--eps", "0.5", "--ladder", "1000", "--horizon-k", horizon_k,
+                 "--out", str(out)]) == 2
+    assert "horizon_k must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# cells whose speed v(n) is still negative at this n: -log b_c with
+# b_c > 1, and f log(f/b_c) with f < b_c
+NEGATIVE_SPEED = [
+    (SPEC_07, "const:2.0", "600", "-1.50"),
+    ({"rule": "scaled_log", "constants": {"c": 0.5}, "r": 2, "alpha": 2.0},
+     "between_bc_acnp:0.3", "10000", "-157.0"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(NEGATIVE_SPEED)))
+def test_non_positive_speed_is_refused(case, tmp_path, capsys):
+    spec, family, n, speed = NEGATIVE_SPEED[case]
+    out = tmp_path / "x.json"
+    assert main(["tail", "predict", "--spec", write_spec(tmp_path, spec),
+                 "--n", n, "--family", family, "--eps", "0.5",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"at n = {n}" in err and "v(n)" in err and speed in err
+    assert not out.exists()
+
+
+def test_study_refuses_a_row_with_non_positive_speed(tmp_path):
+    spec = write_spec(tmp_path, SPEC_07)
+    assert run(tmp_path, ["tail", "study", "--spec", spec, "--family",
+                          "const:2.0", "--eps", "0.5", "--ladder", "600"])[0] \
+        == 3
+
+
 def test_exit_code_model_refusals(tmp_path):
     out = str(tmp_path / "x.json")
     wobble = write_spec(tmp_path, {
@@ -645,3 +691,43 @@ def test_validate_list(capsys):
     assert main(["validate", "--list"]) == 0
     names = capsys.readouterr().out.split()
     assert "bounds" in names and "oracle" in names
+
+
+_BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"no module named {name!r} (blocked)")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from bootperc.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "40", "--p", "0.2", "--r", "2", "--a", "3"],
+    ["simulate", "--sampler", "activation", "--n", "30", "--p", "0.2",
+     "--r", "2", "--a", "3", "--replicates", "200"],
+    ["tail", "estimate", "--n", "100", "--p", "0.1", "--r", "2", "--a", "5",
+     "--splitting", "--tau", "10", "--replicates", "200"],
+    ["tail", "study", "--spec", "spec.json", "--family", "between_acnp_n",
+     "--eps", "0.5", "--ladder", "1000", "--method", "exact_dp"],
+    ["validate", "--suite", "all"],
+], ids=["exact", "simulate", "tail-estimate", "tail-study", "validate"])
+def test_runs_without_scipy(argv, tmp_path):
+    write_spec(tmp_path, SPEC_07)
+    src = str(Path(bootperc.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY, *argv],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

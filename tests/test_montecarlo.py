@@ -232,13 +232,17 @@ def test_study_splitting_method_runs():
 
 
 def test_study_forwards_the_dp_cap():
-    # the full event {T <= n - 1} needs n - a - 1 chain states
+    # the full event {T <= n - 1} needs n - a - 1 chain states; at n = 600
+    # SPEC_07's const cell has speed -log b_c < 0, so the small ladder uses
+    # the table4/col1 const cell, whose speed is positive there
     with pytest.raises(MemoryGuardError):
         rate_convergence_study(SPEC_07, CONST_2, 0.5, [10**4])
+    spec = SequenceSpec(rule="power", constants={"c": 1.0, "beta": 2 / 3},
+                        r=2, alpha=2.0)
     with pytest.raises(MemoryGuardError):
-        rate_convergence_study(SPEC_07, CONST_2, 0.5, [600], cap=100)
-    assert rate_convergence_study(SPEC_07, CONST_2, 0.5, [600], cap=600) \
-        == rate_convergence_study(SPEC_07, CONST_2, 0.5, [600])
+        rate_convergence_study(spec, CONST_1, 0.5, [600], cap=100)
+    assert rate_convergence_study(spec, CONST_1, 0.5, [600], cap=600) \
+        == rate_convergence_study(spec, CONST_1, 0.5, [600])
 
 
 def test_default_stop_horizon_formula():

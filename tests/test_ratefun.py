@@ -354,9 +354,10 @@ def test_tail_exponent_asym_acnp_in_table2():
 
 
 def test_tail_exponent_speed_for_mid_family():
-    te = tail_exponent(SPEC_DIV, 10**6, MID, 0.5, REG_BC_INF)
-    crit = SPEC_DIV.crit_at(10**6)
-    f_val = MID.scale_at(10**6, SPEC_DIV.p_at(10**6), crit)
+    # below n ~ 1e9 this f is still under b_c and the speed is refused
+    te = tail_exponent(SPEC_DIV, 10**10, MID, 0.5, REG_BC_INF)
+    crit = SPEC_DIV.crit_at(10**10)
+    f_val = MID.scale_at(10**10, SPEC_DIV.p_at(10**10), crit)
     assert te.speed_at_n == pytest.approx(-f_val * (crit.log_b_c - math.log(f_val)))
     assert te.rate_at_eps == 0.5
 
@@ -468,8 +469,8 @@ def test_tail_rate_is_the_contraction_of_the_ldp_rate(cell):
         ell1 = family.c if family.tag == "between_acnp_n" else 0.0
         xbar = 1.0 / ell1 if ell1 > 0 else math.inf
         for eps in [1e-3, 0.1, 0.4, 0.75, 1.5, 2.0, 3.9]:
-            try:
-                te = tail_exponent(spec, 10**5, family, eps, regime)
+            try:  # n = 1e10 puts every cell's scales in order (speed > 0)
+                te = tail_exponent(spec, 10**10, family, eps, regime)
             except EpsOutOfRange:
                 continue
             xs = list(np.linspace(eps, min(xbar, eps + 10.0), 401)) + [xbar]
