@@ -11,7 +11,9 @@
   inactive node Bin(M, p) marks at once, so a replicate costs a few dozen
   leaps of r(r + 1)/2 binomial draws at any n;
 * activation times: each non-seed node gets an i.i.d. r-th-success time
-  Y_i, and the stop time is read off the order statistics in one sweep;
+  Y_i, whose order statistics are read off the prefix sums of n - a + 1
+  exponential spacings (Renyi's representation) against one table of
+  Q(t) = P(Bin(t, p) <= r - 1), so a replicate costs O(n - a) at any r;
 * leap: the count chain S(t) jumps over every stretch where it cannot
   stop, so a replicate costs a few dozen binomial draws at any n; the
   naive, rate-study and Poisson-limit estimators in montecarlo use it,
@@ -22,8 +24,14 @@
   leap times, since a table over 0..n would cost O(n) time and memory.
 
 All randomness flows through an RngSpec (seed, stream), so a replicate is
-reproducible bit-for-bit within one build.  Geometric variables are drawn
-by inversion of a single uniform, which makes coupling in p monotone.
+reproducible bit-for-bit within one build.  Of the samplers only the
+activation-time one is coupled monotonically in p: its spacings do not
+depend on p and Q(t) falls as p grows, so its sizes at p1 < p2 from one
+RngSpec are ordered elementwise (final_size_from_edge_uniforms couples
+one graph the same way through shared edge uniforms).  The graph,
+mark-chain and leap samplers draw p-dependent variables, so theirs are
+not.
+
 The graph, mark-chain and activation-time samplers run replicates in
 batches of about _BATCH_ELEMENTS elements per array, so each holds a few
 MB beyond its output at any replicate count; the budget moves the
@@ -52,7 +60,8 @@ __all__ = [
 #: the graph sampler refuses instances above this node count
 GRAPH_NODE_CAP = 100_000
 #: the activation-time sampler refuses rows of more non-seed nodes; one
-#: replicate at the cap peaks near 3 x 80 MB (times, candidates and ramp)
+#: replicate at the cap peaks near 171 MB (Q table and prefix sums of
+#: 80 MB each, 10 MB of stop flags)
 ACTIVATION_NODE_CAP = 10_000_000
 #: samplers and estimators refuse more replicates than this (800 MB output)
 REPLICATE_CAP = 10 ** 8
@@ -106,62 +115,31 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# geometric / r-th-success machinery
-
-def _geometric_fill(buf: np.ndarray, p: float,
-                    gen: np.random.Generator) -> np.ndarray:
-    """Fill `buf` in place with trials to the first success, 1 +
-    floor(log1p(-u) / log1p(-p)) of uniforms u: monotone nonincreasing in
-    p for fixed u, +inf at p = 0 and 1 at p = 1."""
-    gen.random(out=buf)
-    if p in (0.0, 1.0):  # log1p(-p) is 0 or undefined
-        buf.fill(np.inf if p == 0.0 else 1.0)
-        return buf
-    np.negative(buf, out=buf)
-    np.log1p(buf, out=buf)
-    # subnormal p overflows to an infinite time, which is the right answer
-    with np.errstate(over="ignore"):
-        buf /= math.log1p(-p)
-    np.floor(buf, out=buf)
-    buf += 1.0
-    return buf
-
-
-def _rth_success_times(shape, r: int, p: float,
-                       gen: np.random.Generator) -> np.ndarray:
-    """Trials to the r-th success, one per entry of an array of `shape`;
-    draws after the first pass through one reused buffer."""
-    y = _geometric_fill(np.empty(shape), p, gen)
-    buf = np.empty(shape) if r > 1 else None
-    with np.errstate(over="ignore"):
-        for _ in range(r - 1):
-            y += _geometric_fill(buf, p, gen)
-    return y
-
-
-# ---------------------------------------------------------------------------
 # activation-time sampler
 
-def _stop_from_sorted_times(y_sorted: np.ndarray, n: int, a: int) -> np.ndarray:
-    """First t with a + #{Y_i <= t} <= t, per row of sorted times.
-
-    With S(t) = k exactly on [y_(k), y_(k+1)), the earliest admissible t
-    at level k is max(a + k, y_(k)); the stop time is the first level
-    whose candidate precedes y_(k+1).  Always <= n because S(n) <= n - a.
-    """
-    reps, m = y_sorted.shape
-    cand = np.empty((reps, m + 1))
-    cand[:, 0] = a  # y_(0) = 0
-    np.maximum(np.arange(a + 1, a + m + 1, dtype=np.float64), y_sorted,
-               out=cand[:, 1:])
-    valid = np.ones((reps, m + 1), dtype=bool)  # y_(m+1) = inf
-    np.less(cand[:, :m], y_sorted, out=valid[:, :m])
-    k_star = np.argmax(valid, axis=1)
-    return cand[np.arange(reps), k_star].astype(np.int64)
+def _stop_from_spacings(spacings: np.ndarray, q: np.ndarray,
+                        a: int) -> np.ndarray:
+    """Per row of m + 1 spacings (summed in place), the first t in
+    [a, a + m) with P_{a+m-t} < P_{m+1} q[t - a], else a + m."""
+    size, m = spacings.shape[0], spacings.shape[1] - 1
+    prefix = np.cumsum(spacings, axis=1, out=spacings)  # column j - 1: P_j
+    prefix[:, :m] *= (1.0 / prefix[:, m])[:, None]
+    stop = np.ones((size, m + 1), dtype=bool)  # column t - a, t = a + m last
+    np.less(prefix[:, m - 1::-1], q, out=stop[:, :m])
+    return a + np.argmax(stop, axis=1)
 
 
 def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndarray:
-    """Batch of A* values from the activation-time sampler."""
+    """Batch of A* values from the activation-time sampler.
+
+    Non-seed node i activates at Y_i = F^-1(U_i), F(t) = 1 - Q(t) with
+    Q(t) = P(Bin(t, p) <= r - 1), so the stop condition a + S(t) <= t
+    holds at t in [a, n) iff U_(t-a+1) > F(t).  By Renyi's representation
+    the m = n - a values 1 - U_(k) have the joint law of P_{m+1-k} /
+    P_{m+1}, for prefix sums P of m + 1 i.i.d. Exp(1) spacings, so T is
+    the first t in [a, n) with P_{n-t} < P_{m+1} Q(t), and n when there
+    is none (S(n) <= n - a).  One exponential per node at any r, no sort.
+    """
     _check_replicates(replicates)
     sure = _sure_final_size(params)
     if sure is not None:
@@ -173,12 +151,15 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
             f"activation-time sampler refuses n - a = {m} above the cap "
             f"{ACTIVATION_NODE_CAP}; use the leap sampler instead")
     gen = _as_generator(rng)
+    q = np.empty(m)  # Q(a + i), in blocks of the batch budget of head terms
+    for start, size in _chunks(m, r - 1):
+        q[start:start + size] = log_cdf_head(
+            np.arange(a + start, a + start + size), p, r - 1)
+    np.exp(q, out=q)
     out = np.empty(replicates, dtype=np.int64)
-    for start, size in _chunks(replicates, m):
-        y = _rth_success_times((size, m), r, p, gen)
-        y.sort(axis=1)
-        out[start:start + size] = _stop_from_sorted_times(y, n, a)
-        del y  # free this batch before the next one is drawn
+    for start, size in _chunks(replicates, m + 1):
+        out[start:start + size] = _stop_from_spacings(
+            gen.standard_exponential((size, m + 1)), q, a)
     return out
 
 
@@ -315,6 +296,21 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
 # ---------------------------------------------------------------------------
 # graph sampler: draw a batch of graphs as one disjoint union, then run one
 # synchronous-generation cascade on its edge list
+
+def _geometric_fill(buf: np.ndarray, p: float,
+                    gen: np.random.Generator) -> np.ndarray:
+    """Fill `buf` in place with trials to the first success, 1 +
+    floor(log1p(-u) / log1p(-p)) of uniforms u, for 0 < p < 1."""
+    gen.random(out=buf)
+    np.negative(buf, out=buf)
+    np.log1p(buf, out=buf)
+    # subnormal p overflows to an infinite time, which is the right answer
+    with np.errstate(over="ignore"):
+        buf /= math.log1p(-p)
+    np.floor(buf, out=buf)
+    buf += 1.0
+    return buf
+
 
 def _sample_edge_slots(total_slots: int, p: float,
                        gen: np.random.Generator) -> np.ndarray:

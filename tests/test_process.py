@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import defaultdict
@@ -19,7 +20,7 @@ from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               final_sizes_activation, final_sizes_graph,
                               final_sizes_leap, final_sizes_markchain,
                               histogram, low_degree_counts, _leap_to_level,
-                              _rth_success_times, _stop_from_sorted_times)
+                              _stop_from_spacings)
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
 
@@ -84,41 +85,102 @@ def test_markchain_leap_chances_gather_equals_direct_evaluation(p, r):
         assert ((0.0 <= want) & (want <= 1.0)).all()
 
 
+def _exact_survival(n, p, r, a):
+    """Q(t) = P(Bin(t, p) <= r - 1) for t = a..n-1 by the plain binomial
+    sum, clamped to be nonincreasing in t as the true Q is."""
+    q = [math.fsum(math.comb(t, j) * p ** j * (1.0 - p) ** (t - j)
+                   for j in range(min(r - 1, t) + 1)) for t in range(a, n)]
+    return np.minimum.accumulate(np.array(q))
+
+
+def _stop_by_inversion(spacings, q, a):
+    """A plain loop: the uniform order statistics U_(k) = 1 - P_{m+1-k} /
+    P_{m+1} of m + 1 spacings, the r-th-success times Y_(k) = F^-1(U_(k))
+    with F = 1 - Q (so Y_(k) <= t iff Q(t) <= 1 - U_(k)), and the first
+    t with a + S(t) <= t, S(t) = #{k: Y_(k) <= t}.  Times at or past n
+    count as never; a + S(n) <= n always."""
+    m = len(spacings) - 1
+    prefix = list(itertools.accumulate(spacings.tolist()))
+    times = []
+    for k in range(1, m + 1):
+        tail = prefix[m - k] / prefix[m]  # 1 - U_(k)
+        times.append(next((a + i for i, qt in enumerate(q) if qt <= tail),
+                          math.inf))
+    return next((t for t in range(a, a + m)
+                 if a + sum(y <= t for y in times) <= t), a + m)
+
+
+def _activation_by_inversion(params, replicates, spec):
+    """The sampler's sizes, and the plain loop's on the same spacings:
+    one batch draws m + 1 exponentials per replicate, row by row."""
+    n, p, r, a = params.n, params.p, params.r, params.a
+    sizes = final_sizes_activation(params, replicates, spec)
+    spacings = spec.generator().standard_exponential((replicates, n - a + 1))
+    q = _exact_survival(n, p, r, a)
+    return sizes, [_stop_by_inversion(row, q, a) for row in spacings]
+
+
 def test_rth_success_times_match_activation_law():
-    gen = RngSpec(5, 0).generator()
-    y = _rth_success_times(200_000, 2, 0.5, gen)
-    assert (y <= 2).mean() == pytest.approx(0.25, abs=0.005)
+    # the lone non-seed node activates by t = 3 iff its r-th success is
+    # among the first 3 trials: P(A* = 4) = p^3 at r = 3
+    sizes = final_sizes_activation(ModelParams(n=4, p=0.5, r=3, a=3),
+                                   200_000, RngSpec(5, 0))
+    assert (sizes == 4).mean() == pytest.approx(0.125, abs=0.004)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.002, 0.4, 1.0])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rth_success_times_are_the_inversion_formula_bit_for_bit(p, r):
-    # sum over r of 1 + floor(log1p(-u) / log1p(-p)), one fresh array of
-    # uniforms per term in the same order; p = 0 and p = 1 give +inf and
-    # 1, a subnormal p overflows to +inf
-    shape = (7, 13)
-    got = _rth_success_times(shape, r, p, RngSpec(31, 4).generator())
+    # the stop rule on prefix sums equals the stop time of the r-th-success
+    # times F^-1(U_(k)) built from the same spacings by a plain loop; Q is
+    # 1 at p = 0 and at a subnormal p, and 0 from t = r on at p = 1
     gen = RngSpec(31, 4).generator()
-    want = np.zeros(shape)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_q = np.log1p(-np.float64(p))
-        for _ in range(r):
-            want += 1.0 + np.floor(np.log1p(-gen.random(shape)) / log_q)
-    np.testing.assert_array_equal(got, want)
+    for _ in range(30):
+        reps, m, a = (int(k) for k in gen.integers([1, 1, 1], [4, 9, 5]))
+        q = _exact_survival(a + m, p, r, a)
+        spacings = gen.standard_exponential((reps, m + 1))
+        want = [_stop_by_inversion(row, q, a) for row in spacings]
+        np.testing.assert_array_equal(
+            _stop_from_spacings(spacings, q, a), want)
 
 
-def test_stop_from_sorted_times_matches_a_plain_loop():
+def test_stop_from_spacings_matches_a_plain_loop():
     gen = np.random.default_rng(12)
-    for _ in range(200):
-        reps, m, a = (int(k) for k in gen.integers([1, 1, 0], [5, 9, 5]))
-        n = a + m
-        y = gen.integers(1, n + 4, size=(reps, m)).astype(float)
-        y[gen.random((reps, m)) < 0.2] = np.inf  # nodes that never activate
-        y.sort(axis=1)
-        want = [next(t for t in range(n + 1) if a + (row <= t).sum() <= t)
-                for row in y]
-        np.testing.assert_array_equal(_stop_from_sorted_times(y, n, a), want)
+    outcomes = set()
+    for seed in range(200):
+        n, r = int(gen.integers(2, 13)), int(gen.integers(2, 4))
+        params = ModelParams(n=n, p=float(gen.random()), r=r,
+                             a=int(gen.integers(1, n + 1)))
+        sizes, want = _activation_by_inversion(
+            params, int(gen.integers(1, 6)), RngSpec(seed, 2))
+        np.testing.assert_array_equal(sizes, want)
+        outcomes.update(sizes == n)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.filterwarnings("error")
+def test_activation_stop_falls_back_to_n_where_q_underflows():
+    # Q(t) = (1 + t) 2^-t is 0.0 from t of about 1090, so no row stops
+    # there, none stops before, and every row falls back to t = n
+    params = ModelParams(n=1200, p=0.5, r=2, a=2)
+    q = np.exp(log_cdf_head(np.arange(params.a, params.n), 0.5, 1))
+    assert (q == 0.0).sum() > 100
+    sizes, want = _activation_by_inversion(params, 3, RngSpec(6, 0))
+    np.testing.assert_array_equal(sizes, want)
+    assert (sizes == params.n).all()
+
+
+def test_activation_sizes_are_monotone_in_p():
+    # one RngSpec fixes the spacings; Q(t) falls as p grows, so the sizes
+    # are ordered elementwise along the p grid
+    for r, a in ((2, 6), (3, 12)):
+        sizes = np.array([final_sizes_activation(
+            ModelParams(n=300, p=p, r=r, a=a), 2000, RngSpec(19, r))
+            for p in (0.002, 0.005, 0.01, 0.02, 0.05, 0.2)])
+        steps = np.diff(sizes, axis=0)
+        assert (steps >= 0).all()
+        assert (steps > 0).any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +318,20 @@ BATCH_BYTES = 8 * 2 ** 18
 
 @pytest.mark.parametrize("batch, params, replicates", [
     (final_sizes_activation, _poisson_rule_instance(2000), 300),
+    # the survival table over 20000 times holds 99 head terms per time,
+    # 16 MB if it were evaluated in one piece
+    (final_sizes_activation, ModelParams(n=20_000, p=0.01, r=100, a=200), 3),
     (final_sizes_graph, _poisson_rule_instance(2000), 60),
     (low_degree_counts, _poisson_rule_instance(2000), 60),
     # the mark chain keeps O(r) counts per replicate at any n, so it takes
     # many replicates of a small instance to fill two batches
     (final_sizes_markchain, P6, 400_000),
-], ids=["activation", "graph", "low_degree", "markchain"])
+], ids=["activation", "activation_large_r", "graph", "low_degree",
+        "markchain"])
 def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
                                                     replicates):
     # each case spans two or more batches of process._BATCH_ELEMENTS
+    # (activation_large_r: of its survival table's head terms)
     tracemalloc.start()
     try:
         sizes = batch(params, replicates, RngSpec(3, 0))
@@ -338,7 +405,8 @@ def assert_tv_within_noise(sizes, pmf, n):
 
 @pytest.mark.parametrize("sampler, n, reps", [
     ("leap", 200, 200_000), ("leap", 500, 200_000), ("graph", 40, 20_000),
-    ("markchain", 200, 200_000), ("markchain", 500, 200_000)])
+    ("markchain", 200, 200_000), ("markchain", 500, 200_000),
+    ("activation", 200, 200_000), ("activation", 500, 200_000)])
 def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
     p = n ** -0.7
     a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
@@ -347,17 +415,30 @@ def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
     assert_tv_within_noise(sizes, exact_pmf(params), n)
 
 
-def test_markchain_matches_exact_law_at_r3():
-    # supercritical at r = 3: most replicates end with nodes at one and
-    # two marks, so every leap splits its non-activated nodes over levels
+def _r3_instance_and_law():
+    """Supercritical at r = 3 (n = 200, p = n^-0.6, a = ceil(2 a_c)):
+    most replicates end with nodes at one and two marks."""
     n = 200
     p = n ** -0.6
     a_c = critical_quantities(ModelParams(n=n, p=p, r=3, a=1)).a_c
     params = ModelParams(n=n, p=p, r=3, a=math.ceil(2 * a_c))
     pmf = exact_pmf(params)
     assert sum(pmf.prob(k) for k in range(n - 4, n)) > 0.5
+    return params, pmf
+
+
+def test_markchain_matches_exact_law_at_r3():
+    # every leap splits its non-activated nodes over the mark levels
+    params, pmf = _r3_instance_and_law()
     sizes = final_sizes_markchain(params, 200_000, RngSpec(9, 3))
-    assert_tv_within_noise(sizes, pmf, n)
+    assert_tv_within_noise(sizes, pmf, params.n)
+
+
+def test_activation_matches_exact_law_at_r3():
+    # the survival table holds two head terms per time at r = 3
+    params, pmf = _r3_instance_and_law()
+    sizes = final_sizes_activation(params, 200_000, RngSpec(10, 3))
+    assert_tv_within_noise(sizes, pmf, params.n)
 
 
 def test_markchain_agrees_with_leap_at_criterion_5_instance():
