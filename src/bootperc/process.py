@@ -13,7 +13,10 @@
 * activation times: each non-seed node gets an i.i.d. r-th-success time
   Y_i, whose order statistics are read off the prefix sums of n - a + 1
   exponential spacings (Renyi's representation) against one table of
-  Q(t) = P(Bin(t, p) <= r - 1), so a replicate costs O(n - a) at any r;
+  Q(t) = P(Bin(t, p) <= r - 1).  A longer row draws only the Gamma sums
+  of blocks of about sqrt(2 (n - a)) spacings and expands just the
+  blocks where a stop is possible, so a replicate costs O(sqrt(n - a))
+  where a few blocks are, O(n - a) at worst, at any r;
 * leap: the count chain S(t) jumps over every stretch where it cannot
   stop, so a replicate costs a few dozen binomial draws at any n; the
   naive, rate-study and Poisson-limit estimators in montecarlo use it,
@@ -26,13 +29,14 @@
 All randomness flows through an RngSpec (seed, stream), so a replicate is
 reproducible bit-for-bit within one build.  Of the samplers only the
 activation-time one is coupled monotonically in p: its spacings do not
-depend on p and Q(t) falls as p grows, so its sizes at p1 < p2 from one
+depend on p (a block expands from its own sum and key, whichever blocks
+are expanded) and Q(t) falls as p grows, so its sizes at p1 < p2 from one
 RngSpec are ordered elementwise (final_size_from_edge_uniforms couples
 one graph the same way through shared edge uniforms).  The graph,
 mark-chain and leap samplers draw p-dependent variables, so theirs are
 not.
 
-The graph, mark-chain and activation-time samplers run replicates in
+The graph, mark-chain, activation-time and leap samplers run replicates in
 batches of about _BATCH_ELEMENTS elements per array, so each holds a few
 MB beyond its output at any replicate count; the budget moves the
 realised draws, not the law.
@@ -60,8 +64,8 @@ __all__ = [
 #: the graph sampler refuses instances above this node count
 GRAPH_NODE_CAP = 100_000
 #: the activation-time sampler refuses rows of more non-seed nodes; one
-#: replicate at the cap peaks near 171 MB (Q table and prefix sums of
-#: 80 MB each, 10 MB of stop flags)
+#: replicate at the cap peaks near 98 MB (the 80 MB Q table and a few
+#: batch budgets of work arrays)
 ACTIVATION_NODE_CAP = 10_000_000
 #: samplers and estimators refuse more replicates than this (800 MB output)
 REPLICATE_CAP = 10 ** 8
@@ -129,6 +133,85 @@ def _stop_from_spacings(spacings: np.ndarray, q: np.ndarray,
     return a + np.argmax(stop, axis=1)
 
 
+#: SplitMix64's state increment and its two finaliser multipliers
+#: (Steele, Lea & Flood, OOPSLA 2014)
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+
+
+def _splitmix64(keys: np.ndarray, count: int) -> np.ndarray:
+    """Row i holds the first `count` SplitMix64 words from state keys[i].
+    All arithmetic is on uint64 arrays, which wrap silently (a numpy
+    scalar raises on overflow)."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z = keys[:, None] + z
+    tmp = np.empty_like(z)
+    for shift, mul in _SPLITMIX_MIX:
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= np.uint64(mul)
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
+
+
+def _block_exponentials(keys: np.ndarray, count: int) -> np.ndarray:
+    """Row i holds `count` Exp(1) values keyed by keys[i]: -log u for the
+    uniforms u in (0, 1] that the top 53 bits of SplitMix64 words give."""
+    z = _splitmix64(keys, count)
+    np.right_shift(z, 11, out=z)
+    e = z.astype(np.float64)
+    del z
+    e += 1.0
+    e *= 2.0 ** -53
+    np.log(e, out=e)
+    return np.negative(e, out=e)
+
+
+def _block_lengths(m: int) -> np.ndarray:
+    """Lengths of the blocks that cut a row's m + 1 spacings: about
+    sqrt(2 (m + 1)) and at least 64 each, the last one shorter."""
+    width = max(64, math.isqrt(2 * (m + 1)))
+    lengths = np.full(-(-(m + 1) // width), width)
+    lengths[-1] = m + 1 - (lengths.size - 1) * width
+    return lengths
+
+
+def _largest_hits(sums: np.ndarray, keys: np.ndarray, q_blocks: np.ndarray,
+                  bound: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per row of block sums and keys, the largest k with P_k < P_{m+1}
+    q_blocks.flat[k - 1], else 0, expanding only the blocks that may
+    hold such a k.
+
+    Block b spans P_k for k in (b w, (b + 1) w], w = q_blocks.shape[1]:
+    P_k = C_b + G_b S_j / S_len for the exclusive prefix C_b of the block
+    sums G, the prefix sums S of the block's keyed exponentials and
+    j = k - b w.  P_k >= C_b, and bound[b] is the largest q of the
+    block, so a block with C_b >= P_{m+1} bound[b] holds no k; skipping
+    it changes no result, rounding included."""
+    size, blocks = sums.shape
+    width = q_blocks.shape[1]
+    prefix = np.zeros((size, blocks + 1))  # C_b, then the total P_{m+1}
+    np.cumsum(sums, axis=1, out=prefix[:, 1:])
+    total = prefix[:, blocks]
+    open_ = np.flatnonzero(prefix[:, :blocks] < total[:, None] * bound)
+    best = np.zeros(size, dtype=np.int64)
+    for start, count in _chunks(open_.size, width):
+        idx = open_[start:start + count]
+        row, b = np.divmod(idx, blocks)
+        pk = _block_exponentials(keys.ravel()[idx], width)
+        np.cumsum(pk, axis=1, out=pk)
+        scale = sums.ravel()[idx] / pk[np.arange(count), lengths[b] - 1]
+        pk *= scale[:, None]
+        pk += prefix[row, b][:, None]
+        limit = q_blocks[b]
+        limit *= total[row][:, None]
+        hit = pk < limit
+        found = hit.any(axis=1)
+        k = (b + 1) * width - np.argmax(hit[:, ::-1], axis=1)
+        np.maximum.at(best, row[found], k[found])
+    return best
+
+
 def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the activation-time sampler.
 
@@ -138,7 +221,14 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     the m = n - a values 1 - U_(k) have the joint law of P_{m+1-k} /
     P_{m+1}, for prefix sums P of m + 1 i.i.d. Exp(1) spacings, so T is
     the first t in [a, n) with P_{n-t} < P_{m+1} Q(t), and n when there
-    is none (S(n) <= n - a).  One exponential per node at any r, no sort.
+    is none (S(n) <= n - a).
+
+    A row of more spacings than one block (_block_lengths) draws each
+    block's sum G_b ~ Gamma(len_b) and a 64-bit key, and expands only
+    the blocks where a stop is possible into the spacings G_b E_j / sum E
+    of the key's exponentials E (Dirichlet given the sum), so a row costs
+    O(sqrt m) where a stop is possible in a few blocks and O(m) at worst.
+    The spacings depend on (G_b, key) alone, whatever p is.
     """
     _check_replicates(replicates)
     sure = _sure_final_size(params)
@@ -151,15 +241,30 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
             f"activation-time sampler refuses n - a = {m} above the cap "
             f"{ACTIVATION_NODE_CAP}; use the leap sampler instead")
     gen = _as_generator(rng)
-    q = np.empty(m)  # Q(a + i), in blocks of the batch budget of head terms
+    lengths = _block_lengths(m)
+    blocks, width = lengths.size, int(lengths[0])
+    # entry k - 1 is Q(n - k) for k = 1..m, evaluated in blocks of the
+    # batch budget of head terms; the padding to whole blocks is -1, so
+    # no stop can fall there
+    q = np.full(blocks * width, -1.0)
     for start, size in _chunks(m, r - 1):
         q[start:start + size] = log_cdf_head(
-            np.arange(a + start, a + start + size), p, r - 1)
-    np.exp(q, out=q)
+            np.arange(n - 1 - start, n - 1 - start - size, -1), p, r - 1)
+    np.exp(q[:m], out=q[:m])
     out = np.empty(replicates, dtype=np.int64)
-    for start, size in _chunks(replicates, m + 1):
-        out[start:start + size] = _stop_from_spacings(
-            gen.standard_exponential((size, m + 1)), q, a)
+    if blocks == 1:
+        for start, size in _chunks(replicates, m + 1):
+            out[start:start + size] = _stop_from_spacings(
+                gen.standard_exponential((size, m + 1)), q[m - 1::-1], a)
+        return out
+    q_blocks = q.reshape(blocks, width)
+    bound = q_blocks.max(axis=1)
+    # a row holds four numbers per block: its sum, key, prefix and test
+    for start, size in _chunks(replicates, 4 * blocks):
+        sums = gen.standard_gamma(lengths, (size, blocks))
+        keys = gen.integers(2 ** 64, size=(size, blocks), dtype=np.uint64)
+        out[start:start + size] = n - _largest_hits(
+            sums, keys, q_blocks, bound, lengths)
     return out
 
 
@@ -208,11 +313,18 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
+    gen = _as_generator(rng)
     p, k = params.p, params.r - 1
-    start = np.zeros(replicates, dtype=np.int64)
-    return _leap_to_level(params, start, start, 0, params.n,
-                          _as_generator(rng),
-                          lambda t: log_cdf_head(t, p, k))[1]
+    out = np.empty(replicates, dtype=np.int64)
+    # at a leap's peak a chain holds the r - 1 head terms of log Q three
+    # times over and about 14 state numbers, so chunks of r + 10 numbers
+    # per chain keep it under 3 budgets
+    for start, size in _chunks(replicates, params.r + 10):
+        origin = np.zeros(size, dtype=np.int64)
+        out[start:start + size] = _leap_to_level(
+            params, origin, origin, 0, params.n, gen,
+            lambda t: log_cdf_head(t, p, k))[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               histogram, low_degree_counts, _leap_to_level,
                               _stop_from_spacings)
 
+MASK64 = 2 ** 64 - 1
+
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
 
 
@@ -159,6 +161,147 @@ def test_stop_from_spacings_matches_a_plain_loop():
     assert outcomes == {False, True}
 
 
+def _splitmix64_words(key, count):
+    """The first `count` SplitMix64 words from state `key`, on Python ints."""
+    words = []
+    for _ in range(count):
+        key = (key + 0x9E3779B97F4A7C15) & MASK64
+        z = key
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        words.append(z ^ (z >> 31))
+    return words
+
+
+@pytest.mark.filterwarnings("error")
+def test_splitmix64_matches_the_published_generator():
+    assert process._splitmix64(np.zeros(1, dtype=np.uint64), 1)[0, 0] == \
+        0xE220A8397B1DCDAF
+    keys = [0, 1, 2 ** 63, MASK64, 0x0123456789ABCDEF]
+    got = process._splitmix64(np.array(keys, dtype=np.uint64), 70)
+    assert got.tolist() == [_splitmix64_words(k, 70) for k in keys]
+    # exponentials are -log u, u in (0, 1] from a word's top 53 bits
+    top = np.array([[(w >> 11) + 1 for w in _splitmix64_words(k, 70)]
+                    for k in keys], dtype=np.float64)
+    np.testing.assert_array_equal(
+        process._block_exponentials(np.array(keys, dtype=np.uint64), 70),
+        -np.log(top * 2.0 ** -53))
+
+
+def _full_prefix_sums(sums, keys, lengths):
+    """Every block of every row expanded: P_k = C_b + S_j G_b / S_len in
+    column k - 1 (padding included), and the row totals P_{m+1}."""
+    size, blocks = sums.shape
+    width = lengths[0]
+    prefix = np.zeros((size, blocks + 1))
+    np.cumsum(sums, axis=1, out=prefix[:, 1:])
+    spacings = process._block_exponentials(keys.ravel(), width)
+    s = np.cumsum(spacings, axis=1).reshape(size, blocks, width)
+    last = s[:, np.arange(blocks), lengths - 1]
+    p = s * (sums / last)[:, :, None] + prefix[:, :blocks, None]
+    return p.reshape(size, -1), prefix[:, blocks:]
+
+
+def _largest_hits_in_full(sums, keys, q_blocks, lengths):
+    """Reference for process._largest_hits: the largest k with P_k <
+    P_{m+1} q_k over every expanded block (0 if none), by a plain scan."""
+    p, total = _full_prefix_sums(sums, keys, lengths)
+    hit = p < total * q_blocks.ravel()
+    return np.array([max((k + 1 for k in np.flatnonzero(row)), default=0)
+                     for row in hit])
+
+
+def _q_blocks(q, lengths):
+    """The survival table Q(a..n-1) in the order k = n - t = 1..m, padded
+    with -1 to whole blocks, one row per block."""
+    width = lengths[0]
+    table = np.full(lengths.size * width, -1.0)
+    table[:q.size] = q[::-1]
+    return table.reshape(lengths.size, width)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lazy_blocks_equal_the_full_expansion():
+    # random survival tables, block sums and keys; the cases force
+    # m + 1 = 0 and 1 (mod the width), Q = 1 (p = 0 and subnormal p),
+    # r = 1, and tables underflowing to 0 where no row can stop
+    gen = np.random.default_rng(20)
+    width = int(process._block_lengths(640)[0])
+    cases = [(width * j + d, p, r) for j in (2, 5) for d in (0, 1)
+             for p, r in ((0.0, 2), (5e-324, 3), (0.01, 1), (0.5, 2))]
+    cases += [(int(gen.integers(65, 2500)), float(gen.random()) ** 4,
+               int(gen.integers(1, 4))) for _ in range(40)]
+    outcomes = set()
+    for m_plus_1, p, r in cases:
+        m = m_plus_1 - 1
+        lengths = process._block_lengths(m)
+        assert lengths.sum() == m + 1 and lengths.size > 1
+        a = int(gen.integers(1, 20))
+        q = _q_blocks(_exact_survival(a + m, p, r, a), lengths)
+        bound = q.max(axis=1)
+        rows = int(gen.integers(1, 30))
+        sums = gen.standard_gamma(lengths, (rows, lengths.size))
+        keys = gen.integers(2 ** 64, size=sums.shape, dtype=np.uint64)
+        got = process._largest_hits(sums, keys, q, bound, lengths)
+        np.testing.assert_array_equal(
+            got, _largest_hits_in_full(sums, keys, q, lengths))
+        outcomes.update(got == 0)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.filterwarnings("error")
+def test_lazy_blocks_keep_a_hit_at_a_block_start():
+    # q puts one hit, by the least margin a double allows, on the first k
+    # of the block whose prefix C_b lies closest to its first P_k, and no
+    # other: C_b is then within one short spacing of P_{m+1} bound[b],
+    # the tightest case the skip test meets
+    gen = np.random.default_rng(21)
+    lengths = process._block_lengths(64 * 30)
+    width = lengths[0]
+    sums = gen.standard_gamma(lengths, (1, lengths.size))
+    keys = gen.integers(2 ** 64, size=sums.shape, dtype=np.uint64)
+    p, total = _full_prefix_sums(sums, keys, lengths)
+    starts = np.arange(0, lengths.sum() - 1, width)
+    k = starts[np.argmax(np.cumsum(sums)[:starts.size - 1]
+                         / p[0, starts[1:]]) + 1]
+    q = np.zeros(lengths.size * width)
+    q[lengths.sum() - 1:] = -1.0
+    q[k] = p[0, k] / total[0, 0]
+    while total[0, 0] * q[k] <= p[0, k]:
+        q[k] = np.nextafter(q[k], 2.0)
+    q = q.reshape(lengths.size, width)
+    got = process._largest_hits(sums, keys, q, q.max(axis=1), lengths)
+    assert got[0] == k + 1
+    np.testing.assert_array_equal(
+        got, _largest_hits_in_full(sums, keys, q, lengths))
+
+
+def _activation_in_full(params, replicates, spec):
+    """The sampler's sizes, and the full expansion's on the same draws:
+    one batch draws the block sums, then the block keys."""
+    n, p, r, a = params.n, params.p, params.r, params.a
+    lengths = process._block_lengths(n - a)
+    gen = spec.generator()
+    sums = gen.standard_gamma(lengths, (replicates, lengths.size))
+    keys = gen.integers(2 ** 64, size=sums.shape, dtype=np.uint64)
+    q = np.exp(log_cdf_head(np.arange(a, n), p, r - 1))
+    want = n - _largest_hits_in_full(sums, keys, _q_blocks(q, lengths),
+                                     lengths)
+    return final_sizes_activation(params, replicates, spec), want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [
+    ModelParams(n=700, p=0.01, r=2, a=61),  # m + 1 = 640 = 10 blocks
+    ModelParams(n=700, p=0.01, r=2, a=60),  # last block: the total alone
+    ModelParams(n=3000, p=0.003, r=3, a=40),
+], ids=["whole_blocks", "lone_total", "n3000"])
+def test_activation_sampler_is_the_full_expansion_on_its_draws(params):
+    sizes, want = _activation_in_full(params, 50, RngSpec(14, 1))
+    np.testing.assert_array_equal(sizes, want)
+    assert len(set(sizes.tolist())) > 1
+
+
 @pytest.mark.filterwarnings("error")
 def test_activation_stop_falls_back_to_n_where_q_underflows():
     # Q(t) = (1 + t) 2^-t is 0.0 from t of about 1090, so no row stops
@@ -166,18 +309,21 @@ def test_activation_stop_falls_back_to_n_where_q_underflows():
     params = ModelParams(n=1200, p=0.5, r=2, a=2)
     q = np.exp(log_cdf_head(np.arange(params.a, params.n), 0.5, 1))
     assert (q == 0.0).sum() > 100
-    sizes, want = _activation_by_inversion(params, 3, RngSpec(6, 0))
+    sizes, want = _activation_in_full(params, 3, RngSpec(6, 0))
     np.testing.assert_array_equal(sizes, want)
     assert (sizes == params.n).all()
 
 
 def test_activation_sizes_are_monotone_in_p():
     # one RngSpec fixes the spacings; Q(t) falls as p grows, so the sizes
-    # are ordered elementwise along the p grid
-    for r, a in ((2, 6), (3, 12)):
+    # are ordered elementwise along the p grid; n = 3000 cuts a row into
+    # 39 blocks, of which only those that may hold a stop are expanded
+    grid = (0.002, 0.005, 0.01, 0.02, 0.05, 0.2)
+    for n, r, a, ps in ((300, 2, 6, grid), (300, 3, 12, grid),
+                        (3000, 2, 30, [p / 10 for p in grid])):
         sizes = np.array([final_sizes_activation(
-            ModelParams(n=300, p=p, r=r, a=a), 2000, RngSpec(19, r))
-            for p in (0.002, 0.005, 0.01, 0.02, 0.05, 0.2)])
+            ModelParams(n=n, p=p, r=r, a=a), 2000, RngSpec(19, r))
+            for p in ps])
         steps = np.diff(sizes, axis=0)
         assert (steps >= 0).all()
         assert (steps > 0).any(axis=1).all()
@@ -198,7 +344,7 @@ def test_deterministic_given_seed_and_stream():
 @st.composite
 def sampler_instances(draw):
     r = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 200))  # activation rows span blocks from n = 65
     a = draw(st.integers(1, n))
     return ModelParams(n=n, p=draw(st.floats(0.0, 1.0)), r=r, a=a)
 
@@ -317,17 +463,21 @@ BATCH_BYTES = 8 * 2 ** 18
 
 
 @pytest.mark.parametrize("batch, params, replicates", [
-    (final_sizes_activation, _poisson_rule_instance(2000), 300),
+    (final_sizes_activation, _poisson_rule_instance(2000), 3000),
+    # Q is near 1 over every time, so every block of every row is expanded
+    (final_sizes_activation, ModelParams(n=2000, p=1e-7, r=2, a=20), 3000),
     # the survival table over 20000 times holds 99 head terms per time,
     # 16 MB if it were evaluated in one piece
     (final_sizes_activation, ModelParams(n=20_000, p=0.01, r=100, a=200), 3),
+    # log Q at the leap times holds 99 head terms per chain, three times
+    (final_sizes_leap, ModelParams(n=20_000, p=0.01, r=100, a=200), 6000),
     (final_sizes_graph, _poisson_rule_instance(2000), 60),
     (low_degree_counts, _poisson_rule_instance(2000), 60),
     # the mark chain keeps O(r) counts per replicate at any n, so it takes
     # many replicates of a small instance to fill two batches
     (final_sizes_markchain, P6, 400_000),
-], ids=["activation", "activation_large_r", "graph", "low_degree",
-        "markchain"])
+], ids=["activation", "activation_every_block", "activation_large_r",
+        "leap", "graph", "low_degree", "markchain"])
 def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
                                                     replicates):
     # each case spans two or more batches of process._BATCH_ELEMENTS
@@ -406,7 +556,8 @@ def assert_tv_within_noise(sizes, pmf, n):
 @pytest.mark.parametrize("sampler, n, reps", [
     ("leap", 200, 200_000), ("leap", 500, 200_000), ("graph", 40, 20_000),
     ("markchain", 200, 200_000), ("markchain", 500, 200_000),
-    ("activation", 200, 200_000), ("activation", 500, 200_000)])
+    ("activation", 200, 200_000), ("activation", 500, 200_000),
+    ("activation", 2000, 200_000)])
 def test_leap_matches_exact_law_beyond_brute_force(sampler, n, reps):
     p = n ** -0.7
     a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
