@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binom import (log_binom_cdf, log_binom_sf, log_cdf_array, log_sf_array)
+# log_cdf_array and log_sf_array stay bound, unused: bench/spans.py wraps them
+from ._binom import (log_binom_cdf, log_binom_sf, log_cdf_array,
+                     log_pmf_array, log_sf_array)
 from .core import (Regime, SequenceSpec, CLASSIFY_LADDER, classify_regime,
                    log_inactive_prob)
 from .errors import ParameterError, RegimeMismatch
@@ -220,25 +222,32 @@ def penrose_grid_violations(n_values, p_values, slack: float = 1e-12):
     checked = 0
     bad = []
     e2 = math.e ** 2
+    p_col = np.array(p_values, dtype=np.float64)[:, None]
     for n in n_values:
-        for p in p_values:
-            mu = n * p
-            k = np.arange(1, n)
-            lsf = log_sf_array(n, p)[1:n]
-            lcdf = log_cdf_array(n, p)[1:n]
-            x = k / mu  # > 0 as k >= 1, or +inf where mu = 0
-            log_x = np.log(x)
-            with np.errstate(invalid="ignore"):
-                ln_chernoff = -mu * (1.0 - x + x * log_x)
-            ln_heavy = -(k / 2.0) * log_x
-            for name, ok, ln_exact, ln_bound in (
-                    ("chernoff_upper", k >= mu, lsf, ln_chernoff),
-                    ("chernoff_lower", k <= mu, lcdf, ln_chernoff),
-                    ("heavy_tail", k >= e2 * mu, lsf, ln_heavy)):
-                exact = np.exp(ln_exact[ok])
-                bound = np.exp(ln_bound[ok])
-                checked += int(ok.sum())
-                for idx in np.nonzero(exact > bound + slack)[0]:
-                    bad.append((name, n, p, int(k[ok][idx]),
-                                float(exact[idx]), float(bound[idx])))
+        # one row per p, and the sf and the cdf from one log pmf
+        mu = n * p_col
+        k = np.arange(1, n)
+        lp = np.reshape([log_pmf_array(n, p) for p in p_values], (-1, n + 1))
+        lsf = np.logaddexp.accumulate(lp[:, ::-1], axis=1)[:, ::-1][:, 1:n]
+        lcdf = np.logaddexp.accumulate(lp, axis=1)[:, 1:n]
+        x = k / mu  # > 0 as k >= 1, or +inf where mu = 0
+        log_x = np.log(x)
+        with np.errstate(invalid="ignore"):
+            ln_chernoff = -mu * (1.0 - x + x * log_x)
+        ln_heavy = -(k / 2.0) * log_x
+        found = []
+        for name, ok, ln_exact, ln_bound in (
+                ("chernoff_upper", k >= mu, lsf, ln_chernoff),
+                ("chernoff_lower", k <= mu, lcdf, ln_chernoff),
+                ("heavy_tail", k >= e2 * mu, lsf, ln_heavy)):
+            exact = np.exp(ln_exact)
+            bound = np.exp(np.where(ok, ln_bound, -np.inf))  # no overflow
+            checked += int(ok.sum())
+            found.append((name, ok & (exact > bound + slack), exact, bound))
+        # `bad` in (p, name, k) order, as one (n, p) at a time gives it
+        for i in np.flatnonzero(np.any([f[1] for f in found], axis=(0, 2))):
+            for name, hit, exact, bound in found:
+                for idx in np.flatnonzero(hit[i]):
+                    bad.append((name, n, p_values[i], int(k[idx]),
+                                float(exact[i, idx]), float(bound[i, idx])))
     return checked, bad

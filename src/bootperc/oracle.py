@@ -17,7 +17,8 @@ of logs centred at S = 0, never a difference of large log-factorials, and
 those of the increments come from _binom.log_factorials.
 Each step keeps the increments in one window whose edge lies below 1e-30
 of every row's peak, and the transition mass it drops is bounded and
-reported alongside the result.
+reported alongside the result.  The row cut-offs and the window test do
+not depend on the masses, so they are built for a block of steps at once.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ PMF_NODE_CAP = 5000
 BRUTE_FORCE_CAP = 7
 _ROW_REL_TOL = 1e-30
 _LN_ROW_REL_TOL = math.log(_ROW_REL_TOL)
+_ROW_BLOCK_ELEMENTS = 2 ** 13  # (steps x states) per block of row cut-offs
 _LN2 = math.log(2.0)
 
 
@@ -181,6 +183,10 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
     grown until each row's pmf at j_win is below _ROW_REL_TOL of its
     peak; log-concavity puts every dropped increment below that cutoff.
     The rows are evaluated from the same H, for every state 0..s_hi.
+    The row modes, cut-offs and first window test depend on t alone, so
+    they are built as (steps x states) arrays, about _ROW_BLOCK_ELEMENTS
+    at a time, each element the same float expression that a step-by-step
+    pass takes; only a step whose test fails widens its own j_win.
     Needs 0 < p < 1 and r < n (_sure_final_size answers the rest), so
     0 <= q_t <= p < 1 at every step.
     """
@@ -199,63 +205,78 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
                       dtype=np.longdouble)
     states = np.arange(s_hi + 1)
     m_arr = (big - states).astype(np.float64)
-    u = np.full(s_hi + 1, -np.inf)
+    # u sits after s_hi -inf entries, so the increment windows of every
+    # target are read in place: u is -inf outside the live band u[lo:hi + 1]
+    pad = np.full(2 * s_hi + 1, -np.inf)
+    u = pad[s_hi:]
     u[0] = 0.0
+    lo = hi = 0
     shift = 0.0
     absorbed = np.full(t_max, -np.inf)
     discard_ln = -math.inf
+    steps = max(1, _ROW_BLOCK_ELEMENTS // (s_hi + 1))  # per block
+    t0 = t_end = 0
 
     def row_log_pmf(j, lq, l1):
-        """log P(Bin(N - s, q_t) = j) for every state s, from H."""
+        """log P(Bin(N - s, q_t) = j) for every state s, from H; j, lq and
+        l1 may be columns, one row per step."""
         j = np.asarray(j, dtype=np.int64)
         target = np.minimum(states + j, h_top)
-        out = (h[states] - h[target] - lnf[j]
+        out = (h[:s_hi + 1] - h[target] - lnf[j]
                + j * lq + (m_arr - j) * l1)
         return np.where(j > m_arr, -np.inf, out)
 
     for t in range(t_max):
         lq, l1 = float(log_q[t]), float(log_1mq[t])
         if lq > -math.inf:  # otherwise increments are identically zero
-            q = math.exp(lq)
-            modes = np.clip(np.floor((m_arr + 1) * q), 0, m_arr)
-            log_cut = row_log_pmf(modes, lq, l1) + _LN_ROW_REL_TOL
-            sigma = math.sqrt(max(big * q * (1.0 - q), 1.0))
-            j_win = min(s_hi, int(big * q + 12.0 * sigma) + 45)
-            while j_win < s_hi and np.any(
-                    row_log_pmf(j_win, lq, l1) >= log_cut):
-                j_win = min(s_hi, j_win + 32)
+            if t >= t_end:  # the rows of the next block of steps at once
+                t0, t_end = t, min(t + steps, t_max)
+                qs = [math.exp(x) for x in log_q[t0:t_end]]
+                cols = (log_q[t0:t_end, None], log_1mq[t0:t_end, None])
+                modes = np.clip(np.floor((m_arr + 1) * np.array(qs)[:, None]),
+                                0, m_arr)
+                log_cuts = row_log_pmf(modes, *cols) + _LN_ROW_REL_TOL
+                wins = [min(s_hi, int(big * q + 12.0 * math.sqrt(
+                    max(big * q * (1.0 - q), 1.0))) + 45) for q in qs]
+                grows = np.any(row_log_pmf(np.array(wins)[:, None], *cols)
+                               >= log_cuts, axis=1)
+            log_cut, j_win = log_cuts[t - t0], wins[t - t0]
+            if grows[t - t0]:  # then widen the window 32 at a time
+                while j_win < s_hi and np.any(
+                        row_log_pmf(j_win, lq, l1) >= log_cut):
+                    j_win = min(s_hi, j_win + 32)
 
-            live = np.flatnonzero(u > -np.inf)
-            lo, hi = int(live[0]), int(live[-1])
             k_hi = min(hi + j_win, s_hi)
-            src = np.full(k_hi - lo + 1 + j_win, -np.inf)
-            src[j_win:j_win + hi - lo + 1] = u[lo:hi + 1]
-            jj = np.arange(j_win, -1, -1)
-            terms = (np.lib.stride_tricks.sliding_window_view(src, j_win + 1)
-                     + (jj * lq - lnf[j_win::-1]))
+            terms = np.lib.stride_tricks.as_strided(
+                pad[s_hi + lo - j_win:], (k_hi - lo + 1, j_win + 1),
+                pad.strides * 2, writeable=False) + (
+                    np.arange(j_win, -1, -1) * lq - lnf[j_win::-1])
             peak = terms.max(axis=1)
             peak[peak == -np.inf] = 0.0
             terms -= peak[:, None]
             np.exp(terms, out=terms)
             with np.errstate(divide="ignore"):
                 conv = peak + np.log(terms.sum(axis=1))
-            conv += (big - np.arange(lo, k_hi + 1)) * l1
-            top = math.floor(conv[np.argmax(conv - h[lo:k_hi + 1])])
-            new = np.full(s_hi + 1, -np.inf)
-            new[lo:k_hi + 1] = conv - top
+            conv += m_arr[lo:k_hi + 1] * l1
+            top = math.floor(conv[(conv - h[lo:k_hi + 1]).argmax()])
 
-            with np.errstate(divide="ignore"):
-                lost = u[lo:hi + 1] + (shift - h[lo:hi + 1]) + np.log(
-                    np.maximum(s_hi - states[lo:hi + 1] - j_win, 0))
-            discard_ln = float(np.logaddexp.reduce(
-                lost + log_cut[lo:hi + 1], initial=discard_ln))
-            u = new
+            # state s drops j_win < j <= s_hi - s, each below its cut-off
+            cut = min(hi, s_hi - j_win - 1) + 1
+            if lo < cut:
+                lost = u[lo:cut] + (shift - h[lo:cut]) + np.log(
+                    s_hi - states[lo:cut] - j_win)
+                discard_ln = float(np.logaddexp.reduce(
+                    lost + log_cut[lo:cut], initial=discard_ln))
+            u[lo:k_hi + 1] = conv - top
+            hi = k_hi
             shift += top
         k = t + 1 - a
         if absorb and 0 <= k <= s_hi:
             absorbed[t] = u[k] + (shift - h[k])
             u[k] = -np.inf
-        if not np.isfinite(u).any():
+        while lo <= hi and not u[lo] > -np.inf:
+            lo += 1
+        if lo > hi:
             break
     return absorbed, u + (shift - h[:s_hi + 1]), math.exp(discard_ln)
 

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from bootperc._binom import log_cdf_array, log_sf_array
 from bootperc.bounds import (approx_log_tail, approx_lower_tail,
                              approx_small_mean_tail, asymptotic_diagnostics,
                              chernoff_lower, chernoff_upper, heavy_tail_bound,
@@ -70,6 +72,52 @@ def test_penrose_reduced_grid_has_no_violations():
     checked, bad = penrose_grid_violations(
         range(5, 41), (0.02, 0.1, 0.35, 0.6, 0.9))
     assert checked > 3000
+    assert bad == []
+
+
+def _penrose_one_instance_at_a_time(n_values, p_values, slack):
+    """The sweep one (n, p) at a time, each from its own log_sf_array and
+    log_cdf_array: the reference for the values and the order of `bad`."""
+    checked, bad = 0, []
+    for n in n_values:
+        for p in p_values:
+            mu = n * p
+            k = np.arange(1, n)
+            lsf = log_sf_array(n, p)[1:n]
+            lcdf = log_cdf_array(n, p)[1:n]
+            x = k / mu
+            log_x = np.log(x)
+            ln_chernoff = -mu * (1.0 - x + x * log_x)
+            for name, ok, ln_exact, ln_bound in (
+                    ("chernoff_upper", k >= mu, lsf, ln_chernoff),
+                    ("chernoff_lower", k <= mu, lcdf, ln_chernoff),
+                    ("heavy_tail", k >= math.e ** 2 * mu, lsf,
+                     -(k / 2.0) * log_x)):
+                exact = np.exp(ln_exact[ok])
+                bound = np.exp(ln_bound[ok])
+                checked += int(ok.sum())
+                for idx in np.flatnonzero(exact > bound + slack):
+                    bad.append((name, n, p, int(k[ok][idx]),
+                                float(exact[idx]), float(bound[idx])))
+    return checked, bad
+
+
+def test_penrose_sweep_equals_the_per_instance_sweep_in_order():
+    # a negative slack turns most checks into entries of `bad`, so every
+    # value and the (n, p, name, k) order of the list are compared
+    grid = (range(5, 60), (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9))
+    checked, bad = penrose_grid_violations(*grid, slack=-1e-3)
+    assert len(bad) > 10_000
+    assert len({name for name, *_ in bad}) == 3
+    assert (checked, bad) == _penrose_one_instance_at_a_time(*grid, -1e-3)
+
+
+def test_penrose_sweep_raises_no_overflow_outside_each_bounds_range():
+    # at n = 5000, p = 0.9 the heavy-tail exponent -(k/2) ln(k/mu) reaches
+    # +828 for k < e^2 mu, where that bound is not checked; the exp must
+    # skip it rather than overflow (a RuntimeWarning fails the test)
+    checked, bad = penrose_grid_violations([5000], [0.9])
+    assert checked == _penrose_one_instance_at_a_time([5000], [0.9], 1e-12)[0]
     assert bad == []
 
 

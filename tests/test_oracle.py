@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from bootperc._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
 from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
                            log_inactive_prob)
 from bootperc.errors import MemoryGuardError, ParameterError
+from bootperc import oracle
 from bootperc.montecarlo import default_stop_horizon
 from bootperc.oracle import (PMF_NODE_CAP, LogProb, _chain_marginal_log_pmf,
                              _final_size_counts, _log_q_schedule,
@@ -364,6 +368,79 @@ def test_chain_marginal_is_binomial(t):
     pi = activation_prob(t, 0.15, 2).pi
     want = np.exp(log_pmf_array(17, pi))
     assert np.abs(got - want).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# forward-pass bits: sha256 of (absorbed, logvec, bound) from the
+# step-by-step pass that the blocked row cut-offs replaced
+
+FORWARD_SHA256 = {
+    ("pmf", 6, 2): "90ba224fa2ae77d4cd2bfb22f13e05b8b8c8e96eada81df7833b96ed8bb1dc47",
+    ("pmf", 12, 2): "dbc663b2d5e65f563b2be05261b4cb4fc6d7fc1dc34466b4bf5419cb1c12d5dc",
+    ("pmf", 40, 2): "8030adaf4aeca29f5431702c58293efffd3b77f7abff41bf87b1ece793f558ee",
+    ("pmf", 200, 2): "aec819173503dec8ceba7aea40aabd751cf95c33ad03d5f12961f060d35df301",
+    ("pmf", 500, 2): "0bce4351dccd44db913787619c9f6ecc0db4947416b1ec07c9ad9b238bf2e162",
+    ("pmf", 6, 3): "0aaf817c1ba8d5cfdbf076684a6c8c36a4245c7c0c7a24ab8ee0591525d88055",
+    ("pmf", 12, 3): "74e6350f34e972a0fb73e040a0b3c5e70a1e07216e3362f14a28cb2f9db22526",
+    ("pmf", 40, 3): "997d1e850200431d6caa9a82dedb460c495cfcb0edd11ecbc173d47423455deb",
+    ("pmf", 200, 3): "1e9b75c59bc220872da495db59e2851ba2b33e98a4c3a30fcd6716a5cfebe9c5",
+    ("pmf", 500, 3): "93c22bb2db8259f9ffcd84ed52e0c9ce072a66b3811270b77a88a468e3fdab06",
+    ("cdf", 10**3, 2): "e3d249e4de50eaf106e4d7f65c036a88fb085e4264f2d9e48405cc0fe923539a",
+    ("cdf", 10**4, 2): "5430d8617561019fb810267aa7f8b840a3f037b548a98e0d317ed01b85ba03df",
+    ("cdf", 10**5, 2): "c195285bbc4ee821f529132367ec8bc7c1cc7a58b0313cc160943c8a825d6983",
+    ("cdf", 10**6, 2): "df90afb2d47f23116c47316bed24ba2efb970d37b9a8ab3a8aaba372e5fdd37d",
+    ("marginal", 200, 2): "dbb2696acf87e7e26006d899d69910d4557c8eb7dec899c211e19d0096c31430",
+    ("marginal", 200, 3): "9769ea0fd90e335fbe7fa9adb5c30ce49f87c92fda6fb08a1f21d5bd331ed3b1",
+    ("marginal", 500, 2): "16fe3d9c7a18ee0b26d5103c03bc27db53fad4a65db164106d3d84f5fc8d6501",
+    ("marginal", 500, 3): "267f87d7f84f857aa656ef181ef383908f469c6da7035ae1c1306601ab9f1858",
+}
+
+# the same with every row cut-off at 1e-100 of the row's peak, where the
+# window test fails and j_win grows (1226 widenings over the four)
+GROWN_FORWARD_SHA256 = {
+    ("pmf", 200, 2): "fba5bc7abf80cc2b75d078fade0b96dadda67ad7e3464d2a86a5b5bf3a505e98",
+    ("pmf", 200, 3): "c0280dc0bc07035886cfbe77fd96f30d89e47ed440471ec5d2692876f99dab01",
+    ("pmf", 500, 3): "3a9c8415292f5045f6e83785f46eec8aeff80fc857775ad1eaced513b9a53991",
+    ("cdf", 10**6, 2): "7170370ee5d145ac96c4c3f1ec6b9c77d35bb5d54d69fd9c70790a2e03e40a24",
+}
+
+
+_case_id = "{0[0]}-n{0[1]}-r{0[2]}".format
+
+
+def _forward_sha256(route, n, r):
+    """sha256 of _forward's output under the arguments that exact_pmf
+    (p = n^-0.7, a = ceil(2 a_c)), exact_stop_cdf (the criterion-6
+    horizon) or _chain_marginal_log_pmf (t = n / 5) pass it."""
+    spec = dataclasses.replace(SPEC_07, r=r)
+    params = spec.params_at(n)
+    if params.a == n:  # n = 6, r = 3 is a sure instance; take a = 4
+        params = dataclasses.replace(params, a=4)
+    big = n - params.a
+    if route == "pmf":
+        args = (params, n, big)
+    elif route == "cdf":
+        tau = math.floor(default_stop_horizon(spec.alpha, r)
+                         * spec.crit_at(n).a_c)
+        args = (params, tau, min(tau - params.a + 1, big))
+    else:
+        args = (params, n // 5, big, False)
+    absorbed, logvec, bound = oracle._forward(*args)
+    return hashlib.sha256(absorbed.tobytes() + logvec.tobytes()
+                          + struct.pack("<d", bound)).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_SHA256), ids=_case_id)
+def test_forward_output_is_pinned_bit_for_bit(case):
+    assert _forward_sha256(*case) == FORWARD_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GROWN_FORWARD_SHA256), ids=_case_id)
+def test_forward_output_is_pinned_where_the_window_grows(case, monkeypatch):
+    monkeypatch.setattr(oracle, "_LN_ROW_REL_TOL", math.log(1e-100))
+    got = _forward_sha256(*case)
+    assert got == GROWN_FORWARD_SHA256[case]
+    assert got != FORWARD_SHA256[case]  # the wider windows moved bits
 
 
 # ---------------------------------------------------------------------------
