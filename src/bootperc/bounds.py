@@ -230,9 +230,9 @@ def penrose_grid_violations(n_values, p_values, slack: float = 1e-12):
         lp = np.reshape([log_pmf_array(n, p) for p in p_values], (-1, n + 1))
         lsf = np.logaddexp.accumulate(lp[:, ::-1], axis=1)[:, ::-1][:, 1:n]
         lcdf = np.logaddexp.accumulate(lp, axis=1)[:, 1:n]
-        x = k / mu  # > 0 as k >= 1, or +inf where mu = 0
-        log_x = np.log(x)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = k / mu  # > 0 as k >= 1, or +inf where mu = 0
+            log_x = np.log(x)
             ln_chernoff = -mu * (1.0 - x + x * log_x)
         ln_heavy = -(k / 2.0) * log_x
         found = []

@@ -1,9 +1,9 @@
 """Four distribution-equivalent samplers of the percolation outcome.
 
 * graph sampler: draws a batch of G(n, p) graphs as one disjoint union and
-  runs one synchronous-generation cascade on its edge list (the same
-  engine runs ``oracle.brute_force_pmf`` and the coupled edge-uniform
-  cascade);
+  runs one synchronous-generation cascade on its live edges (the engine of
+  ``oracle.brute_force_pmf`` and the coupled edge-uniform cascade too);
+  low_degree_counts reads degrees straight off the sampled slots;
 * mark chain: one active node is used per time step and sends Bernoulli(p)
   marks to the inactive nodes; a node activates at its r-th mark.  It
   keeps the inactive nodes counted by marks held and leaps over each
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -407,27 +408,12 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
 
 # ---------------------------------------------------------------------------
 # graph sampler: draw a batch of graphs as one disjoint union, then run one
-# synchronous-generation cascade on its edge list
-
-def _geometric_fill(buf: np.ndarray, p: float,
-                    gen: np.random.Generator) -> np.ndarray:
-    """Fill `buf` in place with trials to the first success, 1 +
-    floor(log1p(-u) / log1p(-p)) of uniforms u, for 0 < p < 1."""
-    gen.random(out=buf)
-    np.negative(buf, out=buf)
-    np.log1p(buf, out=buf)
-    # subnormal p overflows to an infinite time, which is the right answer
-    with np.errstate(over="ignore"):
-        buf /= math.log1p(-p)
-    np.floor(buf, out=buf)
-    buf += 1.0
-    return buf
-
+# synchronous-generation cascade on its live edges
 
 def _sample_edge_slots(total_slots: int, p: float,
                        gen: np.random.Generator) -> np.ndarray:
-    """Indices of occupied slots among `total_slots` Bernoulli(p) slots,
-    by cumulative geometric gaps (equivalent to per-slot coin flips)."""
+    """Indices of occupied slots among `total_slots` Bernoulli(p) slots, by
+    cumulative geometric gaps 1 + floor(log1p(-u) / log1p(-p)), u uniform."""
     if p == 0.0 or total_slots == 0:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
@@ -437,7 +423,14 @@ def _sample_edge_slots(total_slots: int, p: float,
     mean_gap = 1.0 / p
     while base < total_slots:
         want = max(64, int((total_slots - base) / mean_gap * 1.2) + 16)
-        pos = _geometric_fill(np.empty(want), p, gen)
+        pos = gen.random(want)
+        np.negative(pos, out=pos)
+        np.log1p(pos, out=pos)
+        # subnormal p overflows to an infinite gap, which is the right answer
+        with np.errstate(over="ignore"):
+            pos /= math.log1p(-p)
+        np.floor(pos, out=pos)
+        pos += 1.0
         np.cumsum(pos, out=pos)
         pos += base - 1  # exact: kept positions are integers below 2^53
         keep = np.searchsorted(pos, total_slots)  # pos ascends
@@ -457,37 +450,55 @@ def _slot_pairs(slots: np.ndarray, n: int):
     root is off by far less than one, so one integer correction each way
     against the offsets gives the row exactly (offsets[n] = C(n, 2))."""
     pairs = n * (n - 1) // 2
-    rep, v = np.divmod(slots, pairs)
+    v = slots - slots // pairs * pairs
     i = np.arange(n + 1, dtype=np.int64)
     offsets = i * (2 * n - i - 1) // 2
     w = 2 * n - 1
-    root = np.sqrt(w * w - 8 * v)  # float64, exact below 2^53
-    np.subtract(w, root, out=root)
+    root = v * -8.0
+    root += w * w  # exact below 2^53
+    np.subtract(w, np.sqrt(root, out=root), out=root)
     root *= 0.5
     u = np.floor(root, out=root).astype(np.int64)
     del root
-    u += offsets[u + 1] <= v
-    u -= offsets[u] > v
-    v -= offsets[u] - u - 1
-    rep *= n
+    u += offsets[1:].take(u) <= v
+    u -= offsets.take(u) > v
+    v -= (offsets - i - 1).take(u)
+    rep = slots // pairs * n
     u += rep
     v += rep
     return u, v
 
 
+def _slot_degrees(slots: np.ndarray, reps: int, n: int) -> np.ndarray:
+    """Node degrees of `reps` disjoint graphs from their ascending slots,
+    no pair decoded: node g = k n + i is the lower end of its row's slots
+    s >= start = k C(n, 2) + offsets[i], and s - start + g + 1 the upper."""
+    i = np.arange(n, dtype=np.int64)
+    starts = (np.arange(reps)[:, None] * (n * (n - 1) // 2)
+              + i * (2 * n - i - 1) // 2).ravel()
+    lower = np.diff(np.searchsorted(slots, starts), append=slots.size)
+    starts -= np.arange(1, reps * n + 1)
+    return lower + np.bincount(slots - np.repeat(starts, lower),
+                               minlength=reps * n)
+
+
 def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
-    """Per chunk of `size` replicates, draw the edges (u, v) of `size`
-    independent G(n, p) graphs as one disjoint union and keep the
-    `size` values reduce(u, v, size); returns all of them in order."""
+    """Per chunk of `size` replicates, keep the `size` values
+    reduce(draw, size), where draw() returns the ascending slots of `size`
+    independent G(n, p) graphs as one disjoint union (drawn on call, so a
+    reduce can drop them once decoded); returns all of them in order."""
     _check_replicates(replicates)
-    _check_graph_cap(params.n)
-    gen = _as_generator(rng)
     n, p = params.n, params.p
+    if n > GRAPH_NODE_CAP:
+        raise MemoryGuardError(
+            f"graph sampler refuses n = {n} above the cap {GRAPH_NODE_CAP}; "
+            "use the leap, mark-chain or activation-time sampler instead")
+    gen = _as_generator(rng)
     pairs = n * (n - 1) // 2
     out = np.empty(replicates, dtype=np.int64)
     for start, size in _chunks(replicates, pairs * p + n):
         out[start:start + size] = reduce(
-            *_slot_pairs(_sample_edge_slots(size * pairs, p, gen), n), size)
+            partial(_sample_edge_slots, size * pairs, p, gen), size)
     return out
 
 
@@ -496,34 +507,40 @@ def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
     """Cascade on `reps` disjoint graphs of n nodes (node i of replicate k
     is k * n + i, seeds i < a); each generation every node activated in
     the last one sends one mark along each edge, and an inactive node
-    with r marks activates.  Returns the per-replicate final sizes."""
-    fresh = np.tile(np.arange(n) < a, reps)
-    active = fresh.copy()
-    marks = np.zeros(reps * n, dtype=np.int64)
-    while fresh.any():
-        marks += np.bincount(v[fresh[u]], minlength=reps * n)
-        marks += np.bincount(u[fresh[v]], minlength=reps * n)
-        fresh = ~active & (marks >= r)
-        active |= fresh
-    return active.reshape(reps, n).sum(axis=1, dtype=np.int64)
+    with r marks activates.  Returns the per-replicate final sizes.
 
-
-def _check_graph_cap(n: int) -> None:
-    if n > GRAPH_NODE_CAP:
-        raise MemoryGuardError(
-            f"graph sampler refuses n = {n} above the cap {GRAPH_NODE_CAP}; "
-            "use the leap, mark-chain or activation-time sampler instead")
+    An edge with a fresh end is spent: later it can only mark active
+    nodes.  So a generation scans the edges it carries, tests the nodes
+    they mark, and retires its spent ones if they are a quarter or more."""
+    nodes = reps * n
+    fresh = (np.arange(0, nodes, n)[:, None] + np.arange(a)).ravel()
+    is_fresh = np.zeros(nodes, dtype=bool)
+    marks = np.zeros(nodes, dtype=np.int32)  # below -2^30 + n: active
+    marks[fresh] = -2 ** 30
+    while fresh.size and u.size:
+        is_fresh[fresh] = True
+        fu, fv = is_fresh.take(u), is_fresh.take(v)
+        is_fresh[fresh] = False
+        cut = np.count_nonzero(fu)  # hit: the other end of each fresh end
+        hit = np.empty(cut + np.count_nonzero(fv), dtype=np.int64)
+        v.take(np.flatnonzero(fu), out=hit[:cut], mode="clip")  # unbuffered
+        u.take(np.flatnonzero(fv), out=hit[cut:], mode="clip")
+        np.add.at(marks, hit, np.int32(1))  # an int32 one: the fast loop
+        fresh = hit.take(np.flatnonzero(marks.take(hit) >= r))
+        marks[fresh] = -2 ** 30
+        if 4 * hit.size >= u.size:
+            del hit
+            live = np.flatnonzero(~(fu | fv))
+            u, v = u.take(live), v.take(live)
+    return np.add.reduceat(marks < 0, np.arange(0, nodes, n), dtype=np.int32)
 
 
 def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
-    """Batch of D_n draws (nodes of degree < r in G(n, p))."""
+    """Batch of D_n draws (nodes of degree < r in G(n, p)) by _slot_degrees."""
     n, r = params.n, params.r
-
-    def low_degree(u, v, size):
-        deg = np.bincount(u, minlength=size * n)
-        deg += np.bincount(v, minlength=size * n)
-        return (deg.reshape(size, n) < r).sum(axis=1)
-    return _graph_batches(params, replicates, rng, low_degree)
+    return _graph_batches(
+        params, replicates, rng, lambda draw, size: (
+            _slot_degrees(draw(), size, n).reshape(size, n) < r).sum(axis=1))
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
@@ -536,8 +553,8 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """
     n, r, a = params.n, params.r, params.a
     return _graph_batches(
-        params, replicates, rng,
-        lambda u, v, size: _vector_cascade_sizes(u, v, size, n, r, a))
+        params, replicates, rng, lambda draw, size: _vector_cascade_sizes(
+            *_slot_pairs(draw(), n), size, n, r, a))
 
 
 def final_size_from_edge_uniforms(n: int, r: int, a: int,

@@ -121,6 +121,13 @@ def test_penrose_sweep_raises_no_overflow_outside_each_bounds_range():
     assert bad == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_penrose_sweep_takes_p_zero_and_one_without_a_warning():
+    # p = 0 gives mu = 0 and x = k / mu = +inf, where no bound is checked
+    assert penrose_grid_violations(range(5, 8), (0.0,)) == (30, [])
+    assert penrose_grid_violations(range(5, 8), (1.0,)) == (15, [])
+
+
 # ---------------------------------------------------------------------------
 # asymptotic approximations
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from bootperc._binom import log_binom_cdf, log_cdf_head
 from bootperc.core import ModelParams, critical_quantities
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc.montecarlo import wilson_interval
-from bootperc.oracle import brute_force_pmf, exact_pmf
+from bootperc.oracle import _final_size_counts, brute_force_pmf, exact_pmf
 from bootperc import process
 from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               final_size_from_edge_uniforms,
@@ -411,6 +412,129 @@ def test_slot_pairs_match_a_binary_search_at_every_row_boundary(n):
     np.testing.assert_array_equal(got_u, want_u)
     np.testing.assert_array_equal(got_v, want_v)
     assert (got_u < got_v).all() and (got_v < (rep + 1) * n).all()
+
+
+def _edge_uniform_sizes():
+    gen = np.random.default_rng(22)
+    sizes = []
+    for n, r, a in ((8, 2, 2), (40, 2, 3), (120, 3, 6)):
+        uniforms = gen.random(n * (n - 1) // 2)
+        sizes += [final_size_from_edge_uniforms(n, r, a, uniforms, p)
+                  for p in np.linspace(0.0, 1.0, 21)]
+    return np.array(sizes)
+
+
+#: outputs of the graph engine (slot sampling, decode, cascade, degrees)
+ENGINE_CASES = {
+    "graph-n6": lambda: final_sizes_graph(P6, 100_000, RngSpec(22, 0)),
+    "graph-n30-r4": lambda: final_sizes_graph(
+        ModelParams(n=30, p=0.5, r=4, a=5), 5000, RngSpec(22, 1)),
+    "graph-n2000": lambda: final_sizes_graph(
+        _poisson_rule_instance(2000), 60, RngSpec(22, 2)),
+    "graph-n300-r3": lambda: final_sizes_graph(
+        ModelParams(n=300, p=0.03, r=3, a=12), 200, RngSpec(22, 3)),
+    "graph-n1-3": lambda: np.concatenate([
+        final_sizes_graph(ModelParams(n=n, p=0.5, r=2, a=a), 1000,
+                          RngSpec(22, 4)) for n, a in ((1, 1), (2, 1), (3, 2))]),
+    "low-degree-n5000": lambda: low_degree_counts(
+        _poisson_rule_instance(5000), 60, RngSpec(22, 5)),
+    "low-degree-n1000": lambda: low_degree_counts(
+        ModelParams(n=1000, p=0.005, r=2, a=1), 2000, RngSpec(22, 6)),
+    "brute-n7-r2": lambda: _final_size_counts.__wrapped__(7, 2, 2),
+    "brute-n7-r3": lambda: _final_size_counts.__wrapped__(7, 3, 3),
+    "edge-uniforms": _edge_uniform_sizes,
+}
+
+#: sha256 of each case's int64 output, computed before the live-edge
+#: cascade, the two-gather decode and the slot degrees replaced the
+#: full-edge cascade and the pair decode in low_degree_counts
+ENGINE_SHA256 = {
+    "graph-n6": "2e9dbac18ee5f2164e7305616cc4a61cdf8cda0e7ff90ffb8deb38526eba79bd",
+    "graph-n30-r4": "9454b3d6156339dd8ab7f78fe6d1a3e49e896e36827d5212751f0224c8ebbf18",
+    "graph-n2000": "b9a5f54a66d2fddb5d92225832a49d2af12e7ac669f663166bc20b0242b59231",
+    "graph-n300-r3": "d073b45e17baf5fcaf2db07fc7b536f58d4946cccdcb245e68b4eee67ccdaa99",
+    "graph-n1-3": "8fe4a2261aa8c7f087cc311606c919e82896ab4776be17da4a97750655b20511",
+    "low-degree-n5000": "d2354ecc656bb2a3831e11cb5bd68a152e4d03d3ab573ae016acff3c9abe3a64",
+    "low-degree-n1000": "642a5ebc6eb5132966af33d7b5453adbd9d9dd3336da7b2a40c1cee542d8be7e",
+    "brute-n7-r2": "39e2b48f734650fb465198800b2ee53f6be4e4a9d2c8dec7eaa0bd5edf9efdbc",
+    "brute-n7-r3": "1894e6f96d938f852fbeb165c8eec6d7837db020c0a4f64a5dc025c7627626e2",
+    "edge-uniforms": "4d298be784859e0583d92ee29a0bc090b2aedbc570670a2e49d486518562b32b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_SHA256))
+def test_graph_engine_output_is_pinned_bit_for_bit(case):
+    out = np.ascontiguousarray(ENGINE_CASES[case](), dtype=np.int64)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == ENGINE_SHA256[case]
+
+
+def _row_boundary_slots(n):
+    """The slots either side of every row start of the pair triangle, in
+    replicates 0 and 5 of six."""
+    pairs = n * (n - 1) // 2
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (2 * n - i - 1) // 2
+    v = np.unique(np.concatenate([offsets - 1, offsets, offsets + 1]))
+    v = v[(v >= 0) & (v < pairs)]
+    return np.concatenate([v, v + 5 * pairs])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, process.GRAPH_NODE_CAP])
+def test_slot_degrees_match_the_decoded_pairs(n):
+    for slots in (_row_boundary_slots(n), np.empty(0, dtype=np.int64)):
+        u, v = process._slot_pairs(slots, n)
+        want = np.bincount(u, minlength=6 * n) + np.bincount(v, minlength=6 * n)
+        np.testing.assert_array_equal(process._slot_degrees(slots, 6, n), want)
+
+
+def _closure_sizes(u, v, reps, n, r, a):
+    """Per replicate, activate every inactive node with r or more active
+    neighbours until nothing changes (seeds: node i < a of each)."""
+    sizes = []
+    for k in range(reps):
+        own = (u // n == k)
+        nbrs = [set() for _ in range(n)]
+        for x, y in zip(u[own] - k * n, v[own] - k * n):
+            nbrs[x].add(y)
+            nbrs[y].add(x)
+        active = set(range(a))
+        grown = True
+        while grown:
+            new = {x for x in range(n) if x not in active
+                   and len(nbrs[x] & active) >= r}
+            active |= new
+            grown = bool(new)
+        sizes.append(len(active))
+    return sizes
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Up to 8 random graphs on n <= 12 nodes as one disjoint union, edge
+    ends in either order and the edges shuffled; seed-seed edges and
+    isolated nodes occur."""
+    n = draw(st.integers(1, 12))
+    reps = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = []
+    for k in range(reps):
+        for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)
+                         if pairs else st.just([])):
+            edges.append((k * n + j, k * n + i) if draw(st.booleans())
+                         else (k * n + i, k * n + j))
+    edges = draw(st.permutations(edges))
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    return u, v, reps, n, draw(st.sampled_from([2, 3, 4])), draw(st.integers(0, n))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(disjoint_unions())
+def test_cascade_sizes_equal_the_closure(case):
+    u, v, reps, n, r, a = case
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    want = _closure_sizes(lo, hi, reps, n, r, a)
+    np.testing.assert_array_equal(process._vector_cascade_sizes(u, v, reps, n, r, a), want)
 
 
 def test_low_degree_trivial_values():
