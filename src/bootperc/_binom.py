@@ -1,14 +1,16 @@
 """Binomial and Poisson tail probabilities by direct log-space summation.
 
-Tails are summed from the smaller side with compensated accumulation, so
-the results keep full relative precision without relying on
-incomplete-beta implementations.  Scalar routines are pure ``math``;
-array routines use numpy for grid workloads.  Log-factorials come from
-one cached table, log_factorials, so numpy is the only dependency.
+Scalar tails are summed from the smaller side by one compensated loop,
+_log_anchored_sum, so the results keep full relative precision without
+relying on incomplete-beta implementations.  Scalar routines are pure
+``math``; array routines use numpy for grid workloads.  Log-factorials
+come from one cached table, log_factorials, so numpy is the only
+dependency.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -82,35 +84,33 @@ def log_binom_pmf(m: int, q: float, k: int) -> float:
     return log_comb + k * math.log(q) + (m - k) * math.log1p(-q)
 
 
-def _tail_sum_from_anchor(m: int, q: float, anchor: int, upward: bool) -> float:
-    """log of a monotone tail sum anchored at its largest term.
+def _log_anchored_sum(log_anchor: float, ratios) -> float:
+    """log of a monotone tail sum anchored at its largest term e^log_anchor.
 
-    Caller guarantees the terms decrease away from `anchor` (anchor at or
-    beyond the mode in the summing direction), so every relative term is
-    <= 1 and plain compensated summation is exact to ~1 ulp.
+    `ratios` yields each next term's ratio to the one before, away from
+    the anchor; the sum closes at the first relative term below
+    _TERM_CUTOFF.  Callers anchor at or beyond the mode in the summing
+    direction, so every relative term is <= 1 and plain compensated
+    summation is exact to ~1 ulp.
     """
-    log_anchor = log_binom_pmf(m, q, anchor)
-    if log_anchor == -math.inf:
-        return -math.inf
-    odds = q / (1.0 - q)
     rel = 1.0
     terms = [1.0]
-    j = anchor
-    if upward:
-        while j < m:
-            rel *= (m - j) / (j + 1.0) * odds
-            if rel < _TERM_CUTOFF:
-                break
-            terms.append(rel)
-            j += 1
-    else:
-        while j > 0:
-            rel *= j / ((m - j + 1.0) * odds)
-            if rel < _TERM_CUTOFF:
-                break
-            terms.append(rel)
-            j -= 1
+    for ratio in ratios:
+        rel *= ratio
+        if rel < _TERM_CUTOFF:
+            break
+        terms.append(rel)
     return log_anchor + math.log(math.fsum(terms))
+
+
+def _tail_sum_from_anchor(m: int, q: float, anchor: int, upward: bool) -> float:
+    """log of the Bin(m, q) tail from `anchor` upward or downward; 0 < q < 1."""
+    odds = q / (1.0 - q)
+    if upward:
+        ratios = ((m - j) / (j + 1.0) * odds for j in range(anchor, m))
+    else:
+        ratios = (j / ((m - j + 1.0) * odds) for j in range(anchor, 0, -1))
+    return _log_anchored_sum(log_binom_pmf(m, q, anchor), ratios)
 
 
 def log_binom_sf(m: int, q: float, k: int) -> float:
@@ -156,17 +156,13 @@ def log_poisson_sf(k: int, b: float) -> float:
     if k < 0:
         return 0.0
     upward = k + 1 >= b
-    anchor = j = k + 1 if upward else k
-    rel = 1.0
-    terms = [1.0]
-    while upward or j > 0:
-        rel *= b / (j + 1.0) if upward else j / b
-        if rel < _TERM_CUTOFF:
-            break
-        terms.append(rel)
-        j += 1 if upward else -1
-    log_tail = (anchor * math.log(b) - b - float(log_factorials(anchor)[anchor])
-                + math.log(math.fsum(terms)))
+    anchor = k + 1 if upward else k
+    if upward:
+        ratios = (b / (j + 1.0) for j in itertools.count(anchor))
+    else:
+        ratios = (j / b for j in range(anchor, 0, -1))
+    log_tail = _log_anchored_sum(
+        anchor * math.log(b) - b - float(log_factorials(anchor)[anchor]), ratios)
     return log_tail if upward else math.log1p(-math.exp(log_tail))
 
 
@@ -187,15 +183,14 @@ def log_pmf_array(m: int, q: float) -> np.ndarray:
             + k * math.log(q) + (m - k) * math.log1p(-q))
 
 
-def log_sf_array(m: int, q: float) -> np.ndarray:
-    """log P(Bin(m, q) >= k) for every k in 0..m."""
-    lp = log_pmf_array(m, q)
-    return np.logaddexp.accumulate(lp[::-1])[::-1]
+def log_sf_array(log_pmf: np.ndarray) -> np.ndarray:
+    """log P(X >= k) from log P(X = k), k = 0, 1, ... along the last axis."""
+    return np.logaddexp.accumulate(log_pmf[..., ::-1], axis=-1)[..., ::-1]
 
 
-def log_cdf_array(m: int, q: float) -> np.ndarray:
-    """log P(Bin(m, q) <= k) for every k in 0..m."""
-    return np.logaddexp.accumulate(log_pmf_array(m, q))
+def log_cdf_array(log_pmf: np.ndarray) -> np.ndarray:
+    """log P(X <= k) from log P(X = k), k = 0, 1, ... along the last axis."""
+    return np.logaddexp.accumulate(log_pmf, axis=-1)
 
 
 def _log_head_terms(m: np.ndarray, q: float, k: int) -> np.ndarray:
@@ -235,21 +230,3 @@ def log_cdf_head(m, q: float, k: int) -> np.ndarray:
         return np.where(m <= k, 0.0, -np.inf)
     return m * math.log1p(-q) + _log1p_sum_exp(_log_head_terms(m, q, k))
 
-
-def log_cdf_heads(m, q: float, k: int) -> np.ndarray:
-    """log P(Bin(m, q) <= d) for d = 0..k along a new first axis, from
-    one pass over the head terms of log_cdf_head: the prefix sums
-    log(1 + sum_{j <= d} C(m, j) (q / (1 - q))^j) are one logaddexp
-    accumulation, so no prefix underflows against a larger one."""
-    m = np.asarray(m, dtype=np.float64)
-    d = np.arange(k + 1).reshape((k + 1,) + (1,) * m.ndim)
-    if q == 0.0:
-        return np.zeros(d.shape[:1] + m.shape)
-    if q == 1.0:
-        return np.where(m <= d, 0.0, -np.inf)
-    out = np.empty(d.shape[:1] + m.shape)
-    out[0] = 0.0
-    out[1:] = np.moveaxis(_log_head_terms(m, q, k), -1, 0)
-    np.logaddexp.accumulate(out, axis=0, out=out)
-    out += m * math.log1p(-q)
-    return out

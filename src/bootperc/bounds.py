@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# log_cdf_array and log_sf_array stay bound, unused: bench/spans.py wraps them
 from ._binom import (log_binom_cdf, log_binom_sf, log_cdf_array,
                      log_pmf_array, log_sf_array)
 from .core import (Regime, SequenceSpec, CLASSIFY_LADDER, classify_regime,
@@ -228,8 +227,8 @@ def penrose_grid_violations(n_values, p_values, slack: float = 1e-12):
         mu = n * p_col
         k = np.arange(1, n)
         lp = np.reshape([log_pmf_array(n, p) for p in p_values], (-1, n + 1))
-        lsf = np.logaddexp.accumulate(lp[:, ::-1], axis=1)[:, ::-1][:, 1:n]
-        lcdf = np.logaddexp.accumulate(lp, axis=1)[:, 1:n]
+        lsf = log_sf_array(lp)[:, 1:n]
+        lcdf = log_cdf_array(lp)[:, 1:n]
         with np.errstate(divide="ignore", invalid="ignore"):
             x = k / mu  # > 0 as k >= 1, or +inf where mu = 0
             log_x = np.log(x)

@@ -8,10 +8,11 @@ Markov chain (t, S(t)) through a ladder of running-minimum-margin levels
 down to 0, multiplying the per-level crossing fractions.  Its stages
 leap from level to level on the sampler's kernel, and an integer level
 count spaces the ladder from the lowest mean margin down to 0, so the
-ladder costs no draws.  Each estimate tabulates log Q(t) for t <= tau
-once; the ladder reads the table, and every leap of every stage gathers
-from it instead of re-evaluating log_cdf_head.  Probabilities are
-carried as natural logs so estimates below float underflow survive.
+ladder costs no draws.  Each estimate above one level tabulates log Q(t)
+for t <= tau once; the ladder reads the table, and every leap of every
+stage gathers from it instead of re-evaluating log_cdf_head.
+Probabilities are carried as natural logs so estimates below float
+underflow survive.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import numpy as np
 from ._binom import log_cdf_head, log_factorials, log_poisson_sf
 from .core import (ModelParams, SequenceSpec, _sure_final_size,
                    classify_regime, critical_quantities)
-from .errors import DegenerateLevels, ParameterError
+from .errors import DegenerateLevels, MemoryGuardError, ParameterError
 # _log_q_schedule and final_sizes_activation stay bound here, unused:
 # bench/spans.py wraps both by these names
 from .oracle import (_LN2, PMF_NODE_CAP, LogProb, _log_q_schedule, _pow2_mean,
                      event_threshold, exact_stop_cdf)
-from .process import (RngSpec, _as_generator, _check_replicates,
-                      _leap_to_level, final_sizes_activation, final_sizes_leap)
+from .process import (ACTIVATION_NODE_CAP, RngSpec, _as_generator,
+                      _check_replicates, _leap_to_level,
+                      final_sizes_activation, final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
                       tail_exponent)
 
@@ -122,13 +124,30 @@ _SPLIT_GROUPS = 4
 _T975_DF3 = 3.182446305284263  # t quantile for 4 groups
 
 
-def _split_ladder(params: ModelParams, log_q: np.ndarray, levels) -> list:
-    """The margin ladder; `log_q` is log Q(t) for t = 0..tau."""
+def _split_ladder(params: ModelParams, tau: int, levels) -> tuple:
+    """(ladder, log_q): the margin ladder, and log Q(t) for t = 0..tau
+    unless the ladder is [0], which runs plain Monte Carlo.  A table of
+    more than ACTIVATION_NODE_CAP entries is refused before allocation."""
     if isinstance(levels, int):
         if levels < 1:
             raise ParameterError("need at least one level")
-        if levels == 1:
-            return [0]
+        ladder = [0] if levels == 1 else None
+    else:
+        ladder = [int(v) for v in levels]
+        if not ladder or ladder[-1] != 0:
+            raise ParameterError("an explicit level ladder must end at 0")
+        if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
+            raise ParameterError("levels must be strictly decreasing")
+        if ladder[0] >= params.a:
+            raise ParameterError("levels must start below the initial margin a")
+    if ladder == [0]:
+        return ladder, None
+    if tau >= ACTIVATION_NODE_CAP:
+        raise MemoryGuardError(
+            f"splitting refuses a log Q table of {tau + 1} entries above the "
+            f"cap {ACTIVATION_NODE_CAP}; levels=1 runs plain Monte Carlo")
+    log_q = log_cdf_head(np.arange(tau + 1), params.p, params.r - 1)
+    if ladder is None:
         # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
         n, a = params.n, params.a
         top = math.floor(np.min(
@@ -141,15 +160,7 @@ def _split_ladder(params: ModelParams, log_q: np.ndarray, levels) -> list:
                 f"the {levels}-level ladder collapses to [0]: the lowest mean "
                 f"margin over t <= tau is {top}; levels=1 runs plain Monte "
                 f"Carlo")
-        return ladder
-    ladder = [int(v) for v in levels]
-    if not ladder or ladder[-1] != 0:
-        raise ParameterError("an explicit level ladder must end at 0")
-    if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
-        raise ParameterError("levels must be strictly decreasing")
-    if ladder[0] >= params.a:
-        raise ParameterError("levels must start below the initial margin a")
-    return ladder
+    return ladder, log_q
 
 
 def _split_once(params: ModelParams, log_q: np.ndarray, ladder: list,
@@ -193,7 +204,9 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     (tau = n) with 1, interval included, without drawing.  An integer
     count above one whose ladder collapses to [0], because the lowest
     mean margin is too low to space levels above 0, raises
-    DegenerateLevels instead.
+    DegenerateLevels instead.  Any other ladder needs the log Q table
+    over 0..tau, refused (MemoryGuardError) above ACTIVATION_NODE_CAP
+    entries before it is allocated.
     """
     if tau > params.n:
         raise ParameterError("tau must not exceed n")
@@ -206,10 +219,8 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     # an empty (tau < a) or sure (tau = n) event, or a sure A*: no ladder
     if not params.a <= tau < params.n or _sure_final_size(params) is not None:
         return _naive_tail(params, tau, reps, gen)
-    # log Q(t) for t <= tau, once for the ladder and every stage's leaps
-    log_q = log_cdf_head(np.arange(tau + 1), params.p, params.r - 1)
-    ladder = _split_ladder(params, log_q, levels)
-    if ladder == [0]:
+    ladder, log_q = _split_ladder(params, tau, levels)
+    if log_q is None:
         return _naive_tail(params, tau, reps, gen)
 
     group_reps = reps // _SPLIT_GROUPS

@@ -71,9 +71,12 @@ def _pow2_mean(log_values) -> tuple:
 @dataclass(frozen=True, eq=False)
 class LogProb:
     """A probability held as its natural log ln_p; float() is 0.0 below
-    the smallest double, while ln() and log2() stay finite."""
+    the smallest double, while ln() and log2() stay finite.
+    truncation_bound is exact_stop_cdf's certified bound on the mass its
+    pass dropped, as in FinalSizePmf; 0.0 for every other value."""
 
     ln_p: float
+    truncation_bound: float = 0.0
 
     def __float__(self) -> float:
         return _pow2_mean([self.ln_p])[0]
@@ -309,16 +312,16 @@ def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
 
 
 def exact_stop_cdf(params: ModelParams, tau: int,
-                   with_bound: bool = False, cap: int = PMF_NODE_CAP):
+                   cap: int = PMF_NODE_CAP) -> LogProb:
     """P(T <= tau), exactly, with states capped at S = tau - a + 1.
 
     Once a + S(t) > tau the chain can never stop by tau, so such states
     are dropped as permanently safe.  The cost is O(tau^2 * window),
     independent of n, which keeps n up to 1e6 cheap when tau = O(a_c).
     A state count min(tau - a + 1, n - a) above `cap` is refused before
-    anything is allocated.  With with_bound=True also returns the
-    certified bound on transition mass lost to the increment window
-    (0.0 whenever the band is narrow).
+    anything is allocated.  The result's truncation_bound certifies the
+    transition mass lost to the increment window (0.0 whenever the band
+    is narrow).
     """
     n, a = params.n, params.a
     if tau > n:
@@ -330,11 +333,9 @@ def exact_stop_cdf(params: ModelParams, tau: int,
             f"{cap}; pass a larger cap to run it anyway")
     sure = _sure_final_size(params)
     if tau < a or sure is not None:  # an empty event or a sure A*: no DP
-        result = LogProb(0.0 if sure is not None and sure <= tau else -math.inf)
-        return (result, 0.0) if with_bound else result
+        return LogProb(0.0 if sure is not None and sure <= tau else -math.inf)
     absorbed, _, bound = _forward(params, tau, s_hi)
-    result = LogProb(float(np.logaddexp.reduce(absorbed)))
-    return (result, bound) if with_bound else result
+    return LogProb(float(np.logaddexp.reduce(absorbed)), bound)
 
 
 def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> int:
@@ -399,16 +400,17 @@ def _final_size_counts(n: int, r: int, a: int) -> np.ndarray:
     return counts
 
 
-def brute_force_pmf(params: ModelParams, cap: int = BRUTE_FORCE_CAP) -> FinalSizePmf:
-    """Exhaustive enumeration of all 2^C(n,2) graphs for n <= 7.
+def brute_force_pmf(params: ModelParams) -> FinalSizePmf:
+    """Exhaustive enumeration of all 2^C(n,2) graphs for n <= BRUTE_FORCE_CAP.
 
     Graphs are grouped by edge count (_final_size_counts), so each atom
     is one log-sum-exp, shifted by its largest term, over the edge counts
     e with a nonzero count: log(count) + e log p + (C(n, 2) - e) log(1 - p).
     """
     n, p, r, a = params.n, params.p, params.r, params.a
-    if n > cap:
-        raise ParameterError(f"brute force enumeration is capped at n = {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise ParameterError(
+            f"brute force enumeration is capped at n = {BRUTE_FORCE_CAP}")
     n_edges = n * (n - 1) // 2
     counts = _final_size_counts(n, r, a)
     e = np.arange(n_edges + 1)

@@ -51,7 +51,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._binom import log_cdf_head, log_cdf_heads
+from ._binom import log_cdf_head
 from .core import ModelParams, _sure_final_size
 from .errors import MemoryGuardError, ParameterError
 
@@ -336,7 +336,9 @@ def _leap_chances(margin: np.ndarray, p: float, r: int):
     act[d] = P(G > d) for d = 0..r-1 and up[d - 1] = P(G = d | G <= d)
     for d = 1..r-1.  F(d) = 0 leaves nobody to split; fmin maps the NaN
     of -inf - -inf to a zero chance."""
-    log_f = log_cdf_heads(margin, p, r - 1)
+    log_f = np.empty((r,) + np.shape(margin))
+    for d in range(r):
+        log_f[d] = log_cdf_head(margin, p, d)
     with np.errstate(invalid="ignore"):
         up = np.subtract(log_f[:-1], log_f[1:])
     for x in (log_f, up):  # in place: -expm1(min(x, 0)), NaN to 0

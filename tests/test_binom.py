@@ -1,13 +1,16 @@
 """The scipy-free log-factorial table and Poisson tail reproduce the scipy
-values they replace, bit for bit where the output depends on them."""
+values they replace, bit for bit where the output depends on them, and
+the scalar tails keep their bits."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln, pdtrc
 
-from bootperc._binom import log_factorials, log_pmf_array, log_poisson_sf
+from bootperc._binom import (log_binom_cdf, log_binom_sf, log_factorials,
+                             log_pmf_array, log_poisson_sf)
 from bootperc.montecarlo import _poisson_cut_points
 
 # the p grid of the Penrose inequality sweep (acceptance criterion 3)
@@ -61,3 +64,30 @@ def test_log_poisson_sf_matches_pdtrc(b):
         if want > 1e-300:
             assert math.exp(log_poisson_sf(k, b)) == pytest.approx(
                 want, rel=1e-12)
+
+
+def _scalar_tails():
+    """ln sf and ln cdf of Bin(m, q) at each k of a grid (the whole support
+    at small m, the mode and +-1, 3 and 6 sd around it at large m), then
+    ln P(Poisson(b) > k) for k = -1..4b + 39."""
+    out = []
+    for m in (0, 1, 2, 5, 17, 100, 1000, 12345, 10 ** 6):
+        for q in (0.0, 1e-4, 0.01, 0.3, 0.5, 0.9, 1.0):
+            mode = int(m * q)
+            sd = math.ceil(math.sqrt(m * q * (1.0 - q)))
+            ks = set(range(-1, min(m, 20) + 2)) | {
+                mode + i * sd + j for i in (-6, -3, -1, 0, 1, 3, 6)
+                for j in (-1, 0, 1)} | {m // 2, m - 1, m, m + 1}
+            for k in sorted(ks):
+                out += [log_binom_sf(m, q, k), log_binom_cdf(m, q, k)]
+    for b in (1e-3, 0.5, 2.7, 17.0, 50.0, 300.0):
+        out += [log_poisson_sf(k, b) for k in range(-1, int(4 * b) + 40)]
+    return np.array(out)
+
+
+def test_scalar_tails_are_pinned_bit_for_bit():
+    # sha256 taken before the tails shared one anchored-sum loop
+    tails = _scalar_tails()
+    assert tails.size == 4824
+    assert hashlib.sha256(tails.tobytes()).hexdigest() == \
+        "b55a5bb59a22afbc74372510118eb1e907769410d44ea569fdf4a93a9f4d4336"

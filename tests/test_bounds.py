@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bootperc._binom import log_cdf_array, log_sf_array
+from bootperc._binom import log_cdf_array, log_pmf_array, log_sf_array
 from bootperc.bounds import (approx_log_tail, approx_lower_tail,
                              approx_small_mean_tail, asymptotic_diagnostics,
                              chernoff_lower, chernoff_upper, heavy_tail_bound,
@@ -76,15 +76,16 @@ def test_penrose_reduced_grid_has_no_violations():
 
 
 def _penrose_one_instance_at_a_time(n_values, p_values, slack):
-    """The sweep one (n, p) at a time, each from its own log_sf_array and
-    log_cdf_array: the reference for the values and the order of `bad`."""
+    """The sweep one (n, p) at a time, each from its own log pmf and its
+    own tails: the reference for the values and the order of `bad`."""
     checked, bad = 0, []
     for n in n_values:
         for p in p_values:
             mu = n * p
             k = np.arange(1, n)
-            lsf = log_sf_array(n, p)[1:n]
-            lcdf = log_cdf_array(n, p)[1:n]
+            lp = log_pmf_array(n, p)
+            lsf = log_sf_array(lp)[1:n]
+            lcdf = log_cdf_array(lp)[1:n]
             x = k / mu
             log_x = np.log(x)
             ln_chernoff = -mu * (1.0 - x + x * log_x)

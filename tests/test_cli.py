@@ -643,9 +643,11 @@ def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):
      "--a", "5", "--replicates", "1000000000000"],
     ["tail", "estimate", "--n", "100", "--p", "0.1", "--r", "2", "--a", "5",
      "--splitting", "--tau", "10", "--replicates", "1000000000000"],
+    ["tail", "estimate", "--n", "20000000", "--p", "7.75e-6", "--r", "2",
+     "--a", "833", "--splitting", "--tau", "10000000", "--replicates", "16"],
     ["rate", "--alpha", "2", "--r", "2", "--curve-out", "curve.csv",
      "--curve-points", "1000000000000"],
-], ids=["simulate", "splitting", "rate-curve"])
+], ids=["simulate", "splitting", "splitting-table", "rate-curve"])
 def test_oversized_requests_are_refused_before_allocating(argv, tmp_path,
                                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

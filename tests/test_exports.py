@@ -1,5 +1,6 @@
 """Every exported name resolves: a class or function deleted from a module
-must leave its __all__ and the package imports with it."""
+must leave its __all__ and the package imports with it.  And the imports
+keep to the declared dependencies."""
 
 import ast
 import importlib
@@ -34,3 +35,24 @@ def test_package_imports_resolve():
                               attr)
                or not hasattr(bootperc, attr)]
     assert missing == []
+
+
+def _imported_packages(path: Path):
+    """Top-level package of every absolute import statement in `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_library_imports_no_scipy_and_tests_no_mpmath():
+    # numpy is the only runtime dependency; mpmath is no dependency at all
+    library = sorted(Path(bootperc.__file__).parent.rglob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert len(library) > 5 and len(tests) > 5
+    found = [(path.name, package)
+             for paths, banned in ((library, "scipy"), (tests, "mpmath"))
+             for path in paths for package in _imported_packages(path)
+             if package == banned]
+    assert found == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bootperc.montecarlo import (default_stop_horizon, estimate_tail,
                                  poisson_distance, rate_convergence_study,
                                  wilson_interval)
 from bootperc.oracle import exact_stop_cdf, exact_tail_query
-from bootperc.process import RngSpec
+from bootperc.process import ACTIVATION_NODE_CAP, RngSpec
 from bootperc.ratefun import ScalingFamily, minimize_rate
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
@@ -149,6 +150,35 @@ def test_splitting_deterministic():
     a = estimate_tail_splitting(params, tau, 3, 800, RngSpec(6, 1))
     b = estimate_tail_splitting(params, tau, 3, 800, RngSpec(6, 1))
     assert a == b
+
+
+@pytest.mark.parametrize("levels", [1, [0]])
+def test_splitting_plain_monte_carlo_builds_no_log_q_table(levels):
+    # a log Q table over 0..tau would take about 62 MB here
+    params, tau = SPEC_07.params_at(2 * 10 ** 6), 10 ** 6
+    tracemalloc.start()
+    try:
+        est = estimate_tail_splitting(params, tau, levels, 16, RngSpec(3, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.replicates == 16
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("levels", [4, [1, 0]])
+def test_splitting_refuses_a_log_q_table_above_the_cap(levels):
+    # ACTIVATION_NODE_CAP + 1 entries and more, refused before allocation
+    params = SPEC_07.params_at(2 * 10 ** 7)
+    tracemalloc.start()
+    try:
+        for tau in (ACTIVATION_NODE_CAP, params.n - 1):
+            with pytest.raises(MemoryGuardError):
+                estimate_tail_splitting(params, tau, levels, 16, RngSpec(3, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bootperc._binom import (log_binom_cdf, log_binom_pmf, log_cdf_head,
-                            log_cdf_heads, log_pmf_array)
+                            log_pmf_array)
 from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
                            log_inactive_prob)
 from bootperc.errors import MemoryGuardError, ParameterError
@@ -185,9 +185,13 @@ def test_stop_cdf_consistent_with_full_pmf(tau):
 
 def test_stop_cdf_truncation_bound_is_reported():
     params = ModelParams(n=3000, p=3000 ** -0.7, r=2, a=30)
-    value, bound = exact_stop_cdf(params, 60, with_bound=True)
+    value = exact_stop_cdf(params, 60)
     assert 0.0 < float(value) < 1.0
+    bound = value.truncation_bound
+    assert bound == oracle._forward(params, 60, 60 - 30 + 1)[2]
     assert bound <= 1e-12 * float(value) or bound == 0.0
+    # no pass, no dropped mass
+    assert exact_stop_cdf(params, 20).truncation_bound == 0.0
 
 
 def test_stop_cdf_matches_large_n_small_n_scaling():
@@ -508,24 +512,15 @@ def _exact_log_cdf_head(m: int, p: float, k: int) -> float:
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
 def test_log_cdf_head_matches_scalar_log_inactive_prob(p, r):
-    # both against exact rationals, so each is within 1e-14 of the truth
+    # both against exact rationals, so each is within 1e-14 of the truth;
+    # the heads d = 0..3 are the mark chain's log F(d)
     t =[0, 1, 2, 3, 4, 5, 7, 10, 30, 100, 300, 1000, 2000, 10_000]
-    got = log_cdf_head(np.array(t), p, r - 1)
-    for ti, value in zip(t, got.tolist()):
-        want = _exact_log_cdf_head(ti, p, r - 1)
-        assert value == pytest.approx(want, rel=1e-14, abs=1e-14), (ti, value)
-        assert log_inactive_prob(ti, p, r) == pytest.approx(
-            want, rel=1e-14, abs=1e-14), ti
-
-
-@pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
-def test_log_cdf_heads_match_exact_prefix_heads(p):
-    # every prefix d = 0..k of one accumulation, against exact rationals
-    m = [0, 1, 2, 3, 4, 5, 7, 10, 30, 100, 1000]
-    k = 3
-    got = log_cdf_heads(np.array(m), p, k)
-    assert got.shape == (k + 1, len(m))
-    for d in range(k + 1):
-        for mi, value in zip(m, got[d].tolist()):
-            want = _exact_log_cdf_head(mi, p, d)
-            assert value == pytest.approx(want, rel=1e-14, abs=1e-14), (d, mi)
+    for d in range(4):
+        got = log_cdf_head(np.array(t), p, d)
+        for ti, value in zip(t, got.tolist()):
+            want = _exact_log_cdf_head(ti, p, d)
+            assert value == pytest.approx(want, rel=1e-14, abs=1e-14), (
+                d, ti, value)
+            if d == r - 1:
+                assert log_inactive_prob(ti, p, r) == pytest.approx(
+                    want, rel=1e-14, abs=1e-14), ti
