@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .errors import ParameterError
+
 _TERM_CUTOFF = 1e-30  # relative term size below which a tail sum is closed
 # below this min(k, m - k), log C(m, k) is a falling factorial rather than
 # a difference of log-gamma values, which loses ~1e-16 m log m
@@ -62,9 +64,9 @@ def log_factorials(k_max: int) -> np.ndarray:
 
 def _validate(m: int, q: float, what: str = "q") -> None:
     if m < 0:
-        raise ValueError("number of trials must be nonnegative")
+        raise ParameterError("number of trials must be nonnegative")
     if not 0.0 <= q <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1]")
+        raise ParameterError(f"{what} must lie in [0, 1]")
 
 
 def log_binom_pmf(m: int, q: float, k: int) -> float:

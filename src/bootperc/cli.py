@@ -24,7 +24,7 @@ from .errors import BootpercError, MemoryGuardError, ParameterError
 from .montecarlo import (estimate_tail, estimate_tail_splitting,
                          rate_convergence_study)
 from .oracle import PMF_NODE_CAP, exact_pmf, exact_stop_cdf
-from .process import SAMPLER_BATCHES, RngSpec, histogram
+from .process import SAMPLER_BATCHES, RngSpec
 from .ratefun import family_from_string, minimize_rate, rate_J, tail_exponent
 
 __all__ = ["main"]
@@ -142,12 +142,12 @@ def cmd_simulate(args) -> int:
         rows = [(i, int(v), int(v)) for i, v in enumerate(sizes)]
         _emit_csv(args, ["replicate", "final_size", "stop_time"], rows)
         return 0
-    hist = histogram(sizes)
+    values, counts = (x.tolist() for x in np.unique(sizes, return_counts=True))
     if args.format == "json":
-        _emit_json(args, {"histogram": {str(k): v for k, v in hist.items()},
+        _emit_json(args, {"histogram": dict(zip(map(str, values), counts)),
                           "replicates": args.replicates})
     else:
-        _emit_csv(args, ["final_size", "count"], sorted(hist.items()))
+        _emit_csv(args, ["final_size", "count"], zip(values, counts))
     return 0
 
 
@@ -180,6 +180,10 @@ def _require(args, *names) -> None:
 def cmd_tail(args) -> int:
     if args.cap is not None and (args.mode, args.method) != ("study", "exact_dp"):
         raise ParameterError("--cap applies to tail study --method exact_dp only")
+    if args.method != "exact_dp" and args.mode != "study":
+        raise ParameterError("--method applies to tail study only")
+    if args.tau is not None and not (args.mode == "estimate" and args.splitting):
+        raise ParameterError("--tau applies to tail estimate --splitting only")
     if args.mode == "predict":
         _require(args, "spec", "n", "family", "eps")
         spec = _load_spec(args.spec)

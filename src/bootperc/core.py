@@ -78,18 +78,21 @@ class ActivationProb(NamedTuple):
     one_minus_pi: float
 
 
+def _check_law_args(t, p: float, r) -> None:
+    """Refuse what the activation law is not defined for, as ModelParams
+    does: t must be finite and >= 0, p in [0, 1] and r through _check_r."""
+    if not 0 <= t <= sys.float_info.max:  # no nan, inf or int beyond
+        raise ParameterError(f"t must be finite and >= 0, got {t!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"p must lie in [0, 1], got {p!r}")
+    _check_r(r)
+
+
 def log_inactive_prob(t: float, p: float, r: int) -> float:
     """log P(Bin(floor(t), p) <= r - 1), the log-probability of staying
     inactive through time t.  Full relative precision even when the value
     is far below the double-precision floor of 1 - pi."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    if r < 2:
-        raise ParameterError("r must be >= 2")
-    if p == 0.0:
-        return 0.0
-    if not 0.0 < p <= 1.0:
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
+    _check_law_args(t, p, r)
     m = math.floor(t)
     if m < r:
         return 0.0
@@ -102,33 +105,15 @@ def activation_prob(t: float, p: float, r: int) -> ActivationProb:
     The complement is an r-term log-space sum, so it keeps full relative
     precision when pi is close to 1; when pi <= 1/2 the head itself is
     summed directly instead.  Real t is floored, matching the convention
-    that extends the activation law to noninteger times.
+    that extends the activation law to noninteger times.  p = 0 gives
+    (0, 1) and p = 1 gives (1, 0) once t >= r.
     """
-    if not 0.0 < p <= 1.0:
-        raise ParameterError(f"p must lie in (0, 1], got {p}")
-    if r < 2:
-        raise ParameterError("r must be >= 2")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    m = math.floor(t)
-    if m < r:
-        return ActivationProb(0.0, 1.0)
-    if p == 1.0:
-        return ActivationProb(1.0, 0.0)
-    one_minus_pi = math.exp(log_inactive_prob(m, p, r))
+    one_minus_pi = math.exp(log_inactive_prob(t, p, r))
     if one_minus_pi >= 0.5:
-        pi = math.exp(log_binom_sf(m, p, r))
+        pi = math.exp(log_binom_sf(math.floor(t), p, r))
     else:
         pi = 1.0 - one_minus_pi
     return ActivationProb(pi, one_minus_pi)
-
-
-def _pi(t: float, p: float, r: int) -> float:
-    """Total version of activation_prob().pi for code paths that admit
-    the degenerate p = 0."""
-    if p == 0.0:
-        return 0.0
-    return activation_prob(t, p, r).pi
 
 
 @dataclass(frozen=True)
@@ -174,7 +159,7 @@ def mean_usable_curve(params: ModelParams, t_grid: Sequence[int]):
     for t in t_grid:
         if not 0 <= t <= n:
             raise ParameterError(f"t_grid entries must lie in [0, n], got {t}")
-        out.append((t, a + (n - a) * _pi(t, p, r) - t))
+        out.append((t, a + (n - a) * activation_prob(t, p, r).pi - t))
     return out
 
 

@@ -9,8 +9,9 @@ down to 0, multiplying the per-level crossing fractions.  Its stages
 leap from level to level on the sampler's kernel, and an integer level
 count spaces the ladder from the lowest mean margin down to 0, so the
 ladder costs no draws.  Each estimate above one level tabulates log Q(t)
-for t <= tau once; the ladder reads the table, and every leap of every
-stage gathers from it instead of re-evaluating log_cdf_head.
+for t <= tau once, in batch-budget chunks (process._fill_log_q); the
+ladder reads the table, and every leap of every stage gathers from it
+instead of re-evaluating log_cdf_head.
 Probabilities are carried as natural logs so estimates below float
 underflow survive.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binom import log_cdf_head, log_factorials, log_poisson_sf
+from ._binom import log_factorials, log_poisson_sf
 from .core import (ModelParams, SequenceSpec, _sure_final_size,
                    classify_regime, critical_quantities)
 from .errors import DegenerateLevels, MemoryGuardError, ParameterError
@@ -31,7 +32,7 @@ from .errors import DegenerateLevels, MemoryGuardError, ParameterError
 from .oracle import (_LN2, PMF_NODE_CAP, LogProb, _log_q_schedule, _pow2_mean,
                      event_threshold, exact_stop_cdf)
 from .process import (ACTIVATION_NODE_CAP, RngSpec, _as_generator,
-                      _check_replicates, _leap_to_level,
+                      _check_replicates, _fill_log_q, _leap_to_level,
                       final_sizes_activation, final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
                       tail_exponent)
@@ -146,7 +147,7 @@ def _split_ladder(params: ModelParams, tau: int, levels) -> tuple:
         raise MemoryGuardError(
             f"splitting refuses a log Q table of {tau + 1} entries above the "
             f"cap {ACTIVATION_NODE_CAP}; levels=1 runs plain Monte Carlo")
-    log_q = log_cdf_head(np.arange(tau + 1), params.p, params.r - 1)
+    log_q = _fill_log_q(np.empty(tau + 1), 0, params.p, params.r)
     if ladder is None:
         # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
         n, a = params.n, params.a
@@ -321,26 +322,28 @@ def poisson_distance(params: ModelParams, replicates: int, rng):
     Meaningful near the b_c -> b regime; that is the caller's judgement,
     not enforced here.
 
-    The mean is taken over the Poisson bulk (gaps up to the 1 - 1e-9
-    quantile of Poisson(b_c)).  At any finite n the sample also contains
-    the vanishing-probability early-stop branch, whose gaps of order n
-    would swamp a raw mean while saying nothing about the local limit;
-    those excursions belong to the early-stop tail checks instead.
+    The TV sum runs over 0..k_hi plus one overflow bin, the gaps above
+    k_hi against the Poisson mass beyond it.  k_hi grows from the largest
+    gap capped at the cut that growing from 0 reaches, so b_c alone
+    bounds the memory, not the largest gap.  The mean is taken over
+    the Poisson bulk (gaps up to the 1 - 1e-9 quantile of Poisson(b_c)).
+    At any finite n the sample also contains the vanishing-probability
+    early-stop branch, whose gaps of order n would swamp a raw mean while
+    saying nothing about the local limit; those excursions belong to the
+    early-stop tail checks instead.
     """
     _check_replicates(replicates)
     b = critical_quantities(params).b_c
     gaps = params.n - final_sizes_leap(params, replicates, rng)
-    counts = np.bincount(gaps)
-    emp = counts / replicates
-
-    k_hi, k_bulk = _poisson_cut_points(b, len(emp) - 1)
+    cut = _poisson_cut_points(b, 0)[0]
+    k_hi, k_bulk = _poisson_cut_points(b, min(int(gaps.max()), cut))
+    emp = np.bincount(np.minimum(gaps, k_hi + 1), minlength=k_hi + 2)
+    emp = emp / replicates
     k = np.arange(k_hi + 1)
     poi = np.exp(k * math.log(b) - b - log_factorials(k_hi)[:k_hi + 1])
-    emp_full = np.zeros(k_hi + 1)
-    emp_full[:len(emp)] = emp[:k_hi + 1]
-    tv = 0.5 * (np.abs(emp_full - poi).sum() + max(0.0, 1.0 - poi.sum()))
+    tail = max(0.0, 1.0 - poi.sum())
+    tv = 0.5 * (np.abs(emp[:-1] - poi).sum() + abs(emp[-1] - tail))
 
     bulk = gaps[gaps <= k_bulk]
     mean_gap = abs(float(bulk.mean()) - b) / b if bulk.size else math.inf
     return float(tv), mean_gap
-

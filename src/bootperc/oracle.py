@@ -32,7 +32,8 @@ import numpy as np
 
 from ._binom import (_log1p_sum_exp, _log_head_terms, log_binom_cdf,
                      log_binom_pmf, log_factorials)
-from .core import ModelParams, _pi, _sure_final_size, critical_quantities
+from .core import (ModelParams, _sure_final_size, activation_prob,
+                   critical_quantities)
 from .errors import MemoryGuardError, ParameterError
 from .ratefun import ScalingFamily, _check_eps
 
@@ -370,7 +371,7 @@ def auxiliary_tail(params: ModelParams, t: int):
     n, p, r, a = params.n, params.p, params.r, params.a
     if t > n:
         raise ParameterError("t must not exceed n")
-    pi = _pi(t, p, r)
+    pi = activation_prob(t, p, r).pi
     p_event = math.exp(log_binom_cdf(n - a, pi, t - a)) if t >= a else 0.0
     p_aux = math.fsum(math.exp(log_binom_pmf(a, pi, j)
                                + log_binom_cdf(n - a, pi, t - j))

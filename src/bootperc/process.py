@@ -39,7 +39,9 @@ not.
 The graph, mark-chain, activation-time and leap samplers run replicates in
 batches of about _BATCH_ELEMENTS elements per array, so each holds a few
 MB beyond its output at any replicate count; the budget moves the
-realised draws, not the law.
+realised draws, not the law.  Every log Q table over a run of times (the
+activation sampler's, the splitting estimator's) is filled by _fill_log_q
+in such chunks, so it costs a few MB beyond itself at any length.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -117,6 +119,16 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise ParameterError("rng must be an RngSpec or a numpy Generator")
+
+
+def _fill_log_q(out: np.ndarray, t0: int, p: float, r: int) -> np.ndarray:
+    """Write out[i] = log Q(t0 + i), Q(t) = P(Bin(t, p) <= r - 1), in
+    _chunks runs of r - 1 head terms each, so a table of any length
+    costs a few batch budgets beyond itself; returns `out`."""
+    for start, size in _chunks(out.size, r - 1):
+        out[start:start + size] = log_cdf_head(
+            np.arange(t0 + start, t0 + start + size), p, r - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +256,10 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     gen = _as_generator(rng)
     lengths = _block_lengths(m)
     blocks, width = lengths.size, int(lengths[0])
-    # entry k - 1 is Q(n - k) for k = 1..m, evaluated in blocks of the
-    # batch budget of head terms; the padding to whole blocks is -1, so
-    # no stop can fall there
+    # entry k - 1 is Q(n - k) for k = 1..m; the padding to whole blocks
+    # is -1, so no stop can fall there
     q = np.full(blocks * width, -1.0)
-    for start, size in _chunks(m, r - 1):
-        q[start:start + size] = log_cdf_head(
-            np.arange(n - 1 - start, n - 1 - start - size, -1), p, r - 1)
+    _fill_log_q(q[m - 1::-1], a, p, r)
     np.exp(q[:m], out=q[:m])
     out = np.empty(replicates, dtype=np.int64)
     if blocks == 1:
@@ -575,11 +584,3 @@ SAMPLER_BATCHES = {
     "activation": final_sizes_activation,
     "leap": final_sizes_leap,
 }
-
-
-def histogram(final_sizes: Iterable[int]) -> dict:
-    """Counts of A* values, keys sorted ascending."""
-    arr = np.asarray(list(final_sizes) if not isinstance(final_sizes, np.ndarray)
-                     else final_sizes, dtype=np.int64)
-    values, counts = np.unique(arr, return_counts=True)
-    return {int(k): int(c) for k, c in zip(values, counts)}

@@ -89,6 +89,26 @@ def test_simulate_histogram_p_zero(tmp_path):
     assert lines[2] == "3,500"
 
 
+_SIMULATE = ["simulate", "--sampler", "markchain", "--n", "12", "--p", "0.15",
+             "--r", "2", "--a", "2", "--replicates", "400", "--seed", "3"]
+_SIMULATE_CONFIG = (
+    '{"a": 2, "command": "simulate", "emit": "histogram", "format": "%s", '
+    '"n": 12, "p": 0.15, "r": 2, "replicates": 400, "sampler": "markchain", '
+    '"seed": 3, "stream": 0}')
+
+
+@pytest.mark.parametrize("fmt,expected", [
+    ("csv", "# config " + _SIMULATE_CONFIG % "csv" + "\nfinal_size,count\n"
+     "2,326\n3,56\n4,10\n5,1\n6,3\n7,2\n8,1\n10,1\n"),
+    ("json", '{"config": ' + _SIMULATE_CONFIG % "json" + ', "result": '
+     '{"histogram": {"10": 1, "2": 326, "3": 56, "4": 10, "5": 1, "6": 3, '
+     '"7": 2, "8": 1}, "replicates": 400}}\n')])
+def test_simulate_histogram_stdout_is_pinned(fmt, expected, capsys):
+    # rows ascend by final size; JSON keys sort as strings
+    assert main(_SIMULATE + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_simulate_rows_emission(tmp_path):
     code, text = run(tmp_path, ["simulate", "--sampler", "activation",
                                 "--n", "6", "--p", "0.4", "--r", "2", "--a", "2",
@@ -436,6 +456,30 @@ def test_tail_study_cap_works_like_exact_cap(tmp_path):
     assert run(tmp_path, ["tail", "estimate", "--n", "200", "--p", "0.01",
                           "--r", "2", "--a", "5", "--splitting", "--tau",
                           "10", "--cap", "600"])[0] == 2
+
+
+def test_tail_refuses_method_and_tau_where_unread(tmp_path):
+    # like --cap: a flag the command would ignore is refused, not echoed
+    model = ["--n", "200", "--p", "0.05", "--r", "2", "--a", "5"]
+    naive = ["tail", "estimate"] + model + ["--family", "const:1.0",
+                                            "--eps", "0.5"]
+    spec = write_spec(tmp_path, SPEC_07)
+    predict = ["tail", "predict", "--spec", spec, "--n", "1000",
+               "--family", "between_acnp_n", "--eps", "0.5"]
+    for argv in (naive, predict):
+        for flags in (["--method", "splitting"], ["--method", "naive"],
+                      ["--tau", "12"]):
+            assert run(tmp_path, argv + flags)[0] == 2, argv + flags
+        code, text = run(tmp_path, argv + ["--method", "exact_dp"])
+        assert code == 0 and json.loads(text)["result"]
+    splitting = ["tail", "estimate"] + model + ["--splitting", "--tau", "12",
+                                                "--replicates", "80"]
+    assert run(tmp_path, splitting + ["--method", "splitting"])[0] == 2
+    assert run(tmp_path, splitting)[0] == 0
+    study = ["tail", "study", "--spec", spec, "--family", "between_acnp_n",
+             "--eps", "0.5", "--ladder", "1000"]
+    assert run(tmp_path, study + ["--tau", "12"])[0] == 2
+    assert run(tmp_path, study)[0] == 0
 
 
 def test_config_file_supplies_defaults(tmp_path):

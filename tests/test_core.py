@@ -6,7 +6,7 @@ import pytest
 from bootperc.core import (CLASSIFY_LADDER, ModelParams, Regime, SequenceSpec,
                            Trend, activation_prob, check_hypotheses,
                            classify_regime, critical_quantities, detect_trend,
-                           mean_usable_curve)
+                           log_inactive_prob, mean_usable_curve)
 from bootperc.errors import InconclusiveTrend, ParameterError
 
 
@@ -29,14 +29,25 @@ def test_activation_prob_floors_real_times():
 
 
 def test_activation_prob_validation():
-    with pytest.raises(ParameterError):
-        activation_prob(2, 0.0, 2)
+    assert activation_prob(2, 0.0, 2) == (0.0, 1.0)
     with pytest.raises(ParameterError):
         activation_prob(2, 1.5, 2)
     with pytest.raises(ParameterError):
         activation_prob(2, 0.5, 1)
     with pytest.raises(ParameterError):
         activation_prob(-1, 0.5, 2)
+
+
+@pytest.mark.parametrize("law", [activation_prob, log_inactive_prob])
+@pytest.mark.parametrize("t,p,r", [
+    (10, 0.3, 2.5), (10, 0.3, 2.0), (10, 0.3, True), (math.nan, 0.3, 2),
+    (math.inf, 0.3, 2), (10 ** 400, 0.3, 2), (10, math.nan, 2)],
+    ids=["r=2.5", "r=2.0", "r=True", "t=nan", "t=inf", "t=1e400", "p=nan"])
+def test_activation_law_refuses_what_model_params_refuses(law, t, p, r):
+    # r = 2.5 once gave the r = 3 value, t = nan a bare ValueError and
+    # t = 10**400 an OverflowError
+    with pytest.raises(ParameterError):
+        law(t, p, r)
 
 
 def test_activation_prob_monotone_and_limits():
@@ -65,7 +76,6 @@ def test_one_minus_pi_keeps_relative_precision_when_pi_is_one():
     pi, omp = activation_prob(10**6, 0.01, 2)
     assert pi == 1.0
     assert 0.0 < omp < 1e-300 or omp == 0.0  # far below any linear resolution
-    from bootperc.core import log_inactive_prob
     ln_omp = log_inactive_prob(10**6, 0.01, 2)
     assert ln_omp == pytest.approx(
         10**6 * math.log1p(-0.01) + math.log(1 + 10**6 * 0.01 / 0.99), rel=1e-9)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bootperc
+from bootperc import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bootperc.__path__))
 
@@ -55,4 +56,23 @@ def test_library_imports_no_scipy_and_tests_no_mpmath():
              for paths, banned in ((library, "scipy"), (tests, "mpmath"))
              for path in paths for package in _imported_packages(path)
              if package == banned]
+    assert found == []
+
+
+def test_library_raises_only_package_errors():
+    # the CLI maps each BootpercError to its exit code; any other exception
+    # would end in a traceback
+    allowed = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type)
+               and issubclass(obj, errors.BootpercError)}
+    found = []
+    for path in sorted(Path(bootperc.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                name = ast.unparse(exc) if exc is not None else "re-raise"
+                if name not in allowed:
+                    found.append((path.name, node.lineno, name))
+    assert len(allowed) > 5
     assert found == []

@@ -6,10 +6,10 @@ import pytest
 
 from bootperc.core import ModelParams, SequenceSpec, critical_quantities
 from bootperc.errors import DegenerateLevels, MemoryGuardError, ParameterError
-from bootperc.montecarlo import (default_stop_horizon, estimate_tail,
-                                 estimate_tail_splitting, event_threshold,
-                                 poisson_distance, rate_convergence_study,
-                                 wilson_interval)
+from bootperc.montecarlo import (TailEstimate, default_stop_horizon,
+                                 estimate_tail, estimate_tail_splitting,
+                                 event_threshold, poisson_distance,
+                                 rate_convergence_study, wilson_interval)
 from bootperc.oracle import exact_stop_cdf, exact_tail_query
 from bootperc.process import ACTIVATION_NODE_CAP, RngSpec
 from bootperc.ratefun import ScalingFamily, minimize_rate
@@ -25,6 +25,14 @@ def crit9_config():
     a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
     params = ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
     return params, math.floor(3 * a_c)
+
+
+def criterion4_params(n, alpha, c=2.0):
+    """Criterion 4's p-rule, p = (log n + log log n - log c)/n, r = 2 and
+    a = ceil(alpha a_c): early stops grow more likely as alpha nears 1."""
+    p = (math.log(n) + math.log(math.log(n)) - math.log(c)) / n
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
+    return ModelParams(n=n, p=p, r=2, a=math.ceil(alpha * a_c))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +174,21 @@ def test_splitting_plain_monte_carlo_builds_no_log_q_table(levels):
     assert peak < 1_000_000
 
 
+def test_splitting_fills_its_log_q_table_in_chunks():
+    # the table over 0..1e6 holds 8 MB; evaluated in one call it peaked at
+    # 65.7 MB.  The estimate was pinned before the table was chunked
+    params = criterion4_params(2 * 10 ** 6, 1.05)
+    tracemalloc.start()
+    try:
+        est = estimate_tail_splitting(params, 10 ** 6, 4, 200, RngSpec(3, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est == TailEstimate(0.5319259199999999, 0.38981165236722176,
+                               0.7072433806201759, 200, -0.6312510474567131)
+    assert peak < 30_000_000
+
+
 @pytest.mark.parametrize("levels", [4, [1, 0]])
 def test_splitting_refuses_a_log_q_table_above_the_cap(levels):
     # ACTIVATION_NODE_CAP + 1 entries and more, refused before allocation
@@ -295,10 +318,38 @@ def test_poisson_distance_degenerate_point_mass():
 
 
 def test_poisson_distance_tv_shrinks_with_replicates():
-    n = 1000
-    p = (math.log(n) + math.log(math.log(n)) - math.log(2)) / n
-    a = math.ceil(2 * critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c)
-    params = ModelParams(n=n, p=p, r=2, a=a)
+    params = criterion4_params(1000, 2)
     tv_small, _ = poisson_distance(params, 1000, RngSpec(55, 0))
     tv_large, _ = poisson_distance(params, 100_000, RngSpec(55, 1))
     assert tv_large <= tv_small
+
+
+# (tv, mean_gap) taken while the TV table still ran up to the largest gap.
+# The first two samples hold no gap above the cut, so tv must match bit
+# for bit; the third holds early stops, whose gaps now share one overflow
+# bin, which moves tv by at most the Poisson mass beyond the table
+@pytest.mark.parametrize("n,c,alpha,reps,rng,tol,pinned", [
+    (1000, 2.0, 4, 2000, RngSpec(5, 0), 0.0,
+     (0.04581101166587458, 0.08123745522621217)),
+    (300, 1.0, 8, 3000, RngSpec(11, 2), 0.0,
+     (0.016025448897642826, 0.0060719174219276105)),
+    (1000, 2.0, 2, 1000, RngSpec(55, 0), 2e-12,
+     (0.10268203290131254, 0.09933265125438528)),
+])
+def test_poisson_distance_is_pinned(n, c, alpha, reps, rng, tol, pinned):
+    tv, mean_gap = poisson_distance(criterion4_params(n, alpha, c), reps, rng)
+    assert abs(tv - pinned[0]) <= tol
+    assert mean_gap == pinned[1]
+
+
+def test_poisson_distance_memory_is_set_by_b_c():
+    # early stops put gaps of order n in this sample; tables sized by the
+    # largest gap peaked at 80.8 MB here
+    params = criterion4_params(10 ** 6, 1.02)
+    tracemalloc.start()
+    try:
+        poisson_distance(params, 2000, RngSpec(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000

@@ -20,7 +20,7 @@ from bootperc.process import (SAMPLER_BATCHES, RngSpec,
                               final_size_from_edge_uniforms,
                               final_sizes_activation, final_sizes_graph,
                               final_sizes_leap, final_sizes_markchain,
-                              histogram, low_degree_counts, _leap_to_level,
+                              low_degree_counts, _leap_to_level,
                               _stop_from_spacings)
 
 MASK64 = 2 ** 64 - 1
@@ -800,6 +800,3 @@ def test_leap_to_level_table_lookup_matches_direct_evaluation(
     for from_table, direct in zip(*runs):
         np.testing.assert_array_equal(from_table, direct)
 
-
-def test_histogram_helper():
-    assert histogram(np.array([2, 2, 3])) == {2: 2, 3: 1}
