@@ -62,11 +62,11 @@ def log_factorials(k_max: int) -> np.ndarray:
     return _ln_factorial
 
 
-def _validate(m: int, q: float, what: str = "q") -> None:
+def _validate(m: int, q: float) -> None:
     if m < 0:
         raise ParameterError("number of trials must be nonnegative")
     if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"{what} must lie in [0, 1]")
+        raise ParameterError("q must lie in [0, 1]")
 
 
 def log_binom_pmf(m: int, q: float, k: int) -> float:

@@ -17,8 +17,7 @@ import numpy as np
 
 from ._binom import (log_binom_cdf, log_binom_sf, log_cdf_array,
                      log_pmf_array, log_sf_array)
-from .core import (Regime, SequenceSpec, CLASSIFY_LADDER, classify_regime,
-                   log_inactive_prob)
+from .core import SequenceSpec, classify_regime, log_inactive_prob
 from .errors import ParameterError, RegimeMismatch
 from .ratefun import entropy_H
 
@@ -57,13 +56,16 @@ def _report(ln_exact: float, ln_bound: float, tags: tuple,
         ln_exact=ln_exact, ln_bound_or_approx=ln_bound)
 
 
-def _validate_np(n: int, p: float, k: float):
+def _validate_np(n: int, p: float, k: int):
+    if not all(isinstance(v, (int, np.integer)) for v in (n, k)):
+        raise ParameterError(f"n and k must be integers, got {n!r} and {k!r}")
     if n < 1:
         raise ParameterError("n must be positive")
     if not 0.0 < p < 1.0:
         raise ParameterError("p must lie in (0, 1)")
-    if not 0 < k < n:
-        raise ParameterError("k must satisfy 0 < k < n")
+    # k = 0 passes: the lower tail admits it, the upper tails' k >= mu refuses
+    if not 0 <= k < n:
+        raise ParameterError("k must satisfy 0 <= k < n")
 
 
 def chernoff_upper(n: int, p: float, k: int) -> BoundReport:
@@ -81,10 +83,7 @@ def chernoff_lower(n: int, p: float, k: int) -> BoundReport:
 
     k = 0 is admitted: the bound degrades to e^-mu and dominates (1-p)^n.
     """
-    if k == 0:
-        _validate_np(n, p, 1)
-    else:
-        _validate_np(n, p, k)
+    _validate_np(n, p, k)
     mu = n * p
     if k > mu:
         raise ParameterError("lower-tail bound needs k <= n p")
@@ -166,7 +165,7 @@ _RELATIONS = ("speed", "one_minus_pi", "log_bc")
 
 
 def asymptotic_diagnostics(spec: SequenceSpec, relation: str, ladder,
-                           x: float = 1.0, regime: Regime | None = None):
+                           x: float = 1.0):
     """LHS/RHS ratio along the ladder for one closed-form relation.
 
     speed:         n pi(x a_c)      vs  (1/r)(1 - 1/r)^(r-1) x^r a_c
@@ -179,8 +178,7 @@ def asymptotic_diagnostics(spec: SequenceSpec, relation: str, ladder,
     if relation not in _RELATIONS:
         raise ParameterError(f"unknown relation {relation!r}; choose from {_RELATIONS}")
     if relation == "log_bc":
-        got = regime if regime is not None else classify_regime(spec, CLASSIFY_LADDER)
-        if not got.label.startswith("bc_vanishes"):
+        if not classify_regime(spec).label.startswith("bc_vanishes"):
             raise RegimeMismatch("log b_c ~ -n p holds only when b_c -> 0")
     rows = []
     r = spec.r

@@ -32,6 +32,20 @@ __all__ = ["main"]
 #: rate --curve-points above this is refused before the grid is allocated
 CURVE_POINT_CAP = 10 ** 6
 
+#: each kind of tail run: the flags it needs, then the others it reads
+#: (_MC_FLAGS those of every Monte Carlo run); it refuses any other flag
+#: set away from its value in a bare `tail MODE`
+_MC_FLAGS = " replicates seed stream"
+_TAIL_RUNS = {
+    "predict": ("spec n family eps", "ladder"),
+    "estimate": ("n p r a family eps", _MC_FLAGS),
+    "estimate --splitting": ("n p r a tau", "splitting levels" + _MC_FLAGS),
+    "study --method exact_dp": ("spec family eps ladder", "method horizon_k cap"),
+    "study --method naive": ("spec family eps ladder", "method horizon_k" + _MC_FLAGS),
+    "study --method splitting": ("spec family eps ladder",
+                                 "method horizon_k levels" + _MC_FLAGS),
+}
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -116,11 +130,14 @@ def cmd_regime(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    x0, j0 = minimize_rate(args.alpha, args.r, args.tol)
+    if not args.curve_out and (args.curve_max, args.curve_points) != (None, 200):
+        raise ParameterError("--curve-max and --curve-points need --curve-out")
+    x0, j0 = minimize_rate(args.alpha, args.r)
     if args.curve_out:
-        x_hi = args.curve_max if args.curve_max else 3.0 * args.alpha / args.r
-        if not math.isfinite(x_hi):
-            raise ParameterError(f"--curve-max must be finite, got {x_hi!r}")
+        x_hi = 3.0 * args.alpha / args.r if args.curve_max is None \
+            else args.curve_max
+        if not 0.0 < x_hi < math.inf:
+            raise ParameterError(f"--curve-max must be finite and > 0, got {x_hi!r}")
         if args.curve_points < 1:
             raise ParameterError("--curve-points must be at least 1")
         if args.curve_points > CURVE_POINT_CAP:
@@ -170,22 +187,19 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise ParameterError(f"tail {args.mode} requires {flags}")
-
-
 def cmd_tail(args) -> int:
-    if args.cap is not None and (args.mode, args.method) != ("study", "exact_dp"):
-        raise ParameterError("--cap applies to tail study --method exact_dp only")
-    if args.method != "exact_dp" and args.mode != "study":
-        raise ParameterError("--method applies to tail study only")
-    if args.tau is not None and not (args.mode == "estimate" and args.splitting):
-        raise ParameterError("--tau applies to tail estimate --splitting only")
+    kind = {"estimate": "estimate --splitting" if args.splitting else "estimate",
+            "study": f"study --method {args.method}"}.get(args.mode, args.mode)
+    needs, reads = (names.split() for names in _TAIL_RUNS[kind])
+    default = vars(build_parser().parse_args(["tail", args.mode]))
+    missing = [n for n in needs if getattr(args, n) is None]
+    unread = [n for n, v in vars(args).items()
+              if v != default[n] and n not in {"out", *needs, *reads}]
+    for names, what in ((missing, "requires"), (unread, "does not read")):
+        if names:
+            flags = ", ".join("--" + n.replace("_", "-") for n in names)
+            raise ParameterError(f"tail {kind} {what} {flags}")
     if args.mode == "predict":
-        _require(args, "spec", "n", "family", "eps")
         spec = _load_spec(args.spec)
         ladder = _parse_ladder(args.ladder) if args.ladder else list(CLASSIFY_LADDER)
         regime = classify_regime(spec, ladder)
@@ -194,16 +208,12 @@ def cmd_tail(args) -> int:
         _emit_json(args, json.loads(te.to_json()) | {"regime": regime.label})
         return 0
     if args.mode == "estimate":
-        _require(args, "n", "p", "r", "a")
         params = _params(args)
         rng = RngSpec(seed=args.seed, stream=args.stream)
         if args.splitting:
-            if args.tau is None:
-                raise ParameterError("--tau is required with --splitting")
             est = estimate_tail_splitting(params, args.tau, args.levels,
                                           args.replicates, rng)
         else:
-            _require(args, "family", "eps")
             est = estimate_tail(params, family_from_string(args.family),
                                 args.eps, args.replicates, rng)
         result = est.to_dict()
@@ -212,7 +222,6 @@ def cmd_tail(args) -> int:
         _emit_json(args, result)
         return 0
     # study
-    _require(args, "spec", "family", "eps", "ladder")
     spec = _load_spec(args.spec)
     rows = rate_convergence_study(
         spec, family_from_string(args.family), args.eps,
@@ -275,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("rate", help="minimize the early-stop rate J")
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-6,
-                   help="in (0, 1e-3]; x0 is resolved to a few ulps "
-                   "whatever it is")
     s.add_argument("--curve-out", default=None)
     s.add_argument("--curve-points", type=int, default=200)
     s.add_argument("--curve-max", type=float, default=None)

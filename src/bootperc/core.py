@@ -364,10 +364,10 @@ def _vanishing_verdict(trend: TrendResult) -> str:
     return INCONCLUSIVE
 
 
-def _validate_ladder(ladder: Sequence, min_len: int = 4) -> list:
+def _validate_ladder(ladder: Sequence) -> list:
     ladder = list(ladder)
-    if len(ladder) < min_len:
-        raise ParameterError(f"ladder must have at least {min_len} entries")
+    if len(ladder) < TREND_WINDOW:
+        raise ParameterError(f"ladder must have at least {TREND_WINDOW} entries")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ParameterError("ladder must be strictly increasing")
     return ladder

@@ -250,7 +250,7 @@ def default_stop_horizon(alpha: float, r: int) -> float:
 
 def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
                            eps: float, ladder, method: str = "exact_dp",
-                           replicates: int = 10_000, rng: RngSpec | None = None,
+                           replicates: int = 10_000, rng: RngSpec = RngSpec(0),
                            horizon_k: float | None = None,
                            levels: int = 4, cap: int = PMF_NODE_CAP):
     """One ConvergenceRow per ladder n, normalizing log P by the speed.
@@ -285,8 +285,7 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
             prob = exact_stop_cdf(params, threshold, cap=cap)
             p_hat, log_p = float(prob), prob.ln()
         else:
-            sub_rng = RngSpec(rng.seed, rng.stream + i) if rng is not None \
-                else RngSpec(0, i)
+            sub_rng = RngSpec(rng.seed, rng.stream + i)
             if method == "naive":
                 est = _naive_tail(params, threshold, replicates, sub_rng)
             else:
@@ -332,7 +331,6 @@ def poisson_distance(params: ModelParams, replicates: int, rng):
     saying nothing about the local limit; those excursions belong to the
     early-stop tail checks instead.
     """
-    _check_replicates(replicates)
     b = critical_quantities(params).b_c
     gaps = params.n - final_sizes_leap(params, replicates, rng)
     cut = _poisson_cut_points(b, 0)[0]

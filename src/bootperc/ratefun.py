@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import CriticalQuantities, Regime, SequenceSpec
+from .core import CriticalQuantities, Regime, SequenceSpec, _check_r
 from .errors import EpsOutOfRange, ParameterError, UnsupportedCombination
 
 __all__ = [
@@ -65,14 +65,13 @@ def _h_fun(x: float, alpha: float, r: int) -> float:
 
 
 def _check_supercritical(alpha: float, r: int) -> None:
-    """Refuse alpha outside (1, inf) and r outside [2, the largest float].
+    """Refuse alpha outside (1, inf), and r as ModelParams refuses it.
     An alpha too large for h to fit a float is refused where h is
     evaluated, by _h_fun."""
     if not 1.0 < alpha < math.inf:
         raise ParameterError(
             f"the rate function needs a finite supercritical alpha > 1, got {alpha!r}")
-    if not 2 <= r <= sys.float_info.max:
-        raise ParameterError(f"r must lie in [2, {sys.float_info.max:.4g}]")
+    _check_r(r)
 
 
 def rate_J(x: float, alpha: float, r: int):
@@ -107,7 +106,7 @@ def _bits_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
+def minimize_rate(alpha: float, r: int):
     """Locate the unique minimizer x0 of J on [0, alpha/r].
 
     With u = alpha(1 - 1/r) + x and w = x/h, J'(x) is proportional to
@@ -119,15 +118,12 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
     nothing overflows or underflows before h itself is evaluated.  For large
     alpha**(r-1) the dip sits at x ~ h(0) exp(-h'(0)), which can lie below
     the smallest double; then x0 = 5e-324 and J(x0) = r/(r-1) h(0), the
-    infimum J(0+).  x0 is resolved to a few ulps whatever tol is: the
-    sign test's rounding leaves log x0 within a few dozen ulps of
-    max(1, |log x0|), within 1e-14 relative at ordinary alpha.  tol is only
-    range-checked, to (0, 1e-3].  Returns (x0, J(x0)) with J(x0) from
+    infimum J(0+).  x0 is resolved to a few ulps: the sign test's rounding
+    leaves log x0 within a few dozen ulps of max(1, |log x0|), within
+    1e-14 relative at ordinary alpha.  Returns (x0, J(x0)) with J(x0) from
     rate_J, whose h overflow refuses alpha too large for a float.
     """
     _check_supercritical(alpha, r)
-    if not 0.0 < tol <= 1e-3:
-        raise ParameterError("tol must lie in (0, 1e-3]")
     shift = alpha * (1.0 - 1.0 / r)
     log_r = math.log(r)
 
@@ -153,7 +149,8 @@ def minimize_rate(alpha: float, r: int, tol: float = 1e-6):
     return x0, rate_J(x0, alpha, r)[1]
 
 
-@lru_cache(maxsize=256)
+# typed, so r = 2.0 is refused rather than served from the entry of r = 2
+@lru_cache(maxsize=256, typed=True)
 def _j_at_minimum(alpha: float, r: int) -> float:
     return minimize_rate(alpha, r)[1]
 
@@ -352,8 +349,8 @@ class TailExponent:
     rate_at_eps: float
     log_prob_prediction: float
     table_row: str
-    n: int | None = None
-    eps: float | None = None
+    n: int
+    eps: float
 
     def to_json(self) -> str:
         return json.dumps({
@@ -362,7 +359,7 @@ class TailExponent:
             "log_prob_prediction": self.log_prob_prediction,
             "log_base": "e",
             "table_row": self.table_row,
-            "n": None if self.n is None else int(self.n),
+            "n": int(self.n),
             "eps": self.eps,
         }, sort_keys=True)
 

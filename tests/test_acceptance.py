@@ -146,7 +146,7 @@ def test_criterion_07_rate_minimizer_vs_grid():
             js = np.where(w > 0, 1 - w + w * np.log(np.maximum(w, 1e-300)), 1.0)
             js = r / (r - 1) * h * js
             i = int(np.argmin(js))
-            x0, j0 = minimize_rate(alpha, r, tol=1e-6)
+            x0, j0 = minimize_rate(alpha, r)
             worst_x = max(worst_x, abs(x0 - float(xs[i])))
             worst_j = max(worst_j, abs(j0 - float(js[i])) / float(js[i]))
     ok = worst_x <= 1e-4 and worst_j <= 1e-8

@@ -68,6 +68,28 @@ def test_heavy_tail_cases():
         heavy_tail_bound(1000, 0.001, 7)
 
 
+def test_bounds_refuse_non_integer_n_and_k():
+    # a float n used to reach the binomial as 10.5 trials (or a bare
+    # TypeError), and a float k was certified against its integer part
+    for bound, n, p, k in ((chernoff_upper, 10, 0.3, 5),
+                           (chernoff_lower, 10, 0.3, 2),
+                           (heavy_tail_bound, 1000, 0.001, 8)):
+        bound(n, p, k)
+        assert bound(np.int64(n), p, np.int64(k)) == bound(n, p, k)
+        for bad_n, bad_k in ((n + 0.5, k), (n, k + 0.5), (float(n), k),
+                             (n, float(k))):
+            with pytest.raises(ParameterError, match="integers"):
+                bound(bad_n, p, bad_k)
+    # k = 0 is the lower tail's alone; a negative k is refused
+    assert chernoff_lower(10, 0.3, 0).exact == pytest.approx(0.7 ** 10)
+    for bound in (chernoff_upper, heavy_tail_bound):
+        with pytest.raises(ParameterError):
+            bound(10, 0.3, 0)
+    for bound in (chernoff_upper, chernoff_lower, heavy_tail_bound):
+        with pytest.raises(ParameterError):
+            bound(10, 0.3, -1)
+
+
 def test_penrose_reduced_grid_has_no_violations():
     checked, bad = penrose_grid_violations(
         range(5, 41), (0.02, 0.1, 0.35, 0.6, 0.9))

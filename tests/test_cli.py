@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bootperc
-from bootperc.cli import main
+from bootperc.cli import build_parser, main
 
 SPEC_07 = {"rule": "power", "constants": {"beta": 0.7}, "r": 2, "alpha": 2.0}
 
@@ -55,15 +56,6 @@ def test_rate_command_matches_library(tmp_path):
     x0, j0 = minimize_rate(2.0, 2)
     assert float(doc["result"]["x0"]) == pytest.approx(x0, abs=1e-9)
     assert float(doc["result"]["J_x0"]) == pytest.approx(j0, rel=1e-12)
-
-
-def test_rate_accepts_a_tol_below_what_j_values_resolve(tmp_path):
-    code, text = run(tmp_path, ["rate", "--alpha", "2", "--r", "2",
-                                "--tol", "1e-9"])
-    assert code == 0
-    assert json.loads(text)["result"]["x0"] == \
-        json.loads(run(tmp_path, ["rate", "--alpha", "2", "--r", "2"])[1])[
-            "result"]["x0"]
 
 
 def test_rate_curve_is_monotone_past_the_minimum(tmp_path):
@@ -458,7 +450,7 @@ def test_tail_study_cap_works_like_exact_cap(tmp_path):
                           "10", "--cap", "600"])[0] == 2
 
 
-def test_tail_refuses_method_and_tau_where_unread(tmp_path):
+def test_tail_refuses_method_and_tau_where_unread(tmp_path, capsys):
     # like --cap: a flag the command would ignore is refused, not echoed
     model = ["--n", "200", "--p", "0.05", "--r", "2", "--a", "5"]
     naive = ["tail", "estimate"] + model + ["--family", "const:1.0",
@@ -480,6 +472,54 @@ def test_tail_refuses_method_and_tau_where_unread(tmp_path):
              "--eps", "0.5", "--ladder", "1000"]
     assert run(tmp_path, study + ["--tau", "12"])[0] == 2
     assert run(tmp_path, study)[0] == 0
+    # every flag a run does not read, set away from its default
+    assert run(tmp_path, predict + ["--levels", "9", "--horizon-k", "3",
+                                    "--splitting", "--replicates", "7",
+                                    "--seed", "4"])[0] == 2
+    assert run(tmp_path, splitting + ["--family", "const:1", "--eps", "9"])[0] \
+        == 2
+    value = {"--spec": spec, "--n": "1000", "--p": "0.05", "--r": "2",
+             "--a": "5", "--family": "const:1.0", "--eps": "0.5",
+             "--replicates": "7", "--ladder": "1000", "--tau": "12",
+             "--levels": "9", "--horizon-k": "3", "--seed": "4",
+             "--stream": "1", "--format": "csv", "--cap": "600"}
+    unread = {
+        "predict": (predict, "--p --r --a --replicates --tau --levels "
+                    "--horizon-k --seed --stream --format --cap --splitting"),
+        "estimate": (naive, "--spec --ladder --tau --levels --horizon-k "
+                     "--format --cap"),
+        "estimate --splitting": (splitting, "--spec --family --eps --ladder "
+                                 "--horizon-k --format --cap"),
+        "study --method exact_dp": (study, "--n --p --r --a --replicates "
+                                    "--tau --levels --seed --stream --format "
+                                    "--splitting"),
+        "study --method naive": (study + ["--method", "naive"],
+                                 "--levels --cap"),
+        "study --method splitting": (study + ["--method", "splitting"],
+                                     "--cap"),
+    }
+    capsys.readouterr()
+    for kind, (argv, flags) in unread.items():
+        for flag in flags.split():
+            extra = [flag] if flag == "--splitting" else [flag, value[flag]]
+            assert main(argv + extra + ["--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err == \
+                f"error: tail {kind} does not read {flag}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_tail_names_the_flags_a_run_needs(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    assert main(["tail", "predict", "--n", "1000", "--family",
+                 "between_acnp_n", "--eps", "0.5", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: tail predict requires --spec\n"
+    model = ["--n", "200", "--p", "0.05", "--r", "2", "--a", "5"]
+    assert main(["tail", "estimate", "--splitting", "--out", out] + model) == 2
+    assert capsys.readouterr().err == \
+        "error: tail estimate --splitting requires --tau\n"
+    assert main(["tail", "study", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: tail study --method exact_dp " \
+        "requires --spec, --family, --eps, --ladder\n"
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -495,6 +535,58 @@ def test_config_file_supplies_defaults(tmp_path):
                  "--out", str(out)])
     doc = json.loads(out.read_text())
     assert float(doc["result"]["t_c"]) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_config_file_edge_cases(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "o.json"
+    cfg.write_text("[1, 2]")
+    assert main(["critical", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    # no subcommand besides the config file
+    cfg.write_text(json.dumps({"n": 10000, "p": 0.001, "r": 2}))
+    assert main(["--config", str(cfg)]) == 2
+    assert "subcommand" in capsys.readouterr().err
+    # a true boolean becomes the bare flag, a false one is left out; the
+    # file may follow `tail MODE`
+    model = {"n": 200, "p": 0.05, "r": 2, "a": 5, "replicates": 80}
+    cfg.write_text(json.dumps(model | {"splitting": True, "tau": 12}))
+    assert main(["tail", "estimate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["splitting"] is True and doc["config"]["tau"] == 12
+    cfg.write_text(json.dumps(model | {"splitting": False,
+                                       "family": "const:1.0", "eps": 0.5}))
+    assert main(["tail", "estimate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["splitting"] is False
+    assert doc["config"]["family"] == "const:1.0"
+
+
+def test_critical_csv(tmp_path):
+    code, text = run(tmp_path, ["critical", "--n", "10000", "--p", "0.001",
+                                "--r", "2", "--format", "csv"])
+    assert code == 0
+    config, header, row = text.splitlines()
+    assert config.startswith("# config ") and '"format": "csv"' in config
+    assert header == "t_c,a_c,b_c,b_c_prime,ln_b_c,ln_b_c_prime"
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["t_c"] == pytest.approx(100.0, rel=1e-9)
+    assert values["a_c"] == pytest.approx(50.0, rel=1e-9)
+
+
+def test_readme_cli_tour_parses():
+    # every command of the README's CLI tour must still parse; the
+    # commands are not run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## CLI tour", 1)[1].split("```sh\n", 1)[1]
+    tour = tour.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in tour.splitlines()
+                if line.startswith("bootperc ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +770,11 @@ def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):
     assert not curve.exists()
     assert main(rate + ["--curve-max", "inf"]) == 2
     assert main(rate + ["--curve-points", "-1"]) == 2
+    # --curve-max 0 is refused, not replaced by 3 alpha / r
+    for x_max in ("0", "-1", "nan"):
+        assert main(rate + ["--curve-max", x_max]) == 2
+        assert "--curve-max must be finite and > 0" in capsys.readouterr().err
+    assert not curve.exists()
     assert main(rate + ["--curve-max", "1e150", "--curve-points", "3"]) == 0
     assert curve.read_text().count("\n") == 4
 
@@ -722,6 +819,20 @@ def test_rate_huge_alpha_returns_promptly():
     assert float(result["J_x0"]) == pytest.approx(2.5e59, rel=1e-15)
 
 
+def test_rate_refuses_curve_flags_without_curve_out(tmp_path, capsys):
+    rate = ["rate", "--alpha", "2", "--r", "2", "--out", str(tmp_path / "x")]
+    for flags in (["--curve-points", "5", "--curve-max", "2"],
+                  ["--curve-max", "2"], ["--curve-points", "5"]):
+        assert main(rate + flags) == 2
+        assert "need --curve-out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert main(rate + ["--curve-points", "200"]) == 0
+    # --tol is gone: x0 never depended on it
+    with pytest.raises(SystemExit) as exc:
+        main(rate + ["--tol", "1e-6"])
+    assert exc.value.code == 2
+
+
 def test_rate_rejects_subcritical(tmp_path):
     assert main(["rate", "--alpha", "1.0", "--r", "2",
                  "--out", str(tmp_path / "x.json")]) == 2
@@ -751,7 +862,7 @@ class BlockScipy:
 
 
 sys.meta_path.insert(0, BlockScipy())
-from bootperc.cli import main
+from bootperc.cli import build_parser, main
 
 sys.exit(main(sys.argv[1:]))
 """

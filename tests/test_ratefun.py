@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootperc.core import Regime, SequenceSpec
+from bootperc.core import ModelParams, Regime, SequenceSpec
 from bootperc.errors import (EpsOutOfRange, ParameterError,
                              UnsupportedCombination)
 from bootperc.ratefun import (ScalingFamily, entropy_H, family_from_string,
@@ -117,6 +117,22 @@ def test_rate_J_validation():
         rate_J(1.35e154, 2.0, 2)
 
 
+@pytest.mark.parametrize("r", [2.5, 2.0, True, 1, 10**400])
+def test_rate_layer_refuses_what_model_params_refuses(r):
+    # the rate functions are defined for an integer threshold r >= 2 only;
+    # r = 2.5 and r = 2.0 used to return numbers.  J(x0) at r = 2 is cached
+    # first, so r = 2.0 must not be served from its entry
+    assert ldp_rate_value(REG_V_DIV, EARLY, math.inf, 2.0, 2) > 0.0
+    with pytest.raises(ParameterError):
+        ModelParams(n=10, p=0.3, r=r, a=1)
+    with pytest.raises(ParameterError):
+        rate_J(0.3, 2.0, r)
+    with pytest.raises(ParameterError):
+        minimize_rate(2.0, r)
+    with pytest.raises(ParameterError):
+        ldp_rate_value(REG_V_DIV, EARLY, math.inf, 2.0, r)
+
+
 # ---------------------------------------------------------------------------
 # minimizer
 
@@ -125,7 +141,7 @@ def test_minimize_rate_matches_grid_oracle(alpha, r):
     xs = np.arange(0.0, alpha / r + 1e-6, 1e-6)
     js = grid_J(xs, alpha, r)
     x_star = float(xs[np.argmin(js)])
-    x0, j0 = minimize_rate(alpha, r, tol=1e-6)
+    x0, j0 = minimize_rate(alpha, r)
     assert abs(x0 - x_star) <= 1e-4
     assert j0 == pytest.approx(float(js.min()), rel=1e-8)
 
@@ -133,7 +149,7 @@ def test_minimize_rate_matches_grid_oracle(alpha, r):
 @pytest.mark.parametrize("alpha,r", [(1.1, 2), (2.0, 2), (5.0, 3), (2.0, 5)])
 def test_minimizer_interior_and_stationary(alpha, r):
     tol = 1e-6
-    x0, j0 = minimize_rate(alpha, r, tol=tol)
+    x0, j0 = minimize_rate(alpha, r)
     assert 0.0 < x0 <= alpha / r
     # step scaled to x0: J''' blows up near 0, so a fixed step would put
     # third-derivative bias into the central difference
@@ -147,10 +163,6 @@ def test_minimizer_interior_and_stationary(alpha, r):
 def test_minimize_rate_validation():
     with pytest.raises(ParameterError):
         minimize_rate(1.0, 2)
-    with pytest.raises(ParameterError):
-        minimize_rate(2.0, 2, tol=1e-2)
-    with pytest.raises(ParameterError):
-        minimize_rate(2.0, 2, tol=0.0)
     for alpha in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             minimize_rate(alpha, 2)
@@ -160,14 +172,6 @@ def test_minimize_rate_validation():
     for alpha in (1e10, 1e13, 1e30, 1e100):
         h0 = rate_J(0.0, alpha, 2)[0]
         assert minimize_rate(alpha, 2) == (5e-324, 2.0 * h0)
-
-
-def test_minimize_rate_does_not_depend_on_tol():
-    # x0 is resolved to adjacent floats; tol is only range-checked
-    for alpha, r in ((2.0, 2), (1.5, 3), (5.0, 4), (2e9, 2)):
-        results = {minimize_rate(alpha, r, tol=tol)
-                   for tol in (1e-9, 1e-8, 1e-7, 1e-6)}
-        assert len(results) == 1
 
 
 # 60-digit roots of the closed form h'(x)(1 - x/h) + log(x/h) = 0
