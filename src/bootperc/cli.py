@@ -102,6 +102,13 @@ def _params(args) -> ModelParams:
     return ModelParams(n=args.n, p=args.p, r=args.r, a=args.a)
 
 
+def _check_format(args, prints: str, run: str) -> None:
+    """Refuse a --format other than the one format `run` prints."""
+    if args.format != prints:
+        raise ParameterError(
+            f"{run} prints {prints} only, not --format {args.format}")
+
+
 # ---------------------------------------------------------------------------
 # command bodies
 
@@ -121,6 +128,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_regime(args) -> int:
+    _check_format(args, "json", "regime")
     spec = _load_spec(args.spec)
     ladder = _parse_ladder(args.ladder) if args.ladder else list(CLASSIFY_LADDER)
     regime = classify_regime(spec, ladder)
@@ -130,6 +138,7 @@ def cmd_regime(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    _check_format(args, "json", "rate")
     if not args.curve_out and (args.curve_max, args.curve_points) != (None, 200):
         raise ParameterError("--curve-max and --curve-points need --curve-out")
     x0, j0 = minimize_rate(args.alpha, args.r)
@@ -152,6 +161,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.emit == "rows":
+        _check_format(args, "csv", "simulate --emit rows")
     params = _params(args)
     rng = RngSpec(seed=args.seed, stream=args.stream)
     sizes = SAMPLER_BATCHES[args.sampler](params, args.replicates, rng)

@@ -11,7 +11,9 @@ count spaces the ladder from the lowest mean margin down to 0, so the
 ladder costs no draws.  Each estimate above one level tabulates log Q(t)
 for t <= tau once, in batch-budget chunks (process._fill_log_q); the
 ladder reads the table, and every leap of every stage gathers from it
-instead of re-evaluating log_cdf_head.
+instead of re-evaluating log_cdf_head.  The four independent groups of
+an estimate run as one batch of chains within the batch budget, one leap
+call per level; the budget moves the realised draws, not the law.
 Probabilities are carried as natural logs so estimates below float
 underflow survive.
 """
@@ -32,8 +34,9 @@ from .errors import DegenerateLevels, MemoryGuardError, ParameterError
 from .oracle import (_LN2, PMF_NODE_CAP, LogProb, _log_q_schedule, _pow2_mean,
                      event_threshold, exact_stop_cdf)
 from .process import (ACTIVATION_NODE_CAP, RngSpec, _as_generator,
-                      _check_replicates, _fill_log_q, _leap_to_level,
-                      final_sizes_activation, final_sizes_leap)
+                      _check_replicates, _chunks, _fill_log_q,
+                      _leap_to_level, final_sizes_activation,
+                      final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
                       tail_exponent)
 
@@ -164,26 +167,34 @@ def _split_ladder(params: ModelParams, tau: int, levels) -> tuple:
     return ladder, log_q
 
 
-def _split_once(params: ModelParams, log_q: np.ndarray, ladder: list,
-                reps: int, gen: np.random.Generator) -> float:
-    """One product-of-conditionals pass up to tau = log_q.size - 1, the
-    chains reading log Q from the table; returns ln of the estimate."""
-    t = s = np.zeros(reps, dtype=np.int64)
+def _split_groups(params: ModelParams, log_q: np.ndarray, ladder: list,
+                  groups: int, group_reps: int,
+                  gen: np.random.Generator) -> list:
+    """Product-of-conditionals passes up to tau = log_q.size - 1 for
+    `groups` groups of group_reps chains laid out group by group in one
+    batch, the chains reading log Q from the table.  A slot resamples
+    among its own group's crossers, so the groups stay independent;
+    returns ln of each group's estimate."""
+    owner = np.repeat(np.arange(groups), group_reps)
+    t = s = np.zeros(owner.size, dtype=np.int64)
     tau = log_q.size - 1
-    log_p = 0.0
+    log_p = np.zeros(groups)
     for level in ladder:
         crossed, t, s = _leap_to_level(params, t, s, level, tau, gen,
                                        log_q.take)
-        hits = int(crossed.sum())
-        if hits == 0:
+        hits = np.bincount(owner[crossed], minlength=groups)
+        if not hits.all():
             raise DegenerateLevels(
-                f"margin level {level} was never reached by any replicate")
-        log_p += math.log(hits / reps)
+                f"margin level {level} was never reached by any of the "
+                f"{group_reps} replicates of a group")
+        log_p += np.log(hits / group_reps)
         if level == 0:
             break
-        pick = gen.integers(0, hits, size=reps)
-        t, s = t[crossed][pick], s[crossed][pick]
-    return log_p
+        first = np.cumsum(hits) - hits
+        pick = np.flatnonzero(crossed)[first[owner]
+                                       + gen.integers(0, hits[owner])]
+        t, s = t[pick], s[pick]
+    return log_p.tolist()
 
 
 def estimate_tail_splitting(params: ModelParams, tau: int, levels,
@@ -199,7 +210,10 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     level like the leap sampler.  Resampling entrance states makes
     the per-level fractions dependent, so instead of the independent-level
     variance formula the run is replicated in four independent groups and
-    the interval is the t-interval over the group log-estimates.  A
+    the interval is the t-interval over the group log-estimates.  The
+    groups run as one batch of chains within the batch budget, each
+    resampling among its own crossers; the budget moves the realised
+    draws, not the law.  A
     one-level ladder falls back to plain Monte Carlo on the full budget,
     which answers an empty event (tau < a) with 0 and a sure one
     (tau = n) with 1, interval included, without drawing.  An integer
@@ -225,8 +239,12 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
         return _naive_tail(params, tau, reps, gen)
 
     group_reps = reps // _SPLIT_GROUPS
-    logs = [_split_once(params, log_q, ladder, group_reps, gen)
-            for _ in range(_SPLIT_GROUPS)]
+    # a chain holds about 16 numbers at a leap's peak, so up to 16384
+    # replicates per level the groups share one batch, and from 2 ** 17
+    # each group runs alone
+    logs = []
+    for _, groups in _chunks(_SPLIT_GROUPS, 16 * group_reps):
+        logs += _split_groups(params, log_q, ladder, groups, group_reps, gen)
     p_hat, log2_p = _pow2_mean(logs)
     mean_log = math.fsum(logs) / len(logs)
     sd = math.sqrt(math.fsum((lp - mean_log) ** 2 for lp in logs)

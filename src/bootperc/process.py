@@ -41,7 +41,10 @@ batches of about _BATCH_ELEMENTS elements per array, so each holds a few
 MB beyond its output at any replicate count; the budget moves the
 realised draws, not the law.  Every log Q table over a run of times (the
 activation sampler's, the splitting estimator's) is filled by _fill_log_q
-in such chunks, so it costs a few MB beyond itself at any length.
+in such chunks, so it costs a few MB beyond itself at any length.  The
+splitting estimator in montecarlo runs its four groups of chains through
+_leap_to_level in as few such batches as fit (one up to 16384 replicates
+per level), which likewise moves its realised draws, not its law.
 """
 
 from __future__ import annotations

@@ -289,9 +289,9 @@ PINNED_STDOUT = [
      '{"config": {"a": 5, "command": "tail", "format": "json", "levels": 4, '
      '"method": "exact_dp", "mode": "estimate", "n": 200, "p": 0.05, '
      '"r": 2, "replicates": 800, "seed": 7, "splitting": true, '
-     '"stream": 0, "tau": 12}, "result": {"ci_high": 0.03532372532262014, '
-     '"ci_low": 0.013931153454994643, "log_base": "e", '
-     '"log_p_hat": -3.7765474102408447, "p_hat": 0.022901624999999995, '
+     '"stream": 0, "tau": 12}, "result": {"ci_high": 0.024669988247364598, '
+     '"ci_low": 0.013566243292102877, "log_base": "e", '
+     '"log_p_hat": -3.987352877643938, "p_hat": 0.01854874999999999, '
      '"replicates": 800}}\n'),
     (["tail", "study", "--spec", "spec.json", "--family", "between_acnp_n",
       "--eps", "0.5", "--ladder", "1000,10000", "--method", "exact_dp"],
@@ -520,6 +520,24 @@ def test_tail_names_the_flags_a_run_needs(tmp_path, capsys):
     assert main(["tail", "study", "--out", out]) == 2
     assert capsys.readouterr().err == "error: tail study --method exact_dp " \
         "requires --spec, --family, --eps, --ladder\n"
+
+
+def test_a_format_the_run_does_not_print_is_refused(tmp_path, capsys):
+    out = tmp_path / "x"
+    spec = write_spec(tmp_path, SPEC_07)
+    simulate = ["simulate", "--sampler", "leap", "--n", "10", "--p", "0.3",
+                "--r", "2", "--a", "2", "--replicates", "3"]
+    for argv, fmt, run_name, prints in (
+            (["rate", "--alpha", "2", "--r", "2"], "csv", "rate", "json"),
+            (["regime", "--spec", spec], "csv", "regime", "json"),
+            (simulate + ["--emit", "rows"], "json", "simulate --emit rows",
+             "csv")):
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {run_name} prints {prints} only, not --format {fmt}\n"
+        assert not out.exists()
+        assert main(argv + ["--format", prints, "--out", str(out)]) == 0
+        out.unlink()
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bootperc import montecarlo
 from bootperc.core import ModelParams, SequenceSpec, critical_quantities
 from bootperc.errors import DegenerateLevels, MemoryGuardError, ParameterError
 from bootperc.montecarlo import (TailEstimate, default_stop_horizon,
@@ -11,7 +12,7 @@ from bootperc.montecarlo import (TailEstimate, default_stop_horizon,
                                  event_threshold, poisson_distance,
                                  rate_convergence_study, wilson_interval)
 from bootperc.oracle import exact_stop_cdf, exact_tail_query
-from bootperc.process import ACTIVATION_NODE_CAP, RngSpec
+from bootperc.process import ACTIVATION_NODE_CAP, RngSpec, _leap_to_level
 from bootperc.ratefun import ScalingFamily, minimize_rate
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
@@ -122,6 +123,42 @@ def test_splitting_matches_dp_value():
     assert np.mean(ests) == pytest.approx(exact, rel=0.1)
 
 
+def test_splitting_is_unbiased_at_the_criterion9_instance():
+    # fixed-effort splitting is unbiased for P, so the mean over many seeds
+    # lands within a few standard errors of the DP value whatever any one
+    # seed's interval covers
+    params, tau = crit9_config()
+    exact = float(exact_stop_cdf(params, tau))
+    ests = [estimate_tail_splitting(params, tau, 4, 200, RngSpec(seed, 0)).p_hat
+            for seed in range(400)]
+    z = (np.mean(ests) - exact) / (np.std(ests, ddof=1) / math.sqrt(len(ests)))
+    assert abs(z) < 5
+
+
+def test_splitting_runs_its_groups_as_one_batch_of_chains(monkeypatch):
+    # one leap call per level carries all four groups; from 2 ** 17
+    # replicates per level each group runs alone, so the peak stays put
+    params, tau = crit9_config()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return _leap_to_level(*args)
+
+    monkeypatch.setattr(montecarlo, "_leap_to_level", counted)
+    estimate_tail_splitting(params, tau, 4, 2000, RngSpec(5, 0))
+    assert calls == [2000] * 4
+    calls.clear()
+    tracemalloc.start()
+    try:
+        estimate_tail_splitting(params, tau, 4, 2 ** 17, RngSpec(5, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [2 ** 15] * 16
+    assert peak < 5_000_000
+
+
 def test_splitting_and_naive_cis_overlap():
     params, tau = crit9_config()
     n, a = params.n, params.a
@@ -176,7 +213,7 @@ def test_splitting_plain_monte_carlo_builds_no_log_q_table(levels):
 
 def test_splitting_fills_its_log_q_table_in_chunks():
     # the table over 0..1e6 holds 8 MB; evaluated in one call it peaked at
-    # 65.7 MB.  The estimate was pinned before the table was chunked
+    # 65.7 MB.  The estimate was retaken when the groups became one batch
     params = criterion4_params(2 * 10 ** 6, 1.05)
     tracemalloc.start()
     try:
@@ -184,8 +221,8 @@ def test_splitting_fills_its_log_q_table_in_chunks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est == TailEstimate(0.5319259199999999, 0.38981165236722176,
-                               0.7072433806201759, 200, -0.6312510474567131)
+    assert est == TailEstimate(0.5587679999999999, 0.4717004841879984,
+                               0.6565035693398024, 200, -0.5820209188081423)
     assert peak < 30_000_000
 
 
@@ -206,24 +243,25 @@ def test_splitting_refuses_a_log_q_table_above_the_cap(levels):
 
 SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
 
-# to_dict() values of the kernel that evaluated log Q at every leap; the
-# table gathered since must reproduce them bit for bit
+# to_dict() values retaken when the four groups became one batch of chains,
+# which moved the realised draws, not the law.  A change that keeps the
+# draws must reproduce them bit for bit
 PINNED_SPLITTING = [
     ("crit9", 4, RngSpec(1234, 0),
-     (0.06195902680799999, 0.06073184426331703, 0.06320353526786507,
-      -2.781281970335389)),
+     (0.06001376126800001, 0.046028976903380744, 0.0767523249269859,
+      -2.8131813885910844)),
     ("crit9", 4, RngSpec(1234, 1),
-     (0.054456116703999996, 0.05056893155378925, 0.05854813243327178,
-      -2.9103600997507857)),
+     (0.06032595634400002, 0.05171480219850695, 0.06990140666241974,
+      -2.807992814401509)),
     ("crit9", 4, RngSpec(1234, 2),
-     (0.054928191264, 0.045271483923735555, 0.06595409735114957,
-      -2.901728560187224)),
+     (0.05520605916, 0.04248809322836209, 0.07045233528100973,
+      -2.896682564331782)),
     ("crit9", [9, 6, 3, 0], RngSpec(1234, 0),
-     (0.054370544927999996, 0.04309783117057663, 0.06757575834254109,
-      -2.911932725288549)),
+     (0.058274636776000005, 0.0371206145340784, 0.0868470079767381,
+      -2.8425883270098136)),
     ("spec07_full_event", 4, RngSpec(1234, 0),
-     (0.000496263324, 0.00030232522611306256, 0.0007640185349863004,
-      -7.608403876953034)),
+     (0.000444920912, 0.000265026746600063, 0.0006945344984070017,
+      -7.71761401743584)),
 ]
 
 
