@@ -213,12 +213,13 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     the interval is the t-interval over the group log-estimates.  The
     groups run as one batch of chains within the batch budget, each
     resampling among its own crossers; the budget moves the realised
-    draws, not the law.  A
-    one-level ladder falls back to plain Monte Carlo on the full budget,
-    which answers an empty event (tau < a) with 0 and a sure one
-    (tau = n) with 1, interval included, without drawing.  An integer
-    count above one whose ladder collapses to [0], because the lowest
-    mean margin is too low to space levels above 0, raises
+    draws, not the law.  Each group runs per_level_replicates // 4
+    chains, and the estimate reports the chains a level ran (2000 of
+    2003 asked).  A one-level ladder falls back to plain Monte Carlo on
+    the full budget, which answers an empty event (tau < a) with 0 and a
+    sure one (tau = n) with 1, interval included, without drawing.  An
+    integer count above one whose ladder collapses to [0], because the
+    lowest mean margin is too low to space levels above 0, raises
     DegenerateLevels instead.  Any other ladder needs the log Q table
     over 0..tau, refused (MemoryGuardError) above ACTIVATION_NODE_CAP
     entries before it is allocated.
@@ -252,7 +253,8 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     spread = _T975_DF3 * sd / math.sqrt(len(logs))
     lo = float(LogProb(mean_log - spread))
     hi = min(float(LogProb(mean_log + spread)), 1.0)
-    return TailEstimate(p_hat, lo, hi, reps, log2_p * _LN2)
+    return TailEstimate(p_hat, lo, hi, _SPLIT_GROUPS * group_reps,
+                        log2_p * _LN2)
 
 
 # ---------------------------------------------------------------------------

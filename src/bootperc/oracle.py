@@ -209,11 +209,15 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
                       dtype=np.longdouble)
     states = np.arange(s_hi + 1)
     m_arr = (big - states).astype(np.float64)
-    # u sits after s_hi -inf entries, so the increment windows of every
-    # target are read in place: u is -inf outside the live band u[lo:hi + 1]
-    pad = np.full(2 * s_hi + 1, -np.inf)
-    u = pad[s_hi:]
+    # u sits between s_hi and s_hi + 1 -inf entries, so the increment
+    # windows of every target are read in place from one strided view:
+    # rows[s_hi + k - j] starts at u[k - j], and u is -inf outside the
+    # live band u[lo:hi + 1]
+    pad = np.full(3 * s_hi + 2, -np.inf)
+    u = pad[s_hi:2 * s_hi + 1]
     u[0] = 0.0
+    rows = np.lib.stride_tricks.as_strided(
+        pad, (2 * s_hi + 2, s_hi + 1), pad.strides * 2, writeable=False)
     lo = hi = 0
     shift = 0.0
     absorbed = np.full(t_max, -np.inf)
@@ -230,58 +234,59 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
                + j * lq + (m_arr - j) * l1)
         return np.where(j > m_arr, -np.inf, out)
 
-    for t in range(t_max):
-        lq, l1 = float(log_q[t]), float(log_1mq[t])
-        if lq > -math.inf:  # otherwise increments are identically zero
-            if t >= t_end:  # the rows of the next block of steps at once
-                t0, t_end = t, min(t + steps, t_max)
-                qs = [math.exp(x) for x in log_q[t0:t_end]]
-                cols = (log_q[t0:t_end, None], log_1mq[t0:t_end, None])
-                modes = np.clip(np.floor((m_arr + 1) * np.array(qs)[:, None]),
-                                0, m_arr)
-                log_cuts = row_log_pmf(modes, *cols) + _LN_ROW_REL_TOL
-                wins = [min(s_hi, int(big * q + 12.0 * math.sqrt(
-                    max(big * q * (1.0 - q), 1.0))) + 45) for q in qs]
-                grows = np.any(row_log_pmf(np.array(wins)[:, None], *cols)
-                               >= log_cuts, axis=1)
-            log_cut, j_win = log_cuts[t - t0], wins[t - t0]
-            if grows[t - t0]:  # then widen the window 32 at a time
-                while j_win < s_hi and np.any(
-                        row_log_pmf(j_win, lq, l1) >= log_cut):
-                    j_win = min(s_hi, j_win + 32)
+    # ln 0 = -inf is the convolution of a window with no live mass
+    with np.errstate(divide="ignore"):
+        for t in range(t_max):
+            lq, l1 = float(log_q[t]), float(log_1mq[t])
+            if lq > -math.inf:  # otherwise increments are identically zero
+                if t >= t_end:  # the rows of the next block of steps at once
+                    t0, t_end = t, min(t + steps, t_max)
+                    qs = [math.exp(x) for x in log_q[t0:t_end]]
+                    cols = (log_q[t0:t_end, None], log_1mq[t0:t_end, None])
+                    modes = np.clip(
+                        np.floor((m_arr + 1) * np.array(qs)[:, None]),
+                        0, m_arr)
+                    log_cuts = row_log_pmf(modes, *cols) + _LN_ROW_REL_TOL
+                    wins = [min(s_hi, int(big * q + 12.0 * math.sqrt(
+                        max(big * q * (1.0 - q), 1.0))) + 45) for q in qs]
+                    grows = np.any(row_log_pmf(np.array(wins)[:, None], *cols)
+                                   >= log_cuts, axis=1)
+                log_cut, j_win = log_cuts[t - t0], wins[t - t0]
+                if grows[t - t0]:  # then widen the window 32 at a time
+                    while j_win < s_hi and np.any(
+                            row_log_pmf(j_win, lq, l1) >= log_cut):
+                        j_win = min(s_hi, j_win + 32)
 
-            k_hi = min(hi + j_win, s_hi)
-            terms = np.lib.stride_tricks.as_strided(
-                pad[s_hi + lo - j_win:], (k_hi - lo + 1, j_win + 1),
-                pad.strides * 2, writeable=False) + (
+                k_hi = min(hi + j_win, s_hi)
+                terms = rows[s_hi + lo - j_win:s_hi + k_hi - j_win + 1,
+                             :j_win + 1] + (
                     np.arange(j_win, -1, -1) * lq - lnf[j_win::-1])
-            peak = terms.max(axis=1)
-            peak[peak == -np.inf] = 0.0
-            terms -= peak[:, None]
-            np.exp(terms, out=terms)
-            with np.errstate(divide="ignore"):
+                peak = terms.max(axis=1)
+                peak[peak == -np.inf] = 0.0
+                terms -= peak[:, None]
+                np.exp(terms, out=terms)
                 conv = peak + np.log(terms.sum(axis=1))
-            conv += m_arr[lo:k_hi + 1] * l1
-            top = math.floor(conv[(conv - h[lo:k_hi + 1]).argmax()])
+                conv += m_arr[lo:k_hi + 1] * l1
+                top = math.floor(conv[(conv - h[lo:k_hi + 1]).argmax()])
 
-            # state s drops j_win < j <= s_hi - s, each below its cut-off
-            cut = min(hi, s_hi - j_win - 1) + 1
-            if lo < cut:
-                lost = u[lo:cut] + (shift - h[lo:cut]) + np.log(
-                    s_hi - states[lo:cut] - j_win)
-                discard_ln = float(np.logaddexp.reduce(
-                    lost + log_cut[lo:cut], initial=discard_ln))
-            u[lo:k_hi + 1] = conv - top
-            hi = k_hi
-            shift += top
-        k = t + 1 - a
-        if absorb and 0 <= k <= s_hi:
-            absorbed[t] = u[k] + (shift - h[k])
-            u[k] = -np.inf
-        while lo <= hi and not u[lo] > -np.inf:
-            lo += 1
-        if lo > hi:
-            break
+                # state s drops j_win < j <= s_hi - s, each below its cut-off
+                cut = min(hi, s_hi - j_win - 1) + 1
+                if lo < cut:
+                    lost = u[lo:cut] + (shift - h[lo:cut]) + np.log(
+                        s_hi - states[lo:cut] - j_win)
+                    discard_ln = float(np.logaddexp.reduce(
+                        lost + log_cut[lo:cut], initial=discard_ln))
+                u[lo:k_hi + 1] = conv - top
+                hi = k_hi
+                shift += top
+            k = t + 1 - a
+            if absorb and 0 <= k <= s_hi:
+                absorbed[t] = u[k] + (shift - h[k])
+                u[k] = -np.inf
+            while lo <= hi and not u[lo] > -np.inf:
+                lo += 1
+            if lo > hi:
+                break
     return absorbed, u + (shift - h[:s_hi + 1]), math.exp(discard_ln)
 
 

@@ -23,8 +23,10 @@
   and the splitting stages run its kernel down to each margin level.
   The kernel reads log Q(t) = log P(Bin(t, p) <= r - 1) through a lookup
   its caller supplies: the splitting estimator gathers from one table
-  over 0..tau, while the sampler (tau = n) evaluates log_cdf_head at the
-  leap times, since a table over 0..n would cost O(n) time and memory.
+  over 0..tau, and the sampler (tau = n) from one table over 0..n when
+  n + 1 is at most the replicate count and the batch budget, since a run
+  evaluates log Q at least once per replicate; otherwise it evaluates
+  log_cdf_head at the leap times.  Both lookups give the same floats.
 
 All randomness flows through an RngSpec (seed, stream), so a replicate is
 reproducible bit-for-bit within one build.  Of the samplers only the
@@ -294,49 +296,58 @@ def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
     activates no node lands exactly on the level; any other leaves the
     margin above it.  Exact in law.  `log_q` maps an array of times
     t <= tau to log Q(t): a gather from a table over 0..tau, or
-    log_cdf_head itself where tau is too large to tabulate.  Returns
-    (crossed, t, s): crossed chains sit at their crossing state, the
-    others at time tau.
+    log_cdf_head itself where the table would cost more.  A chain runs
+    while min(S + a - level, tau) > t.  Returns (crossed, t, s): crossed
+    chains sit at their crossing state and the others at time tau with
+    their margin above the level, so crossed is read once from the final
+    states, M <= level.
     """
     n, a = params.n, params.a
     t = np.array(t, dtype=np.int64)
     s = np.array(s, dtype=np.int64)
-    crossed = a + s - t <= level
-    idx = np.flatnonzero(~crossed & (t < tau))
-    s_i, log_q_i = s[idx], log_q(t[idx])
+    t_next = np.minimum(s + (a - level), tau)
+    idx = (t_next > t).nonzero()[0]
+    s_i, t_next, log_q_i = s[idx], t_next[idx], log_q(t[idx])
     while idx.size:
-        t_next = np.minimum(a + s_i - level, tau)
         log_q_next = log_q(t_next)
-        log_stay = np.fmin(log_q_next - log_q_i, 0.0)
-        s_i = s_i + gen.binomial(n - a - s_i, -np.expm1(log_stay))
+        chance = np.subtract(log_q_next, log_q_i)
+        np.fmin(chance, 0.0, out=chance)
+        np.expm1(chance, out=chance)
+        np.negative(chance, out=chance)
+        s_i += gen.binomial((n - a) - s_i, chance)
         t[idx], s[idx] = t_next, s_i
-        hit = a + s_i - t_next <= level
-        crossed[idx[hit]] = True
-        keep = ~hit & (t_next < tau)
-        idx, s_i, log_q_i = idx[keep], s_i[keep], log_q_next[keep]
-    return crossed, t, s
+        ahead = np.minimum(s_i + (a - level), tau)
+        keep = (ahead > t_next).nonzero()[0]
+        idx, s_i, t_next, log_q_i = (
+            idx[keep], s_i[keep], ahead[keep], log_q_next[keep])
+    return a + s - t <= level, t, s
 
 
 def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the margin-leaping count chain: every
     replicate runs from (0, 0) until its margin falls to 0, which is the
-    stop time T = A*; a few dozen leaps at any n.  Here tau = n, so log Q
-    is evaluated at the leap times rather than tabulated over 0..n."""
+    stop time T = A*; a few dozen leaps at any n.  Here tau = n: log Q is
+    gathered from one table over 0..n (n + 1 head evaluations, while a
+    run evaluates at least one per replicate) when n + 1 is at most the
+    replicate count and the batch budget, and evaluated at the leap times
+    otherwise.  log_cdf_head is elementwise, so both give the same draws."""
     _check_replicates(replicates)
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
     gen = _as_generator(rng)
-    p, k = params.p, params.r - 1
+    n, p, r = params.n, params.p, params.r
+    log_q = (_fill_log_q(np.empty(n + 1), 0, p, r).take
+             if n + 1 <= min(replicates, _BATCH_ELEMENTS)
+             else partial(log_cdf_head, q=p, k=r - 1))
     out = np.empty(replicates, dtype=np.int64)
     # at a leap's peak a chain holds the r - 1 head terms of log Q three
     # times over and about 14 state numbers, so chunks of r + 10 numbers
     # per chain keep it under 3 budgets
-    for start, size in _chunks(replicates, params.r + 10):
+    for start, size in _chunks(replicates, r + 10):
         origin = np.zeros(size, dtype=np.int64)
         out[start:start + size] = _leap_to_level(
-            params, origin, origin, 0, params.n, gen,
-            lambda t: log_cdf_head(t, p, k))[1]
+            params, origin, origin, 0, n, gen, log_q)[1]
     return out
 
 

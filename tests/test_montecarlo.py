@@ -159,6 +159,23 @@ def test_splitting_runs_its_groups_as_one_batch_of_chains(monkeypatch):
     assert peak < 5_000_000
 
 
+def test_splitting_reports_the_chains_it_runs(monkeypatch):
+    # 2003 replicates per level run as four groups of 500 chains, and the
+    # estimate reports the 2000 it ran; plain Monte Carlo runs all 2003
+    params, tau = crit9_config()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return _leap_to_level(*args)
+
+    monkeypatch.setattr(montecarlo, "_leap_to_level", counted)
+    est = estimate_tail_splitting(params, tau, 4, 2003, RngSpec(5, 0))
+    assert calls == [2000] * 4 and est.replicates == 2000
+    assert estimate_tail_splitting(params, tau, 1, 2003,
+                                   RngSpec(5, 0)).replicates == 2003
+
+
 def test_splitting_and_naive_cis_overlap():
     params, tau = crit9_config()
     n, a = params.n, params.a

@@ -595,13 +595,15 @@ BATCH_BYTES = 8 * 2 ** 18
     (final_sizes_activation, ModelParams(n=20_000, p=0.01, r=100, a=200), 3),
     # log Q at the leap times holds 99 head terms per chain, three times
     (final_sizes_leap, ModelParams(n=20_000, p=0.01, r=100, a=200), 6000),
+    # n + 1 <= replicates: log Q is gathered from one table over 0..n
+    (final_sizes_leap, _poisson_rule_instance(20_000), 30_000),
     (final_sizes_graph, _poisson_rule_instance(2000), 60),
     (low_degree_counts, _poisson_rule_instance(2000), 60),
     # the mark chain keeps O(r) counts per replicate at any n, so it takes
     # many replicates of a small instance to fill two batches
     (final_sizes_markchain, P6, 400_000),
 ], ids=["activation", "activation_every_block", "activation_large_r",
-        "leap", "graph", "low_degree", "markchain"])
+        "leap", "leap_table", "graph", "low_degree", "markchain"])
 def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
                                                     replicates):
     # each case spans two or more batches of process._BATCH_ELEMENTS
@@ -785,6 +787,11 @@ def test_leap_to_level_matches_exact_crossing_law():
     (ModelParams(n=30, p=0.08, r=2, a=3), 2, 3, 1, 12, 20_000),
     # tau close to n: the full event {T <= 9000} of the beta = 0.7 spec
     (ModelParams(n=10_000, p=10_000 ** -0.7, r=2, a=40), 0, 0, 0, 9000, 2000),
+    # the leap sampler's own stage, from the origin to level 0, where
+    # tau = n - 1 leaves the chains that reach n uncrossed; r = 12 sums
+    # eleven head terms per time in numpy's pairwise loop
+    (ModelParams(n=200, p=200 ** -0.6, r=3, a=16), 0, 0, 0, 199, 5000),
+    (ModelParams(n=3000, p=3000 ** -0.4, r=12, a=112), 0, 0, 0, 2999, 5000),
 ])
 def test_leap_to_level_table_lookup_matches_direct_evaluation(
         params, t0, s0, level, tau, reps):
@@ -800,3 +807,85 @@ def test_leap_to_level_table_lookup_matches_direct_evaluation(
     for from_table, direct in zip(*runs):
         np.testing.assert_array_equal(from_table, direct)
 
+
+def _exact_law_instance(n, r=2, beta=0.7):
+    """p = n^-beta, a = ceil(2 a_c): the instances the exact law checks."""
+    p = n ** -beta
+    a_c = critical_quantities(ModelParams(n=n, p=p, r=r, a=1)).a_c
+    return ModelParams(n=n, p=p, r=r, a=math.ceil(2 * a_c))
+
+
+def _leap_stage():
+    """One splitting stage at the criterion-9 instance: 20000 chains from
+    the origin down to margin level 4, tau = floor(3 a_c) < n, gathering
+    log Q from the table over 0..tau."""
+    params = _exact_law_instance(500)
+    tau = math.floor(3 * critical_quantities(params).a_c)
+    origin = np.zeros(20_000, dtype=np.int64)
+    crossed, t, s = _leap_to_level(
+        params, origin, origin, 4, tau, RngSpec(27, 5).generator(),
+        log_cdf_head(np.arange(tau + 1), params.p, 1).take)
+    return np.concatenate([crossed.astype(np.int64), t, s])
+
+
+#: outputs of the margin-leaping kernel, through the leap sampler (log Q
+#: gathered from a table over 0..n, or evaluated at the leap times where
+#: the table would be longer than the run or the batch budget) and through
+#: one splitting stage
+LEAP_CASES = {
+    "table-n500": lambda: final_sizes_leap(
+        _exact_law_instance(500), 20_000, RngSpec(27, 0)),
+    "table-n5000": lambda: final_sizes_leap(
+        _poisson_rule_instance(5000), 20_000, RngSpec(27, 1)),
+    "table-r3": lambda: final_sizes_leap(
+        _exact_law_instance(200, r=3, beta=0.6), 20_000, RngSpec(27, 2)),
+    "eval-few-replicates": lambda: final_sizes_leap(
+        _poisson_rule_instance(5000), 2000, RngSpec(27, 3)),
+    "eval-over-budget": lambda: final_sizes_leap(
+        _poisson_rule_instance(2 ** 18), 2 ** 18 + 1, RngSpec(27, 4)),
+    "stage-tau-below-n": _leap_stage,
+}
+
+#: sha256 of each case's int64 output (crossed, t and s end to end for
+#: the stage), computed before the leap kernel was cut to fewer numpy
+#: calls per leap and the leap sampler learnt to gather from a table
+LEAP_SHA256 = {
+    "table-n500":
+        "d019505339654c0d7a88fbdc2c106ebf810a1e0d212f3a1567860433402134c8",
+    "table-n5000":
+        "cb831006e470c9b281c1175dfa0203a22e5382525638be6b37fa92dc148fad3e",
+    "table-r3":
+        "4adbfff8b7c614c938241472522ebb04b59e4f2642abae8216ebd6a44596dde4",
+    "eval-few-replicates":
+        "7ac920992e5017e08b2fb9c232820ee69be52a049dbbc8111d633df267749f1c",
+    "eval-over-budget":
+        "d3fe5e5abd2039226e17645936a12bfde3dd5fed3ba7664387c076ac0d828882",
+    "stage-tau-below-n":
+        "d5ae77b1962b66a38b96515bb50836d7981acb38c2df8a678bf3f2757f1cef23",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAP_SHA256))
+def test_leap_kernel_output_is_pinned_bit_for_bit(case):
+    out = np.ascontiguousarray(LEAP_CASES[case](), dtype=np.int64)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == LEAP_SHA256[case]
+
+
+def test_leap_sampler_gathers_from_one_table_when_it_is_short(monkeypatch):
+    # a table over 0..n costs n + 1 head evaluations and a run at least
+    # one per replicate, so up to n + 1 = replicates (within the batch
+    # budget) one fill replaces the evaluations at the leap times
+    calls = []
+
+    def counted(m, q, k):
+        calls.append(np.size(m))
+        return log_cdf_head(m, q, k)
+
+    monkeypatch.setattr(process, "log_cdf_head", counted)
+    final_sizes_leap(_exact_law_instance(500), 20_000, RngSpec(27, 0))
+    assert calls == [501]
+    calls.clear()
+    # n + 1 > replicates: evaluated at the leap times, once on entry and
+    # once per leap, 18 times for this run
+    final_sizes_leap(_poisson_rule_instance(5000), 2000, RngSpec(27, 3))
+    assert len(calls) == 18 and calls[0] == 2000
