@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import validate as validate_suites
 from .core import (CLASSIFY_LADDER, ModelParams, SequenceSpec, classify_regime,
                    critical_quantities)
 from .errors import BootpercError, MemoryGuardError, ParameterError
@@ -246,18 +245,6 @@ def cmd_tail(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    if args.list:
-        for name in validate_suites.SUITES:
-            print(name)
-        return 0
-    if args.suite not in validate_suites.SUITES:
-        raise ParameterError(
-            f"unknown suite {args.suite!r}; --list shows the options")
-    ok = validate_suites.run_suite(args.suite)
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 # parser assembly
 
@@ -347,11 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    f"states than this (default {PMF_NODE_CAP})")
     _add_common(s, seed=True, fmt="json")
     s.set_defaults(func=cmd_tail)
-
-    s = subs.add_parser("validate", help="run a named validation suite")
-    s.add_argument("--suite", default=None)
-    s.add_argument("--list", action="store_true")
-    s.set_defaults(func=cmd_validate)
 
     return parser
 

@@ -2,7 +2,7 @@
 
 Exit codes used by the CLI: 2 for argument/validation problems, 3 for
 model-level refusals (a question the theory does not answer for the given
-inputs), 4 for numerical degeneracy detected at run time.
+inputs).
 """
 
 
@@ -51,9 +51,3 @@ class DegenerateLevels(BootpercError):
     splitting ladder of several levels collapsed to level 0 alone."""
 
     exit_code = 3
-
-
-class NumericalDegeneracyError(BootpercError):
-    """An internal quantity left its mathematically guaranteed range."""
-
-    exit_code = 4

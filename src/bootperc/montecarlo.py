@@ -288,6 +288,9 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
                                       and horizon_k > 0):
         raise ParameterError(
             f"horizon_k must be finite and > 0, got {horizon_k!r}")
+    ladder = list(ladder)
+    if not ladder:
+        raise ParameterError("ladder must hold at least one n")
     regime = classify_regime(spec)
     rows = []
     for i, n in enumerate(ladder):

@@ -2,7 +2,7 @@
 
 * graph sampler: draws a batch of G(n, p) graphs as one disjoint union and
   runs one synchronous-generation cascade on its live edges (the engine of
-  ``oracle.brute_force_pmf`` and the coupled edge-uniform cascade too);
+  ``oracle.brute_force_pmf`` too);
   low_degree_counts reads degrees straight off the sampled slots;
 * mark chain: one active node is used per time step and sends Bernoulli(p)
   marks to the inactive nodes; a node activates at its r-th mark.  It
@@ -33,10 +33,8 @@ reproducible bit-for-bit within one build.  Of the samplers only the
 activation-time one is coupled monotonically in p: its spacings do not
 depend on p (a block expands from its own sum and key, whichever blocks
 are expanded) and Q(t) falls as p grows, so its sizes at p1 < p2 from one
-RngSpec are ordered elementwise (final_size_from_edge_uniforms couples
-one graph the same way through shared edge uniforms).  The graph,
-mark-chain and leap samplers draw p-dependent variables, so theirs are
-not.
+RngSpec are ordered elementwise.  The graph, mark-chain and leap
+samplers draw p-dependent variables, so theirs are not.
 
 The graph, mark-chain, activation-time and leap samplers run replicates in
 batches of about _BATCH_ELEMENTS elements per array, so each holds a few
@@ -65,8 +63,7 @@ from .errors import MemoryGuardError, ParameterError
 __all__ = [
     "RngSpec", "final_sizes_graph", "final_sizes_markchain",
     "final_sizes_activation", "final_sizes_leap", "low_degree_counts",
-    "final_size_from_edge_uniforms", "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP",
-    "REPLICATE_CAP",
+    "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP", "REPLICATE_CAP",
 ]
 
 #: the graph sampler refuses instances above this node count
@@ -580,16 +577,6 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     return _graph_batches(
         params, replicates, rng, lambda draw, size: _vector_cascade_sizes(
             *_slot_pairs(draw(), n), size, n, r, a))
-
-
-def final_size_from_edge_uniforms(n: int, r: int, a: int,
-                                  uniforms: np.ndarray, p: float) -> int:
-    """Cascade final size with edges {u_e < p}; shared uniforms couple
-    different p values monotonically on one graph."""
-    if uniforms.shape != (n * (n - 1) // 2,):
-        raise ParameterError("need one uniform per node pair")
-    u, v = _slot_pairs(np.flatnonzero(uniforms < p), n)
-    return int(_vector_cascade_sizes(u, v, 1, n, r, a)[0])
 
 
 SAMPLER_BATCHES = {

@@ -65,14 +65,17 @@ def test_library_raises_only_package_errors():
     allowed = {name for name, obj in vars(errors).items()
                if isinstance(obj, type)
                and issubclass(obj, errors.BootpercError)}
-    found = []
+    found, raised = [], set()
     for path in sorted(Path(bootperc.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise):
                 exc = node.exc.func if isinstance(node.exc, ast.Call) \
                     else node.exc
                 name = ast.unparse(exc) if exc is not None else "re-raise"
+                raised.add(name)
                 if name not in allowed:
                     found.append((path.name, node.lineno, name))
     assert len(allowed) > 5
     assert found == []
+    # and conversely every subclass, with its exit code, is raised somewhere
+    assert allowed - {"BootpercError"} <= raised

@@ -17,7 +17,6 @@ from bootperc.montecarlo import wilson_interval
 from bootperc.oracle import _final_size_counts, brute_force_pmf, exact_pmf
 from bootperc import process
 from bootperc.process import (SAMPLER_BATCHES, RngSpec,
-                              final_size_from_edge_uniforms,
                               final_sizes_activation, final_sizes_graph,
                               final_sizes_leap, final_sizes_markchain,
                               low_degree_counts, _leap_to_level,
@@ -369,14 +368,21 @@ def test_rngspec_validation():
         RngSpec(seed=1.5)
 
 
+def _final_size_from_edge_uniforms(n, r, a, uniforms, p):
+    """Cascade final size on the graph with edges {u_e < p}, one uniform
+    per node pair: shared uniforms couple p values monotonically."""
+    u, v = process._slot_pairs(np.flatnonzero(uniforms < p), n)
+    return int(process._vector_cascade_sizes(u, v, 1, n, r, a)[0])
+
+
 def test_coupled_monotonicity_in_p():
     n, r, a = 30, 2, 3
     gen = RngSpec(17, 0).generator()
     worse = 0
     for _ in range(1000):
         u = gen.random(n * (n - 1) // 2)
-        low = final_size_from_edge_uniforms(n, r, a, u, 0.05)
-        high = final_size_from_edge_uniforms(n, r, a, u, 0.12)
+        low = _final_size_from_edge_uniforms(n, r, a, u, 0.05)
+        high = _final_size_from_edge_uniforms(n, r, a, u, 0.12)
         worse += low > high
     assert worse == 0
 
@@ -387,7 +393,7 @@ def test_low_degree_nonseed_count_is_dominated_pathwise():
     ui, vi = np.triu_indices(n, k=1)
     for stream in range(300):
         u = RngSpec(23, stream).generator().random(n * (n - 1) // 2)
-        final = final_size_from_edge_uniforms(n, r, a, u, p)
+        final = _final_size_from_edge_uniforms(n, r, a, u, p)
         edges = u < p
         deg = np.bincount(ui[edges], minlength=n) + np.bincount(vi[edges], minlength=n)
         assert n - final >= (deg[a:] < r).sum()
@@ -419,7 +425,7 @@ def _edge_uniform_sizes():
     sizes = []
     for n, r, a in ((8, 2, 2), (40, 2, 3), (120, 3, 6)):
         uniforms = gen.random(n * (n - 1) // 2)
-        sizes += [final_size_from_edge_uniforms(n, r, a, uniforms, p)
+        sizes += [_final_size_from_edge_uniforms(n, r, a, uniforms, p)
                   for p in np.linspace(0.0, 1.0, 21)]
     return np.array(sizes)
 
