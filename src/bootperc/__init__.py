@@ -10,8 +10,8 @@ from .errors import (BootpercError, DegenerateLevels, EpsOutOfRange,
 from .montecarlo import (ConvergenceRow, TailEstimate, estimate_tail,
                          estimate_tail_splitting, poisson_distance,
                          rate_convergence_study, wilson_interval)
-from .oracle import (FinalSizePmf, LogProb, auxiliary_tail, brute_force_pmf,
-                     exact_pmf, exact_stop_cdf, exact_tail_query)
+from .oracle import (FinalSizePmf, LogProb, brute_force_pmf, exact_pmf,
+                     exact_stop_cdf, exact_tail_query)
 from .process import (RngSpec, final_sizes_activation, final_sizes_graph,
                       final_sizes_leap, final_sizes_markchain,
                       low_degree_counts)

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +113,7 @@ def _check_format(args, prints: str, run: str) -> None:
 # command bodies
 
 def cmd_critical(args) -> int:
-    params = ModelParams(n=args.n, p=args.p, r=args.r,
-                         a=1 if args.a is None else args.a)
-    crit = critical_quantities(params)
+    crit = critical_quantities(ModelParams(n=args.n, p=args.p, r=args.r, a=1))
     result = {"t_c": crit.t_c, "a_c": crit.a_c, "b_c": crit.b_c,
               "b_c_prime": crit.b_c_prime, "ln_b_c": crit.log_b_c,
               "ln_b_c_prime": crit.log_b_c_prime, "log_base": "e"}
@@ -197,14 +196,14 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def cmd_tail(args) -> int:
+def cmd_tail(sub: argparse.ArgumentParser, args) -> int:
+    """`sub` is the tail subparser, which holds every flag's default."""
     kind = {"estimate": "estimate --splitting" if args.splitting else "estimate",
             "study": f"study --method {args.method}"}.get(args.mode, args.mode)
     needs, reads = (names.split() for names in _TAIL_RUNS[kind])
-    default = vars(build_parser().parse_args(["tail", args.mode]))
     missing = [n for n in needs if getattr(args, n) is None]
-    unread = [n for n, v in vars(args).items()
-              if v != default[n] and n not in {"out", *needs, *reads}]
+    unread = [n for n, v in vars(args).items() if v != sub.get_default(n)
+              and n not in {"command", "mode", "out", *needs, *reads}]
     for names, what in ((missing, "requires"), (unread, "does not read")):
         if names:
             flags = ", ".join("--" + n.replace("_", "-") for n in names)
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--a", type=int, default=None)
     _add_common(s, fmt="json")
     s.set_defaults(func=cmd_critical)
 
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="study --method exact_dp only: refuse more chain "
                    f"states than this (default {PMF_NODE_CAP})")
     _add_common(s, seed=True, fmt="json")
-    s.set_defaults(func=cmd_tail)
+    s.set_defaults(func=partial(cmd_tail, s))
 
     return parser
 

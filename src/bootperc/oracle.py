@@ -30,16 +30,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._binom import (_log1p_sum_exp, _log_head_terms, log_binom_cdf,
-                     log_binom_pmf, log_factorials)
-from .core import (ModelParams, _sure_final_size, activation_prob,
-                   critical_quantities)
+from ._binom import _log1p_sum_exp, _log_head_terms, log_factorials
+from .core import ModelParams, _sure_final_size, critical_quantities
 from .errors import MemoryGuardError, ParameterError
 from .ratefun import ScalingFamily, _check_eps
 
 __all__ = [
     "FinalSizePmf", "LogProb", "exact_pmf", "exact_stop_cdf", "exact_tail_query",
-    "auxiliary_tail", "brute_force_pmf", "PMF_NODE_CAP", "BRUTE_FORCE_CAP",
+    "brute_force_pmf", "PMF_NODE_CAP", "BRUTE_FORCE_CAP",
 ]
 
 PMF_NODE_CAP = 5000
@@ -67,6 +65,17 @@ def _pow2_mean(log_values) -> tuple:
         total += math.ldexp(2.0 ** (l2 - e), e - top)
     m, e = math.frexp(total / len(log_values))  # m in [0.5, 1)
     return math.ldexp(m, top + e), math.log2(2.0 * m) + (top + e - 1)
+
+
+def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
+    """ln sum exp(terms) along `axis` of a 2-D array, each slice shifted
+    by its peak (0 for a slice that is all -inf, whose sum is then
+    ln 0 = -inf).  Works in place on terms."""
+    peak = terms.max(axis=axis, keepdims=True)
+    peak[peak == -np.inf] = 0.0
+    terms -= peak
+    np.exp(terms, out=terms)
+    return (peak + np.log(terms.sum(axis=axis, keepdims=True))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,11 +270,7 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
                 terms = rows[s_hi + lo - j_win:s_hi + k_hi - j_win + 1,
                              :j_win + 1] + (
                     np.arange(j_win, -1, -1) * lq - lnf[j_win::-1])
-                peak = terms.max(axis=1)
-                peak[peak == -np.inf] = 0.0
-                terms -= peak[:, None]
-                np.exp(terms, out=terms)
-                conv = peak + np.log(terms.sum(axis=1))
+                conv = _log_sum_exp(terms, axis=1)
                 conv += m_arr[lo:k_hi + 1] * l1
                 top = math.floor(conv[(conv - h[lo:k_hi + 1]).argmax()])
 
@@ -293,19 +298,26 @@ def _forward(params: ModelParams, t_max: int, s_hi: int, absorb: bool = True):
 # ---------------------------------------------------------------------------
 # full pmf and truncated early-stop probability
 
+def _stop_atoms(params: ModelParams, tau: int, s_hi: int):
+    """(ln P(T = t) for t = a..tau, truncation bound), from one pass over
+    the states 0..s_hi, or the point mass of a sure A* with bound 0.0.
+    Needs tau >= a."""
+    a = params.a
+    sure = _sure_final_size(params)
+    if sure is not None:
+        return np.where(np.arange(a, tau + 1) == sure, 0.0, -np.inf), 0.0
+    absorbed, _, bound = _forward(params, tau, s_hi)
+    return absorbed[a - 1:], bound
+
+
 def exact_pmf(params: ModelParams, cap: int = PMF_NODE_CAP) -> FinalSizePmf:
     """Exact distribution of A* by dynamic programming over (t, S(t))."""
-    n, a = params.n, params.a
+    n = params.n
     if n > cap:
         raise MemoryGuardError(
             f"exact_pmf refuses n = {n} above the cap {cap}; "
             "use exact_stop_cdf for truncated queries at large n")
-    sure = _sure_final_size(params)
-    if sure is not None:
-        return FinalSizePmf(params, np.where(np.arange(a, n + 1) == sure,
-                                             0.0, -np.inf))
-    absorbed, _, bound = _forward(params, n, n - a)
-    return FinalSizePmf(params, absorbed[a - 1:], bound)
+    return FinalSizePmf(params, *_stop_atoms(params, n, n - params.a))
 
 
 def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
@@ -337,11 +349,10 @@ def exact_stop_cdf(params: ModelParams, tau: int,
         raise MemoryGuardError(
             f"exact_stop_cdf refuses {s_hi} chain states above the cap "
             f"{cap}; pass a larger cap to run it anyway")
-    sure = _sure_final_size(params)
-    if tau < a or sure is not None:  # an empty event or a sure A*: no DP
-        return LogProb(0.0 if sure is not None and sure <= tau else -math.inf)
-    absorbed, _, bound = _forward(params, tau, s_hi)
-    return LogProb(float(np.logaddexp.reduce(absorbed)), bound)
+    if tau < a:  # an empty event: no DP
+        return LogProb(-math.inf)
+    atoms, bound = _stop_atoms(params, tau, s_hi)
+    return LogProb(float(np.logaddexp.reduce(atoms)), bound)
 
 
 def event_threshold(params: ModelParams, family: ScalingFamily, eps: float) -> int:
@@ -365,24 +376,7 @@ def exact_tail_query(params: ModelParams, family: ScalingFamily,
 
 
 # ---------------------------------------------------------------------------
-# auxiliary process and brute force
-
-def auxiliary_tail(params: ModelParams, t: int):
-    """(P(S(t) + a <= t), P(S'(t) <= t)) where S' adds Bin(a, pi(t)).
-
-    The second is an exact convolution; the first is never larger because
-    the added count is at most a.
-    """
-    n, p, r, a = params.n, params.p, params.r, params.a
-    if t > n:
-        raise ParameterError("t must not exceed n")
-    pi = activation_prob(t, p, r).pi
-    p_event = math.exp(log_binom_cdf(n - a, pi, t - a)) if t >= a else 0.0
-    p_aux = math.fsum(math.exp(log_binom_pmf(a, pi, j)
-                               + log_binom_cdf(n - a, pi, t - j))
-                      for j in range(min(a, t) + 1))
-    return p_event, min(p_aux, 1.0)
-
+# brute force
 
 @lru_cache(maxsize=128)
 def _final_size_counts(n: int, r: int, a: int) -> np.ndarray:
@@ -425,8 +419,5 @@ def brute_force_pmf(params: ModelParams) -> FinalSizePmf:
     else:
         log_w = e * math.log(p) + (n_edges - e) * math.log1p(-p)
     with np.errstate(divide="ignore"):  # log 0 = -inf drops an empty count
-        terms = log_w[:, None] + np.log(counts[:, a:])
-        peak = terms.max(axis=0)
-        peak[peak == -np.inf] = 0.0
-        log_probs = peak + np.log(np.exp(terms - peak).sum(axis=0))
+        log_probs = _log_sum_exp(log_w[:, None] + np.log(counts[:, a:]), axis=0)
     return FinalSizePmf(params, log_probs)

@@ -379,7 +379,12 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     F(d) = P(G <= d), and the rest are split from the top down, Bin with
     chance 1 - F(d-1)/F(d) of having gained exactly d.  After the leap
     t = A and the margin is the number activated, so a leap that
-    activates nobody stops the replicate at A* = A.  Exact in law.
+    activates nobody stops the replicate at A* = A.  Exact in law.  A
+    leap's chances depend on its margin M <= n alone: they are gathered
+    from one table over 0..n when n + 1 is at most the replicate count
+    and the batch budget over 2r (the table's 2r - 1 rows), and evaluated
+    at the margins otherwise; _leap_chances is elementwise, so both give
+    the same draws.
     """
     _check_replicates(replicates)
     sure = _sure_final_size(params)
@@ -387,6 +392,8 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
         return np.full(replicates, sure, dtype=np.int64)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
+    table = (_leap_chances(np.arange(n + 1), p, r)
+             if n + 1 <= min(replicates, _BATCH_ELEMENTS // (2 * r)) else None)
     out = np.empty(replicates, dtype=np.int64)
     # batched by a leap's working set, not the chain's r + 2 counts: at its
     # peak a leap holds the counts before and after compaction, log F and
@@ -399,15 +406,8 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
         counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
         counts[0] = n - a
         while idx.size:
-            # the law of a leap depends on its margin alone; where the
-            # margins span fewer values than there are chains, gather
-            # from a table over 0..max margin (same values, bit for bit)
-            m_hi = int(margin.max())
-            if m_hi < margin.size:
-                act, up = _leap_chances(np.arange(m_hi + 1), p, r)
-                act, up = act.take(margin, axis=1), up.take(margin, axis=1)
-            else:
-                act, up = _leap_chances(margin, p, r)
+            act, up = ((x.take(margin, axis=1) for x in table) if table
+                       else _leap_chances(margin, p, r))
             gained = 0
             # top level first: nodes move up onto levels already drawn
             for j in range(r - 1, -1, -1):

@@ -669,9 +669,11 @@ def test_exit_code_validation_errors(tmp_path):
     assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
                  "--eps", "0.5", "--ladder", ",", "--method", "exact_dp",
                  "--out", out]) == 2
-    # only an absent --a defaults to one seed
-    assert main(["critical", "--n", "100", "--p", "0.1", "--r", "2",
-                 "--a", "0", "--out", out]) == 2
+    # critical reads only (n, p, r), so it has no --a
+    with pytest.raises(SystemExit) as exc:
+        main(["critical", "--n", "100", "--p", "0.1", "--r", "2",
+              "--a", "0", "--out", out])
+    assert exc.value.code == 2
     # a spec file whose r is not an integer
     bad.write_text(json.dumps(SPEC_07 | {"r": "abc"}))
     assert main(["regime", "--spec", str(bad), "--out", out]) == 2

@@ -19,8 +19,8 @@ from bootperc import oracle
 from bootperc.montecarlo import default_stop_horizon
 from bootperc.oracle import (PMF_NODE_CAP, LogProb, _chain_marginal_log_pmf,
                              _final_size_counts, _log_q_schedule,
-                             auxiliary_tail, brute_force_pmf, exact_pmf,
-                             exact_stop_cdf, exact_tail_query)
+                             brute_force_pmf, exact_pmf, exact_stop_cdf,
+                             exact_tail_query)
 from bootperc.ratefun import ScalingFamily
 
 SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
@@ -183,6 +183,18 @@ def test_stop_cdf_consistent_with_full_pmf(tau):
     assert direct == pytest.approx(summed, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 40, 200])
+def test_stop_cdf_at_n_is_the_pmf_total_bit_for_bit(n):
+    # both queries reduce the same stop atoms ln P(T = t), t = a..n, in
+    # the same order, so the sums agree to the last bit, sure A* included
+    for p in (0.0, 0.05, 0.3, 1.0, n ** -0.7):
+        for r in (2, 3):
+            for a in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+                params = ModelParams(n=n, p=p, r=r, a=a)
+                assert exact_stop_cdf(params, n).ln_p == \
+                    exact_pmf(params).total().ln_p, params
+
+
 def test_stop_cdf_truncation_bound_is_reported():
     params = ModelParams(n=3000, p=3000 ** -0.7, r=2, a=30)
     value = exact_stop_cdf(params, 60)
@@ -318,48 +330,6 @@ def test_tail_query_matches_enumeration():
     params = ModelParams(n=6, p=0.0, r=2, a=2)
     assert brute_force_pmf(params).prob(2) == 1.0
     assert float(exact_tail_query(params, CONST_1, 1.5)) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# auxiliary process
-
-def test_auxiliary_tail_before_seeds():
-    # t < a makes {S + a <= t} impossible while S' can still undershoot t
-    p_event, p_aux = auxiliary_tail(ModelParams(n=20, p=0.3, r=2, a=5), 3)
-    assert p_event == 0.0
-    assert 0.0 < p_aux < 1.0
-
-
-def test_auxiliary_tail_dead_marks():
-    # t < r means pi = 0; the event {S + a <= t} is sure iff a <= t
-    p_event, _ = auxiliary_tail(ModelParams(n=20, p=0.3, r=4, a=2), 3)
-    assert p_event == 1.0
-    p_event, _ = auxiliary_tail(ModelParams(n=20, p=0.3, r=4, a=5), 3)
-    assert p_event == 0.0
-
-
-def test_auxiliary_tail_convolution_value():
-    params = ModelParams(n=50, p=0.1, r=2, a=5)
-    p_event, p_aux = auxiliary_tail(params, 10)
-    pi = activation_prob(10, 0.1, 2).pi
-    want_event = math.exp(log_binom_cdf(45, pi, 5))
-    # S' = S + Bin(a, pi) has the law of Bin(n, pi)
-    want_aux = math.exp(log_binom_cdf(50, pi, 10))
-    assert p_event == pytest.approx(want_event, rel=1e-12)
-    assert p_aux == pytest.approx(want_aux, rel=1e-10)
-    assert p_event <= p_aux
-
-
-def test_auxiliary_inequality_randomized_grid():
-    rng = np.random.default_rng(404)
-    for _ in range(1000):
-        n = int(rng.integers(5, 120))
-        a = int(rng.integers(1, n))
-        r = int(rng.integers(2, 5))
-        p = float(rng.uniform(0.01, 0.6))
-        t = int(rng.integers(0, n + 1))
-        p_event, p_aux = auxiliary_tail(ModelParams(n=n, p=p, r=r, a=a), t)
-        assert p_event <= p_aux + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,9 @@ def test_markchain_hand_enumeration():
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.003, 0.4, 1.0])
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_markchain_leap_chances_gather_equals_direct_evaluation(p, r):
-    # the sampler gathers them from a table over 0..max margin when that
-    # is shorter than the batch, so both must give the same draws
+    # the sampler gathers them from a table over 0..n when n + 1 is at
+    # most the replicates and the batch budget, so both must give the
+    # same draws
     margin = np.random.default_rng(r).integers(1, 300, size=1000)
     direct = process._leap_chances(margin, p, r)
     table = process._leap_chances(np.arange(margin.max() + 1), p, r)
@@ -895,3 +896,49 @@ def test_leap_sampler_gathers_from_one_table_when_it_is_short(monkeypatch):
     # once per leap, 18 times for this run
     final_sizes_leap(_poisson_rule_instance(5000), 2000, RngSpec(27, 3))
     assert len(calls) == 18 and calls[0] == 2000
+
+
+#: outputs of the mark chain, with the leap chances gathered from one
+#: table over 0..n (n + 1 within the replicates and the batch budget over
+#: 2r) or evaluated at the margins of every leap
+MARKCHAIN_CASES = {
+    "table-n6": lambda: final_sizes_markchain(P6, 100_000, RngSpec(29, 0)),
+    "eval-n5000": lambda: final_sizes_markchain(
+        _poisson_rule_instance(5000), 2000, RngSpec(29, 1)),
+    "table-r3": lambda: final_sizes_markchain(
+        _exact_law_instance(200, r=3, beta=0.6), 20_000, RngSpec(29, 2)),
+}
+
+#: sha256 of each case's int64 output, computed before the mark chain
+#: built its leap-chance table once per run
+MARKCHAIN_SHA256 = {
+    "table-n6":
+        "0c91ed458bfffbc4529a892154e08951ee80fc54aa3b1aae29dcb1352ba40b84",
+    "eval-n5000":
+        "025f4ce587336663d9c9f2f43c90399922f7988451d55e3dd592e41c02db0319",
+    "table-r3":
+        "adb45737e32b6c0056cc31205ded2461e31aba4496cce34db4fb77109ff9bf9f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MARKCHAIN_SHA256))
+def test_markchain_output_is_pinned_bit_for_bit(case):
+    out = np.ascontiguousarray(MARKCHAIN_CASES[case](), dtype=np.int64)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == MARKCHAIN_SHA256[case]
+
+
+def test_markchain_builds_its_leap_chances_once_when_the_table_is_short(
+        monkeypatch):
+    calls, leap_chances = [], process._leap_chances
+
+    def counted(margin, p, r):
+        calls.append(np.size(margin))
+        return leap_chances(margin, p, r)
+
+    monkeypatch.setattr(process, "_leap_chances", counted)
+    MARKCHAIN_CASES["table-n6"]()
+    assert calls == [7]
+    calls.clear()
+    # n + 1 > replicates: one evaluation per leap, over the live margins
+    MARKCHAIN_CASES["eval-n5000"]()
+    assert len(calls) > 1 and calls[0] == 2000
