@@ -172,17 +172,37 @@ def log_poisson_sf(k: int, b: float) -> float:
 # numpy grid variants
 
 
-def log_pmf_array(m: int, q: float) -> np.ndarray:
-    """log pmf of Bin(m, q) over the full support 0..m."""
-    _validate(m, q)
-    k = np.arange(m + 1, dtype=np.float64)
-    if q == 0.0 or q == 1.0:
-        out = np.full(m + 1, -np.inf)
-        out[0 if q == 0.0 else m] = 0.0
-        return out
-    lnf = log_factorials(m)
-    return (lnf[m] - lnf[:m + 1] - lnf[m::-1]
-            + k * math.log(q) + (m - k) * math.log1p(-q))
+def log_pmf_array(m, q) -> np.ndarray:
+    """log pmf of Bin(m, q) over the full support 0..m.
+
+    Row form: integer arrays `m` and matching `q` (broadcast together) give
+    one row per entry over 0..max m, -inf past the row's own m, each row
+    the scalar call's floats bit for bit.  log q and log1p(-q) are taken
+    by libm per entry, as numpy's vectorised log is not correctly rounded.
+    """
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":
+        raise ParameterError(f"number of trials must be an integer, not {m.dtype}")
+    m, q = np.broadcast_arrays(m.astype(np.int64), np.asarray(q, dtype=np.float64))
+    if (m < 0).any():
+        raise ParameterError("number of trials must be nonnegative")
+    if not ((0.0 <= q) & (q <= 1.0)).all():
+        raise ParameterError("q must lie in [0, 1]")
+    k = np.arange(m.max(initial=0) + 1)
+    m_col = m[..., None]
+    rest = m_col - k  # m - k, negative past m
+    inner = ((0.0 < q) & (q < 1.0))[..., None]
+    safe = np.where(inner, q[..., None], 0.5)  # q in {0, 1}: point masses
+    qs = safe.ravel().tolist()
+    log_q = np.reshape([math.log(x) for x in qs], safe.shape)
+    log_1mq = np.reshape([math.log1p(-x) for x in qs], safe.shape)
+    lnf = log_factorials(k[-1])
+    out = (lnf[m_col] - lnf[k] - lnf[np.maximum(rest, 0)]
+           + k * log_q + rest * log_1mq)
+    atom = np.where(q == 0.0, 0, m)[..., None]
+    out = np.where(inner, out, np.where(k == atom, 0.0, -np.inf))
+    out[rest < 0] = -np.inf
+    return out
 
 
 def log_sf_array(log_pmf: np.ndarray) -> np.ndarray:

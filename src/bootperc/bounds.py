@@ -6,6 +6,11 @@ summation so the inequality can be certified with explicit slack.  The
 approximation routines report exact/approx ratios whose drift toward 1 is
 the acceptance signal; their small-/large-parameter premises are recorded
 as applicability flags rather than enforced.
+
+penrose_grid_violations checks the bounds at every k of an (n, p) grid in
+blocks of consecutive n of at most _SWEEP_BLOCK_ELEMENTS (n, p, k) cells,
+each one padded pass from one row-form log pmf, with the floats of one
+(n, p) at a time.
 """
 
 from __future__ import annotations
@@ -209,42 +214,71 @@ def asymptotic_diagnostics(spec: SequenceSpec, relation: str, ladder,
 # ---------------------------------------------------------------------------
 # grid sweep used by the inequality acceptance suite
 
+_SWEEP_BLOCK_ELEMENTS = 2 ** 13  # (n, p, k) cells per block of the sweep
+
+
+def _sweep_blocks(n_values, rows_per_n: int):
+    """Runs of consecutive n, in input order, each of at most
+    _SWEEP_BLOCK_ELEMENTS cells (rows_per_n rows per n, max n + 1 columns);
+    a single n larger than that is a block of its own."""
+    block, cols = [], 0
+    for n in n_values:
+        cells = (len(block) + 1) * rows_per_n * max(cols, n + 1)
+        if block and cells > _SWEEP_BLOCK_ELEMENTS:
+            yield block
+            block, cols = [], 0
+        block.append(n)
+        cols = max(cols, n + 1)
+    if block:
+        yield block
+
+
 def penrose_grid_violations(n_values, p_values, slack: float = 1e-12):
     """Sweep all admissible k for the three bounds; return (checked, bad).
 
     `bad` lists (bound_name, n, p, k, exact, bound) tuples where
-    exact > bound + slack.  The bounds are non-asymptotic, so any entry
-    here is a genuine defect.
+    exact > bound + slack, in (n, p, name, k) order with the n in input
+    order.  The bounds are non-asymptotic, so any entry here is a genuine
+    defect.  The n run in input order in blocks of about 2^13 (n, p, k)
+    cells (_sweep_blocks), each one pass over a row per (n, p) and a
+    column per k.  The n must be integers.
     """
+    n_values = list(n_values)
+    for n in n_values:
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ParameterError(f"n must be an integer, got {n!r}")
     checked = 0
     bad = []
     e2 = math.e ** 2
-    p_col = np.array(p_values, dtype=np.float64)[:, None]
-    for n in n_values:
-        # one row per p, and the sf and the cdf from one log pmf
-        mu = n * p_col
-        k = np.arange(1, n)
-        lp = np.reshape([log_pmf_array(n, p) for p in p_values], (-1, n + 1))
-        lsf = log_sf_array(lp)[:, 1:n]
-        lcdf = log_cdf_array(lp)[:, 1:n]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    width = len(p_values)
+    p_row = np.array(p_values, dtype=np.float64)
+    for block in _sweep_blocks(n_values, max(width, 1)):
+        # rows in (n, p) order; column k - 1 holds k = 1..max n - 1
+        n_rows = np.repeat(np.array(block, dtype=np.int64), width)
+        p_rows = np.tile(p_row, len(block))
+        lp = log_pmf_array(n_rows, p_rows)
+        n_max = lp.shape[1] - 1
+        exact_sf = np.exp(log_sf_array(lp)[:, 1:n_max])
+        exact_cdf = np.exp(log_cdf_array(lp)[:, 1:n_max])
+        n_col, mu = n_rows[:, None], (n_rows * p_rows)[:, None]
+        k = np.arange(1, n_max)
+        inside = k < n_col
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = k / mu  # > 0 as k >= 1, or +inf where mu = 0
             log_x = np.log(x)
-            ln_chernoff = -mu * (1.0 - x + x * log_x)
-        ln_heavy = -(k / 2.0) * log_x
+            chernoff = np.exp(-mu * (1.0 - x + x * log_x))
+            heavy = np.exp(-(k / 2.0) * log_x)  # overflows only where unchecked
         found = []
-        for name, ok, ln_exact, ln_bound in (
-                ("chernoff_upper", k >= mu, lsf, ln_chernoff),
-                ("chernoff_lower", k <= mu, lcdf, ln_chernoff),
-                ("heavy_tail", k >= e2 * mu, lsf, ln_heavy)):
-            exact = np.exp(ln_exact)
-            bound = np.exp(np.where(ok, ln_bound, -np.inf))  # no overflow
+        for name, ok, exact, bound in (
+                ("chernoff_upper", inside & (k >= mu), exact_sf, chernoff),
+                ("chernoff_lower", inside & (k <= mu), exact_cdf, chernoff),
+                ("heavy_tail", inside & (k >= e2 * mu), exact_sf, heavy)):
             checked += int(ok.sum())
             found.append((name, ok & (exact > bound + slack), exact, bound))
-        # `bad` in (p, name, k) order, as one (n, p) at a time gives it
         for i in np.flatnonzero(np.any([f[1] for f in found], axis=(0, 2))):
+            n, p = block[i // width], p_values[i % width]
             for name, hit, exact, bound in found:
                 for idx in np.flatnonzero(hit[i]):
-                    bad.append((name, n, p_values[i], int(k[idx]),
+                    bad.append((name, n, p, int(k[idx]),
                                 float(exact[i, idx]), float(bound[i, idx])))
     return checked, bad

@@ -56,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._binom import log_cdf_head
+from ._binom import _log1p_sum_exp, _log_head_terms, log_cdf_head
 from .core import ModelParams, _sure_final_size
 from .errors import MemoryGuardError, ParameterError
 
@@ -355,10 +355,18 @@ def _leap_chances(margin: np.ndarray, p: float, r: int):
     """(act, up) for mark-chain leaps of `margin` steps, G ~ Bin(M, p):
     act[d] = P(G > d) for d = 0..r-1 and up[d - 1] = P(G = d | G <= d)
     for d = 1..r-1.  F(d) = 0 leaves nobody to split; fmin maps the NaN
-    of -inf - -inf to a zero chance."""
+    of -inf - -inf to a zero chance.  For 0 < p < 1 the head terms are
+    built once and log F(d) sums the first d of them, as log_cdf_head
+    would."""
     log_f = np.empty((r,) + np.shape(margin))
-    for d in range(r):
-        log_f[d] = log_cdf_head(margin, p, d)
+    if 0.0 < p < 1.0:
+        m = np.asarray(margin, dtype=np.float64)
+        base, c = m * math.log1p(-p), _log_head_terms(m, p, r - 1)
+        for d in range(r):
+            log_f[d] = base + _log1p_sum_exp(c[..., :d])
+    else:
+        for d in range(r):
+            log_f[d] = log_cdf_head(margin, p, d)
     with np.errstate(invalid="ignore"):
         up = np.subtract(log_f[:-1], log_f[1:])
     for x in (log_f, up):  # in place: -expm1(min(x, 0)), NaN to 0

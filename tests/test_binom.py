@@ -11,6 +11,7 @@ from scipy.special import gammaln, pdtrc
 
 from bootperc._binom import (log_binom_cdf, log_binom_sf, log_factorials,
                              log_pmf_array, log_poisson_sf)
+from bootperc.errors import ParameterError
 from bootperc.montecarlo import _poisson_cut_points
 
 # the p grid of the Penrose inequality sweep (acceptance criterion 3)
@@ -39,6 +40,32 @@ def test_log_pmf_array_equals_the_gammaln_formula_on_the_penrose_grid():
             old = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
                    + k * math.log(p) + (n - k) * math.log1p(-p))
             assert np.array_equal(log_pmf_array(n, p), old), (n, p)
+
+
+def test_log_pmf_array_rows_equal_the_scalar_calls_bit_for_bit():
+    m = np.array([0, 0, 0, 1, 7, 7, 7, 3, 200, 0, 64, 5000, 12])
+    q = np.array([0.0, 1.0, 0.3, 0.5, 0.0, 1.0, 5e-324, 1 - 1e-16, 0.9,
+                  0.01, 0.05, 0.3, 1.0])
+    rows = log_pmf_array(m, q)
+    assert rows.shape == (len(m), m.max() + 1)
+    for row, mi, qi in zip(rows, m.tolist(), q.tolist()):
+        want = log_pmf_array(mi, qi)
+        # the same floats, the sign of a zero included, and -inf past m
+        assert np.array_equal(row[:mi + 1], want), (mi, qi)
+        assert np.array_equal(np.signbit(row[:mi + 1]), np.signbit(want))
+        assert (row[mi + 1:] == -np.inf).all()
+    # a scalar q broadcasts over the rows
+    assert np.array_equal(log_pmf_array(m[:4], 0.3), log_pmf_array(m[:4], [0.3] * 4))
+
+
+def test_log_pmf_array_refuses_non_integer_trial_counts():
+    for m in (5.0, 5.5, True, np.array([5.0, 6.0]), np.array([True])):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            log_pmf_array(m, 0.3)
+    with pytest.raises(ParameterError, match="must be nonnegative"):
+        log_pmf_array(np.array([3, -1]), 0.3)
+    with pytest.raises(ParameterError, match=r"q must lie in \[0, 1\]"):
+        log_pmf_array(np.array([3, 4]), [0.3, 1.5])
 
 
 def _pdtrc_cut_points(b, k_start):

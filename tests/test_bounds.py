@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bootperc import bounds
 from bootperc._binom import log_cdf_array, log_pmf_array, log_sf_array
 from bootperc.bounds import (approx_log_tail, approx_lower_tail,
                              approx_small_mean_tail, asymptotic_diagnostics,
@@ -149,6 +151,44 @@ def test_penrose_sweep_takes_p_zero_and_one_without_a_warning():
     # p = 0 gives mu = 0 and x = k / mu = +inf, where no bound is checked
     assert penrose_grid_violations(range(5, 8), (0.0,)) == (30, [])
     assert penrose_grid_violations(range(5, 8), (1.0,)) == (15, [])
+
+
+def test_penrose_blocked_sweep_equals_the_per_instance_sweep_across_blocks():
+    # unsorted and repeated n split into several blocks of the sweep, and
+    # p = 0 and p = 1 rows sit between interior ones in each block
+    grid = ([300, 5, 5, 41, 7, 600, 6], (0.3, 0.0, 0.05, 1.0, 0.9))
+    assert len(list(bounds._sweep_blocks(grid[0], len(grid[1])))) > 1
+    checked, bad = penrose_grid_violations(*grid, slack=-1e-3)
+    assert len({name for name, *_ in bad}) == 3
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0: mu = 0
+        want = _penrose_one_instance_at_a_time(*grid, -1e-3)
+    assert (checked, bad) == want
+
+
+def test_penrose_sweep_peak_memory_is_no_higher_than_one_n_at_a_time():
+    # one n above the block budget is a block of its own; the sweep that
+    # took one n at a time peaked at 5353370 bytes of tracemalloc in this
+    # test (about 15 arrays of 9 x 5001 floats), with ln k! already grown
+    grid = ([5000], (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9))
+    penrose_grid_violations(*grid)
+    tracemalloc.start()
+    try:
+        penrose_grid_violations(*grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5353370
+
+
+def test_penrose_sweep_refuses_bad_n_and_p_with_their_messages():
+    for n_values in ([5.5], [True], [5, 6, np.float64(7.0)]):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            penrose_grid_violations(n_values, [0.3])
+    with pytest.raises(ParameterError, match="must be nonnegative"):
+        penrose_grid_violations([5, 6, -1], [0.3])
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ParameterError, match=r"q must lie in \[0, 1\]"):
+            penrose_grid_violations([5, 6], [0.3, p])
 
 
 # ---------------------------------------------------------------------------

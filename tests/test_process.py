@@ -88,6 +88,20 @@ def test_markchain_leap_chances_gather_equals_direct_evaluation(p, r):
         assert ((0.0 <= want) & (want <= 1.0)).all()
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_markchain_leap_chances_read_log_cdf_head_bit_for_bit(r):
+    # log F(d) comes from one set of head terms, summed over its first d,
+    # and must give log_cdf_head(M, p, d)'s floats for every d = 0..r-1
+    margin = np.arange(550)
+    for p in (5e-324, 0.003, 0.05, 0.4, 0.9):
+        act, up = process._leap_chances(margin, p, r)
+        log_f = np.array([log_cdf_head(margin, p, d) for d in range(r)])
+        with np.errstate(invalid="ignore"):
+            log_up = log_f[:-1] - log_f[1:]
+        np.testing.assert_array_equal(act, -np.expm1(np.fmin(log_f, 0.0)))
+        np.testing.assert_array_equal(up, -np.expm1(np.fmin(log_up, 0.0)))
+
+
 def _exact_survival(n, p, r, a):
     """Q(t) = P(Bin(t, p) <= r - 1) for t = a..n-1 by the plain binomial
     sum, clamped to be nonincreasing in t as the true Q is."""
