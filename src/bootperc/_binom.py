@@ -179,7 +179,12 @@ def log_pmf_array(m, q) -> np.ndarray:
     one row per entry over 0..max m, -inf past the row's own m, each row
     the scalar call's floats bit for bit.  log q and log1p(-q) are taken
     by libm per entry, as numpy's vectorised log is not correctly rounded.
+    A bool is not a trial count, also inside a list of ints.
     """
+    if not isinstance(m, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_))
+            for x in np.asarray(m, dtype=object).flat):
+        raise ParameterError("number of trials must be an integer, not a bool")
     m = np.asarray(m)
     if m.dtype.kind not in "iu":
         raise ParameterError(f"number of trials must be an integer, not {m.dtype}")

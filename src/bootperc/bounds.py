@@ -62,7 +62,8 @@ def _report(ln_exact: float, ln_bound: float, tags: tuple,
 
 
 def _validate_np(n: int, p: float, k: int):
-    if not all(isinstance(v, (int, np.integer)) for v in (n, k)):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (n, k)):
         raise ParameterError(f"n and k must be integers, got {n!r} and {k!r}")
     if n < 1:
         raise ParameterError("n must be positive")

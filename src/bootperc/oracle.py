@@ -381,21 +381,15 @@ def exact_tail_query(params: ModelParams, family: ScalingFamily,
 @lru_cache(maxsize=128)
 def _final_size_counts(n: int, r: int, a: int) -> np.ndarray:
     """counts[e, k], the number of graphs on n nodes with e edges whose
-    final size is k.  Graph number g has slot s occupied iff bit s of g is
-    set; the graph sampler's cascade engine runs 4096 of them at a time as
-    one disjoint union.  The table does not depend on p, so it is cached,
-    and read-only because the cache hands the same array to every call."""
-    from .process import _slot_pairs, _vector_cascade_sizes
+    final size is k, summed over the graph sampler's own enumeration of
+    every graph id (process._graph_closures, the table its small-n path
+    reads).  The table does not depend on p, so it is cached, and
+    read-only because the cache hands the same array to every call."""
+    from .process import _graph_closures
 
-    n_edges = n * (n - 1) // 2
-    counts = np.zeros((n_edges + 1, n + 1), dtype=np.int64)
-    chunk = 1 << 12  # graphs per disjoint union
-    for start in range(0, 1 << n_edges, chunk):
-        ids = np.arange(start, min(start + chunk, 1 << n_edges), dtype=np.int64)
-        bits = ((ids[:, None] >> np.arange(n_edges)[None, :]) & 1).astype(bool)
-        u, v = _slot_pairs(np.flatnonzero(bits), n)
-        sizes = _vector_cascade_sizes(u, v, len(ids), n, r, a)
-        np.add.at(counts, (bits.sum(axis=1), sizes), 1)
+    counts = np.zeros((n * (n - 1) // 2 + 1, n + 1), dtype=np.int64)
+    for edges, sizes in _graph_closures(n, r, a):
+        np.add.at(counts, (edges, sizes), 1)
     counts.setflags(write=False)
     return counts
 

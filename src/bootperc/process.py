@@ -1,8 +1,10 @@
 """Four distribution-equivalent samplers of the percolation outcome.
 
 * graph sampler: draws a batch of G(n, p) graphs as one disjoint union and
-  runs one synchronous-generation cascade on its live edges (the engine of
-  ``oracle.brute_force_pmf`` too);
+  runs one synchronous-generation cascade on its live edges, or, where
+  the 2^C(n, 2) graphs are few (n <= 6), reads each one's final size off
+  one enumeration of them all by that engine (_graph_closures, which
+  ``oracle.brute_force_pmf`` sums by edge count), from the same draws;
   low_degree_counts reads degrees straight off the sampled slots;
 * mark chain: one active node is used per time step and sends Bernoulli(p)
   marks to the inactive nodes; a node activates at its r-th mark.  It
@@ -480,7 +482,8 @@ def _slot_pairs(slots: np.ndarray, n: int):
     root is off by far less than one, so one integer correction each way
     against the offsets gives the row exactly (offsets[n] = C(n, 2))."""
     pairs = n * (n - 1) // 2
-    v = slots - slots // pairs * pairs
+    rep = slots // pairs
+    v = slots - rep * pairs
     i = np.arange(n + 1, dtype=np.int64)
     offsets = i * (2 * n - i - 1) // 2
     w = 2 * n - 1
@@ -493,7 +496,7 @@ def _slot_pairs(slots: np.ndarray, n: int):
     u += offsets[1:].take(u) <= v
     u -= offsets.take(u) > v
     v -= (offsets - i - 1).take(u)
-    rep = slots // pairs * n
+    rep *= n
     u += rep
     v += rep
     return u, v
@@ -510,6 +513,17 @@ def _slot_degrees(slots: np.ndarray, reps: int, n: int) -> np.ndarray:
     starts -= np.arange(1, reps * n + 1)
     return lower + np.bincount(slots - np.repeat(starts, lower),
                                minlength=reps * n)
+
+
+def _slot_ids(slots: np.ndarray, reps: int, pairs: int) -> np.ndarray:
+    """Graph ids of `reps` disjoint graphs of `pairs` slots each: bit s of
+    replicate k's id is set iff slot k * pairs + s is occupied.  Each id
+    is the float32 dot product of the replicate's slot indicators with
+    the powers of two, exact while ids stay below 2^24."""
+    occupied = np.zeros(reps * pairs, dtype=np.float32)
+    occupied[slots] = 1.0
+    powers = (2.0 ** np.arange(pairs)).astype(np.float32)
+    return (occupied.reshape(reps, pairs) @ powers).astype(np.int64)
 
 
 def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
@@ -565,6 +579,21 @@ def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
     return np.add.reduceat(marks < 0, np.arange(0, nodes, n), dtype=np.int32)
 
 
+def _graph_closures(n: int, r: int, a: int):
+    """Yield (edge counts, final sizes) of every graph on n nodes, by
+    graph id 0 .. 2^C(n, 2) - 1 in order: graph g has slot s occupied iff
+    bit s of g is set.  Each run of 4096 ids goes through the cascade
+    engine as one disjoint union; a graph's closure does not depend on
+    the union it ran in."""
+    pairs = n * (n - 1) // 2
+    total = 1 << pairs
+    for start in range(0, total, 1 << 12):
+        ids = np.arange(start, min(start + (1 << 12), total), dtype=np.int64)
+        bits = ((ids[:, None] >> np.arange(pairs)) & 1).astype(bool)
+        u, v = _slot_pairs(np.flatnonzero(bits), n)
+        yield bits.sum(axis=1), _vector_cascade_sizes(u, v, ids.size, n, r, a)
+
+
 def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of D_n draws (nodes of degree < r in G(n, p)) by _slot_degrees."""
     n, r = params.n, params.r
@@ -580,8 +609,20 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     Seeds are fixed rather than resampled uniformly: by node
     exchangeability the law of the final size is the same, and one
     randomness source less keeps coupling tests simple.
+
+    When the 2^C(n, 2) graphs are at most the replicate count and the
+    batch budget (n <= 6 in practice), every graph's final size is
+    enumerated once (_graph_closures) and each replicate reads its own
+    by graph id (_slot_ids); otherwise each batch runs the cascade.  The
+    draws are the same either way, and so are the sizes.
     """
     n, r, a = params.n, params.r, params.a
+    pairs = n * (n - 1) // 2
+    # 2^pairs <= min(replicates, budget), never building 2^pairs for a large n
+    if pairs < _BATCH_ELEMENTS.bit_length() and 1 << pairs <= replicates:
+        table = np.concatenate([s for _, s in _graph_closures(n, r, a)])
+        return _graph_batches(params, replicates, rng, lambda draw, size:
+                              table.take(_slot_ids(draw(), size, pairs)))
     return _graph_batches(
         params, replicates, rng, lambda draw, size: _vector_cascade_sizes(
             *_slot_pairs(draw(), n), size, n, r, a))

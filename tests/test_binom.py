@@ -68,6 +68,16 @@ def test_log_pmf_array_refuses_non_integer_trial_counts():
         log_pmf_array(np.array([3, 4]), [0.3, 1.5])
 
 
+def test_log_pmf_array_refuses_bool_elements_among_ints():
+    # [3, True] used to become int64 trial counts before the dtype check
+    for m in ([3, True], (3, np.bool_(True)), [[3], [False]], [True]):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            log_pmf_array(m, 0.3)
+    rows = log_pmf_array([3, 1], [0.3, 0.6])
+    np.testing.assert_array_equal(rows, log_pmf_array(np.array([3, 1]), [0.3, 0.6]))
+    np.testing.assert_array_equal(rows[0], log_pmf_array(3, 0.3))
+
+
 def _pdtrc_cut_points(b, k_start):
     k_hi = k_start
     while pdtrc(k_hi, b) >= 1e-12 and k_hi <= 100 * (b + 10):

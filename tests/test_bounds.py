@@ -92,6 +92,20 @@ def test_bounds_refuse_non_integer_n_and_k():
             bound(10, 0.3, -1)
 
 
+def test_bounds_refuse_a_bool_n_or_k():
+    # True is an int to isinstance; chernoff_lower(True, 0.3, 0) used to
+    # return a report for one trial
+    for bound, n, p, k in ((chernoff_upper, 10, 0.3, 5),
+                           (chernoff_lower, 10, 0.3, 2),
+                           (heavy_tail_bound, 1000, 0.001, 8)):
+        for flag in (True, np.bool_(True), False):
+            for bad_n, bad_k in ((flag, k), (n, flag)):
+                with pytest.raises(ParameterError, match="integers"):
+                    bound(bad_n, p, bad_k)
+    with pytest.raises(ParameterError, match="integers"):
+        chernoff_lower(True, 0.3, 0)
+
+
 def test_penrose_reduced_grid_has_no_violations():
     checked, bad = penrose_grid_violations(
         range(5, 41), (0.02, 0.1, 0.35, 0.6, 0.9))

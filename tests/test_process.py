@@ -558,6 +558,55 @@ def test_cascade_sizes_equal_the_closure(case):
     np.testing.assert_array_equal(process._vector_cascade_sizes(u, v, reps, n, r, a), want)
 
 
+def _engine_sizes(params, replicates, rng):
+    """The graph sampler's cascade path at any replicate count."""
+    n, r, a = params.n, params.r, params.a
+    return process._graph_batches(
+        params, replicates, rng, lambda draw, size: process._vector_cascade_sizes(
+            *process._slot_pairs(draw(), n), size, n, r, a))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_graph_table_path_equals_the_engine(data):
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(st.integers(1, n))  # ModelParams refuses a = 0 and r = 1
+    r = data.draw(st.integers(2, 4))
+    p = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(
+        0.0, 1.0, exclude_min=True, exclude_max=True)))
+    # both sides of 2^C(n, 2), where the table path starts
+    graphs = 1 << n * (n - 1) // 2
+    reps = data.draw(st.integers(max(1, graphs // 2), 2 * graphs))
+    rng = RngSpec(data.draw(st.integers(0, 2 ** 32)), 3)
+    params = ModelParams(n=n, p=p, r=r, a=a)
+    np.testing.assert_array_equal(final_sizes_graph(params, reps, rng),
+                                  _engine_sizes(params, reps, rng))
+
+
+def test_graph_table_is_built_only_when_it_costs_no_more_than_the_replicates(
+        monkeypatch):
+    built = []
+    enumerate_all = process._graph_closures
+    monkeypatch.setattr(process, "_graph_closures",
+                        lambda *args: built.append(args) or enumerate_all(*args))
+    for reps in (1000, (1 << 15) - 1):  # fewer than the 2^15 graphs
+        final_sizes_graph(P6, reps, RngSpec(0, 0))
+    assert built == []
+    final_sizes_graph(P6, 1 << 15, RngSpec(0, 0))
+    assert built == [(6, 2, 2)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_table_path_at_n1_and_n2_raises_no_warning(n):
+    for p in (0.0, 0.5, 1.0):
+        params = ModelParams(n=n, p=p, r=2, a=1)
+        sizes = final_sizes_graph(params, 100, RngSpec(0, 0))
+        np.testing.assert_array_equal(sizes, _engine_sizes(params, 100, RngSpec(0, 0)))
+        if n == 1:
+            assert (sizes == 1).all()
+
+
 def test_low_degree_trivial_values():
     for p, count in ((0.0, 10), (1.0, 0)):
         counts = low_degree_counts(ModelParams(n=10, p=p, r=2, a=1), 5,
