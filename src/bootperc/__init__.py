@@ -5,8 +5,8 @@ from .core import (ActivationProb, CriticalQuantities, ModelParams, Regime,
                    SequenceSpec, activation_prob, check_hypotheses,
                    classify_regime, critical_quantities, mean_usable_curve)
 from .errors import (BootpercError, DegenerateLevels, EpsOutOfRange,
-                     InconclusiveTrend, MemoryGuardError, ParameterError,
-                     RegimeMismatch, UnsupportedCombination)
+                     MemoryGuardError, ParameterError, RegimeMismatch,
+                     UnsupportedCombination)
 from .montecarlo import (ConvergenceRow, TailEstimate, estimate_tail,
                          estimate_tail_splitting, poisson_distance,
                          rate_convergence_study, wilson_interval)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CLASSIFY_LADDER, ModelParams, SequenceSpec, classify_regime,
+from .core import (ModelParams, SequenceSpec, classify_regime,
                    critical_quantities)
 from .errors import BootpercError, MemoryGuardError, ParameterError
 from .montecarlo import (estimate_tail, estimate_tail_splitting,
@@ -37,7 +37,7 @@ CURVE_POINT_CAP = 10 ** 6
 #: set away from its value in a bare `tail MODE`
 _MC_FLAGS = " replicates seed stream"
 _TAIL_RUNS = {
-    "predict": ("spec n family eps", "ladder"),
+    "predict": ("spec n family eps", ""),
     "estimate": ("n p r a family eps", _MC_FLAGS),
     "estimate --splitting": ("n p r a tau", "splitting levels" + _MC_FLAGS),
     "study --method exact_dp": ("spec family eps ladder", "method horizon_k cap"),
@@ -127,9 +127,7 @@ def cmd_critical(args) -> int:
 
 def cmd_regime(args) -> int:
     _check_format(args, "json", "regime")
-    spec = _load_spec(args.spec)
-    ladder = _parse_ladder(args.ladder) if args.ladder else list(CLASSIFY_LADDER)
-    regime = classify_regime(spec, ladder)
+    regime = classify_regime(_load_spec(args.spec))
     result = {"regime": regime.label, "b": regime.b, "gamma": regime.gamma}
     _emit_json(args, {k: v for k, v in result.items() if v is not None})
     return 0
@@ -210,8 +208,7 @@ def cmd_tail(sub: argparse.ArgumentParser, args) -> int:
             raise ParameterError(f"tail {kind} {what} {flags}")
     if args.mode == "predict":
         spec = _load_spec(args.spec)
-        ladder = _parse_ladder(args.ladder) if args.ladder else list(CLASSIFY_LADDER)
-        regime = classify_regime(spec, ladder)
+        regime = classify_regime(spec)
         te = tail_exponent(spec, args.n, family_from_string(args.family),
                            args.eps, regime)
         _emit_json(args, json.loads(te.to_json()) | {"regime": regime.label})
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("regime", help="classify b_c regime of a spec file")
     s.add_argument("--spec", required=True)
-    s.add_argument("--ladder", default=None, help="comma list of n values")
     _add_common(s, fmt="json")
     s.set_defaults(func=cmd_regime)
 
@@ -319,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", default=None, help="e.g. const:1.0, asym_bc:1.0")
     s.add_argument("--eps", type=float, default=None)
     s.add_argument("--replicates", type=int, default=10_000)
-    s.add_argument("--ladder", default=None)
+    s.add_argument("--ladder", default=None, help="study: comma list of n")
     s.add_argument("--method", choices=["exact_dp", "naive", "splitting"],
                    default="exact_dp")
     s.add_argument("--splitting", action="store_true")

@@ -13,18 +13,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 from ._binom import log_binom_sf, log_cdf_head
-from .errors import InconclusiveTrend, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "ModelParams", "CriticalQuantities", "SequenceSpec", "Regime",
     "REGIME_LABELS", "ActivationProb", "activation_prob", "log_inactive_prob",
     "critical_quantities", "check_hypotheses", "classify_regime",
-    "mean_usable_curve", "detect_trend", "Trend", "TrendResult",
-    "CLASSIFY_LADDER",
+    "mean_usable_curve",
 ]
 
 
@@ -53,12 +51,14 @@ class ModelParams:
     a: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) \
+                or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n}")
         _check_r(self.r)
-        if not isinstance(self.a, int) or not 1 <= self.a <= self.n:
+        if not isinstance(self.a, int) or isinstance(self.a, bool) \
+                or not 1 <= self.a <= self.n:
             raise ParameterError(f"a must satisfy 1 <= a <= n, got {self.a}")
-        if not 0.0 <= self.p <= 1.0:
+        if isinstance(self.p, bool) or not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"p must lie in [0, 1], got {self.p}")
 
 
@@ -172,8 +172,9 @@ _P_RULES = {"power": ("beta",), "log_form": ("d",), "scaled_log": ("c",),
 
 
 def _finite_number(value) -> bool:
+    # compared, not math.isfinite, so an int beyond a float is refused too
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,10 @@ class SequenceSpec:
                         and all(map(_finite_number, row)) for row in value)):
                     raise ParameterError(
                         f"constants[{key!r}] must be a list of [n, value] pairs")
+                if key == "a_points" and any(row[1] != int(row[1])
+                                             for row in value):
+                    raise ParameterError(
+                        f"constants['a_points'] seeds must be integers: {value}")
             elif not _finite_number(value):
                 raise ParameterError(
                     f"constant {key!r} must be a finite number, got {value!r}")
@@ -281,67 +286,34 @@ def _table_lookup(points, n, what: str):
 
 
 # ---------------------------------------------------------------------------
-# Trend detection along a ladder of n values
-
-class Trend(str, Enum):
-    DIVERGES_UP = "diverges_up"
-    DIVERGES_DOWN = "diverges_down"
-    VANISHES = "vanishes"
-    STABLE = "stable"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class TrendResult:
-    kind: Trend
-    value: float | None = None  # stabilized mean when kind is STABLE
-
-
-#: A trend verdict reads the last TREND_WINDOW ladder values: stable when
-#: they spread less than TREND_SPREAD relative, otherwise a strictly
-#: monotone move by more than a factor TREND_GROWTH.  A finite ladder can
-#: only certify trends, never limits, so these thresholds are crude.
-TREND_WINDOW = 4
-TREND_GROWTH = 10.0
-TREND_SPREAD = 0.05
-
-
-def detect_trend(values: Sequence[float]) -> TrendResult:
-    if len(values) < TREND_WINDOW:
-        raise ParameterError(f"need at least {TREND_WINDOW} ladder values")
-    w = list(values[-TREND_WINDOW:])
-    scale = max(abs(v) for v in w)
-    if scale == 0.0:
-        return TrendResult(Trend.STABLE, 0.0)
-    if (max(w) - min(w)) / scale < TREND_SPREAD:
-        return TrendResult(Trend.STABLE, math.fsum(w) / len(w))
-    increasing = all(b > a for a, b in zip(w, w[1:]))
-    decreasing = all(b < a for a, b in zip(w, w[1:]))
-    if decreasing and all(v > 0 for v in w) and w[-1] < w[0] / TREND_GROWTH:
-        return TrendResult(Trend.VANISHES)
-    if increasing and w[-1] > 0 and w[-1] > TREND_GROWTH * w[0]:
-        return TrendResult(Trend.DIVERGES_UP)
-    if decreasing and w[-1] < 0 and w[-1] < TREND_GROWTH * w[0]:
-        return TrendResult(Trend.DIVERGES_DOWN)
-    return TrendResult(Trend.INCONCLUSIVE)
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis checks and regime classification
+# Hypothesis checks and regime classification, from each rule's closed form
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
 
-#: Default ladder for formula-only classification.  Values this large are
-#: fine: only closed-form floats are evaluated, never arrays of size n.
-CLASSIFY_LADDER = (10 ** 2, 10 ** 8, 10 ** 32, 10 ** 128)
+
+def _check_limit_rule(spec: SequenceSpec) -> None:
+    """Refuse a spec without a limit as n -> inf: a table, which is finite,
+    or a rule whose p_n leaves (0, 1) for good (c <= 0, or p = c n^-beta
+    with beta < 0, or beta = 0 and c >= 1)."""
+    if spec.rule == "table":
+        raise ParameterError(
+            "a tabulated p-rule has no limit as n -> inf, so it has no "
+            "regime and no hypothesis verdict")
+    const = spec.constants
+    c = const.get("c", 1.0)
+    if spec.rule == "log_form" or c > 0 and (
+            spec.rule == "scaled_log" or const["beta"] > 0
+            or const["beta"] == 0 and c < 1):
+        return
+    raise ParameterError(
+        f"rule {spec.rule!r} with constants {const} takes p_n out of (0, 1) "
+        "for all large n")
 
 
 @dataclass(frozen=True)
 class HypothesisCheck:
     name: str
-    values: tuple
     verdict: str
 
 
@@ -354,59 +326,24 @@ class HypothesisReport:
         return all(c.verdict == SATISFIED for c in self.checks.values())
 
 
-def _vanishing_verdict(trend: TrendResult) -> str:
-    if trend.kind == Trend.VANISHES:
-        return SATISFIED
-    if trend.kind == Trend.STABLE:
-        return SATISFIED if trend.value == 0.0 else VIOLATED
-    if trend.kind == Trend.DIVERGES_UP:
-        return VIOLATED
-    return INCONCLUSIVE
-
-
-def _validate_ladder(ladder: Sequence) -> list:
-    ladder = list(ladder)
-    if len(ladder) < TREND_WINDOW:
-        raise ParameterError(f"ladder must have at least {TREND_WINDOW} entries")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ParameterError("ladder must be strictly increasing")
-    return ladder
-
-
-def check_hypotheses(spec: SequenceSpec, ladder: Sequence) -> HypothesisReport:
-    """Evaluate the three standing hypotheses along the ladder.
-
-    Verdicts are trend verdicts, never limit claims: 1/(n p_n) must trend
-    to 0, p_n * n^(1/r) must trend to 0, and a_n/a_c(n) must stabilize
-    above 1.
-    """
-    ladder = _validate_ladder(ladder)
-    inv_np = [1.0 / (n * spec.p_at(n)) for n in ladder]
-    p_power = [spec.p_at(n) * float(n) ** (1.0 / spec.r) for n in ladder]
-    seed_ratio = [spec.a_at(n) / spec.crit_at(n).a_c for n in ladder]
-
-    checks = {
-        "np_diverges": HypothesisCheck(
-            "np_diverges", tuple(inv_np),
-            _vanishing_verdict(detect_trend(inv_np))),
-        "p_subcritical_power": HypothesisCheck(
-            "p_subcritical_power", tuple(p_power),
-            _vanishing_verdict(detect_trend(p_power))),
-    }
-
-    if spec.alpha is not None and spec.alpha <= 1.0:
-        verdict = VIOLATED
-    else:
-        trend = detect_trend(seed_ratio)
-        if trend.kind == Trend.STABLE:
-            verdict = SATISFIED if trend.value > 1.0 else VIOLATED
-        elif trend.kind == Trend.INCONCLUSIVE:
-            verdict = INCONCLUSIVE
-        else:
-            verdict = VIOLATED  # ratio must converge to a finite alpha > 1
-    checks["supercritical_seeds"] = HypothesisCheck(
-        "supercritical_seeds", tuple(seed_ratio), verdict)
-    return HypothesisReport(checks)
+def check_hypotheses(spec: SequenceSpec) -> HypothesisReport:
+    """The three standing hypotheses, each satisfied or violated in the
+    limit n -> inf of the rule's closed form: n p_n -> inf unless p =
+    c n^-beta with beta >= 1; p_n n^(1/r) -> 0 unless p = c n^-beta with
+    beta <= 1/r; and a_n/a_c(n) -> alpha with alpha > 1.  A table or
+    a_points seeds fix no limit and are refused."""
+    _check_limit_rule(spec)
+    if spec.alpha is None:
+        raise ParameterError(
+            "tabulated seeds (a_points) have no limit as n -> inf, so they "
+            "have no hypothesis verdict")
+    beta = spec.constants["beta"] if spec.rule == "power" else None
+    holds = {"np_diverges": beta is None or beta < 1,
+             "p_subcritical_power": beta is None or beta > 1 / spec.r,
+             "supercritical_seeds": spec.alpha > 1}
+    return HypothesisReport({
+        name: HypothesisCheck(name, SATISFIED if ok else VIOLATED)
+        for name, ok in holds.items()})
 
 
 #: the limit of b_c(n), refined by the limit of a_c/(n p_n) when b_c -> 0
@@ -432,42 +369,56 @@ class Regime:
         if (self.gamma is None) == (self.label == "bc_vanishes/acnp_finite"):
             raise ParameterError(
                 "gamma is given for bc_vanishes/acnp_finite and only there")
+        for value in (self.b, self.gamma):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ParameterError(
+                    f"b and gamma must be finite floats > 0, got {value!r}")
 
 
-def classify_regime(spec: SequenceSpec,
-                    ladder: Sequence = CLASSIFY_LADDER) -> Regime:
-    """Classify the limit of b_c(n) through d(n) = n p_n - log n - (r-1)loglog n.
+def _factorial_power(r: int, e: float) -> float:
+    """((r - 1)!)^e: through math.gamma while (r - 1)! is a float, which
+    keeps small r exact (2!^(-1) = 0.5, 2!^(1/2) = sqrt 2), else in logs."""
+    try:
+        return math.gamma(r) ** e
+    except OverflowError:
+        return math.exp(e * math.lgamma(r))
 
-    d -> -inf, a finite limit, or +inf correspond to b_c -> +inf,
-    b = exp(-lim d)/(r-1)!, or 0; in the last case the ratio a_c/(n p_n)
-    is classified further.  Hypothesis checking is the caller's concern:
-    the crude trend thresholds may be inconclusive on sequences a wider
-    ladder would resolve.
+
+def classify_regime(spec: SequenceSpec) -> Regime:
+    """The limit of b_c(n), and of a_c/(n p_n) when b_c -> 0, read off the
+    rule's closed form through d(n) = n p_n - ln n - (r-1) ln ln n:
+    b_c -> inf, e^(-lim d)/(r-1)! or 0 as d -> -inf, a limit or +inf.
+
+      power, p = c n^-beta: d -> -inf for beta >= 1.  Below, a_c/(n p) =
+        gamma n^((beta(2r-1) - r)/(r-1)) exactly, with gamma = (1 - 1/r)
+        ((r-1)!/c^r)^(1/(r-1))/c, so it diverges, is gamma or vanishes as
+        beta is above, at or below r/(2r-1).
+      log_form: d(n) = d exactly, so b = e^-d/(r-1)!.
+      scaled_log, p = c ln n/n: d = (c-1) ln n - (r-1) ln ln n -> -inf for
+        c <= 1; for c > 1, a_c/(n p) grows like n/(ln n)^((2r-1)/(r-1)).
+
+    A table, or a rule whose p_n leaves (0, 1), is refused.
     """
-    ladder = _validate_ladder(ladder)
-    d_vals = []
-    for n in ladder:
-        p = spec.p_at(n)
-        ln = math.log(n)
-        d_vals.append(n * p - ln - (spec.r - 1) * math.log(ln))
-    d_trend = detect_trend(d_vals)
-
-    if d_trend.kind == Trend.DIVERGES_DOWN:
-        return Regime("bc_diverges")
-    if d_trend.kind == Trend.STABLE:
-        return Regime("bc_finite",
-                      b=math.exp(-d_trend.value) / math.gamma(spec.r))
-    if d_trend.kind != Trend.DIVERGES_UP:
-        raise InconclusiveTrend(
-            f"cannot commit to a trend for d(n): values {d_vals}")
-
-    ratio = [spec.crit_at(n).a_c / (n * spec.p_at(n)) for n in ladder]
-    r_trend = detect_trend(ratio)
-    if r_trend.kind == Trend.DIVERGES_UP:
-        return Regime("bc_vanishes/acnp_diverges")
-    if r_trend.kind == Trend.STABLE:
-        return Regime("bc_vanishes/acnp_finite", gamma=r_trend.value)
-    if r_trend.kind == Trend.VANISHES:
-        return Regime("bc_vanishes/acnp_vanishes")
-    raise InconclusiveTrend(
-        f"b_c vanishes but a_c/(n p_n) trend is inconclusive: values {ratio}")
+    _check_limit_rule(spec)
+    const, r = spec.constants, spec.r
+    try:
+        if spec.rule == "log_form":
+            return Regime("bc_finite",
+                          b=math.exp(-const["d"]) * _factorial_power(r, -1.0))
+        if spec.rule == "scaled_log":
+            return Regime("bc_diverges" if const["c"] <= 1
+                          else "bc_vanishes/acnp_diverges")
+        beta, c, edge = const["beta"], const.get("c", 1.0), r / (2 * r - 1)
+        if beta >= 1:
+            return Regime("bc_diverges")
+        if beta != edge:
+            return Regime("bc_vanishes/acnp_diverges" if beta > edge
+                          else "bc_vanishes/acnp_vanishes")
+        # c^(-r/(r-1))/c taken as 1/(c^(1/(r-1)) c c), so no power overflows
+        return Regime("bc_vanishes/acnp_finite", gamma=(1 - 1 / r)
+                      * _factorial_power(r, 1 / (r - 1))
+                      / c ** (1 / (r - 1)) / c / c)
+    except OverflowError as exc:
+        raise ParameterError(
+            f"the limit of rule {spec.rule!r} at r = {r} does not fit a float"
+        ) from exc

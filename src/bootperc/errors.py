@@ -34,12 +34,6 @@ class UnsupportedCombination(BootpercError):
     exit_code = 3
 
 
-class InconclusiveTrend(BootpercError):
-    """Trend detection along the ladder could not commit to a verdict."""
-
-    exit_code = 3
-
-
 class RegimeMismatch(BootpercError):
     """The requested diagnostic only applies in a different regime."""
 

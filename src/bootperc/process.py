@@ -102,8 +102,10 @@ class RngSpec:
 
 
 def _check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise ParameterError("replicates must be >= 1")
+    if not isinstance(replicates, (int, np.integer)) \
+            or isinstance(replicates, bool) or replicates < 1:
+        raise ParameterError(
+            f"replicates must be an integer >= 1, got {replicates!r}")
     if replicates > REPLICATE_CAP:
         raise MemoryGuardError(f"replicates above the cap {REPLICATE_CAP}")
 

@@ -200,9 +200,9 @@ _PREDICT_ECHO = '{"config": {"command": "tail", "eps": %s, "family": "%s", ' \
     '"splitting": false, "stream": 0}, "result": '
 PINNED_REGIME = [
     '{"regime": "bc_diverges"}}',
-    '{"b": 2.000000000000004, "regime": "bc_finite"}}',
+    '{"b": 2.0, "regime": "bc_finite"}}',
     '{"regime": "bc_vanishes/acnp_diverges"}}',
-    '{"gamma": 0.49999999999999034, "regime": "bc_vanishes/acnp_finite"}}',
+    '{"gamma": 0.5, "regime": "bc_vanishes/acnp_finite"}}',
     '{"regime": "bc_vanishes/acnp_vanishes"}}',
 ]
 PINNED_PREDICT = [
@@ -484,8 +484,9 @@ def test_tail_refuses_method_and_tau_where_unread(tmp_path, capsys):
              "--levels": "9", "--horizon-k": "3", "--seed": "4",
              "--stream": "1", "--format": "csv", "--cap": "600"}
     unread = {
-        "predict": (predict, "--p --r --a --replicates --tau --levels "
-                    "--horizon-k --seed --stream --format --cap --splitting"),
+        "predict": (predict, "--p --r --a --replicates --ladder --tau "
+                    "--levels --horizon-k --seed --stream --format --cap "
+                    "--splitting"),
         "estimate": (naive, "--spec --ladder --tau --levels --horizon-k "
                      "--format --cap"),
         "estimate --splitting": (splitting, "--spec --family --eps --ladder "
@@ -660,12 +661,10 @@ def test_exit_code_validation_errors(tmp_path):
     assert main(["rate", "--alpha", "1e200", "--r", "3", "--out", out]) == 2
     # a ladder entry that is no finite integer
     for ladder in ["1e400", "inf", "nan"]:
-        assert main(["regime", "--spec", spec, "--ladder", f"100,{ladder}",
-                     "--out", out]) == 2
         assert main(["tail", "study", "--spec", spec, "--family",
                      "between_acnp_n", "--eps", "0.5", "--ladder", ladder,
                      "--out", out]) == 2
-    # an empty ladder, as regime and tail predict refuse it
+    # an empty ladder
     assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
                  "--eps", "0.5", "--ladder", ",", "--method", "exact_dp",
                  "--out", out]) == 2
@@ -761,8 +760,13 @@ def test_exit_code_model_refusals(tmp_path):
         "constants": {"points": [[100, 0.5], [1000, 1e-3],
                                  [10000, 0.1], [100000, 1e-4]]},
         "r": 2, "alpha": 2.0})
-    assert main(["regime", "--spec", wobble,
-                 "--ladder", "100,1000,10000,100000", "--out", out]) == 3
+    # a finite table has no limit, so it has no regime
+    assert main(["regime", "--spec", wobble, "--out", out]) == 2
+    # and regime reads no ladder
+    with pytest.raises(SystemExit) as exc:
+        main(["regime", "--spec", wobble, "--ladder", "100,1000,10000,100000",
+              "--out", out])
+    assert exc.value.code == 2
     spec = write_spec(tmp_path, SPEC_07)
     # unsupported (regime, family) pair
     assert main(["tail", "predict", "--spec", spec, "--n", "100000",

@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from bootperc.core import (CLASSIFY_LADDER, ModelParams, Regime, SequenceSpec,
-                           Trend, activation_prob, check_hypotheses,
-                           classify_regime, critical_quantities, detect_trend,
-                           log_inactive_prob, mean_usable_curve)
-from bootperc.errors import InconclusiveTrend, ParameterError
+from bootperc.core import (ModelParams, Regime, SequenceSpec, activation_prob,
+                           check_hypotheses, classify_regime,
+                           critical_quantities, log_inactive_prob,
+                           mean_usable_curve)
+from bootperc.errors import ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,9 @@ def test_mean_usable_curve_rejects_out_of_range_times():
     dict(n=10, p=0.1, r=2, a=11),
     dict(n=10, p=-0.1, r=2, a=1),
     dict(n=10, p=1.1, r=2, a=1),
+    dict(n=True, p=0.5, r=2, a=True),
+    dict(n=10, p=0.5, r=2, a=True),
+    dict(n=10, p=True, r=2, a=1),
 ])
 def test_model_params_validation(kwargs):
     with pytest.raises(ParameterError):
@@ -176,25 +179,11 @@ def test_model_params_admits_degenerate_p():
 
 
 # ---------------------------------------------------------------------------
-# trend detection
-
-def test_trend_detector_cases():
-    assert detect_trend([1, 2, 3, 40]).kind == Trend.DIVERGES_UP
-    assert detect_trend([-2, -5, -13, -35]).kind == Trend.DIVERGES_DOWN
-    assert detect_trend([8.0, 4.0, 1.0, 0.5]).kind == Trend.VANISHES
-    st = detect_trend([2.0, 2.01, 1.99, 2.0])
-    assert st.kind == Trend.STABLE and st.value == pytest.approx(2.0, abs=0.01)
-    assert detect_trend([5, 4, 3, 2]).kind == Trend.INCONCLUSIVE
-    with pytest.raises(ParameterError):
-        detect_trend([1, 2, 3])
-
-
-# ---------------------------------------------------------------------------
 # hypotheses
 
 def test_hypotheses_satisfied_for_power_rule():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    report = check_hypotheses(spec, [10**3, 10**5, 10**7, 10**9])
+    report = check_hypotheses(spec)
     assert report.all_satisfied
     # 1/(np) = n^{-0.3} and p n^{1/2} = n^{-0.2} both fall to 0
     assert report.checks["np_diverges"].verdict == "satisfied"
@@ -203,22 +192,30 @@ def test_hypotheses_satisfied_for_power_rule():
 
 def test_hypotheses_violated_for_slow_power():
     spec = SequenceSpec(rule="power", constants={"beta": 0.4}, r=2, alpha=2.0)
-    report = check_hypotheses(spec, [10**4, 10**8, 10**16, 10**32])
+    report = check_hypotheses(spec)
     assert report.checks["p_subcritical_power"].verdict == "violated"
+    assert not report.all_satisfied
 
 
 def test_hypotheses_alpha_one_is_violated():
     spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=1.0)
-    report = check_hypotheses(spec, [10**3, 10**5, 10**7, 10**9])
+    report = check_hypotheses(spec)
     assert report.checks["supercritical_seeds"].verdict == "violated"
 
 
-def test_hypotheses_ladder_validation():
-    spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
-    with pytest.raises(ParameterError):
-        check_hypotheses(spec, [10, 100, 1000])
-    with pytest.raises(ParameterError):
-        check_hypotheses(spec, [10, 10, 100, 1000])
+@pytest.mark.parametrize("rule, constants, r, verdicts", [
+    # np = n^0 and n^-1 stay bounded; p n^(1/3) = n^0 does not vanish
+    ("power", {"beta": 1.0}, 2, ("violated", "satisfied")),
+    ("power", {"beta": 1.5}, 2, ("violated", "satisfied")),
+    ("power", {"beta": 1 / 3}, 3, ("satisfied", "violated")),
+    ("log_form", {"d": -5.0}, 2, ("satisfied", "satisfied")),
+    ("scaled_log", {"c": 0.5}, 4, ("satisfied", "satisfied")),
+])
+def test_hypotheses_from_the_closed_form(rule, constants, r, verdicts):
+    report = check_hypotheses(SequenceSpec(rule, constants, r, alpha=1.5))
+    assert (report.checks["np_diverges"].verdict,
+            report.checks["p_subcritical_power"].verdict) == verdicts
+    assert report.checks["supercritical_seeds"].verdict == "satisfied"
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +226,7 @@ def test_classify_log_form_gives_finite_b():
                         r=2, alpha=2.0)
     regime = classify_regime(spec)
     assert regime.label == "bc_finite" and regime.gamma is None
-    assert regime.b == pytest.approx(2.0, rel=1e-9)
+    assert regime.b == 2.0
 
 
 def test_classify_scaled_log_diverges():
@@ -248,7 +245,7 @@ def test_classify_power_two_thirds_gives_gamma():
                         r=2, alpha=2.0)
     regime = classify_regime(spec)
     assert regime.label == "bc_vanishes/acnp_finite" and regime.b is None
-    assert regime.gamma == pytest.approx(0.5, rel=1e-9)
+    assert regime.gamma == 0.5
 
 
 def test_classify_power_06_acnp_vanishes():
@@ -264,18 +261,69 @@ def test_classify_power_06_acnp_vanishes():
     ("bc_diverges", 2.0, None),
     ("bc_vanishes/acnp_finite", None, None),
     ("bc_vanishes/acnp_diverges", None, 0.5),
+    ("bc_finite", 0.0, None),
+    ("bc_finite", math.inf, None),
+    ("bc_vanishes/acnp_finite", None, math.nan),
 ])
 def test_malformed_regime_is_refused(label, b, gamma):
     with pytest.raises(ParameterError):
         Regime(label, b=b, gamma=gamma)
 
 
-def test_classify_inconclusive_raises():
-    # d(n) wobbles up and down along this table; no trend can be certified
-    pts = [[10**2, 0.5], [10**3, 1e-3], [10**4, 0.1], [10**5, 1e-4]]
-    spec = SequenceSpec(rule="table", constants={"points": pts}, r=2, alpha=2.0)
-    with pytest.raises(InconclusiveTrend):
-        classify_regime(spec, [10**2, 10**3, 10**4, 10**5])
+@pytest.mark.parametrize("rule, constants, r, label, b, gamma", [
+    # d(n) = -ln ln n -> -inf; at c = 1.05, d = 0.05 ln n - ln ln n -> +inf
+    ("scaled_log", {"c": 1.0}, 2, "bc_diverges", None, None),
+    ("scaled_log", {"c": 1.05}, 2, "bc_vanishes/acnp_diverges", None, None),
+    # a_c/(n p) grows like n^0.004 just above r/(2r - 1) = 2/3
+    ("power", {"beta": 0.668}, 2, "bc_vanishes/acnp_diverges", None, None),
+    # r/(2r - 1) = 3/5 and gamma = (2/3) sqrt 2
+    ("power", {"beta": 0.6}, 3, "bc_vanishes/acnp_finite", None,
+     2 * math.sqrt(2) / 3),
+    ("log_form", {"d": 0.0}, 3, "bc_finite", 0.5, None),
+    ("power", {"beta": 2 / 3}, 2, "bc_vanishes/acnp_finite", None, 0.5),
+    ("log_form", {"d": -math.log(2)}, 2, "bc_finite", 2.0, None),
+], ids=["scaled_log-c1", "scaled_log-c1.05", "power-0.668", "power-0.6-r3",
+        "log_form-d0-r3", "power-2/3", "log_form-ln2"])
+def test_boundary_specs_get_their_closed_form(rule, constants, r, label, b,
+                                              gamma):
+    regime = classify_regime(SequenceSpec(rule, constants, r, alpha=2.0))
+    assert regime.label == label
+    # exact at r = 2: e^(ln 2)/1! = 2 and (1/2)(1!/1^2)^(1/1)/1 = 1/2
+    want = (b, gamma) if r == 2 else pytest.approx((b, gamma), rel=1e-15,
+                                                     abs=0)
+    assert (regime.b, regime.gamma) == want
+
+
+@pytest.mark.parametrize("rule, constants", [
+    ("table", {"points": [[100, 0.01], [1000, 0.003]]}),
+    ("power", {"beta": -0.5}),
+    ("power", {"beta": 0.0, "c": 1.0}),
+    ("power", {"beta": 0.7, "c": 0.0}),
+    ("scaled_log", {"c": -1.0}),
+])
+def test_a_rule_without_a_limit_is_refused(rule, constants):
+    # a finite table fixes no limit; the others take p_n out of (0, 1)
+    spec = SequenceSpec(rule, constants, r=2, alpha=2.0)
+    for ask in (classify_regime, check_hypotheses):
+        with pytest.raises(ParameterError, match="no limit|out of"):
+            ask(spec)
+
+
+def test_tabulated_seeds_have_no_hypothesis_verdict():
+    spec = SequenceSpec("power", {"beta": 0.7, "a_points": [[100, 7]]}, r=2)
+    assert classify_regime(spec) == Regime("bc_vanishes/acnp_diverges")
+    with pytest.raises(ParameterError, match="a_points"):
+        check_hypotheses(spec)
+
+
+@pytest.mark.parametrize("rule, constants, r", [
+    ("log_form", {"d": -1000.0}, 2),   # e^1000 overflows
+    ("log_form", {"d": 0.0}, 400),     # e^0/399! underflows to 0
+    ("power", {"beta": 0.6, "c": 1e-200}, 3),  # gamma overflows
+])
+def test_a_limit_no_float_holds_is_refused(rule, constants, r):
+    with pytest.raises(ParameterError):
+        classify_regime(SequenceSpec(rule, constants, r, alpha=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +361,8 @@ def test_sequence_spec_validation():
             {"rule": "table", "constants": {"points": [[100, 0.1, 3]]}},
             {"rule": "table", "constants": {"points": [[100, "0.1"]]}},
             {"constants": {"beta": 0.7, "a_points": [100, 7]}},
+            {"constants": {"beta": 0.7, "a_points": [[100, 7.9]]}},
+            {"constants": {"beta": 10 ** 400}}, {"alpha": 10 ** 400},
             {"rule": ["power"]}]:
         kwargs = {"rule": "power", "constants": {"beta": 0.7}, "r": 2,
                   "alpha": 2.0} | bad

@@ -60,6 +60,14 @@ def test_batches_reject_nonpositive_replicates(batch, replicates):
         batch(P6, replicates, RngSpec(0, 0))
 
 
+@pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
+@pytest.mark.parametrize("replicates", [1000.0, True])
+def test_batches_reject_a_replicate_count_that_is_no_int(batch, replicates):
+    # 1000.0 once ended in numpy's TypeError, and True ran one replicate
+    with pytest.raises(ParameterError, match="replicates"):
+        batch(P6, replicates, RngSpec(0, 0))
+
+
 def test_all_seeded_stops_at_n():
     for batch in SAMPLER_BATCHES.values():
         sizes = batch(ModelParams(n=4, p=0.5, r=2, a=4), 20, RngSpec(0, 0))
