@@ -40,10 +40,9 @@ _TAIL_RUNS = {
     "predict": ("spec n family eps", ""),
     "estimate": ("n p r a family eps", _MC_FLAGS),
     "estimate --splitting": ("n p r a tau", "splitting levels" + _MC_FLAGS),
-    "study --method exact_dp": ("spec family eps ladder", "method horizon_k cap"),
-    "study --method naive": ("spec family eps ladder", "method horizon_k" + _MC_FLAGS),
+    "study --method exact_dp": ("spec family eps ladder", "method cap"),
     "study --method splitting": ("spec family eps ladder",
-                                 "method horizon_k levels" + _MC_FLAGS),
+                                 "method levels" + _MC_FLAGS),
 }
 
 
@@ -85,9 +84,12 @@ def _emit_csv(args, header: list, rows) -> None:
 
 def _parse_ladder(text: str) -> list:
     try:
-        return [int(float(tok)) for tok in text.split(",") if tok.strip()]
-    except (ValueError, OverflowError) as exc:
+        ladder = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
         raise ParameterError(f"bad ladder {text!r}") from exc
+    if not all(n.is_integer() for n in ladder):
+        raise ParameterError(f"ladder n must be whole numbers, got {text!r}")
+    return [int(n) for n in ladder]
 
 
 def _load_spec(path: str) -> SequenceSpec:
@@ -233,7 +235,7 @@ def cmd_tail(sub: argparse.ArgumentParser, args) -> int:
         spec, family_from_string(args.family), args.eps,
         _parse_ladder(args.ladder), method=args.method,
         replicates=args.replicates, rng=RngSpec(args.seed, args.stream),
-        horizon_k=args.horizon_k, levels=args.levels,
+        levels=args.levels,
         cap=PMF_NODE_CAP if args.cap is None else args.cap)
     _emit_csv(args, ["n", "v_n", "p_hat", "log_p", "normalized", "target"],
               [(r.n, r.v_n, r.p_hat, r.log_p, r.normalized, r.target)
@@ -316,12 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=float, default=None)
     s.add_argument("--replicates", type=int, default=10_000)
     s.add_argument("--ladder", default=None, help="study: comma list of n")
-    s.add_argument("--method", choices=["exact_dp", "naive", "splitting"],
+    s.add_argument("--method", choices=["exact_dp", "splitting"],
                    default="exact_dp")
     s.add_argument("--splitting", action="store_true")
     s.add_argument("--tau", type=int, default=None)
     s.add_argument("--levels", type=int, default=4)
-    s.add_argument("--horizon-k", dest="horizon_k", type=float, default=None)
     # default None keeps "cap" out of every other tail command's echo
     s.add_argument("--cap", type=int, default=None,
                    help="study --method exact_dp only: refuse more chain "
@@ -333,14 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list) -> list:
-    """Insert flags from a --config JSON file right after the subcommand,
-    so explicit command-line flags still win."""
-    if "--config" not in argv:
+    """Insert flags from a --config PATH (or --config=PATH) JSON file right
+    after the subcommand, so explicit command-line flags still win."""
+    at = next((i for i, tok in enumerate(argv)
+               if tok == "--config" or tok.startswith("--config=")), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
+    if argv[at] == "--config":
+        path = argv[at + 1] if at + 1 < len(argv) else ""
+        rest = argv[:at] + argv[at + 2:]
+    else:
+        path, rest = argv[at].partition("=")[2], argv[:at] + argv[at + 1:]
+    if not path:
         raise ParameterError("--config needs a path")
-    path = argv[at + 1]
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ParameterError("config file must hold a JSON object")
@@ -352,7 +358,6 @@ def _inject_config(argv: list) -> list:
                 extra.append(flag)
         else:
             extra.extend([flag, str(value)])
-    rest = argv[:at] + argv[at + 2:]
     if not rest:
         raise ParameterError("a subcommand is required")
     head = rest[:1]

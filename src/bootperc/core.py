@@ -218,6 +218,9 @@ class SequenceSpec:
                         and all(map(_finite_number, row)) for row in value)):
                     raise ParameterError(
                         f"constants[{key!r}] must be a list of [n, value] pairs")
+                if any(row[0] != int(row[0]) for row in value):
+                    raise ParameterError(
+                        f"constants[{key!r}] n entries must be integers: {value}")
                 if key == "a_points" and any(row[1] != int(row[1])
                                              for row in value):
                     raise ParameterError(

@@ -1,13 +1,13 @@
 """Replicated tail estimation, multilevel splitting, and limit checks.
 
 Naive estimation counts stop times below a threshold with a Wilson 95%
-interval; it, the naive rate study and the Poisson-limit distance draw
+interval; it, one-level splitting and the Poisson-limit distance draw
 their final sizes from the margin-leaping sampler.  For rare early-stop
 events the fixed-effort multilevel splitting estimator conditions the
 Markov chain (t, S(t)) through a ladder of running-minimum-margin levels
 down to 0, multiplying the per-level crossing fractions.  Its stages
-leap from level to level on the sampler's kernel, and an integer level
-count spaces the ladder from the lowest mean margin down to 0, so the
+leap from level to level on the sampler's kernel, and the level count
+spaces the ladder from the lowest mean margin down to 0, so the
 ladder costs no draws.  Each estimate above one level tabulates log Q(t)
 for t <= tau once, in batch-budget chunks (process._fill_log_q); the
 ladder reads the table, and every leap of every stage gathers from it
@@ -128,42 +128,27 @@ _SPLIT_GROUPS = 4
 _T975_DF3 = 3.182446305284263  # t quantile for 4 groups
 
 
-def _split_ladder(params: ModelParams, tau: int, levels) -> tuple:
-    """(ladder, log_q): the margin ladder, and log Q(t) for t = 0..tau
-    unless the ladder is [0], which runs plain Monte Carlo.  A table of
-    more than ACTIVATION_NODE_CAP entries is refused before allocation."""
-    if isinstance(levels, int):
-        if levels < 1:
-            raise ParameterError("need at least one level")
-        ladder = [0] if levels == 1 else None
-    else:
-        ladder = [int(v) for v in levels]
-        if not ladder or ladder[-1] != 0:
-            raise ParameterError("an explicit level ladder must end at 0")
-        if any(nxt >= prev for prev, nxt in zip(ladder, ladder[1:])):
-            raise ParameterError("levels must be strictly decreasing")
-        if ladder[0] >= params.a:
-            raise ParameterError("levels must start below the initial margin a")
-    if ladder == [0]:
-        return ladder, None
+def _split_ladder(params: ModelParams, tau: int, levels: int) -> tuple:
+    """(ladder, log_q) for levels >= 2: log Q(t) for t = 0..tau, and the
+    margin ladder spaced evenly from the floor of the lowest mean margin
+    down to 0.  A table of more than ACTIVATION_NODE_CAP entries is
+    refused before allocation."""
     if tau >= ACTIVATION_NODE_CAP:
         raise MemoryGuardError(
             f"splitting refuses a log Q table of {tau + 1} entries above the "
             f"cap {ACTIVATION_NODE_CAP}; levels=1 runs plain Monte Carlo")
     log_q = _fill_log_q(np.empty(tau + 1), 0, params.p, params.r)
-    if ladder is None:
-        # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
-        n, a = params.n, params.a
-        top = math.floor(np.min(
-            a - (n - a) * np.expm1(log_q) - np.arange(log_q.size)))
-        # linspace ends exactly at 0, so every ladder ends at level 0
-        raw = np.linspace(max(top, 0), 0, levels + 1)[1:]
-        ladder = sorted({int(round(v)) for v in raw}, reverse=True)
-        if ladder == [0]:
-            raise DegenerateLevels(
-                f"the {levels}-level ladder collapses to [0]: the lowest mean "
-                f"margin over t <= tau is {top}; levels=1 runs plain Monte "
-                f"Carlo")
+    # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
+    n, a = params.n, params.a
+    top = math.floor(np.min(
+        a - (n - a) * np.expm1(log_q) - np.arange(log_q.size)))
+    # linspace ends exactly at 0, so every ladder ends at level 0
+    raw = np.linspace(max(top, 0), 0, levels + 1)[1:]
+    ladder = sorted({int(round(v)) for v in raw}, reverse=True)
+    if ladder == [0]:
+        raise DegenerateLevels(
+            f"the {levels}-level ladder collapses to [0]: the lowest mean "
+            f"margin over t <= tau is {top}; levels=1 runs plain Monte Carlo")
     return ladder, log_q
 
 
@@ -197,13 +182,12 @@ def _split_groups(params: ModelParams, log_q: np.ndarray, ladder: list,
     return log_p.tolist()
 
 
-def estimate_tail_splitting(params: ModelParams, tau: int, levels,
+def estimate_tail_splitting(params: ModelParams, tau: int, levels: int,
                             per_level_replicates: int, rng) -> TailEstimate:
     """Fixed-effort multilevel splitting estimate of P(T <= tau).
 
-    `levels` is either an explicit decreasing ladder of margin levels
-    ending at 0, or an integer count; in the latter case the ladder is
-    spaced evenly from the floor of the lowest mean margin,
+    The ladder of `levels` (an integer >= 1) margin levels is spaced
+    evenly from the floor of the lowest mean margin,
     min over t <= tau of a + (n - a)(1 - Q(t)) - t, down to 0, which
     costs no draws.  Each level multiplies the fraction of chains whose
     running minimum margin reaches it; the chains leap from level to
@@ -215,29 +199,30 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
     resampling among its own crossers; the budget moves the realised
     draws, not the law.  Each group runs per_level_replicates // 4
     chains, and the estimate reports the chains a level ran (2000 of
-    2003 asked).  A one-level ladder falls back to plain Monte Carlo on
-    the full budget, which answers an empty event (tau < a) with 0 and a
-    sure one (tau = n) with 1, interval included, without drawing.  An
-    integer count above one whose ladder collapses to [0], because the
-    lowest mean margin is too low to space levels above 0, raises
-    DegenerateLevels instead.  Any other ladder needs the log Q table
-    over 0..tau, refused (MemoryGuardError) above ACTIVATION_NODE_CAP
-    entries before it is allocated.
+    2003 asked).  One level, an empty event (tau < a), a sure
+    one (tau = n) or a sure A* runs plain Monte Carlo on the full budget
+    instead, which answers the empty and sure events with 0 and 1,
+    interval included, without drawing.  A count above one whose ladder
+    collapses to [0], because the lowest mean margin is too low to space
+    levels above 0, raises DegenerateLevels.  Any other ladder needs the
+    log Q table over 0..tau, refused (MemoryGuardError) above
+    ACTIVATION_NODE_CAP entries before it is allocated.
     """
     if tau > params.n:
         raise ParameterError("tau must not exceed n")
-    if per_level_replicates < 2 * _SPLIT_GROUPS:
-        raise ParameterError(
-            f"need at least {2 * _SPLIT_GROUPS} replicates per level")
-    _check_replicates(per_level_replicates)
+    if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool) \
+            or levels < 1:
+        raise ParameterError(f"levels must be an integer >= 1, got {levels!r}")
     gen = _as_generator(rng)
     reps = per_level_replicates
-    # an empty (tau < a) or sure (tau = n) event, or a sure A*: no ladder
-    if not params.a <= tau < params.n or _sure_final_size(params) is not None:
+    if levels == 1 or not params.a <= tau < params.n \
+            or _sure_final_size(params) is not None:
         return _naive_tail(params, tau, reps, gen)
+    _check_replicates(reps)
+    if reps < 2 * _SPLIT_GROUPS:
+        raise ParameterError(
+            f"need at least {2 * _SPLIT_GROUPS} replicates per level")
     ladder, log_q = _split_ladder(params, tau, levels)
-    if log_q is None:
-        return _naive_tail(params, tau, reps, gen)
 
     group_reps = reps // _SPLIT_GROUPS
     # a chain holds about 16 numbers at a leap's peak, so up to 16384
@@ -262,8 +247,7 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels,
 
 def default_stop_horizon(alpha: float, r: int) -> float:
     """Multiple K of a_c bounding the early-stop window {T <= K a_c},
-    adapted from the constant the dominance argument needs; exposed so
-    studies can override it."""
+    adapted from the constant the dominance argument needs."""
     x0, _ = minimize_rate(alpha, r)
     return max(alpha + r / (r - 1.0) * x0, 2.0) + 1.0
 
@@ -271,23 +255,19 @@ def default_stop_horizon(alpha: float, r: int) -> float:
 def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
                            eps: float, ladder, method: str = "exact_dp",
                            replicates: int = 10_000, rng: RngSpec = RngSpec(0),
-                           horizon_k: float | None = None,
                            levels: int = 4, cap: int = PMF_NODE_CAP):
     """One ConvergenceRow per ladder n, normalizing log P by the speed.
 
     For table cells whose rate is the pure early-stop exponent J(x0) the
-    probed event is {T <= floor(K a_c)} (the dominant event), which the
-    truncated DP prices at any n; other cells use the full event
-    {T <= floor(n - eps f(n))}.  `levels` is the splitting ladder of
-    estimate_tail_splitting, and `cap` the chain-state cap that
-    exact_stop_cdf applies under method exact_dp.
+    probed event is {T <= floor(K a_c)} (the dominant event) with
+    K = default_stop_horizon(alpha, r), which the truncated DP prices at
+    any n; other cells use the full event {T <= floor(n - eps f(n))}.
+    Method exact_dp prices it with exact_stop_cdf under the chain-state
+    cap `cap`, method splitting with estimate_tail_splitting on `levels`
+    levels (levels=1 is plain Monte Carlo).
     """
-    if method not in ("exact_dp", "naive", "splitting"):
-        raise ParameterError("method must be exact_dp, naive or splitting")
-    if horizon_k is not None and not (math.isfinite(horizon_k)
-                                      and horizon_k > 0):
-        raise ParameterError(
-            f"horizon_k must be finite and > 0, got {horizon_k!r}")
+    if method not in ("exact_dp", "splitting"):
+        raise ParameterError("method must be exact_dp or splitting")
     ladder = list(ladder)
     if not ladder:
         raise ParameterError("ladder must hold at least one n")
@@ -297,8 +277,7 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
         te = tail_exponent(spec, n, family, eps, regime)
         params = spec.params_at(n)
         if te.table_row in _EARLY_STOP_CELLS:
-            k_const = horizon_k if horizon_k is not None \
-                else default_stop_horizon(spec.alpha, spec.r)
+            k_const = default_stop_horizon(spec.alpha, spec.r)
             threshold = int(math.floor(k_const * spec.crit_at(n).a_c))
         else:
             threshold = event_threshold(params, family, eps)
@@ -308,12 +287,9 @@ def rate_convergence_study(spec: SequenceSpec, family: ScalingFamily,
             prob = exact_stop_cdf(params, threshold, cap=cap)
             p_hat, log_p = float(prob), prob.ln()
         else:
-            sub_rng = RngSpec(rng.seed, rng.stream + i)
-            if method == "naive":
-                est = _naive_tail(params, threshold, replicates, sub_rng)
-            else:
-                est = estimate_tail_splitting(
-                    params, threshold, levels, replicates, sub_rng)
+            est = estimate_tail_splitting(
+                params, threshold, levels, replicates,
+                RngSpec(rng.seed, rng.stream + i))
             p_hat, log_p = est.p_hat, est.log_p_hat
         rows.append(ConvergenceRow(
             n=int(n), v_n=te.speed_at_n, p_hat=p_hat, log_p=log_p,

@@ -21,8 +21,9 @@
   where a few blocks are, O(n - a) at worst, at any r;
 * leap: the count chain S(t) jumps over every stretch where it cannot
   stop, so a replicate costs a few dozen binomial draws at any n; the
-  naive, rate-study and Poisson-limit estimators in montecarlo use it,
-  and the splitting stages run its kernel down to each margin level.
+  naive, one-level splitting and Poisson-limit estimators in montecarlo
+  use it, and the splitting stages run its kernel down to each margin
+  level.
   The kernel reads log Q(t) = log P(Bin(t, p) <= r - 1) through a lookup
   its caller supplies: the splitting estimator gathers from one table
   over 0..tau, and the sampler (tau = n) from one table over 0..n when
@@ -356,25 +357,19 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
 # mark-chain sampler
 
 def _leap_chances(margin: np.ndarray, p: float, r: int):
-    """(act, up) for mark-chain leaps of `margin` steps, G ~ Bin(M, p):
-    act[d] = P(G > d) for d = 0..r-1 and up[d - 1] = P(G = d | G <= d)
-    for d = 1..r-1.  F(d) = 0 leaves nobody to split; fmin maps the NaN
-    of -inf - -inf to a zero chance.  For 0 < p < 1 the head terms are
+    """(act, up) for mark-chain leaps of `margin` steps, G ~ Bin(M, p),
+    0 < p < 1: act[d] = P(G > d) for d = 0..r-1 and
+    up[d - 1] = P(G = d | G <= d) for d = 1..r-1.  The head terms are
     built once and log F(d) sums the first d of them, as log_cdf_head
-    would."""
+    would; every log F(d) is finite, so no chance is NaN."""
     log_f = np.empty((r,) + np.shape(margin))
-    if 0.0 < p < 1.0:
-        m = np.asarray(margin, dtype=np.float64)
-        base, c = m * math.log1p(-p), _log_head_terms(m, p, r - 1)
-        for d in range(r):
-            log_f[d] = base + _log1p_sum_exp(c[..., :d])
-    else:
-        for d in range(r):
-            log_f[d] = log_cdf_head(margin, p, d)
-    with np.errstate(invalid="ignore"):
-        up = np.subtract(log_f[:-1], log_f[1:])
-    for x in (log_f, up):  # in place: -expm1(min(x, 0)), NaN to 0
-        np.fmin(x, 0.0, out=x)
+    m = np.asarray(margin, dtype=np.float64)
+    base, c = m * math.log1p(-p), _log_head_terms(m, p, r - 1)
+    for d in range(r):
+        log_f[d] = base + _log1p_sum_exp(c[..., :d])
+    up = log_f[:-1] - log_f[1:]
+    for x in (log_f, up):  # in place: -expm1(min(x, 0))
+        np.minimum(x, 0.0, out=x)
         np.expm1(x, out=x)
         np.negative(x, out=x)
     return log_f, up

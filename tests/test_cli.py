@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bootperc
+from bootperc import cli
 from bootperc.cli import build_parser, main
 
 SPEC_07 = {"rule": "power", "constants": {"beta": 0.7}, "r": 2, "alpha": 2.0}
@@ -444,7 +445,7 @@ def test_tail_study_cap_works_like_exact_cap(tmp_path):
     assert capped.splitlines()[1:] == default.splitlines()[1:]
     # the other tail commands never read a cap, so they refuse one
     assert run(tmp_path, study + ["--ladder", "600", "--cap", "600",
-                                  "--method", "naive"])[0] == 2
+                                  "--method", "splitting"])[0] == 2
     assert run(tmp_path, ["tail", "estimate", "--n", "200", "--p", "0.01",
                           "--r", "2", "--a", "5", "--splitting", "--tau",
                           "10", "--cap", "600"])[0] == 2
@@ -459,8 +460,7 @@ def test_tail_refuses_method_and_tau_where_unread(tmp_path, capsys):
     predict = ["tail", "predict", "--spec", spec, "--n", "1000",
                "--family", "between_acnp_n", "--eps", "0.5"]
     for argv in (naive, predict):
-        for flags in (["--method", "splitting"], ["--method", "naive"],
-                      ["--tau", "12"]):
+        for flags in (["--method", "splitting"], ["--tau", "12"]):
             assert run(tmp_path, argv + flags)[0] == 2, argv + flags
         code, text = run(tmp_path, argv + ["--method", "exact_dp"])
         assert code == 0 and json.loads(text)["result"]
@@ -473,29 +473,25 @@ def test_tail_refuses_method_and_tau_where_unread(tmp_path, capsys):
     assert run(tmp_path, study + ["--tau", "12"])[0] == 2
     assert run(tmp_path, study)[0] == 0
     # every flag a run does not read, set away from its default
-    assert run(tmp_path, predict + ["--levels", "9", "--horizon-k", "3",
-                                    "--splitting", "--replicates", "7",
-                                    "--seed", "4"])[0] == 2
+    assert run(tmp_path, predict + ["--levels", "9", "--splitting",
+                                    "--replicates", "7", "--seed", "4"])[0] \
+        == 2
     assert run(tmp_path, splitting + ["--family", "const:1", "--eps", "9"])[0] \
         == 2
     value = {"--spec": spec, "--n": "1000", "--p": "0.05", "--r": "2",
              "--a": "5", "--family": "const:1.0", "--eps": "0.5",
              "--replicates": "7", "--ladder": "1000", "--tau": "12",
-             "--levels": "9", "--horizon-k": "3", "--seed": "4",
+             "--levels": "9", "--seed": "4",
              "--stream": "1", "--format": "csv", "--cap": "600"}
     unread = {
         "predict": (predict, "--p --r --a --replicates --ladder --tau "
-                    "--levels --horizon-k --seed --stream --format --cap "
-                    "--splitting"),
-        "estimate": (naive, "--spec --ladder --tau --levels --horizon-k "
-                     "--format --cap"),
+                    "--levels --seed --stream --format --cap --splitting"),
+        "estimate": (naive, "--spec --ladder --tau --levels --format --cap"),
         "estimate --splitting": (splitting, "--spec --family --eps --ladder "
-                                 "--horizon-k --format --cap"),
+                                 "--format --cap"),
         "study --method exact_dp": (study, "--n --p --r --a --replicates "
                                     "--tau --levels --seed --stream --format "
                                     "--splitting"),
-        "study --method naive": (study + ["--method", "naive"],
-                                 "--levels --cap"),
         "study --method splitting": (study + ["--method", "splitting"],
                                      "--cap"),
     }
@@ -507,6 +503,16 @@ def test_tail_refuses_method_and_tau_where_unread(tmp_path, capsys):
             assert capsys.readouterr().err == \
                 f"error: tail {kind} does not read {flag}\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_tail_runs_name_only_tail_flags():
+    # cmd_tail reads each name with getattr, so a name without a flag
+    # would end in an AttributeError, or be ignored without a word
+    dests = vars(build_parser().parse_args(["tail", "predict"])).keys() \
+        - {"config", "command", "func"}
+    for kind, names in cli._TAIL_RUNS.items():
+        for name in " ".join(names).split():
+            assert name in dests, (kind, name)
 
 
 def test_tail_names_the_flags_a_run_needs(tmp_path, capsys):
@@ -549,6 +555,10 @@ def test_config_file_supplies_defaults(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert float(doc["result"]["t_c"]) == pytest.approx(100.0, rel=1e-9)
+    # the --config=PATH form reads the same file
+    joined = tmp_path / "joined.json"
+    assert main(["critical", f"--config={cfg}", "--out", str(joined)]) == 0
+    assert joined.read_bytes() == out.read_bytes()
     # explicit flags win over config values
     code = main(["critical", "--config", str(cfg), "--p", "0.01",
                  "--out", str(out)])
@@ -566,6 +576,9 @@ def test_config_file_edge_cases(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 10000, "p": 0.001, "r": 2}))
     assert main(["--config", str(cfg)]) == 2
     assert "subcommand" in capsys.readouterr().err
+    # an empty path after --config=
+    assert main(["critical", "--config=", "--out", str(out)]) == 2
+    assert "needs a path" in capsys.readouterr().err
     # a true boolean becomes the bare flag, a false one is left out; the
     # file may follow `tail MODE`
     model = {"n": 200, "p": 0.05, "r": 2, "a": 5, "replicates": 80}
@@ -659,11 +672,14 @@ def test_exit_code_validation_errors(tmp_path):
     for alpha in ["inf", "nan", "1e200"]:
         assert main(["rate", "--alpha", alpha, "--r", "2", "--out", out]) == 2
     assert main(["rate", "--alpha", "1e200", "--r", "3", "--out", out]) == 2
-    # a ladder entry that is no finite integer
-    for ladder in ["1e400", "inf", "nan"]:
+    # a ladder entry that is no finite integer; 1e3 is one
+    for ladder in ["1e400", "inf", "nan", "1000.7", "1000,2000.5"]:
         assert main(["tail", "study", "--spec", spec, "--family",
                      "between_acnp_n", "--eps", "0.5", "--ladder", ladder,
                      "--out", out]) == 2
+    assert main(["tail", "study", "--spec", spec, "--family",
+                 "between_acnp_n", "--eps", "0.5", "--ladder", "1e3",
+                 "--out", out]) == 0
     # an empty ladder
     assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
                  "--eps", "0.5", "--ladder", ",", "--method", "exact_dp",
@@ -701,27 +717,6 @@ def test_non_finite_family_constant_is_refused(family, mode, tmp_path,
     out = tmp_path / "x.json"
     assert main(argv + ["--family", family, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("horizon_k", ["nan", "inf"])
-def test_non_finite_horizon_k_is_refused(horizon_k, tmp_path, capsys):
-    spec = write_spec(tmp_path, SPEC_07)
-    assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
-                 "--eps", "0.5", "--ladder", "1000", "--horizon-k", horizon_k,
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    assert "horizon_k must be finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("horizon_k", ["0", "-1"])
-def test_non_positive_horizon_k_is_refused(horizon_k, tmp_path, capsys):
-    # K <= 0 would probe the empty event {T <= floor(K a_c) < a}
-    spec = write_spec(tmp_path, SPEC_07)
-    out = tmp_path / "x.csv"
-    assert main(["tail", "study", "--spec", spec, "--family", "between_acnp_n",
-                 "--eps", "0.5", "--ladder", "1000", "--horizon-k", horizon_k,
-                 "--out", str(out)]) == 2
-    assert "horizon_k must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -362,6 +362,11 @@ def test_sequence_spec_validation():
             {"rule": "table", "constants": {"points": [[100, "0.1"]]}},
             {"constants": {"beta": 0.7, "a_points": [100, 7]}},
             {"constants": {"beta": 0.7, "a_points": [[100, 7.9]]}},
+            {"rule": "table", "constants": {"points": [[100.7, 0.1]],
+                                            "a_points": [[100, 7]]}},
+            {"rule": "table", "constants": {"points": [[100, 0.1]],
+                                            "a_points": [[100.2, 7]]}},
+            {"constants": {"beta": 0.7, "a_points": [[100.9, 7]]}},
             {"constants": {"beta": 10 ** 400}}, {"alpha": 10 ** 400},
             {"rule": ["power"]}]:
         kwargs = {"rule": "power", "constants": {"beta": 0.7}, "r": 2,

@@ -189,22 +189,24 @@ def test_splitting_and_naive_cis_overlap():
 
 
 def test_splitting_degenerate_level_raises():
-    # p close to 1 inflates the margin immediately; level 1 is unreachable
+    # p close to 1 inflates the margin immediately; the ladder is
+    # [7, 4, 2, 0] and level 7 is never reached
     params = ModelParams(n=50, p=0.9, r=2, a=10)
     with pytest.raises(DegenerateLevels):
-        estimate_tail_splitting(params, 40, [1, 0], 16, RngSpec(4, 0))
+        estimate_tail_splitting(params, 40, 4, 16, RngSpec(4, 0))
 
 
 def test_splitting_explicit_ladder_validation():
+    # an explicit ladder, like any count but an integer >= 1, is refused
     params = ModelParams(n=50, p=0.1, r=2, a=10)
+    for levels in ([2, 0], 2.0, True, 0):
+        with pytest.raises(ParameterError):
+            estimate_tail_splitting(params, 40, levels, 64, RngSpec(0, 0))
     with pytest.raises(ParameterError):
-        estimate_tail_splitting(params, 40, [3, 1], 64, RngSpec(0, 0))
-    with pytest.raises(ParameterError):
-        estimate_tail_splitting(params, 40, [1, 3, 0], 64, RngSpec(0, 0))
-    with pytest.raises(ParameterError):
-        estimate_tail_splitting(params, 40, [10, 0], 64, RngSpec(0, 0))
-    with pytest.raises(ParameterError):
-        estimate_tail_splitting(params, 40, [2, 0], 4, RngSpec(0, 0))
+        estimate_tail_splitting(params, 40, 2, 4, RngSpec(0, 0))
+    # one level is plain Monte Carlo, which takes fewer than 8 replicates
+    est = estimate_tail_splitting(params, 40, np.int64(1), 5, RngSpec(0, 0))
+    assert est.replicates == 5
 
 
 def test_splitting_deterministic():
@@ -214,7 +216,7 @@ def test_splitting_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("levels", [1, [0]])
+@pytest.mark.parametrize("levels", [1])
 def test_splitting_plain_monte_carlo_builds_no_log_q_table(levels):
     # a log Q table over 0..tau would take about 62 MB here
     params, tau = SPEC_07.params_at(2 * 10 ** 6), 10 ** 6
@@ -243,7 +245,7 @@ def test_splitting_fills_its_log_q_table_in_chunks():
     assert peak < 30_000_000
 
 
-@pytest.mark.parametrize("levels", [4, [1, 0]])
+@pytest.mark.parametrize("levels", [4])
 def test_splitting_refuses_a_log_q_table_above_the_cap(levels):
     # ACTIVATION_NODE_CAP + 1 entries and more, refused before allocation
     params = SPEC_07.params_at(2 * 10 ** 7)
@@ -273,9 +275,6 @@ PINNED_SPLITTING = [
     ("crit9", 4, RngSpec(1234, 2),
      (0.05520605916, 0.04248809322836209, 0.07045233528100973,
       -2.896682564331782)),
-    ("crit9", [9, 6, 3, 0], RngSpec(1234, 0),
-     (0.058274636776000005, 0.0371206145340784, 0.0868470079767381,
-      -2.8425883270098136)),
     ("spec07_full_event", 4, RngSpec(1234, 0),
      (0.000444920912, 0.000265026746600063, 0.0006945344984070017,
       -7.71761401743584)),
@@ -324,8 +323,8 @@ def test_study_naive_agrees_with_dp_at_small_n():
     dp_row, = rate_convergence_study(spec, ACNP_N, 0.5, [1000],
                                      method="exact_dp")
     mc_row, = rate_convergence_study(spec, ACNP_N, 0.5, [1000],
-                                     method="naive", replicates=40_000,
-                                     rng=RngSpec(9, 0))
+                                     method="splitting", levels=1,
+                                     replicates=40_000, rng=RngSpec(9, 0))
     assert mc_row.p_hat == pytest.approx(dp_row.p_hat, rel=0.15)
 
 

@@ -82,7 +82,7 @@ def test_markchain_hand_enumeration():
     assert frac == pytest.approx(0.25, abs=0.01)
 
 
-@pytest.mark.parametrize("p", [0.0, 5e-324, 0.003, 0.4, 1.0])
+@pytest.mark.parametrize("p", [5e-324, 0.003, 0.4])
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_markchain_leap_chances_gather_equals_direct_evaluation(p, r):
     # the sampler gathers them from a table over 0..n when n + 1 is at
