@@ -256,8 +256,10 @@ def _add_common(sub, *, seed=False, fmt=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: --conf would reach the --config below, which
+    # nothing reads (_inject_config reads the file)
     parser = argparse.ArgumentParser(
-        prog="bootperc",
+        prog="bootperc", allow_abbrev=False,
         description="bootstrap percolation on G(n,p): exact law, samplers, "
                     "and tail-exponent predictions")
     parser.add_argument("--config", help="JSON file of flag defaults")

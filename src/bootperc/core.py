@@ -132,11 +132,23 @@ class CriticalQuantities:
     log_b_c_prime: float
 
 
+def _log_t_c(n, p: float, r: int) -> float:
+    """ln t_c = (ln (r - 1)! - ln n - r ln p) / (r - 1), finite at any
+    0 < p <= 1 however large t_c is."""
+    return (math.lgamma(r) - math.log(n) - r * math.log(p)) / (r - 1)
+
+
 def _crit_from(n, p: float, r: int) -> CriticalQuantities:
     if p <= 0.0:
         raise ParameterError("critical quantities require p > 0")
-    log_t_c = (math.lgamma(r) - math.log(n) - r * math.log(p)) / (r - 1)
-    t_c = math.exp(log_t_c)
+    log_t_c = _log_t_c(n, p, r)
+    try:
+        t_c = math.exp(log_t_c)
+    except OverflowError:
+        raise ParameterError(
+            f"t_c = e^{log_t_c:.6g} overflows a float at p = {p!r} "
+            f"(n = {n}, r = {r}); the largest t_c a float holds is about "
+            f"e^{math.log(sys.float_info.max):.6g}") from None
     np_ = n * p
     log_b_c = math.log(n) + (r - 1) * math.log(np_) - math.lgamma(r) - np_
     log_b_c_prime = (math.log(n) + (r - 1) * math.log(np_) - math.lgamma(r)

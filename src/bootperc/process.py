@@ -5,7 +5,10 @@
   the 2^C(n, 2) graphs are few (n <= 6), reads each one's final size off
   one enumeration of them all by that engine (_graph_closures, which
   ``oracle.brute_force_pmf`` sums by edge count), from the same draws;
-  low_degree_counts reads degrees straight off the sampled slots;
+  low_degree_counts draws D_n, the nodes of degree < r, by deferred
+  decisions: it reveals the edges of a band of about 2 a_c nodes, leaps
+  over the nodes that band saturates with r neighbours as the mark chain
+  leaps, and then draws only the graph of the few nodes left;
 * mark chain: one active node is used per time step and sends Bernoulli(p)
   marks to the inactive nodes; a node activates at its r-th mark.  It
   keeps the inactive nodes counted by marks held and leaps over each
@@ -39,15 +42,16 @@ are expanded) and Q(t) falls as p grows, so its sizes at p1 < p2 from one
 RngSpec are ordered elementwise.  The graph, mark-chain and leap
 samplers draw p-dependent variables, so theirs are not.
 
-The graph, mark-chain, activation-time and leap samplers run replicates in
-batches of about _BATCH_ELEMENTS elements per array, so each holds a few
-MB beyond its output at any replicate count; the budget moves the
-realised draws, not the law.  Every log Q table over a run of times (the
-activation sampler's, the splitting estimator's) is filled by _fill_log_q
-in such chunks, so it costs a few MB beyond itself at any length.  The
-splitting estimator in montecarlo runs its four groups of chains through
-_leap_to_level in as few such batches as fit (one up to 16384 replicates
-per level), which likewise moves its realised draws, not its law.
+The graph, mark-chain, activation-time and leap samplers and
+low_degree_counts run replicates in batches of about _BATCH_ELEMENTS
+elements per array, so each holds a few MB beyond its output at any
+replicate count; the budget moves the realised draws, not the law.
+Every log Q table over a run of times (the activation sampler's, the
+splitting estimator's) is filled by _fill_log_q in such chunks, so it
+costs a few MB beyond itself at any length.  The splitting estimator in
+montecarlo runs its four groups of chains through _leap_to_level in as
+few such batches as fit (one up to 16384 replicates per level), which
+likewise moves its realised draws, not its law.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from ._binom import _log1p_sum_exp, _log_head_terms, log_cdf_head
-from .core import ModelParams, _sure_final_size
+from .core import ModelParams, _log_t_c, _sure_final_size
 from .errors import MemoryGuardError, ParameterError
 
 __all__ = [
@@ -69,7 +73,8 @@ __all__ = [
     "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP", "REPLICATE_CAP",
 ]
 
-#: the graph sampler refuses instances above this node count
+#: the graph sampler and low_degree_counts refuse instances above this
+#: node count
 GRAPH_NODE_CAP = 100_000
 #: the activation-time sampler refuses rows of more non-seed nodes; one
 #: replicate at the cap peaks near 98 MB (the 80 MB Q table and a few
@@ -375,6 +380,43 @@ def _leap_chances(margin: np.ndarray, p: float, r: int):
     return log_f, up
 
 
+def _leap_chance_table(n: int, p: float, r: int, replicates: int):
+    """_leap_chances over every margin 0..n when n + 1 is at most the
+    replicate count and the batch budget over 2r (the table's 2r - 1
+    rows), else None."""
+    if n + 1 <= min(replicates, _BATCH_ELEMENTS // (2 * r)):
+        return _leap_chances(np.arange(n + 1), p, r)
+    return None
+
+
+def _mark_leap(counts: np.ndarray, margin: np.ndarray, p: float, table,
+               gen: np.random.Generator) -> np.ndarray:
+    """One leap of `margin` steps per column of `counts` (row j: the
+    nodes holding j < r marks), in place: each node gains G ~ Bin(M, p)
+    marks.  Per level j the nodes reaching r marks are
+    Bin(c_j, 1 - F(r-1-j)), F(d) = P(G <= d), and the rest are split
+    from the top down, Bin with chance 1 - F(d-1)/F(d) of having gained
+    exactly d.  The chances are gathered from `table`
+    (_leap_chance_table) or evaluated at the margins; _leap_chances is
+    elementwise, so both give the same draws.  Returns the nodes that
+    reached r marks, per column."""
+    r = counts.shape[0]
+    act, up = ((x.take(margin, axis=1) for x in table) if table
+               else _leap_chances(margin, p, r))
+    gained = 0
+    # top level first: nodes move up onto levels already drawn
+    for j in range(r - 1, -1, -1):
+        rest = counts[j]
+        hit = gen.binomial(rest, act[r - 1 - j])
+        gained = gained + hit
+        rest -= hit
+        for d in range(r - 1 - j, 0, -1):
+            moved = gen.binomial(rest, up[d - 1])
+            rest -= moved
+            counts[j + d] += moved
+    return gained
+
+
 def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the used-node reformulation, leaping over
     each stretch where it cannot stop.
@@ -382,16 +424,11 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     From (t, A, counts) with margin M = A - t > 0 the chain runs M more
     steps before it can stop, so the M steps are one draw: an inactive
     node holding j marks gains G ~ Bin(M, p) and activates iff
-    j + G >= r.  Per level j the activations are Bin(c_j, 1 - F(r-1-j)),
-    F(d) = P(G <= d), and the rest are split from the top down, Bin with
-    chance 1 - F(d-1)/F(d) of having gained exactly d.  After the leap
-    t = A and the margin is the number activated, so a leap that
-    activates nobody stops the replicate at A* = A.  Exact in law.  A
-    leap's chances depend on its margin M <= n alone: they are gathered
-    from one table over 0..n when n + 1 is at most the replicate count
-    and the batch budget over 2r (the table's 2r - 1 rows), and evaluated
-    at the margins otherwise; _leap_chances is elementwise, so both give
-    the same draws.
+    j + G >= r (_mark_leap).  After the leap t = A and the margin is the
+    number activated, so a leap that activates nobody stops the replicate
+    at A* = A.  Exact in law.  A leap's chances depend on its margin
+    M <= n alone, so they may come from one table over 0..n
+    (_leap_chance_table).
     """
     _check_replicates(replicates)
     sure = _sure_final_size(params)
@@ -399,8 +436,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
         return np.full(replicates, sure, dtype=np.int64)
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
-    table = (_leap_chances(np.arange(n + 1), p, r)
-             if n + 1 <= min(replicates, _BATCH_ELEMENTS // (2 * r)) else None)
+    table = _leap_chance_table(n, p, r, replicates)
     out = np.empty(replicates, dtype=np.int64)
     # batched by a leap's working set, not the chain's r + 2 counts: at its
     # peak a leap holds the counts before and after compaction, log F and
@@ -413,19 +449,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
         counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
         counts[0] = n - a
         while idx.size:
-            act, up = ((x.take(margin, axis=1) for x in table) if table
-                       else _leap_chances(margin, p, r))
-            gained = 0
-            # top level first: nodes move up onto levels already drawn
-            for j in range(r - 1, -1, -1):
-                rest = counts[j]
-                hit = gen.binomial(rest, act[r - 1 - j])
-                gained = gained + hit
-                rest -= hit
-                for d in range(r - 1 - j, 0, -1):
-                    moved = gen.binomial(rest, up[d - 1])
-                    rest -= moved
-                    counts[j + d] += moved
+            gained = _mark_leap(counts, margin, p, table, gen)
             active += gained
             done = gained == 0
             res[idx[done]] = active[done]
@@ -470,46 +494,56 @@ def _sample_edge_slots(total_slots: int, p: float,
     return positions[0] if len(positions) == 1 else np.concatenate(positions)
 
 
-def _slot_pairs(slots: np.ndarray, n: int):
-    """Edge ends (u, v) of slot indices: slot k * C(n, 2) + s is the s-th
-    pair i < j (row-major) of replicate k, whose node i is k * n + i.
+def _slot_pairs(slots: np.ndarray, nodes, rows=None):
+    """Edge ends (u, v) of ascending slot indices in a disjoint union of
+    graphs: graph g has nodes[g] nodes, numbered on from those of the
+    graphs before it, and slots for its pairs i < j with i < rows[g]
+    (every pair when rows is None), row-major, after the slots of the
+    graphs before it.  A scalar `nodes` (and `rows`) is one graph
+    repeated: slot k * pairs + s is the s-th pair of graph k, whose
+    node i is k * nodes + i.
 
-    Row i starts at offsets[i] = i (2n - i - 1) / 2, whose inverse is
-    u = floor(((2n - 1) - sqrt((2n - 1)^2 - 8s)) / 2).  In floats that
+    A graph of m nodes is the last m nodes of one triangle of M >= m
+    nodes, so its slots are a run of the triangle's from offset
+    C(M, 2) - C(m, 2).  Row i of that triangle starts at offset
+    i (2M - i - 1) / 2, whose inverse is
+    u = floor(((2M - 1) - sqrt((2M - 1)^2 - 8s)) / 2).  In floats that
     root is off by far less than one, so one integer correction each way
-    against the offsets gives the row exactly (offsets[n] = C(n, 2))."""
-    pairs = n * (n - 1) // 2
-    rep = slots // pairs
-    v = slots - rep * pairs
-    i = np.arange(n + 1, dtype=np.int64)
-    offsets = i * (2 * n - i - 1) // 2
-    w = 2 * n - 1
+    against the offsets gives the row exactly."""
+    if np.ndim(nodes) == 0:  # M = m: each slot's offset is its own
+        top = nodes
+        span = nodes if rows is None else rows  # the triangle's rows used
+        pairs = span * (2 * nodes - span - 1) // 2
+        first = slots // pairs  # each slot's graph, then its node 0
+        v = slots - first * pairs
+        first *= nodes
+    else:  # each graph's slots are one run: shift them onto the triangle
+        nodes = np.asarray(nodes, dtype=np.int64)
+        rows = nodes if rows is None else np.asarray(rows, dtype=np.int64)
+        top = span = int(nodes.max(initial=0))
+        pairs = rows * (2 * nodes - rows - 1) // 2
+        ends = np.cumsum(pairs)
+        graph = np.repeat(np.arange(nodes.size),
+                          np.diff(np.searchsorted(slots, ends), prepend=0))
+        skip = top - nodes  # the triangle's rows before graph g's
+        v = slots + (skip * (2 * top - skip - 1) // 2 - ends + pairs).take(graph)
+        first = (np.cumsum(nodes) - nodes - skip).take(graph)
+        del graph
+    i = np.arange(span + 1, dtype=np.int64)
+    offsets = i * (2 * top - i - 1) // 2
+    w = 2 * top - 1
     root = v * -8.0
     root += w * w  # exact below 2^53
     np.subtract(w, np.sqrt(root, out=root), out=root)
     root *= 0.5
-    u = np.floor(root, out=root).astype(np.int64)
+    u = root.astype(np.int64)  # the floor, as root >= 0
     del root
     u += offsets[1:].take(u) <= v
     u -= offsets.take(u) > v
     v -= (offsets - i - 1).take(u)
-    rep *= n
-    u += rep
-    v += rep
+    u += first
+    v += first
     return u, v
-
-
-def _slot_degrees(slots: np.ndarray, reps: int, n: int) -> np.ndarray:
-    """Node degrees of `reps` disjoint graphs from their ascending slots,
-    no pair decoded: node g = k n + i is the lower end of its row's slots
-    s >= start = k C(n, 2) + offsets[i], and s - start + g + 1 the upper."""
-    i = np.arange(n, dtype=np.int64)
-    starts = (np.arange(reps)[:, None] * (n * (n - 1) // 2)
-              + i * (2 * n - i - 1) // 2).ravel()
-    lower = np.diff(np.searchsorted(slots, starts), append=slots.size)
-    starts -= np.arange(1, reps * n + 1)
-    return lower + np.bincount(slots - np.repeat(starts, lower),
-                               minlength=reps * n)
 
 
 def _slot_ids(slots: np.ndarray, reps: int, pairs: int) -> np.ndarray:
@@ -523,6 +557,12 @@ def _slot_ids(slots: np.ndarray, reps: int, pairs: int) -> np.ndarray:
     return (occupied.reshape(reps, pairs) @ powers).astype(np.int64)
 
 
+def _check_graph_cap(n: int, what: str, hint: str = "") -> None:
+    if n > GRAPH_NODE_CAP:
+        raise MemoryGuardError(
+            f"{what} refuses n = {n} above the cap {GRAPH_NODE_CAP}{hint}")
+
+
 def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
     """Per chunk of `size` replicates, keep the `size` values
     reduce(draw, size), where draw() returns the ascending slots of `size`
@@ -530,10 +570,8 @@ def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
     reduce can drop them once decoded); returns all of them in order."""
     _check_replicates(replicates)
     n, p = params.n, params.p
-    if n > GRAPH_NODE_CAP:
-        raise MemoryGuardError(
-            f"graph sampler refuses n = {n} above the cap {GRAPH_NODE_CAP}; "
-            "use the leap, mark-chain or activation-time sampler instead")
+    _check_graph_cap(n, "graph sampler", "; use the leap, mark-chain or "
+                     "activation-time sampler instead")
     gen = _as_generator(rng)
     pairs = n * (n - 1) // 2
     out = np.empty(replicates, dtype=np.int64)
@@ -591,12 +629,132 @@ def _graph_closures(n: int, r: int, a: int):
         yield bits.sum(axis=1), _vector_cascade_sizes(u, v, ids.size, n, r, a)
 
 
+def _band_levels(n: int, s: int, r: int, size: int, p: float,
+                 gen: np.random.Generator):
+    """Reveal every pair with an end among nodes 0..s-1 of `size` graphs
+    G(n, p).  Returns each graph's band nodes of degree < r, and its
+    other nodes counted by band neighbours capped at r: row j of the
+    (r + 1, size) counts holds those with j.  The levels are read off
+    the sorted outer ends of the band edges, so a graph costs about its
+    band edges, however many nodes lie outside the band."""
+    band = s * (2 * n - s - 1) // 2
+    slots = _sample_edge_slots(size * band, p, gen)
+    u, v = _slot_pairs(slots, n, s)
+    # graph g's edges are one run of the slots and its node i is g n + i
+    graph = np.repeat(np.arange(size), np.diff(
+        np.searchsorted(slots, np.arange(size + 1) * band)))
+    del slots
+    local = v - graph * n
+    outer = local >= s
+    # the outer ends sorted (as int32, twice as fast, where it holds them):
+    # each run is one node and its length the node's band neighbours
+    ends = v[outer]
+    if size * n < 2 ** 31:
+        ends = ends.astype(np.int32)
+    ends.sort()
+    head = np.empty(ends.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ends[1:], ends[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    marks = np.diff(first, append=ends.size)
+    np.minimum(marks, r, out=marks)
+    marks *= size
+    marks += ends.take(first) // n
+    levels = np.bincount(marks, minlength=(r + 1) * size).reshape(r + 1, size)
+    levels[0] = (n - s) - levels[1:].sum(axis=0)
+    # band node i of graph g at g s + i: the lower end of each edge and
+    # the upper end of each edge inside the band
+    u -= graph * (n - s)
+    np.logical_not(outer, out=outer)
+    degree = np.bincount(u, minlength=size * s)
+    degree += np.bincount(local[outer] + graph[outer] * s, minlength=size * s)
+    return (degree.reshape(size, s) < r).sum(axis=1), levels
+
+
+def _survivor_low_counts(levels: np.ndarray, p: float,
+                         gen: np.random.Generator) -> np.ndarray:
+    """Per column of `levels` (row j: nodes with j < r revealed
+    neighbours, no pair among them revealed), the nodes of degree < r
+    once their own G(m, p) is drawn: the level plus the degree in it.
+    Nodes are exchangeable within a level, so graph g's nodes take its
+    levels in ascending order.  The columns run in batches of about
+    _BATCH_ELEMENTS pairs drawn and nodes."""
+    r, size = levels.shape
+    nodes = levels.sum(axis=0)
+    pairs = nodes * (nodes - 1) // 2
+    cost = pairs * p + nodes
+    batch = (np.cumsum(cost) - cost) // _BATCH_ELEMENTS
+    cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), size]
+    out = np.empty(size, dtype=np.int64)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        m = nodes[a:b]
+        u, v = _slot_pairs(_sample_edge_slots(int(pairs[a:b].sum()), p, gen), m)
+        degree = np.repeat(np.tile(np.arange(r), b - a),
+                           levels[:, a:b].T.ravel())
+        degree += np.bincount(u, minlength=degree.size)
+        degree += np.bincount(v, minlength=degree.size)
+        del u, v
+        low = np.zeros(degree.size + 1, dtype=np.int64)  # low nodes before
+        np.cumsum(degree < r, out=low[1:])
+        out[a:b] = np.diff(low.take(np.cumsum(m)), prepend=0)
+    return out
+
+
 def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
-    """Batch of D_n draws (nodes of degree < r in G(n, p)) by _slot_degrees."""
-    n, r = params.n, params.r
-    return _graph_batches(
-        params, replicates, rng, lambda draw, size: (
-            _slot_degrees(draw(), size, n).reshape(size, n) < r).sum(axis=1))
+    """Batch of D_n draws (nodes of degree < r in G(n, p)) by deferred
+    decisions: a pair is drawn only when its presence is needed.
+
+    Pairs among the nodes not yet processed stay i.i.d. Bernoulli(p),
+    whatever was revealed before, so it is enough to keep each such
+    node's level, its processed neighbours capped at r.  A node at level
+    r (saturated) has degree >= r, so it is not low.
+
+    * Band: every pair with an end among nodes 0..s-1 is drawn,
+      s = min(n, max(r, ceil(2 a_c))) (_band_levels); the band nodes'
+      degrees give their share of D and the other nodes' levels follow.
+    * Leaps: while k > 0 nodes are saturated, all of them are processed
+      at once, so each unsaturated node gains Bin(k, p) marks: the mark
+      chain's leap of margin k (_mark_leap), whose newly saturated nodes
+      are the next k.  Saturation spreads as bootstrap percolation seeded
+      by the band, so few nodes are left when it stops.
+    * Finish: the graph among the nodes left is drawn, and each counts
+      as low by its level plus its degree there (_survivor_low_counts).
+
+    Band and finish draw at most the C(n, 2) pairs per replicate that the
+    whole graph holds; where a_c >= n/2 (np <= 1 at r = 2) the band is
+    the whole graph.
+    """
+    _check_replicates(replicates)
+    n, p, r = params.n, params.p, params.r
+    _check_graph_cap(n, "low_degree_counts")
+    if p in (0.0, 1.0):
+        low = n if p == 0.0 or n - 1 < r else 0
+        return np.full(replicates, low, dtype=np.int64)
+    gen = _as_generator(rng)
+    # 2 a_c = 2 (1 - 1/r) t_c from ln t_c, which is finite at any p > 0
+    log_2a_c = math.log(2.0 - 2.0 / r) + _log_t_c(n, p, r)
+    s = min(n, max(r, math.ceil(math.exp(min(log_2a_c, math.log(n))))))
+    table = _leap_chance_table(n, p, r, replicates)
+    out = np.empty(replicates, dtype=np.int64)
+    band = s * (2 * n - s - 1) // 2
+    # batched by a leap's working set, as in the mark chain; the band runs
+    # in batches of a quarter budget of edges (it holds about seven arrays
+    # of them at its peak), and the finish batches its own edges
+    for start, size in _chunks(replicates, 4 * r + 4):
+        low, levels = (np.concatenate(x, axis=-1) for x in zip(*(
+            _band_levels(n, s, r, m, p, gen)
+            for _, m in _chunks(size, 4 * band * p + s))))
+        counts, margin = levels[:r], levels[r]
+        idx = np.flatnonzero(margin)
+        live, margin = counts[:, idx], margin[idx]
+        while idx.size:
+            margin = _mark_leap(live, margin, p, table, gen)
+            done = margin == 0
+            counts[:, idx[done]] = live[:, done]
+            keep = np.flatnonzero(margin)
+            idx, live, margin = idx[keep], live[:, keep], margin[keep]
+        out[start:start + size] = low + _survivor_low_counts(counts, p, gen)
+    return out
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:

@@ -566,6 +566,23 @@ def test_config_file_supplies_defaults(tmp_path):
     assert float(doc["result"]["t_c"]) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_config_flag_is_never_abbreviated(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 10000, "p": 0.001, "r": 2}))
+    # --conf would reach the parser's own --config, which reads no file
+    with pytest.raises(SystemExit) as exc:
+        main(["--conf", str(cfg), "critical", "--n", "5", "--p", "0.1",
+              "--r", "2"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    # both spellings of the whole flag, before the subcommand, read the file
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(["--config", str(cfg), "critical", "--out", str(spaced)]) == 0
+    assert main([f"--config={cfg}", "critical", "--out", str(joined)]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+    assert json.loads(spaced.read_text())["config"]["n"] == 10000
+
+
 def test_config_file_edge_cases(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "o.json"
@@ -780,6 +797,14 @@ def test_collapsed_splitting_ladder_is_refused(tmp_path):
     # one level asks for plain Monte Carlo
     code, text = run(tmp_path, args + ["--levels", "1"])
     assert code == 0 and text.splitlines()[2].startswith("2000,")
+
+
+def test_critical_refuses_a_p_whose_t_c_overflows(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main(["critical", "--n", "10", "--p", "1e-300", "--r", "2",
+                 "--out", str(out)]) == 2
+    assert "overflows a float at p = 1e-300" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):

@@ -108,6 +108,15 @@ def test_critical_rejects_p_zero():
         critical_quantities(ModelParams(n=10, p=0.0, r=2, a=1))
 
 
+def test_critical_refuses_a_p_whose_t_c_overflows():
+    # ln t_c = -ln n - 2 ln p = 1379 at p = 1e-300, beyond ln DBL_MAX = 709.8
+    with pytest.raises(ParameterError, match=r"p = 1e-300"):
+        critical_quantities(ModelParams(n=10, p=1e-300, r=2, a=1))
+    # t_c = 1e299 still fits a float
+    crit = critical_quantities(ModelParams(n=10, p=1e-150, r=2, a=1))
+    assert crit.t_c == pytest.approx(1e299, rel=1e-12)
+
+
 def test_bc_prime_ratio_tends_to_one_in_bc_finite_regime():
     spec = SequenceSpec(rule="log_form", constants={"d": -math.log(2)},
                         r=2, alpha=2.0)

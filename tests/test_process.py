@@ -474,17 +474,18 @@ ENGINE_CASES = {
     "edge-uniforms": _edge_uniform_sizes,
 }
 
-#: sha256 of each case's int64 output, computed before the live-edge
-#: cascade, the two-gather decode and the slot degrees replaced the
-#: full-edge cascade and the pair decode in low_degree_counts
+#: sha256 of each case's int64 output: the graph-* and brute-* entries
+#: were computed before the live-edge cascade and the two-gather decode
+#: replaced the full-edge cascade, and they pin the engine bit for bit;
+#: the low-degree-* entries pin low_degree_counts's deferred-decision draws
 ENGINE_SHA256 = {
     "graph-n6": "2e9dbac18ee5f2164e7305616cc4a61cdf8cda0e7ff90ffb8deb38526eba79bd",
     "graph-n30-r4": "9454b3d6156339dd8ab7f78fe6d1a3e49e896e36827d5212751f0224c8ebbf18",
     "graph-n2000": "b9a5f54a66d2fddb5d92225832a49d2af12e7ac669f663166bc20b0242b59231",
     "graph-n300-r3": "d073b45e17baf5fcaf2db07fc7b536f58d4946cccdcb245e68b4eee67ccdaa99",
     "graph-n1-3": "8fe4a2261aa8c7f087cc311606c919e82896ab4776be17da4a97750655b20511",
-    "low-degree-n5000": "d2354ecc656bb2a3831e11cb5bd68a152e4d03d3ab573ae016acff3c9abe3a64",
-    "low-degree-n1000": "642a5ebc6eb5132966af33d7b5453adbd9d9dd3336da7b2a40c1cee542d8be7e",
+    "low-degree-n5000": "ac2313ec16b179ee6eef1b9644e726789304f939a05948bf0e8d1e1e7518b66c",
+    "low-degree-n1000": "28a0dc29e7ef76d6eff711d3dc49c2883fb4f3c9980a385a242d197ed677a73a",
     "brute-n7-r2": "39e2b48f734650fb465198800b2ee53f6be4e4a9d2c8dec7eaa0bd5edf9efdbc",
     "brute-n7-r3": "1894e6f96d938f852fbeb165c8eec6d7837db020c0a4f64a5dc025c7627626e2",
     "edge-uniforms": "4d298be784859e0583d92ee29a0bc090b2aedbc570670a2e49d486518562b32b",
@@ -497,23 +498,47 @@ def test_graph_engine_output_is_pinned_bit_for_bit(case):
     assert hashlib.sha256(out.tobytes()).hexdigest() == ENGINE_SHA256[case]
 
 
-def _row_boundary_slots(n):
-    """The slots either side of every row start of the pair triangle, in
-    replicates 0 and 5 of six."""
-    pairs = n * (n - 1) // 2
-    i = np.arange(n, dtype=np.int64)
-    offsets = i * (2 * n - i - 1) // 2
-    v = np.unique(np.concatenate([offsets - 1, offsets, offsets + 1]))
-    v = v[(v >= 0) & (v < pairs)]
-    return np.concatenate([v, v + 5 * pairs])
+def _row_boundary_cases(nodes, rows):
+    """Slots either side of every row start of each graph of a union
+    (graph g: nodes[g] nodes, pairs i < j with i < rows[g]), and the
+    (u, v) a binary search over each graph's row starts gives them."""
+    slots, want_u, want_v = [], [], []
+    slot_base = node_base = 0
+    for m, k in zip(nodes, rows):
+        i = np.arange(k + 1, dtype=np.int64)
+        offsets = i * (2 * m - i - 1) // 2  # offsets[k]: the graph's pairs
+        s = np.unique(np.concatenate([offsets - 1, offsets, offsets + 1]))
+        s = s[(s >= 0) & (s < offsets[k])]
+        row = np.searchsorted(offsets, s, side="right") - 1
+        slots.append(slot_base + s)
+        want_u.append(node_base + row)
+        want_v.append(node_base + s - offsets[row] + row + 1)
+        slot_base += int(offsets[k])
+        node_base += m
+    return [np.concatenate(x) for x in (slots, want_u, want_v)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 1000, process.GRAPH_NODE_CAP])
-def test_slot_degrees_match_the_decoded_pairs(n):
-    for slots in (_row_boundary_slots(n), np.empty(0, dtype=np.int64)):
-        u, v = process._slot_pairs(slots, n)
-        want = np.bincount(u, minlength=6 * n) + np.bincount(v, minlength=6 * n)
-        np.testing.assert_array_equal(process._slot_degrees(slots, 6, n), want)
+def test_slot_pairs_match_a_binary_search_in_bands_and_unions(n):
+    # a band (rows < nodes) of one graph repeated, as low_degree_counts
+    # reveals it: graphs 0 and 5 of six
+    band = max(1, n // 3)
+    slots, u, v = _row_boundary_cases([n] * 6, [band] * 6)
+    keep = (u < band) | (u >= 5 * n)
+    got_u, got_v = process._slot_pairs(slots[keep], n, band)
+    np.testing.assert_array_equal(got_u, u[keep])
+    np.testing.assert_array_equal(got_v, v[keep])
+    # unequal graphs in one union, whole and banded, an edgeless one among
+    # them, as the survivors' graphs and the band are drawn
+    nodes = [n, 1, n - 1 or 1, max(2, n // 2), n]
+    rows = [n, 1, max(1, (n - 1) // 2), max(2, n // 2), band]
+    slots, u, v = _row_boundary_cases(nodes, rows)
+    got_u, got_v = process._slot_pairs(slots, nodes, rows)
+    np.testing.assert_array_equal(got_u, u)
+    np.testing.assert_array_equal(got_v, v)
+    for x in (process._slot_pairs(np.empty(0, dtype=np.int64), nodes, rows),
+              process._slot_pairs(np.empty(0, dtype=np.int64), n, band)):
+        assert all(y.size == 0 for y in x)
 
 
 def _closure_sizes(u, v, reps, n, r, a):
@@ -656,6 +681,96 @@ def _poisson_rule_instance(n):
     p = (math.log(n) + math.log(math.log(n)) - math.log(2)) / n
     a_c = critical_quantities(ModelParams(n=n, p=p, r=2, a=1)).a_c
     return ModelParams(n=n, p=p, r=2, a=math.ceil(2 * a_c))
+
+
+def _low_degree_law(n, p, r):
+    """P(D = d), d = 0..n, summed over all 2^C(n, 2) graphs on n nodes,
+    D the nodes of degree < r."""
+    pairs = n * (n - 1) // 2
+    bits = (np.arange(1 << pairs)[:, None] >> np.arange(pairs)) & 1
+    ends = np.zeros((pairs, n), dtype=np.int64)  # row s: pair s's two ends
+    for end in np.triu_indices(n, k=1):
+        ends[np.arange(pairs), end] = 1
+    low = ((bits @ ends) < r).sum(axis=1)
+    edges = bits.sum(axis=1)
+    return np.bincount(low, weights=p ** edges * (1 - p) ** (pairs - edges),
+                       minlength=n + 1)
+
+
+@pytest.mark.parametrize("n, p, r", [
+    (6, 0.05, 2),  # 2 a_c >= n: the band is the whole graph
+    (6, 0.3, 2), (6, 0.5, 3), (6, 0.9, 2), (5, 0.7, 4)])
+def test_low_degree_law_matches_the_enumeration(n, p, r):
+    # TV to the exact law within half the summed 5-sigma Wilson half-widths
+    reps = 200_000
+    d = low_degree_counts(ModelParams(n=n, p=p, r=r, a=1), reps,
+                          RngSpec(35, n * r))
+    counts = np.bincount(d, minlength=n + 1)
+    tv = np.abs(counts / reps - _low_degree_law(n, p, r)).sum() / 2
+    bound = sum(hi - lo for lo, hi in (wilson_interval(int(c), reps, 5.0)
+                                       for c in counts)) / 4
+    assert tv <= bound, f"TV {tv:.5f} above {bound:.5f}"
+
+
+def _low_degree_moments(n, p, r):
+    """E D = n P1 and Var D = n P1 (1 - P1) + n (n - 1) (P2 - P1^2), with
+    P1 = F(n - 1, r - 1), P2 = (1 - p) F(n - 2, r - 1)^2
+    + p F(n - 2, r - 2)^2 and F(m, k) = P(Bin(m, p) <= k): two nodes are
+    both low given their pair's state, each over its other n - 2 pairs."""
+    def cdf(m, k):
+        return math.exp(log_binom_cdf(m, p, k))
+    p1 = cdf(n - 1, r - 1)
+    p2 = (1 - p) * cdf(n - 2, r - 1) ** 2 + p * cdf(n - 2, r - 2) ** 2
+    return n * p1, n * p1 * (1 - p1) + n * (n - 1) * (p2 - p1 ** 2)
+
+
+@pytest.mark.parametrize("n, p, r", [(30, 0.1, 2), (200, 0.02, 2),
+                                     (200, 0.04, 3)])
+def test_low_degree_variance_matches_the_closed_form(n, p, r):
+    # at n = 30 the covariance term is 2.0 of 6.8: independent degrees fail
+    reps = 100_000
+    d = low_degree_counts(ModelParams(n=n, p=p, r=r, a=1), reps,
+                          RngSpec(35, n + r)).astype(np.float64)
+    mean, var = _low_degree_moments(n, p, r)
+    sq = (d - mean) ** 2
+    assert abs(d.mean() - mean) <= 5 * math.sqrt(var / reps)
+    assert abs(sq.mean() - var) <= 5 * sq.std() / math.sqrt(reps)
+
+
+def test_low_degree_mean_at_the_criterion_4_instance():
+    # about one replicate in 8000 stalls early and leaves most nodes to the
+    # finish, so 40000 replicates test that path too
+    params = _poisson_rule_instance(5000)
+    reps = 40_000
+    d = low_degree_counts(params, reps, RngSpec(35, 5000))
+    mean, var = _low_degree_moments(params.n, params.p, params.r)
+    assert abs(d.mean() - mean) <= 5 * math.sqrt(var / reps)
+
+
+@pytest.mark.parametrize("params, share", [
+    # the band is about 2 a_c / n of the pairs, and few nodes survive it
+    (_poisson_rule_instance(5000), 0.1),
+    # np <= 1: 2 a_c >= n, so the band is the whole graph
+    (ModelParams(n=2000, p=5e-4, r=2, a=1), 1.0)])
+def test_low_degree_draws_at_most_every_pair(monkeypatch, params, share):
+    asked = []
+    sample = process._sample_edge_slots
+    monkeypatch.setattr(process, "_sample_edge_slots", lambda total, p, gen:
+                        asked.append(total) or sample(total, p, gen))
+    reps = 200
+    low_degree_counts(params, reps, RngSpec(35, 7))
+    every = reps * params.n * (params.n - 1) // 2
+    assert sum(asked) <= share * every
+    if share == 1.0:
+        assert sum(asked) == every
+
+
+def test_low_degree_counts_where_t_c_overflows_a_float():
+    # the band size reads ln t_c, so p = 1e-300 needs no t_c: every pair
+    # is drawn and none is present
+    counts = low_degree_counts(ModelParams(n=10, p=1e-300, r=2, a=1), 5,
+                               RngSpec(0, 0))
+    assert (counts == 10).all()
 
 
 #: the bound stated at process._BATCH_ELEMENTS: beyond its output, a
