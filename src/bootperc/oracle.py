@@ -320,15 +320,6 @@ def exact_pmf(params: ModelParams, cap: int = PMF_NODE_CAP) -> FinalSizePmf:
     return FinalSizePmf(params, *_stop_atoms(params, n, n - params.a))
 
 
-def _chain_marginal_log_pmf(params: ModelParams, t: int) -> np.ndarray:
-    """Marginal law of S(t) from the same transitions, survival ignored.
-
-    Test hook: must reproduce Bin(n - a, pi(t)) and thereby validate the
-    q_t construction.
-    """
-    return _forward(params, t, params.n - params.a, absorb=False)[1]
-
-
 def exact_stop_cdf(params: ModelParams, tau: int,
                    cap: int = PMF_NODE_CAP) -> LogProb:
     """P(T <= tau), exactly, with states capped at S = tau - a + 1.

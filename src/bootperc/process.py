@@ -34,8 +34,9 @@
   evaluates log Q at least once per replicate; otherwise it evaluates
   log_cdf_head at the leap times.  Both lookups give the same floats.
 
-All randomness flows through an RngSpec (seed, stream), so a replicate is
-reproducible bit-for-bit within one build.  Of the samplers only the
+All randomness flows through an RngSpec (seed, stream), so a batch is
+reproducible bit-for-bit within one build, on any number of CPUs.  Of
+the samplers only the
 activation-time one is coupled monotonically in p: its spacings do not
 depend on p (a block expands from its own sum and key, whichever blocks
 are expanded) and Q(t) falls as p grows, so its sizes at p1 < p2 from one
@@ -43,9 +44,13 @@ RngSpec are ordered elementwise.  The graph, mark-chain and leap
 samplers draw p-dependent variables, so theirs are not.
 
 The graph, mark-chain, activation-time and leap samplers and
-low_degree_counts run replicates in batches of about _BATCH_ELEMENTS
-elements per array, so each holds a few MB beyond its output at any
-replicate count; the budget moves the realised draws, not the law.
+low_degree_counts run replicates in chunks of about _CHUNK_ELEMENTS
+elements per array (_map_chunks), up to two chunks at once on threads
+and each on its own stream: chunk 0 draws from the caller's generator
+and chunk k >= 1 from the k-th child of its spawn.  So each holds a few
+MB beyond its output at any replicate count, and its output depends on
+the generator, the replicate count and the budget, not on the thread
+count; the budget moves the realised draws, not the law.
 Every log Q table over a run of times (the activation sampler's, the
 splitting estimator's) is filled by _fill_log_q in such chunks, so it
 costs a few MB beyond itself at any length.  The splitting estimator in
@@ -57,6 +62,7 @@ likewise moves its realised draws, not its law.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -83,15 +89,22 @@ ACTIVATION_NODE_CAP = 10_000_000
 #: samplers and estimators refuse more replicates than this (800 MB output)
 REPLICATE_CAP = 10 ** 8
 
-#: array elements per batch of replicates (2 MB as float64); beyond its
-#: output a chunked sampler peaks below 6 * 8 * _BATCH_ELEMENTS bytes
-#: (12 MB) unless a single replicate outgrows the budget
+#: array elements per batch (2 MB as float64); beyond its output a
+#: chunked sampler peaks below 6 * 8 * _BATCH_ELEMENTS bytes (12 MB),
+#: with two chunks in flight, unless a single replicate outgrows a chunk
 _BATCH_ELEMENTS = 2 ** 18
+#: array elements per chunk of a sampler batch, a quarter budget: the two
+#: chunks in flight hold half what one full-budget chunk held, so the
+#: malloc arenas of the two threads that run them keep little
+_CHUNK_ELEMENTS = _BATCH_ELEMENTS // 4
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """(seed, stream) pair that fully determines one replicate's randomness."""
+    """(seed, stream) pair that fully determines a batch's randomness:
+    with the params and the replicate count it fixes every chunk's
+    stream (the generator's and its spawned children), so it fixes the
+    output, whatever the number of threads that run the chunks."""
 
     seed: int
     stream: int = 0
@@ -116,11 +129,12 @@ def _check_replicates(replicates: int) -> None:
         raise MemoryGuardError(f"replicates above the cap {REPLICATE_CAP}")
 
 
-def _chunks(replicates: int, elements_per_replicate):
-    """Yield (start, size) runs of replicates holding about
-    _BATCH_ELEMENTS array elements each (at least one replicate), so
-    the budget bounds every array sized by a replicate's largest state."""
-    chunk = max(1, int(_BATCH_ELEMENTS / max(1.0, elements_per_replicate)))
+def _chunks(replicates: int, elements_per_replicate,
+            budget: int = _BATCH_ELEMENTS):
+    """Yield (start, size) runs of replicates holding about `budget`
+    array elements each (at least one replicate), so the budget bounds
+    every array sized by a replicate's largest state."""
+    chunk = max(1, int(budget / max(1.0, elements_per_replicate)))
     for start in range(0, replicates, chunk):
         yield start, min(chunk, replicates - start)
 
@@ -131,6 +145,56 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise ParameterError("rng must be an RngSpec or a numpy Generator")
+
+
+def _worker_count(chunks: int) -> int:
+    """Chunks a sampler batch runs at once: at most two, and no more than
+    the CPUs in the process's affinity mask (os.cpu_count where the
+    platform has none), so a process pinned to one CPU runs one thread."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(2, chunks, cpus)
+
+
+def _map_chunks(replicates: int, elements_per_replicate,
+                gen: np.random.Generator,
+                fill: Callable[[int, np.random.Generator], np.ndarray],
+                threads: bool = True) -> np.ndarray:
+    """Values of `replicates` replicates as one int64 array, where
+    fill(size, g) returns those of one _chunks run of _CHUNK_ELEMENTS.
+
+    Chunk 0 draws from `gen` and chunk k >= 1 from the k-th child of
+    gen.spawn(chunks - 1), so the output depends on `gen` and the
+    chunking alone, never on the worker count: a run that fits in one
+    chunk draws what one fill on `gen` draws, and a longer run is the
+    concatenation of one-chunk runs on those streams.  Up to
+    _worker_count chunks run at once on threads (numpy releases the GIL
+    in its draws and loops), but one at a time where a single replicate
+    outgrows a chunk, as its arrays alone pass the chunk budget, or
+    where `threads` is false, for a fill whose arrays are not bounded by
+    the chunk budget.  An exception from any chunk is raised here."""
+    runs = list(_chunks(replicates, elements_per_replicate, _CHUNK_ELEMENTS))
+    gens = [gen, *gen.spawn(len(runs) - 1)]
+    out = np.empty(replicates, dtype=np.int64)
+
+    def run(k: int) -> None:
+        start, size = runs[k]
+        out[start:start + size] = fill(size, gens[k])
+
+    workers = (_worker_count(len(runs))
+               if threads and elements_per_replicate <= _CHUNK_ELEMENTS
+               else 1)
+    if workers == 1:
+        for k in range(len(runs)):
+            run(k)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        # the calling thread runs no chunk: it holds the caller's arrays,
+        # and chunk work interleaved with them made its malloc heap grow
+        # by a whole output array in some runs and not in others
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(len(runs))))
+    return out
 
 
 def _fill_log_q(out: np.ndarray, t0: int, p: float, r: int) -> np.ndarray:
@@ -220,7 +284,7 @@ def _largest_hits(sums: np.ndarray, keys: np.ndarray, q_blocks: np.ndarray,
     total = prefix[:, blocks]
     open_ = np.flatnonzero(prefix[:, :blocks] < total[:, None] * bound)
     best = np.zeros(size, dtype=np.int64)
-    for start, count in _chunks(open_.size, width):
+    for start, count in _chunks(open_.size, width, _CHUNK_ELEMENTS):
         idx = open_[start:start + count]
         row, b = np.divmod(idx, blocks)
         pk = _block_exponentials(keys.ravel()[idx], width)
@@ -273,21 +337,19 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     q = np.full(blocks * width, -1.0)
     _fill_log_q(q[m - 1::-1], a, p, r)
     np.exp(q[:m], out=q[:m])
-    out = np.empty(replicates, dtype=np.int64)
     if blocks == 1:
-        for start, size in _chunks(replicates, m + 1):
-            out[start:start + size] = _stop_from_spacings(
-                gen.standard_exponential((size, m + 1)), q[m - 1::-1], a)
-        return out
+        return _map_chunks(replicates, m + 1, gen, lambda size, g:
+                           _stop_from_spacings(g.standard_exponential(
+                               (size, m + 1)), q[m - 1::-1], a))
     q_blocks = q.reshape(blocks, width)
     bound = q_blocks.max(axis=1)
+
+    def fill(size, g):
+        sums = g.standard_gamma(lengths, (size, blocks))
+        keys = g.integers(2 ** 64, size=(size, blocks), dtype=np.uint64)
+        return n - _largest_hits(sums, keys, q_blocks, bound, lengths)
     # a row holds four numbers per block: its sum, key, prefix and test
-    for start, size in _chunks(replicates, 4 * blocks):
-        sums = gen.standard_gamma(lengths, (size, blocks))
-        keys = gen.integers(2 ** 64, size=(size, blocks), dtype=np.uint64)
-        out[start:start + size] = n - _largest_hits(
-            sums, keys, q_blocks, bound, lengths)
-    return out
+    return _map_chunks(replicates, 4 * blocks, gen, fill)
 
 
 def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
@@ -347,15 +409,14 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     log_q = (_fill_log_q(np.empty(n + 1), 0, p, r).take
              if n + 1 <= min(replicates, _BATCH_ELEMENTS)
              else partial(log_cdf_head, q=p, k=r - 1))
-    out = np.empty(replicates, dtype=np.int64)
+
+    def fill(size, g):
+        origin = np.zeros(size, dtype=np.int64)
+        return _leap_to_level(params, origin, origin, 0, n, g, log_q)[1]
     # at a leap's peak a chain holds the r - 1 head terms of log Q three
     # times over and about 14 state numbers, so chunks of r + 10 numbers
     # per chain keep it under 3 budgets
-    for start, size in _chunks(replicates, r + 10):
-        origin = np.zeros(size, dtype=np.int64)
-        out[start:start + size] = _leap_to_level(
-            params, origin, origin, 0, n, gen, log_q)[1]
-    return out
+    return _map_chunks(replicates, r + 10, gen, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +464,12 @@ def _mark_leap(counts: np.ndarray, margin: np.ndarray, p: float, table,
     r = counts.shape[0]
     act, up = ((x.take(margin, axis=1) for x in table) if table
                else _leap_chances(margin, p, r))
-    gained = 0
+    gained = None
     # top level first: nodes move up onto levels already drawn
     for j in range(r - 1, -1, -1):
         rest = counts[j]
         hit = gen.binomial(rest, act[r - 1 - j])
-        gained = gained + hit
+        gained = hit if gained is None else gained + hit
         rest -= hit
         for d in range(r - 1 - j, 0, -1):
             moved = gen.binomial(rest, up[d - 1])
@@ -437,26 +498,23 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     table = _leap_chance_table(n, p, r, replicates)
-    out = np.empty(replicates, dtype=np.int64)
-    # batched by a leap's working set, not the chain's r + 2 counts: at its
-    # peak a leap holds the counts before and after compaction, log F and
-    # the split chances, about 6r + 6 numbers per chain (1.6 budgets)
-    for start, size in _chunks(replicates, 4 * r + 4):
-        res = out[start:start + size]
-        idx = np.arange(size)
+
+    def fill(size, g):
         active = np.full(size, a, dtype=np.int64)
-        margin = np.full(size, a, dtype=np.int64)  # t = active - margin
+        idx = np.arange(size)
+        margin = active.copy()  # t = active - margin
         counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
         counts[0] = n - a
         while idx.size:
-            gained = _mark_leap(counts, margin, p, table, gen)
-            active += gained
-            done = gained == 0
-            res[idx[done]] = active[done]
-            keep = np.flatnonzero(gained)
-            idx, active, margin, counts = (
-                idx[keep], active[keep], gained[keep], counts[:, keep])
-    return out
+            gained = _mark_leap(counts, margin, p, table, g)
+            active[idx] += gained
+            keep = gained.nonzero()[0]
+            idx, margin, counts = idx[keep], gained[keep], counts[:, keep]
+        return active
+    # batched by a leap's working set, not the chain's r + 2 counts: at its
+    # peak a leap holds the counts before and after compaction, log F and
+    # the split chances, about 6r + 6 numbers per chain (1.6 budgets)
+    return _map_chunks(replicates, 4 * r + 4, gen, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +632,8 @@ def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
                      "activation-time sampler instead")
     gen = _as_generator(rng)
     pairs = n * (n - 1) // 2
-    out = np.empty(replicates, dtype=np.int64)
-    for start, size in _chunks(replicates, pairs * p + n):
-        out[start:start + size] = reduce(
-            partial(_sample_edge_slots, size * pairs, p, gen), size)
-    return out
+    return _map_chunks(replicates, pairs * p + n, gen, lambda size, g: reduce(
+        partial(_sample_edge_slots, size * pairs, p, g), size))
 
 
 def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
@@ -735,26 +790,28 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     log_2a_c = math.log(2.0 - 2.0 / r) + _log_t_c(n, p, r)
     s = min(n, max(r, math.ceil(math.exp(min(log_2a_c, math.log(n))))))
     table = _leap_chance_table(n, p, r, replicates)
-    out = np.empty(replicates, dtype=np.int64)
     band = s * (2 * n - s - 1) // 2
-    # batched by a leap's working set, as in the mark chain; the band runs
-    # in batches of a quarter budget of edges (it holds about seven arrays
-    # of them at its peak), and the finish batches its own edges
-    for start, size in _chunks(replicates, 4 * r + 4):
+
+    def fill(size, g):
         low, levels = (np.concatenate(x, axis=-1) for x in zip(*(
-            _band_levels(n, s, r, m, p, gen)
+            _band_levels(n, s, r, m, p, g)
             for _, m in _chunks(size, 4 * band * p + s))))
         counts, margin = levels[:r], levels[r]
         idx = np.flatnonzero(margin)
         live, margin = counts[:, idx], margin[idx]
         while idx.size:
-            margin = _mark_leap(live, margin, p, table, gen)
+            margin = _mark_leap(live, margin, p, table, g)
             done = margin == 0
             counts[:, idx[done]] = live[:, done]
             keep = np.flatnonzero(margin)
             idx, live, margin = idx[keep], live[:, keep], margin[keep]
-        out[start:start + size] = low + _survivor_low_counts(counts, p, gen)
-    return out
+        return low + _survivor_low_counts(counts, p, g)
+    # batched by a leap's working set, as in the mark chain; the band runs
+    # in batches of a quarter budget of edges (it holds about seven arrays
+    # of them at its peak), and the finish batches its own edges.  Band and
+    # finish batches take up to a whole budget each, whatever the chunk, so
+    # the chunks run one at a time: two at once would hold two budgets
+    return _map_chunks(replicates, 4 * r + 4, gen, fill, threads=False)
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:

@@ -17,10 +17,9 @@ from bootperc.core import (ModelParams, SequenceSpec, activation_prob,
 from bootperc.errors import MemoryGuardError, ParameterError
 from bootperc import oracle
 from bootperc.montecarlo import default_stop_horizon
-from bootperc.oracle import (PMF_NODE_CAP, LogProb, _chain_marginal_log_pmf,
-                             _final_size_counts, _log_q_schedule,
-                             brute_force_pmf, exact_pmf, exact_stop_cdf,
-                             exact_tail_query)
+from bootperc.oracle import (PMF_NODE_CAP, LogProb, _final_size_counts,
+                             _log_q_schedule, brute_force_pmf, exact_pmf,
+                             exact_stop_cdf, exact_tail_query)
 from bootperc.ratefun import ScalingFamily
 
 SPEC_07 = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
@@ -334,6 +333,12 @@ def test_tail_query_matches_enumeration():
 
 # ---------------------------------------------------------------------------
 # chain-vs-marginal: validates the q_t construction
+
+def _chain_marginal_log_pmf(params, t):
+    """Marginal law of S(t) from the DP's transitions, survival ignored:
+    it must reproduce Bin(n - a, pi(t))."""
+    return oracle._forward(params, t, params.n - params.a, absorb=False)[1]
+
 
 @pytest.mark.parametrize("t", [1, 5, 10, 20])
 def test_chain_marginal_is_binomial(t):

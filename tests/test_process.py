@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 from collections import defaultdict
 
@@ -477,12 +478,15 @@ ENGINE_CASES = {
 #: sha256 of each case's int64 output: the graph-* and brute-* entries
 #: were computed before the live-edge cascade and the two-gather decode
 #: replaced the full-edge cascade, and they pin the engine bit for bit;
-#: the low-degree-* entries pin low_degree_counts's deferred-decision draws
+#: the low-degree-* entries pin low_degree_counts's deferred-decision draws.
+#: graph-n6, graph-n30-r4, graph-n2000 and graph-n300-r3 span more than one
+#: chunk, so they were retaken when chunk k came to draw from the k-th
+#: spawned stream (test_a_multi_chunk_run_concatenates_one_chunk_runs)
 ENGINE_SHA256 = {
-    "graph-n6": "2e9dbac18ee5f2164e7305616cc4a61cdf8cda0e7ff90ffb8deb38526eba79bd",
-    "graph-n30-r4": "9454b3d6156339dd8ab7f78fe6d1a3e49e896e36827d5212751f0224c8ebbf18",
-    "graph-n2000": "b9a5f54a66d2fddb5d92225832a49d2af12e7ac669f663166bc20b0242b59231",
-    "graph-n300-r3": "d073b45e17baf5fcaf2db07fc7b536f58d4946cccdcb245e68b4eee67ccdaa99",
+    "graph-n6": "e80f162779a07983581ce1b6ab809b129b1ebbecce2393aeb7d3185f21cd4d66",
+    "graph-n30-r4": "8cdb8f8a1d30599e196826d9b86441f2527c566fb5021d85185d5e3c7ca9869e",
+    "graph-n2000": "5379773adfedf921360a61e23e6bce44ae0b69929a582718446a3d25c274cc7a",
+    "graph-n300-r3": "5034ca5f9dd3ff2f4f609a0281dfafc9fbc37262a3f5d2bc46a4ba8cd36e4f0b",
     "graph-n1-3": "8fe4a2261aa8c7f087cc311606c919e82896ab4776be17da4a97750655b20511",
     "low-degree-n5000": "ac2313ec16b179ee6eef1b9644e726789304f939a05948bf0e8d1e1e7518b66c",
     "low-degree-n1000": "28a0dc29e7ef76d6eff711d3dc49c2883fb4f3c9980a385a242d197ed677a73a",
@@ -812,6 +816,20 @@ def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
     assert 8 * process._BATCH_ELEMENTS <= BATCH_BYTES
 
 
+def test_low_degree_holds_a_bounded_working_set_over_many_chunks():
+    # its band and finish batches take up to a budget each inside a chunk,
+    # so two chunks at once held about seven budgets here
+    params = ModelParams(n=100, p=0.3, r=3, a=1)
+    tracemalloc.start()
+    try:
+        counts = low_degree_counts(params, 20_000, RngSpec(3, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(_chunk_runs(low_degree_counts, params, 20_000)) >= 3
+    assert (peak - counts.nbytes) / BATCH_BYTES < WORKING_SET_BUDGETS
+
+
 def test_leap_sampler_tabulates_nothing_over_n():
     # tau = n: log Q is evaluated at the leap times; a float64 table over
     # 0..n would alone take 8 MB here
@@ -824,6 +842,115 @@ def test_leap_sampler_tabulates_nothing_over_n():
         tracemalloc.stop()
     assert ((params.a <= sizes) & (sizes <= params.n)).all()
     assert peak < 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# chunks of replicates: spawned streams, run two at a time on threads
+
+#: (batch, params, replicates) runs of three or more chunks
+CHUNKED_CASES = {
+    "activation-one-block": (final_sizes_activation, P6, 30_000),
+    "activation-blocks": (final_sizes_activation,
+                          _poisson_rule_instance(2000), 1600),
+    "leap": (final_sizes_leap, _poisson_rule_instance(2000), 12_000),
+    "markchain": (final_sizes_markchain, P6, 12_000),
+    "graph-table": (final_sizes_graph, P6, 40_000),
+    "graph-cascade": (final_sizes_graph, ModelParams(n=30, p=0.5, r=4, a=5),
+                      800),
+    "low-degree": (low_degree_counts, ModelParams(n=40, p=0.1, r=2, a=1),
+                   12_000),
+}
+
+
+def _chunk_runs(batch, params, replicates):
+    """The (start, size) runs that a batch call hands _map_chunks."""
+    runs, real = [], process._map_chunks
+
+    def spy(replicates, elements, gen, fill, **kwargs):
+        runs.extend(process._chunks(replicates, elements,
+                                    process._CHUNK_ELEMENTS))
+        return real(replicates, elements, gen, fill, **kwargs)
+
+    process._map_chunks = spy
+    try:
+        batch(params, replicates, RngSpec(0, 0))
+    finally:
+        process._map_chunks = real
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_a_multi_chunk_run_concatenates_one_chunk_runs(case):
+    # chunk 0 draws from the caller's generator, chunk k from child k of
+    # its spawn; this is how the pins of multi-chunk runs were derived
+    batch, params, replicates = CHUNKED_CASES[case]
+    runs = _chunk_runs(batch, params, replicates)
+    assert len(runs) >= 3
+    spec = RngSpec(5, 1)
+    gens = [spec.generator(), *spec.generator().spawn(len(runs) - 1)]
+    parts = [batch(params, size, g) for (_, size), g in zip(runs, gens)]
+    np.testing.assert_array_equal(batch(params, replicates, spec),
+                                  np.concatenate(parts))
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_chunked_output_does_not_depend_on_the_worker_count(case,
+                                                            monkeypatch):
+    batch, params, replicates = CHUNKED_CASES[case]
+    outs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(process, "_worker_count",
+                            lambda chunks, w=workers: min(w, chunks))
+        outs.append(batch(params, replicates, RngSpec(5, 1)))
+    for out in outs[1:]:
+        np.testing.assert_array_equal(out, outs[0])
+
+
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(process.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert process._worker_count(10) == 1
+    monkeypatch.setattr(process.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3}, raising=False)
+    assert process._worker_count(10) == 2
+    assert process._worker_count(1) == 1
+
+
+def _chunk_threads(elements, monkeypatch):
+    """Thread ids of the four one-replicate chunks of a two-worker map."""
+    monkeypatch.setattr(process, "_worker_count", lambda chunks: 2)
+    threads = []
+
+    def fill(size, g):
+        threads.append(threading.get_ident())
+        return np.zeros(size, dtype=np.int64)
+
+    process._map_chunks(4, elements, RngSpec(0, 0).generator(), fill)
+    return set(threads)
+
+
+def test_chunks_run_one_at_a_time_where_a_replicate_outgrows_one(
+        monkeypatch):
+    here = threading.get_ident()
+    assert _chunk_threads(process._CHUNK_ELEMENTS + 1, monkeypatch) == {here}
+    assert here not in _chunk_threads(process._CHUNK_ELEMENTS, monkeypatch)
+
+
+def test_a_chunk_error_reaches_the_caller_and_its_threads_end(monkeypatch):
+    class ChunkFailed(Exception):
+        pass
+
+    def fill(size, g):
+        if g.bit_generator.seed_seq.spawn_key == (0,):  # chunk 1
+            raise ChunkFailed
+        return np.zeros(size, dtype=np.int64)
+
+    monkeypatch.setattr(process, "_worker_count", lambda chunks: 2)
+    before = threading.active_count()
+    with pytest.raises(ChunkFailed):
+        process._map_chunks(4, process._CHUNK_ELEMENTS,
+                            RngSpec(0, 0).generator(), fill)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -1041,18 +1168,20 @@ LEAP_CASES = {
 
 #: sha256 of each case's int64 output (crossed, t and s end to end for
 #: the stage), computed before the leap kernel was cut to fewer numpy
-#: calls per leap and the leap sampler learnt to gather from a table
+#: calls per leap and the leap sampler learnt to gather from a table;
+#: the table-* and eval-over-budget runs span more than one chunk and
+#: were retaken when chunks came to draw from spawned streams
 LEAP_SHA256 = {
     "table-n500":
-        "d019505339654c0d7a88fbdc2c106ebf810a1e0d212f3a1567860433402134c8",
+        "ed0676ac01033b9d4c8cf39a984487b457f6036a800316e075397c2585ee356c",
     "table-n5000":
-        "cb831006e470c9b281c1175dfa0203a22e5382525638be6b37fa92dc148fad3e",
+        "3f8072a21e304349c7e030081c3bf0fe86c863b7cadbde0ec2e2313a14a57333",
     "table-r3":
-        "4adbfff8b7c614c938241472522ebb04b59e4f2642abae8216ebd6a44596dde4",
+        "272858770c84b52d436a25bbcee50c3aadaa3a790d21b361d15fd7c8ff3e2bb3",
     "eval-few-replicates":
         "7ac920992e5017e08b2fb9c232820ee69be52a049dbbc8111d633df267749f1c",
     "eval-over-budget":
-        "d3fe5e5abd2039226e17645936a12bfde3dd5fed3ba7664387c076ac0d828882",
+        "db1d5759c40a8f01d8bf3452c8091b86b02c4807b59c54c28ddce653153f0724",
     "stage-tau-below-n":
         "d5ae77b1962b66a38b96515bb50836d7981acb38c2df8a678bf3f2757f1cef23",
 }
@@ -1096,14 +1225,16 @@ MARKCHAIN_CASES = {
 }
 
 #: sha256 of each case's int64 output, computed before the mark chain
-#: built its leap-chance table once per run
+#: built its leap-chance table once per run; table-n6 and table-r3 span
+#: more than one chunk and were retaken when chunks came to draw from
+#: spawned streams
 MARKCHAIN_SHA256 = {
     "table-n6":
-        "0c91ed458bfffbc4529a892154e08951ee80fc54aa3b1aae29dcb1352ba40b84",
+        "ddf021eab4bbc72cbe1d2d887084ac5f603b5db249df1fbbe5134a6d1cdfd892",
     "eval-n5000":
         "025f4ce587336663d9c9f2f43c90399922f7988451d55e3dd592e41c02db0319",
     "table-r3":
-        "adb45737e32b6c0056cc31205ded2461e31aba4496cce34db4fb77109ff9bf9f",
+        "9ccca8d35e135eed3be75a2673b2aeaf71de56bac54411af2c64fbba18956f7c",
 }
 
 
