@@ -3,7 +3,7 @@ regime-aware tail-exponent predictions with Monte Carlo validation."""
 
 from .core import (ActivationProb, CriticalQuantities, ModelParams, Regime,
                    SequenceSpec, activation_prob, check_hypotheses,
-                   classify_regime, critical_quantities, mean_usable_curve)
+                   classify_regime, critical_quantities)
 from .errors import (BootpercError, DegenerateLevels, EpsOutOfRange,
                      MemoryGuardError, ParameterError, RegimeMismatch,
                      UnsupportedCombination)

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._binom import log_binom_sf, log_cdf_head
 from .errors import ParameterError
@@ -22,7 +22,6 @@ __all__ = [
     "ModelParams", "CriticalQuantities", "SequenceSpec", "Regime",
     "REGIME_LABELS", "ActivationProb", "activation_prob", "log_inactive_prob",
     "critical_quantities", "check_hypotheses", "classify_regime",
-    "mean_usable_curve",
 ]
 
 
@@ -162,17 +161,6 @@ def _crit_from(n, p: float, r: int) -> CriticalQuantities:
 
 def critical_quantities(params: ModelParams) -> CriticalQuantities:
     return _crit_from(params.n, params.p, params.r)
-
-
-def mean_usable_curve(params: ModelParams, t_grid: Sequence[int]):
-    """e(t) = E[A(t)] - t = a + (n - a) * pi(t) - t on integer times."""
-    n, p, r, a = params.n, params.p, params.r, params.a
-    out = []
-    for t in t_grid:
-        if not 0 <= t <= n:
-            raise ParameterError(f"t_grid entries must lie in [0, n], got {t}")
-        out.append((t, a + (n - a) * activation_prob(t, p, r).pi - t))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,15 @@ RngSpec are ordered elementwise.  The graph, mark-chain and leap
 samplers draw p-dependent variables, so theirs are not.
 
 The graph, mark-chain, activation-time and leap samplers and
-low_degree_counts run replicates in chunks of about _CHUNK_ELEMENTS
-elements per array (_map_chunks), up to two chunks at once on threads
-and each on its own stream: chunk 0 draws from the caller's generator
-and chunk k >= 1 from the k-th child of its spawn.  So each holds a few
-MB beyond its output at any replicate count, and its output depends on
-the generator, the replicate count and the budget, not on the thread
-count; the budget moves the realised draws, not the law.
+low_degree_counts run replicates in chunks (_map_chunks) under one rule:
+whatever a chunk allocates, its own inner batches included, is sized by
+_CHUNK_ELEMENTS elements per array, and only a single replicate larger
+than a chunk runs alone.  Up to two chunks run at once on threads, each
+on its own stream: chunk 0 draws from the caller's generator and chunk
+k >= 1 from the k-th child of its spawn.  So each holds a few MB beyond
+its output at any replicate count, and its output depends on the
+generator, the replicate count and the budget, not on the thread count;
+the budget moves the realised draws, not the law.
 Every log Q table over a run of times (the activation sampler's, the
 splitting estimator's) is filled by _fill_log_q in such chunks, so it
 costs a few MB beyond itself at any length.  The splitting estimator in
@@ -156,23 +158,24 @@ def _worker_count(chunks: int) -> int:
     return min(2, chunks, cpus)
 
 
-def _map_chunks(replicates: int, elements_per_replicate,
-                gen: np.random.Generator,
-                fill: Callable[[int, np.random.Generator], np.ndarray],
-                threads: bool = True) -> np.ndarray:
+def _map_chunks(replicates: int, elements_per_replicate, rng,
+                fill: Callable[[int, np.random.Generator], np.ndarray]
+                ) -> np.ndarray:
     """Values of `replicates` replicates as one int64 array, where
-    fill(size, g) returns those of one _chunks run of _CHUNK_ELEMENTS.
+    fill(size, g) returns those of one _chunks run of _CHUNK_ELEMENTS and
+    sizes whatever it allocates by that budget too.
 
-    Chunk 0 draws from `gen` and chunk k >= 1 from the k-th child of
-    gen.spawn(chunks - 1), so the output depends on `gen` and the
-    chunking alone, never on the worker count: a run that fits in one
-    chunk draws what one fill on `gen` draws, and a longer run is the
-    concatenation of one-chunk runs on those streams.  Up to
+    `rng` is an RngSpec or a Generator (RngSpec.generator() or itself):
+    chunk 0 draws from that generator and chunk k >= 1 from the k-th
+    child of its spawn(chunks - 1), so the output depends on `rng` and
+    the chunking alone, never on the worker count: a run that fits in one
+    chunk draws what one fill on the generator draws, and a longer run is
+    the concatenation of one-chunk runs on those streams.  Up to
     _worker_count chunks run at once on threads (numpy releases the GIL
     in its draws and loops), but one at a time where a single replicate
-    outgrows a chunk, as its arrays alone pass the chunk budget, or
-    where `threads` is false, for a fill whose arrays are not bounded by
-    the chunk budget.  An exception from any chunk is raised here."""
+    outgrows a chunk, as its arrays alone pass the chunk budget.  An
+    exception from any chunk is raised here."""
+    gen = _as_generator(rng)
     runs = list(_chunks(replicates, elements_per_replicate, _CHUNK_ELEMENTS))
     gens = [gen, *gen.spawn(len(runs) - 1)]
     out = np.empty(replicates, dtype=np.int64)
@@ -182,8 +185,7 @@ def _map_chunks(replicates: int, elements_per_replicate,
         out[start:start + size] = fill(size, gens[k])
 
     workers = (_worker_count(len(runs))
-               if threads and elements_per_replicate <= _CHUNK_ELEMENTS
-               else 1)
+               if elements_per_replicate <= _CHUNK_ELEMENTS else 1)
     if workers == 1:
         for k in range(len(runs)):
             run(k)
@@ -329,7 +331,6 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
         raise MemoryGuardError(
             f"activation-time sampler refuses n - a = {m} above the cap "
             f"{ACTIVATION_NODE_CAP}; use the leap sampler instead")
-    gen = _as_generator(rng)
     lengths = _block_lengths(m)
     blocks, width = lengths.size, int(lengths[0])
     # entry k - 1 is Q(n - k) for k = 1..m; the padding to whole blocks
@@ -338,7 +339,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     _fill_log_q(q[m - 1::-1], a, p, r)
     np.exp(q[:m], out=q[:m])
     if blocks == 1:
-        return _map_chunks(replicates, m + 1, gen, lambda size, g:
+        return _map_chunks(replicates, m + 1, rng, lambda size, g:
                            _stop_from_spacings(g.standard_exponential(
                                (size, m + 1)), q[m - 1::-1], a))
     q_blocks = q.reshape(blocks, width)
@@ -349,7 +350,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
         keys = g.integers(2 ** 64, size=(size, blocks), dtype=np.uint64)
         return n - _largest_hits(sums, keys, q_blocks, bound, lengths)
     # a row holds four numbers per block: its sum, key, prefix and test
-    return _map_chunks(replicates, 4 * blocks, gen, fill)
+    return _map_chunks(replicates, 4 * blocks, rng, fill)
 
 
 def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
@@ -404,7 +405,6 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
-    gen = _as_generator(rng)
     n, p, r = params.n, params.p, params.r
     log_q = (_fill_log_q(np.empty(n + 1), 0, p, r).take
              if n + 1 <= min(replicates, _BATCH_ELEMENTS)
@@ -416,7 +416,7 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     # at a leap's peak a chain holds the r - 1 head terms of log Q three
     # times over and about 14 state numbers, so chunks of r + 10 numbers
     # per chain keep it under 3 budgets
-    return _map_chunks(replicates, r + 10, gen, fill)
+    return _map_chunks(replicates, r + 10, rng, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,6 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
-    gen = _as_generator(rng)
     n, p, r, a = params.n, params.p, params.r, params.a
     table = _leap_chance_table(n, p, r, replicates)
 
@@ -514,7 +513,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     # batched by a leap's working set, not the chain's r + 2 counts: at its
     # peak a leap holds the counts before and after compaction, log F and
     # the split chances, about 6r + 6 numbers per chain (1.6 budgets)
-    return _map_chunks(replicates, 4 * r + 4, gen, fill)
+    return _map_chunks(replicates, 4 * r + 4, rng, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +564,14 @@ def _slot_pairs(slots: np.ndarray, nodes, rows=None):
     nodes, so its slots are a run of the triangle's from offset
     C(M, 2) - C(m, 2).  Row i of that triangle starts at offset
     i (2M - i - 1) / 2, whose inverse is
-    u = floor(((2M - 1) - sqrt((2M - 1)^2 - 8s)) / 2).  In floats that
-    root is off by far less than one, so one integer correction each way
-    against the offsets gives the row exactly."""
+    u = floor(((2M - 1) - sqrt((2M - 1)^2 - 8s)) / 2), and the float
+    floor is exact while 4M^2 < 2^53 (M below about 4.7e7, far above
+    GRAPH_NODE_CAP): the radicand is then an exact integer, and every
+    float step is monotone in s.  At a row start the radicand is the
+    square (2M - 1 - 2i)^2, so the root is exactly i.  At a row's last
+    slot the exact root lies more than 1/M below i + 1, by convexity in
+    s (its slope exceeds 2 / (2M - 1)), while the float root is off by
+    at most about M 2^-52.  So every slot of row i floors to i."""
     if np.ndim(nodes) == 0:  # M = m: each slot's offset is its own
         top = nodes
         span = nodes if rows is None else rows  # the triangle's rows used
@@ -596,8 +600,6 @@ def _slot_pairs(slots: np.ndarray, nodes, rows=None):
     root *= 0.5
     u = root.astype(np.int64)  # the floor, as root >= 0
     del root
-    u += offsets[1:].take(u) <= v
-    u -= offsets.take(u) > v
     v -= (offsets - i - 1).take(u)
     u += first
     v += first
@@ -630,9 +632,8 @@ def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
     n, p = params.n, params.p
     _check_graph_cap(n, "graph sampler", "; use the leap, mark-chain or "
                      "activation-time sampler instead")
-    gen = _as_generator(rng)
     pairs = n * (n - 1) // 2
-    return _map_chunks(replicates, pairs * p + n, gen, lambda size, g: reduce(
+    return _map_chunks(replicates, pairs * p + n, rng, lambda size, g: reduce(
         partial(_sample_edge_slots, size * pairs, p, g), size))
 
 
@@ -733,12 +734,13 @@ def _survivor_low_counts(levels: np.ndarray, p: float,
     once their own G(m, p) is drawn: the level plus the degree in it.
     Nodes are exchangeable within a level, so graph g's nodes take its
     levels in ascending order.  The columns run in batches of about
-    _BATCH_ELEMENTS pairs drawn and nodes."""
+    _CHUNK_ELEMENTS pairs drawn and nodes, so a chunk of _map_chunks that
+    calls this stays within its budget."""
     r, size = levels.shape
     nodes = levels.sum(axis=0)
     pairs = nodes * (nodes - 1) // 2
     cost = pairs * p + nodes
-    batch = (np.cumsum(cost) - cost) // _BATCH_ELEMENTS
+    batch = (np.cumsum(cost) - cost) // _CHUNK_ELEMENTS
     cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1), size]
     out = np.empty(size, dtype=np.int64)
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -785,7 +787,6 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     if p in (0.0, 1.0):
         low = n if p == 0.0 or n - 1 < r else 0
         return np.full(replicates, low, dtype=np.int64)
-    gen = _as_generator(rng)
     # 2 a_c = 2 (1 - 1/r) t_c from ln t_c, which is finite at any p > 0
     log_2a_c = math.log(2.0 - 2.0 / r) + _log_t_c(n, p, r)
     s = min(n, max(r, math.ceil(math.exp(min(log_2a_c, math.log(n))))))
@@ -795,7 +796,7 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     def fill(size, g):
         low, levels = (np.concatenate(x, axis=-1) for x in zip(*(
             _band_levels(n, s, r, m, p, g)
-            for _, m in _chunks(size, 4 * band * p + s))))
+            for _, m in _chunks(size, 4 * band * p + s, _CHUNK_ELEMENTS))))
         counts, margin = levels[:r], levels[r]
         idx = np.flatnonzero(margin)
         live, margin = counts[:, idx], margin[idx]
@@ -806,12 +807,11 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
             keep = np.flatnonzero(margin)
             idx, live, margin = idx[keep], live[:, keep], margin[keep]
         return low + _survivor_low_counts(counts, p, g)
-    # batched by a leap's working set, as in the mark chain; the band runs
-    # in batches of a quarter budget of edges (it holds about seven arrays
-    # of them at its peak), and the finish batches its own edges.  Band and
-    # finish batches take up to a whole budget each, whatever the chunk, so
-    # the chunks run one at a time: two at once would hold two budgets
-    return _map_chunks(replicates, 4 * r + 4, gen, fill, threads=False)
+    # batched by a leap's working set, as in the mark chain; inside a chunk
+    # the band runs in batches of a quarter chunk of edges (it holds about
+    # seven arrays of them at its peak) and the finish in batches of a
+    # chunk of pairs and nodes, so two chunks at once hold two chunks' worth
+    return _map_chunks(replicates, 4 * r + 4, rng, fill)
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:

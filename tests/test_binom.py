@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, pdtrc
 
-from bootperc._binom import (log_binom_cdf, log_binom_sf, log_factorials,
-                             log_pmf_array, log_poisson_sf)
+from bootperc._binom import (log_binom_cdf, log_binom_pmf, log_binom_sf,
+                             log_factorials, log_pmf_array, log_poisson_sf)
 from bootperc.errors import ParameterError
 from bootperc.montecarlo import _poisson_cut_points
 
@@ -66,6 +66,16 @@ def test_log_pmf_array_refuses_non_integer_trial_counts():
         log_pmf_array(np.array([3, -1]), 0.3)
     with pytest.raises(ParameterError, match=r"q must lie in \[0, 1\]"):
         log_pmf_array(np.array([3, 4]), [0.3, 1.5])
+
+
+def test_scalar_pmf_is_minus_inf_off_the_support_and_refuses_bad_args():
+    for k in (-1, 6):
+        assert log_binom_pmf(5, 0.3, k) == -math.inf
+    with pytest.raises(ParameterError, match="must be nonnegative"):
+        log_binom_pmf(-1, 0.3, 0)
+    for q in (-0.1, 1.5, math.nan):
+        with pytest.raises(ParameterError, match=r"q must lie in \[0, 1\]"):
+            log_binom_pmf(5, q, 2)
 
 
 def test_log_pmf_array_refuses_bool_elements_among_ints():

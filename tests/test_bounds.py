@@ -106,6 +106,20 @@ def test_bounds_refuse_a_bool_n_or_k():
         chernoff_lower(True, 0.3, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: chernoff_upper(0, 0.3, 5), "n must be positive"),
+    (lambda: chernoff_lower(10, 0.0, 2), r"p must lie in \(0, 1\)"),
+    (lambda: heavy_tail_bound(1000, 1.0, 8), r"p must lie in \(0, 1\)"),
+    (lambda: approx_small_mean_tail(10**4, 1e-6, 0), "k must be >= 1"),
+    (lambda: approx_log_tail(10**6, 1e-5, 0), "r_big must be >= 1"),
+    (lambda: approx_lower_tail(10**4, 1e-3, 0), "k must be >= 1"),
+], ids=["n", "p-zero", "p-one", "small-mean-k", "log-tail-r", "lower-k"])
+def test_bounds_and_approximations_refuse_out_of_range_arguments(call,
+                                                                 message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 def test_penrose_reduced_grid_has_no_violations():
     checked, bad = penrose_grid_violations(
         range(5, 41), (0.02, 0.1, 0.35, 0.6, 0.9))

@@ -669,6 +669,11 @@ def test_exit_code_validation_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("nope")
     assert main(["regime", "--spec", str(bad), "--out", out]) == 2
+    # a spec file that cannot be read, and an --out into a missing folder
+    assert main(["regime", "--spec", str(tmp_path / "missing.json"),
+                 "--out", out]) == 2
+    assert main(["critical", "--n", "100", "--p", "0.1", "--r", "2",
+                 "--out", str(tmp_path / "missing" / "x.json")]) == 2
     assert main(["critical", "--n", "100", "--p", "0.1", "--r", "2",
                  "--config"]) == 2
     assert main(["simulate", "--sampler", "markchain", "--n", "6", "--p",
@@ -689,8 +694,8 @@ def test_exit_code_validation_errors(tmp_path):
     for alpha in ["inf", "nan", "1e200"]:
         assert main(["rate", "--alpha", alpha, "--r", "2", "--out", out]) == 2
     assert main(["rate", "--alpha", "1e200", "--r", "3", "--out", out]) == 2
-    # a ladder entry that is no finite integer; 1e3 is one
-    for ladder in ["1e400", "inf", "nan", "1000.7", "1000,2000.5"]:
+    # a ladder entry that is no finite integer or no number; 1e3 is one
+    for ladder in ["1e400", "inf", "nan", "1000.7", "1000,2000.5", "1000,x"]:
         assert main(["tail", "study", "--spec", spec, "--family",
                      "between_acnp_n", "--eps", "0.5", "--ladder", ladder,
                      "--out", out]) == 2

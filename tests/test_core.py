@@ -5,8 +5,7 @@ import pytest
 
 from bootperc.core import (ModelParams, Regime, SequenceSpec, activation_prob,
                            check_hypotheses, classify_regime,
-                           critical_quantities, log_inactive_prob,
-                           mean_usable_curve)
+                           critical_quantities, log_inactive_prob)
 from bootperc.errors import ParameterError
 
 
@@ -141,29 +140,6 @@ def test_critical_trends_under_hypotheses():
 
 
 # ---------------------------------------------------------------------------
-# mean usable curve
-
-def test_mean_usable_curve_endpoints():
-    params = ModelParams(n=200, p=0.2, r=2, a=7)
-    curve = dict(mean_usable_curve(params, [0, 150]))
-    assert curve[0] == pytest.approx(7.0)
-    # pi(150) is numerically 1 here, so e = n - t
-    assert curve[150] == pytest.approx(200 - 150, abs=1e-6)
-
-
-def test_mean_usable_curve_formula():
-    params = ModelParams(n=10_000, p=1e-3, r=2, a=100)
-    (t, e), = mean_usable_curve(params, [50])
-    pi = activation_prob(50, 1e-3, 2).pi
-    assert e == pytest.approx(100 + 9900 * pi - 50, rel=1e-12)
-
-
-def test_mean_usable_curve_rejects_out_of_range_times():
-    with pytest.raises(ParameterError):
-        mean_usable_curve(ModelParams(n=10, p=0.1, r=2, a=2), [11])
-
-
-# ---------------------------------------------------------------------------
 # model params validation
 
 @pytest.mark.parametrize("kwargs", [
@@ -291,8 +267,10 @@ def test_malformed_regime_is_refused(label, b, gamma):
     ("log_form", {"d": 0.0}, 3, "bc_finite", 0.5, None),
     ("power", {"beta": 2 / 3}, 2, "bc_vanishes/acnp_finite", None, 0.5),
     ("log_form", {"d": -math.log(2)}, 2, "bc_finite", 2.0, None),
+    # beta >= 1: n p = c n^(1 - beta) stays bounded, so d -> -inf
+    ("power", {"beta": 1.0}, 2, "bc_diverges", None, None),
 ], ids=["scaled_log-c1", "scaled_log-c1.05", "power-0.668", "power-0.6-r3",
-        "log_form-d0-r3", "power-2/3", "log_form-ln2"])
+        "log_form-d0-r3", "power-2/3", "log_form-ln2", "power-1"])
 def test_boundary_specs_get_their_closed_form(rule, constants, r, label, b,
                                               gamma):
     regime = classify_regime(SequenceSpec(rule, constants, r, alpha=2.0))

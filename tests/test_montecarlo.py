@@ -204,6 +204,8 @@ def test_splitting_explicit_ladder_validation():
             estimate_tail_splitting(params, 40, levels, 64, RngSpec(0, 0))
     with pytest.raises(ParameterError):
         estimate_tail_splitting(params, 40, 2, 4, RngSpec(0, 0))
+    with pytest.raises(ParameterError, match="tau must not exceed n"):
+        estimate_tail_splitting(params, 51, 2, 64, RngSpec(0, 0))
     # one level is plain Monte Carlo, which takes fewer than 8 replicates
     est = estimate_tail_splitting(params, 40, np.int64(1), 5, RngSpec(0, 0))
     assert est.replicates == 5
@@ -336,6 +338,12 @@ def test_study_splitting_method_runs():
     dp_row, = rate_convergence_study(spec, ACNP_N, 0.5, [2000],
                                      method="exact_dp")
     assert row.log_p == pytest.approx(dp_row.log_p, rel=0.2)
+
+
+def test_study_refuses_an_unknown_method():
+    spec = SequenceSpec(rule="power", constants={"beta": 0.7}, r=2, alpha=2.0)
+    with pytest.raises(ParameterError, match="exact_dp or splitting"):
+        rate_convergence_study(spec, ACNP_N, 0.5, [1000], method="naive")
 
 
 def test_study_forwards_the_dp_cap():

@@ -69,6 +69,13 @@ def test_batches_reject_a_replicate_count_that_is_no_int(batch, replicates):
         batch(P6, replicates, RngSpec(0, 0))
 
 
+@pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
+def test_batches_refuse_an_rng_that_is_no_generator(batch):
+    # an int seed is no RngSpec: _map_chunks refuses it for every batch
+    with pytest.raises(ParameterError, match="rng"):
+        batch(P6, 10, 7)
+
+
 def test_all_seeded_stops_at_n():
     for batch in SAMPLER_BATCHES.values():
         sizes = batch(ModelParams(n=4, p=0.5, r=2, a=4), 20, RngSpec(0, 0))
@@ -444,6 +451,36 @@ def test_slot_pairs_match_a_binary_search_at_every_row_boundary(n):
     assert (got_u < got_v).all() and (got_v < (rep + 1) * n).all()
 
 
+def test_slot_pairs_root_is_exact_up_to_the_graph_cap():
+    # _slot_pairs floors the float root with no integer correction; its
+    # proof needs the radicand (2M - 1)^2 - 8v exact, so 4 M^2 < 2^53
+    assert 4 * process.GRAPH_NODE_CAP ** 2 < 2 ** 53
+
+
+class _FirstGapsOne:
+    """Generator stand-in whose first random() batch is zeros (every gap
+    1, so the batch falls short of the slots and a refill round runs) and
+    whose later batches come from a real generator; keeps what it gave."""
+
+    def __init__(self, seed):
+        self.gen, self.drawn = np.random.default_rng(seed), []
+
+    def random(self, size):
+        u = self.gen.random(size) if self.drawn else np.zeros(size)
+        self.drawn.append(u.copy())
+        return u
+
+
+def test_edge_slots_refill_continues_the_cumulative_sum():
+    total, p = 1000, 0.1
+    stub = _FirstGapsOne(4)
+    got = process._sample_edge_slots(total, p, stub)
+    assert len(stub.drawn) == 2
+    u = np.concatenate(stub.drawn)
+    pos = np.cumsum(1.0 + np.floor(np.log1p(-u) / math.log1p(-p))) - 1
+    np.testing.assert_array_equal(got, pos[pos < total].astype(np.int64))
+
+
 def _edge_uniform_sizes():
     gen = np.random.default_rng(22)
     sizes = []
@@ -481,15 +518,19 @@ ENGINE_CASES = {
 #: the low-degree-* entries pin low_degree_counts's deferred-decision draws.
 #: graph-n6, graph-n30-r4, graph-n2000 and graph-n300-r3 span more than one
 #: chunk, so they were retaken when chunk k came to draw from the k-th
-#: spawned stream (test_a_multi_chunk_run_concatenates_one_chunk_runs)
+#: spawned stream (test_a_multi_chunk_run_concatenates_one_chunk_runs).
+#: The low-degree-* entries were retaken when low_degree_counts came to
+#: cut its band and finish batches at the chunk budget, not the batch
+#: budget: their slot draws split at other replicates (n5000 moves by its
+#: band batches alone, n1000 by both)
 ENGINE_SHA256 = {
     "graph-n6": "e80f162779a07983581ce1b6ab809b129b1ebbecce2393aeb7d3185f21cd4d66",
     "graph-n30-r4": "8cdb8f8a1d30599e196826d9b86441f2527c566fb5021d85185d5e3c7ca9869e",
     "graph-n2000": "5379773adfedf921360a61e23e6bce44ae0b69929a582718446a3d25c274cc7a",
     "graph-n300-r3": "5034ca5f9dd3ff2f4f609a0281dfafc9fbc37262a3f5d2bc46a4ba8cd36e4f0b",
     "graph-n1-3": "8fe4a2261aa8c7f087cc311606c919e82896ab4776be17da4a97750655b20511",
-    "low-degree-n5000": "ac2313ec16b179ee6eef1b9644e726789304f939a05948bf0e8d1e1e7518b66c",
-    "low-degree-n1000": "28a0dc29e7ef76d6eff711d3dc49c2883fb4f3c9980a385a242d197ed677a73a",
+    "low-degree-n5000": "868c6940bb191dd3b173a46be4b572552299166663372e9fbf4fdbb9ca51a853",
+    "low-degree-n1000": "36154fc78ad8c0c60843d8cef2fee044260b139f0e1f82b7080b69e90ade7397",
     "brute-n7-r2": "39e2b48f734650fb465198800b2ee53f6be4e4a9d2c8dec7eaa0bd5edf9efdbc",
     "brute-n7-r3": "1894e6f96d938f852fbeb165c8eec6d7837db020c0a4f64a5dc025c7627626e2",
     "edge-uniforms": "4d298be784859e0583d92ee29a0bc090b2aedbc570670a2e49d486518562b32b",
@@ -817,8 +858,9 @@ def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
 
 
 def test_low_degree_holds_a_bounded_working_set_over_many_chunks():
-    # its band and finish batches take up to a budget each inside a chunk,
-    # so two chunks at once held about seven budgets here
+    # its band and finish batches keep to the chunk budget, so its chunks
+    # run two at once; when those batches took up to a whole budget each,
+    # two chunks at once held about seven budgets here
     params = ModelParams(n=100, p=0.3, r=3, a=1)
     tracemalloc.start()
     try:
@@ -866,10 +908,10 @@ def _chunk_runs(batch, params, replicates):
     """The (start, size) runs that a batch call hands _map_chunks."""
     runs, real = [], process._map_chunks
 
-    def spy(replicates, elements, gen, fill, **kwargs):
+    def spy(replicates, elements, rng, fill):
         runs.extend(process._chunks(replicates, elements,
                                     process._CHUNK_ELEMENTS))
-        return real(replicates, elements, gen, fill, **kwargs)
+        return real(replicates, elements, rng, fill)
 
     process._map_chunks = spy
     try:
@@ -934,6 +976,26 @@ def test_chunks_run_one_at_a_time_where_a_replicate_outgrows_one(
     here = threading.get_ident()
     assert _chunk_threads(process._CHUNK_ELEMENTS + 1, monkeypatch) == {here}
     assert here not in _chunk_threads(process._CHUNK_ELEMENTS, monkeypatch)
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_every_sampler_runs_its_chunks_off_the_calling_thread(case,
+                                                             monkeypatch):
+    # every fill keeps to the chunk budget, low_degree_counts's band and
+    # finish batches included, so no sampler's chunks run one at a time
+    batch, params, replicates = CHUNKED_CASES[case]
+    monkeypatch.setattr(process, "_worker_count", lambda chunks: 2)
+    threads, real = [], process._map_chunks
+
+    def spy(replicates, elements, rng, fill):
+        def traced(size, g):
+            threads.append(threading.get_ident())
+            return fill(size, g)
+        return real(replicates, elements, rng, traced)
+
+    monkeypatch.setattr(process, "_map_chunks", spy)
+    batch(params, replicates, RngSpec(5, 1))
+    assert len(threads) >= 3 and threading.get_ident() not in threads
 
 
 def test_a_chunk_error_reaches_the_caller_and_its_threads_end(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootperc.core import ModelParams, Regime, SequenceSpec
+from bootperc.core import (ModelParams, Regime, SequenceSpec,
+                           critical_quantities)
 from bootperc.errors import (EpsOutOfRange, ParameterError,
                              UnsupportedCombination)
 from bootperc.ratefun import (ScalingFamily, entropy_H, family_from_string,
@@ -42,6 +43,8 @@ def test_entropy_values():
     assert entropy_H(2.0) == pytest.approx(2 * math.log(2) - 1, rel=1e-12)
     assert entropy_H(-1.0) == math.inf
     assert entropy_H(math.inf) == math.inf
+    with pytest.raises(ParameterError, match="NaN"):
+        entropy_H(math.nan)
 
 
 def test_entropy_shape_on_grid():
@@ -290,6 +293,15 @@ def test_rate_I3_identity():
         assert ldp_rate_value(regime, MID, -1.0, 2.0, 2) == math.inf
 
 
+def test_rate_I_table5_const_jumps_from_zero():
+    # a_c/(n p) -> 0: no deviation of the const family is free but x = 0,
+    # and only x = inf carries the early-stop exponent
+    j0 = minimize_rate(2.0, 2)[1]
+    assert ldp_rate_value(REG_V_VAN, CONST_1, 0.0, 2.0, 2) == 0.0
+    assert ldp_rate_value(REG_V_VAN, CONST_1, 1.0, 2.0, 2) == math.inf
+    assert ldp_rate_value(REG_V_VAN, CONST_1, math.inf, 2.0, 2) == j0
+
+
 def test_rate_I5_prime_linear():
     j0 = minimize_rate(2.0, 2)[1]
     fam = ScalingFamily("asym_acnp", 0.5)
@@ -306,6 +318,8 @@ def test_rate_value_unsupported_combinations():
         ldp_rate_value(REG_BC_INF, CONST_1, 1.0, 2.0, 2)
     with pytest.raises(UnsupportedCombination):
         ldp_rate_value(REG_V_VAN, ScalingFamily("const", 0.5), 1.0, 2.0, 2)
+    with pytest.raises(ParameterError, match="NaN"):
+        ldp_rate_value(REG_V_DIV, CONST_1, math.nan, 2.0, 2)
 
 
 def test_ceiling_tie_rule():
@@ -384,6 +398,12 @@ def test_tail_exponent_eps_restrictions():
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             tail_exponent(SPEC_07, 10**5, CONST_1, eps, REG_V_DIV)
+    # a spec without a supercritical alpha has no tail prediction
+    for alpha in (None, 1.0):  # None: the seeds come from a table
+        spec = SequenceSpec(rule="power", constants={
+            "beta": 0.7, "a_points": [[10**5, 100]]}, r=2, alpha=alpha)
+        with pytest.raises(ParameterError, match="alpha > 1"):
+            tail_exponent(spec, 10**5, CONST_1, 0.5, REG_V_DIV)
 
 
 FAMILIES = {
@@ -537,6 +557,43 @@ def test_family_spec_string_round_trips(family):
     text = family.spec_string()
     assert family_from_string(text) == family
     assert family_from_string(text).spec_string() == text
+
+
+# f(n) per tag, as ScalingFamily's docstring gives it
+SCALE_FORMS = {
+    "const": (ScalingFamily("const", 2.5), lambda n, p, crit: 2.5),
+    "asym_bc": (ScalingFamily("asym_bc", 1.5),
+                lambda n, p, crit: 1.5 * crit.b_c),
+    "asym_acnp": (ScalingFamily("asym_acnp", 0.5),
+                  lambda n, p, crit: 0.5 * crit.a_c / (n * p)),
+    "between_acnp_n": (EARLY, lambda n, p, crit: max(
+        1.0, math.log(n) * crit.a_c / (n * p))),
+    "between_acnp_n-linear": (ScalingFamily("between_acnp_n", 0.25),
+                              lambda n, p, crit: 0.25 * n),
+    "between_bc_acnp": (ScalingFamily("between_bc_acnp", 0.3),
+                        lambda n, p, crit: max(crit.b_c, 1.0) ** 0.7
+                        * (crit.a_c / (n * p)) ** 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_FORMS))
+def test_scale_at_is_the_closed_form(case):
+    family, form = SCALE_FORMS[case]
+    # sparse and dense: ln n a_c/(n p) is 46 and 4e-7, b_c 4.5 and 0
+    for n, p in ((10**4, 1e-3), (10**4, 0.5)):
+        crit = critical_quantities(ModelParams(n=n, p=p, r=2, a=1))
+        assert family.scale_at(n, p, crit) == pytest.approx(
+            form(n, p, crit), rel=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_FORMS))
+def test_scale_at_p_zero_is_refused_where_it_reads_crit(case):
+    family, form = SCALE_FORMS[case]
+    if case in ("const", "between_acnp_n-linear"):
+        assert family.scale_at(100, 0.0, None) == form(100, 0.0, None)
+    else:
+        with pytest.raises(ParameterError, match="p > 0"):
+            family.scale_at(100, 0.0, None)
 
 
 def test_family_validation():
