@@ -33,9 +33,8 @@ from .errors import DegenerateLevels, MemoryGuardError, ParameterError
 # bench/spans.py wraps both by these names
 from .oracle import (_LN2, PMF_NODE_CAP, LogProb, _log_q_schedule, _pow2_mean,
                      event_threshold, exact_stop_cdf)
-from .process import (ACTIVATION_NODE_CAP, RngSpec, _as_generator,
-                      _check_replicates, _chunks, _fill_log_q,
-                      _leap_to_level, final_sizes_activation,
+from .process import (ACTIVATION_NODE_CAP, RngSpec, _check_batch, _chunks,
+                      _fill_log_q, _leap_to_level, final_sizes_activation,
                       final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
                       tail_exponent)
@@ -101,12 +100,12 @@ def _naive_tail(params: ModelParams, tau: int, replicates: int,
                 rng) -> TailEstimate:
     """Plain Monte Carlo for P(T <= tau): the share of leap-sampler final
     sizes at most tau, with a Wilson interval."""
-    _check_replicates(replicates)
+    gen = _check_batch(replicates, rng)
     if tau < params.a:
         return TailEstimate(0.0, 0.0, 0.0, replicates, -math.inf)
     if tau >= params.n:
         return TailEstimate(1.0, 1.0, 1.0, replicates, 0.0)
-    hits = int((final_sizes_leap(params, replicates, rng) <= tau).sum())
+    hits = int((final_sizes_leap(params, replicates, gen) <= tau).sum())
     lo, hi = wilson_interval(hits, replicates)
     p_hat = hits / replicates
     return TailEstimate(p_hat, lo, hi, replicates,
@@ -213,12 +212,11 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels: int,
     if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool) \
             or levels < 1:
         raise ParameterError(f"levels must be an integer >= 1, got {levels!r}")
-    gen = _as_generator(rng)
     reps = per_level_replicates
+    gen = _check_batch(reps, rng)
     if levels == 1 or not params.a <= tau < params.n \
             or _sure_final_size(params) is not None:
         return _naive_tail(params, tau, reps, gen)
-    _check_replicates(reps)
     if reps < 2 * _SPLIT_GROUPS:
         raise ParameterError(
             f"need at least {2 * _SPLIT_GROUPS} replicates per level")

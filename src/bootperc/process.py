@@ -122,13 +122,15 @@ class RngSpec:
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream))))
 
 
-def _check_replicates(replicates: int) -> None:
+def _check_batch(replicates: int, rng) -> np.random.Generator:
+    """Refuse a bad replicate count or rng; return the rng's generator."""
     if not isinstance(replicates, (int, np.integer)) \
             or isinstance(replicates, bool) or replicates < 1:
         raise ParameterError(
             f"replicates must be an integer >= 1, got {replicates!r}")
     if replicates > REPLICATE_CAP:
         raise MemoryGuardError(f"replicates above the cap {REPLICATE_CAP}")
+    return _as_generator(rng)
 
 
 def _chunks(replicates: int, elements_per_replicate,
@@ -321,7 +323,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     O(sqrt m) where a stop is possible in a few blocks and O(m) at worst.
     The spacings depend on (G_b, key) alone, whatever p is.
     """
-    _check_replicates(replicates)
+    gen = _check_batch(replicates, rng)
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
@@ -339,7 +341,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
     _fill_log_q(q[m - 1::-1], a, p, r)
     np.exp(q[:m], out=q[:m])
     if blocks == 1:
-        return _map_chunks(replicates, m + 1, rng, lambda size, g:
+        return _map_chunks(replicates, m + 1, gen, lambda size, g:
                            _stop_from_spacings(g.standard_exponential(
                                (size, m + 1)), q[m - 1::-1], a))
     q_blocks = q.reshape(blocks, width)
@@ -350,7 +352,7 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
         keys = g.integers(2 ** 64, size=(size, blocks), dtype=np.uint64)
         return n - _largest_hits(sums, keys, q_blocks, bound, lengths)
     # a row holds four numbers per block: its sum, key, prefix and test
-    return _map_chunks(replicates, 4 * blocks, rng, fill)
+    return _map_chunks(replicates, 4 * blocks, gen, fill)
 
 
 def _leap_to_level(params: ModelParams, t: np.ndarray, s: np.ndarray,
@@ -401,7 +403,7 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     run evaluates at least one per replicate) when n + 1 is at most the
     replicate count and the batch budget, and evaluated at the leap times
     otherwise.  log_cdf_head is elementwise, so both give the same draws."""
-    _check_replicates(replicates)
+    gen = _check_batch(replicates, rng)
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
@@ -416,7 +418,7 @@ def final_sizes_leap(params: ModelParams, replicates: int, rng) -> np.ndarray:
     # at a leap's peak a chain holds the r - 1 head terms of log Q three
     # times over and about 14 state numbers, so chunks of r + 10 numbers
     # per chain keep it under 3 budgets
-    return _map_chunks(replicates, r + 10, rng, fill)
+    return _map_chunks(replicates, r + 10, gen, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +443,29 @@ def _leap_chances(margin: np.ndarray, p: float, r: int):
     return log_f, up
 
 
-def _leap_chance_table(n: int, p: float, r: int, replicates: int):
-    """_leap_chances over every margin 0..n when n + 1 is at most the
-    replicate count and the batch budget over 2r (the table's 2r - 1
-    rows), else None."""
+def _leap_chance_lookup(n: int, p: float, r: int, replicates: int):
+    """Map margins 0..n to their _leap_chances: gather from one table over
+    0..n when n + 1 is at most the replicate count and the batch budget
+    over 2r (the table's 2r - 1 rows), else evaluate them; both give the
+    same floats, as _leap_chances is elementwise."""
     if n + 1 <= min(replicates, _BATCH_ELEMENTS // (2 * r)):
-        return _leap_chances(np.arange(n + 1), p, r)
-    return None
+        table = _leap_chances(np.arange(n + 1), p, r)
+        return lambda margin: tuple(x.take(margin, axis=1) for x in table)
+    return partial(_leap_chances, p=p, r=r)
 
 
-def _mark_leap(counts: np.ndarray, margin: np.ndarray, p: float, table,
+def _mark_leap(counts: np.ndarray, margin: np.ndarray, chances,
                gen: np.random.Generator) -> np.ndarray:
     """One leap of `margin` steps per column of `counts` (row j: the
     nodes holding j < r marks), in place: each node gains G ~ Bin(M, p)
     marks.  Per level j the nodes reaching r marks are
     Bin(c_j, 1 - F(r-1-j)), F(d) = P(G <= d), and the rest are split
     from the top down, Bin with chance 1 - F(d-1)/F(d) of having gained
-    exactly d.  The chances are gathered from `table`
-    (_leap_chance_table) or evaluated at the margins; _leap_chances is
-    elementwise, so both give the same draws.  Returns the nodes that
+    exactly d.  `chances` maps the margins to (act, up) as
+    _leap_chances does (_leap_chance_lookup).  Returns the nodes that
     reached r marks, per column."""
     r = counts.shape[0]
-    act, up = ((x.take(margin, axis=1) for x in table) if table
-               else _leap_chances(margin, p, r))
+    act, up = chances(margin)
     gained = None
     # top level first: nodes move up onto levels already drawn
     for j in range(r - 1, -1, -1):
@@ -489,14 +491,14 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     number activated, so a leap that activates nobody stops the replicate
     at A* = A.  Exact in law.  A leap's chances depend on its margin
     M <= n alone, so they may come from one table over 0..n
-    (_leap_chance_table).
+    (_leap_chance_lookup).
     """
-    _check_replicates(replicates)
+    gen = _check_batch(replicates, rng)
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
     n, p, r, a = params.n, params.p, params.r, params.a
-    table = _leap_chance_table(n, p, r, replicates)
+    chances = _leap_chance_lookup(n, p, r, replicates)
 
     def fill(size, g):
         active = np.full(size, a, dtype=np.int64)
@@ -505,7 +507,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
         counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
         counts[0] = n - a
         while idx.size:
-            gained = _mark_leap(counts, margin, p, table, g)
+            gained = _mark_leap(counts, margin, chances, g)
             active[idx] += gained
             keep = gained.nonzero()[0]
             idx, margin, counts = idx[keep], gained[keep], counts[:, keep]
@@ -513,7 +515,7 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     # batched by a leap's working set, not the chain's r + 2 counts: at its
     # peak a leap holds the counts before and after compaction, log F and
     # the split chances, about 6r + 6 numbers per chain (1.6 budgets)
-    return _map_chunks(replicates, 4 * r + 4, rng, fill)
+    return _map_chunks(replicates, 4 * r + 4, gen, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +623,6 @@ def _check_graph_cap(n: int, what: str, hint: str = "") -> None:
     if n > GRAPH_NODE_CAP:
         raise MemoryGuardError(
             f"{what} refuses n = {n} above the cap {GRAPH_NODE_CAP}{hint}")
-
-
-def _graph_batches(params: ModelParams, replicates: int, rng, reduce):
-    """Per chunk of `size` replicates, keep the `size` values
-    reduce(draw, size), where draw() returns the ascending slots of `size`
-    independent G(n, p) graphs as one disjoint union (drawn on call, so a
-    reduce can drop them once decoded); returns all of them in order."""
-    _check_replicates(replicates)
-    n, p = params.n, params.p
-    _check_graph_cap(n, "graph sampler", "; use the leap, mark-chain or "
-                     "activation-time sampler instead")
-    pairs = n * (n - 1) // 2
-    return _map_chunks(replicates, pairs * p + n, rng, lambda size, g: reduce(
-        partial(_sample_edge_slots, size * pairs, p, g), size))
 
 
 def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
@@ -781,7 +769,7 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     whole graph holds; where a_c >= n/2 (np <= 1 at r = 2) the band is
     the whole graph.
     """
-    _check_replicates(replicates)
+    gen = _check_batch(replicates, rng)
     n, p, r = params.n, params.p, params.r
     _check_graph_cap(n, "low_degree_counts")
     if p in (0.0, 1.0):
@@ -790,7 +778,7 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     # 2 a_c = 2 (1 - 1/r) t_c from ln t_c, which is finite at any p > 0
     log_2a_c = math.log(2.0 - 2.0 / r) + _log_t_c(n, p, r)
     s = min(n, max(r, math.ceil(math.exp(min(log_2a_c, math.log(n))))))
-    table = _leap_chance_table(n, p, r, replicates)
+    chances = _leap_chance_lookup(n, p, r, replicates)
     band = s * (2 * n - s - 1) // 2
 
     def fill(size, g):
@@ -801,7 +789,7 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
         idx = np.flatnonzero(margin)
         live, margin = counts[:, idx], margin[idx]
         while idx.size:
-            margin = _mark_leap(live, margin, p, table, g)
+            margin = _mark_leap(live, margin, chances, g)
             done = margin == 0
             counts[:, idx[done]] = live[:, done]
             keep = np.flatnonzero(margin)
@@ -811,7 +799,7 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
     # the band runs in batches of a quarter chunk of edges (it holds about
     # seven arrays of them at its peak) and the finish in batches of a
     # chunk of pairs and nodes, so two chunks at once hold two chunks' worth
-    return _map_chunks(replicates, 4 * r + 4, rng, fill)
+    return _map_chunks(replicates, 4 * r + 4, gen, fill)
 
 
 def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
@@ -822,22 +810,35 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     exchangeability the law of the final size is the same, and one
     randomness source less keeps coupling tests simple.
 
-    When the 2^C(n, 2) graphs are at most the replicate count and the
-    batch budget (n <= 6 in practice), every graph's final size is
-    enumerated once (_graph_closures) and each replicate reads its own
-    by graph id (_slot_ids); otherwise each batch runs the cascade.  The
-    draws are the same either way, and so are the sizes.
+    A sure A* (_sure_final_size) is returned without drawing.  Each chunk
+    draws its graphs' slots as one disjoint union and decodes them at
+    once, so nothing holds them past the decode.  When the 2^C(n, 2)
+    graphs are at most the replicate count and the batch budget (n <= 6
+    in practice), every graph's final size is enumerated once
+    (_graph_closures) and each replicate reads its own by graph id
+    (_slot_ids); otherwise each chunk runs the cascade.  The draws are
+    the same either way, and so are the sizes.
     """
-    n, r, a = params.n, params.r, params.a
+    gen = _check_batch(replicates, rng)
+    n, p, r, a = params.n, params.p, params.r, params.a
+    _check_graph_cap(n, "graph sampler", "; use the leap, mark-chain or "
+                     "activation-time sampler instead")
+    sure = _sure_final_size(params)
+    if sure is not None:
+        return np.full(replicates, sure, dtype=np.int64)
     pairs = n * (n - 1) // 2
     # 2^pairs <= min(replicates, budget), never building 2^pairs for a large n
     if pairs < _BATCH_ELEMENTS.bit_length() and 1 << pairs <= replicates:
         table = np.concatenate([s for _, s in _graph_closures(n, r, a)])
-        return _graph_batches(params, replicates, rng, lambda draw, size:
-                              table.take(_slot_ids(draw(), size, pairs)))
-    return _graph_batches(
-        params, replicates, rng, lambda draw, size: _vector_cascade_sizes(
-            *_slot_pairs(draw(), n), size, n, r, a))
+
+        def fill(size, g):
+            return table.take(_slot_ids(
+                _sample_edge_slots(size * pairs, p, g), size, pairs))
+    else:
+        def fill(size, g):
+            return _vector_cascade_sizes(*_slot_pairs(
+                _sample_edge_slots(size * pairs, p, g), n), size, n, r, a)
+    return _map_chunks(replicates, pairs * p + n, gen, fill)
 
 
 SAMPLER_BATCHES = {

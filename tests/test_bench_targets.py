@@ -1,11 +1,17 @@
 """The benchmark's traced run wraps library names listed in
-bench/spans.py; a name removed from the library breaks that run."""
+bench/spans.py, and README.md cites library names by module; a name
+removed from the library breaks that run or leaves the README stale."""
 
 import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+import bootperc
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_every_traced_name_resolves():
@@ -17,3 +23,15 @@ def test_every_traced_name_resolves():
                               attr)]
     assert not missing
     assert {owner for _, _, owner in spans.TARGETS} <= set(spans.LAYER_OF)
+
+
+def test_every_module_qualified_name_in_the_readme_resolves():
+    modules = {m.name for m in pkgutil.iter_modules(bootperc.__path__)}
+    cited = [(where, attr) for where, attr in re.findall(
+        r"`(?:bootperc\.)?(\w+)\.(\w+)", (ROOT / "README.md").read_text())
+        if where in modules]
+    assert cited
+    missing = [f"{where}.{attr}" for where, attr in cited
+               if not hasattr(importlib.import_module(f"bootperc.{where}"),
+                              attr)]
+    assert not missing

@@ -67,6 +67,15 @@ def test_estimate_tail_empty_event():
     assert est.p_hat == 0.0 and est.log_p_hat == -math.inf
 
 
+@pytest.mark.parametrize("params, eps", [
+    (P6, 9.0),  # threshold below a: the empty event
+    (ModelParams(n=10, p=0.0, r=2, a=2), 1.5),  # a sure A*
+], ids=["empty", "sure"])
+def test_estimate_tail_refuses_a_bad_rng_where_it_draws_nothing(params, eps):
+    with pytest.raises(ParameterError, match="rng"):
+        estimate_tail(params, CONST_1, eps, 2000, "nonsense")
+
+
 def test_estimate_tail_ci_contains_exact_value():
     exact = float(exact_tail_query(P6, CONST_1, 1.5))
     est = estimate_tail(P6, CONST_1, 1.5, 200_000, RngSpec(5, 0))

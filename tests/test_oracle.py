@@ -61,6 +61,14 @@ def test_exact_pmf_support_and_normalization_midsize():
     assert pmf.truncation_bound < 1e-20
 
 
+def test_pmf_probs_map_the_support_read_only():
+    pmf = exact_pmf(ModelParams(n=7, p=0.3, r=2, a=2))
+    probs = pmf.probs
+    assert probs == {k: pmf.prob(k) for k in range(2, 8)}
+    with pytest.raises(TypeError):
+        probs[2] = 1.0
+
+
 def test_exact_pmf_cap():
     with pytest.raises(MemoryGuardError):
         exact_pmf(ModelParams(n=PMF_NODE_CAP + 1, p=1e-3, r=2, a=5))

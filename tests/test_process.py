@@ -71,9 +71,12 @@ def test_batches_reject_a_replicate_count_that_is_no_int(batch, replicates):
 
 @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
 def test_batches_refuse_an_rng_that_is_no_generator(batch):
-    # an int seed is no RngSpec: _map_chunks refuses it for every batch
-    with pytest.raises(ParameterError, match="rng"):
-        batch(P6, 10, 7)
+    # an int seed is no RngSpec: every batch refuses it first, so a sure
+    # outcome (p = 0, or p = 1 for the leap sampler) refuses it too
+    sure = ModelParams(n=6, p=float(batch is final_sizes_leap), r=2, a=2)
+    for params in (P6, sure):
+        with pytest.raises(ParameterError, match="rng"):
+            batch(params, 10, 7)
 
 
 def test_all_seeded_stops_at_n():
@@ -638,10 +641,13 @@ def test_cascade_sizes_equal_the_closure(case):
 
 def _engine_sizes(params, replicates, rng):
     """The graph sampler's cascade path at any replicate count."""
-    n, r, a = params.n, params.r, params.a
-    return process._graph_batches(
-        params, replicates, rng, lambda draw, size: process._vector_cascade_sizes(
-            *process._slot_pairs(draw(), n), size, n, r, a))
+    n, p, r, a = params.n, params.p, params.r, params.a
+    pairs = n * (n - 1) // 2
+
+    def fill(size, g):
+        return process._vector_cascade_sizes(*process._slot_pairs(
+            process._sample_edge_slots(size * pairs, p, g), n), size, n, r, a)
+    return process._map_chunks(replicates, pairs * p + n, rng, fill)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -659,6 +665,21 @@ def test_graph_table_path_equals_the_engine(data):
     params = ModelParams(n=n, p=p, r=r, a=a)
     np.testing.assert_array_equal(final_sizes_graph(params, reps, rng),
                                   _engine_sizes(params, reps, rng))
+
+
+@pytest.mark.parametrize("n", [50, process.GRAPH_NODE_CAP])
+def test_graph_sampler_answers_a_sure_final_size_without_drawing(
+        n, monkeypatch):
+    # p = 1 once drew all replicates * C(n, 2) slots: 40 GB at the cap
+    def refuse(*args):
+        raise AssertionError("a sure final size drew edge slots")
+    monkeypatch.setattr(process, "_sample_edge_slots", refuse)
+    for (p, r, a), want in {(0.0, 2, 3): 3, (1.0, 2, 3): n, (1.0, 4, 3): 3,
+                            (0.3, 2, n): n, (0.3, n, 3): 3,
+                            (0.3, n + 5, 3): 3}.items():
+        sizes = final_sizes_graph(ModelParams(n=n, p=p, r=r, a=a), 4,
+                                  RngSpec(0, 0))
+        assert sizes.tolist() == [want] * 4
 
 
 def test_graph_table_is_built_only_when_it_costs_no_more_than_the_replicates(
@@ -956,6 +977,15 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
                         lambda pid: {0, 1, 2, 3}, raising=False)
     assert process._worker_count(10) == 2
     assert process._worker_count(1) == 1
+
+
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without sched_getaffinity, whose cpu_count may be None
+    monkeypatch.delattr(process.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(process.os, "cpu_count", lambda: None)
+    assert process._worker_count(10) == 1
+    monkeypatch.setattr(process.os, "cpu_count", lambda: 8)
+    assert process._worker_count(10) == 2
 
 
 def _chunk_threads(elements, monkeypatch):
