@@ -14,7 +14,10 @@
   keeps the inactive nodes counted by marks held and leaps over each
   stretch where it cannot stop: the M = A - t steps of a leap give every
   inactive node Bin(M, p) marks at once, so a replicate costs a few dozen
-  leaps of r(r + 1)/2 binomial draws at any n;
+  leaps of r(r + 1)/2 binomial draws at any n; where the states (M,
+  counts) are few (n <= 16 at r = a = 2) it draws each leap with one
+  uniform from a Walker alias table of every state's leap, built per call
+  (_mark_table);
 * activation times: each non-seed node gets an i.i.d. r-th-success time
   Y_i, whose order statistics are read off the prefix sums of n - a + 1
   exponential spacings (Renyi's representation) against one table of
@@ -63,8 +66,10 @@ likewise moves its realised draws, not its law.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -175,8 +180,9 @@ def _map_chunks(replicates: int, elements_per_replicate, rng,
     the concatenation of one-chunk runs on those streams.  Up to
     _worker_count chunks run at once on threads (numpy releases the GIL
     in its draws and loops), but one at a time where a single replicate
-    outgrows a chunk, as its arrays alone pass the chunk budget.  An
-    exception from any chunk is raised here."""
+    outgrows a chunk, as its arrays alone pass the chunk budget.  The
+    first exception a chunk raises is raised here once every thread has
+    ended; the workers take no more chunks after it."""
     gen = _as_generator(rng)
     runs = list(_chunks(replicates, elements_per_replicate, _CHUNK_ELEMENTS))
     gens = [gen, *gen.spawn(len(runs) - 1)]
@@ -191,13 +197,34 @@ def _map_chunks(replicates: int, elements_per_replicate, rng,
     if workers == 1:
         for k in range(len(runs)):
             run(k)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        # the calling thread runs no chunk: it holds the caller's arrays,
-        # and chunk work interleaved with them made its malloc heap grow
-        # by a whole output array in some runs and not in others
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, range(len(runs))))
+        return out
+    # the calling thread runs no chunk: it holds the caller's arrays, and
+    # chunk work interleaved with them made its malloc heap grow by a
+    # whole output array in some runs and not in others
+    todo, lock, failed = iter(range(len(runs))), threading.Lock(), []
+
+    def work() -> None:
+        while not failed:  # after a chunk's error, take no more chunks
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                run(k)
+            except BaseException as exc:  # passed on to the caller below
+                failed.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    # every worker starts before any chunk is handed out: a start waits on
+    # the GIL, which a worker busy with a chunk holds, and that slowed
+    # four-chunk leap batches by about a tenth
+    with lock:
+        for thread in threads:
+            thread.start()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -480,6 +507,63 @@ def _mark_leap(counts: np.ndarray, margin: np.ndarray, chances,
     return gained
 
 
+def _mark_table(n: int, p: float, r: int, a: int):
+    """Walker alias table of the mark chain's leap from each state (M, c):
+    margin M = 0..n and count vector c, the inactive nodes by marks held
+    (levels 0..r-1, |c| <= n - a).
+
+    The V count vectors are the multisets of levels, by size.  The law of
+    the next vector from c + e_j is the law from c convolved with one
+    level-j node, which activates with P(G >= r - j) and lands on level
+    j + d with P(G = d), G ~ Bin(M, p); so the kernel is built one vector
+    at a time, vectorised over M.  Row M V + c of the alias table splits
+    into V columns of chance 1 / V each, and column k takes its own
+    next vector k with chance prob[row, k], else alias[row, k] (Vose's
+    build, as V - 1 rounds over all rows, each pairing a row's smallest
+    open column with its largest).  Both are stored as the next row
+    (|c| - |c'|) V + c', since the nodes gained are the next margin, so a
+    row below V is a stopped chain at c' (a column of chance 0 whose c'
+    outsizes c names no row).  Returns (held, start, prob, own, other):
+    |c| per vector, the row (a, (n - a, 0, ..., 0)) every chain starts
+    from, and the three (n + 1) V by V tables."""
+    levels = [c for size in range(n - a + 1)
+              for c in itertools.combinations_with_replacement(range(r), size)]
+    ids = {c: v for v, c in enumerate(levels)}
+    width = len(levels)
+    inner = width - math.comb(n - a + r - 1, r - 1)  # the vectors below n - a
+    plus = np.array([[ids[tuple(sorted(c + (k,)))] for c in levels[:inner]]
+                     for k in range(r)], dtype=np.int64)  # c + e_k
+    act = _leap_chances(np.arange(n + 1), p, r)[0]
+    pmf = np.diff(1.0 - act, axis=0, prepend=0.0)  # P(G = d), d < r
+    kernel = np.zeros((n + 1, width, width))  # [M, c, c']
+    kernel[:, 0, 0] = 1.0
+    for v, c in enumerate(levels[1:], 1):
+        j, src = c[-1], kernel[:, ids[c[:-1]], :inner]
+        dst = kernel[:, v]
+        dst[:, :inner] = src * act[r - 1 - j, :, None]
+        for k in range(j, r):
+            dst[:, plus[k]] += src * pmf[k - j, :, None]
+    hi = kernel.reshape(-1, width)
+    hi *= width
+    lo, at = hi.copy(), np.arange(hi.shape[0])
+    prob = np.ones_like(hi)  # the last open column keeps itself
+    alias = np.tile(np.arange(width, dtype=np.int32), (hi.shape[0], 1))
+    for _ in range(width - 1):
+        small, large = lo.argmin(axis=1), hi.argmax(axis=1)
+        chance = lo[at, small]
+        prob[at, small], alias[at, small] = chance, large
+        chance += hi[at, large]
+        chance -= 1.0  # the large column gives 1 - chance to the small one
+        lo[at, large] = hi[at, large] = chance
+        lo[at, small], hi[at, small] = np.inf, -np.inf
+    del kernel, hi, lo
+    held = np.array([len(c) for c in levels], dtype=np.int64)
+    own = np.tile(((held[:, None] - held) * width + np.arange(width))
+                  .astype(np.int32), (n + 1, 1))
+    return held, a * width + inner, prob, own, np.take_along_axis(
+        own, alias, axis=1)
+
+
 def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """Batch of A* values from the used-node reformulation, leaping over
     each stretch where it cannot stop.
@@ -487,35 +571,70 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     From (t, A, counts) with margin M = A - t > 0 the chain runs M more
     steps before it can stop, so the M steps are one draw: an inactive
     node holding j marks gains G ~ Bin(M, p) and activates iff
-    j + G >= r (_mark_leap).  After the leap t = A and the margin is the
-    number activated, so a leap that activates nobody stops the replicate
-    at A* = A.  Exact in law.  A leap's chances depend on its margin
-    M <= n alone, so they may come from one table over 0..n
-    (_leap_chance_lookup).
+    j + G >= r.  After the leap t = A and the margin is the number
+    activated, so a leap that activates nobody stops the replicate at
+    A* = A.  Exact in law.
+
+    A leap's law depends on the state (M, counts) alone.  Where its
+    (n + 1) V^2 table entries, V = C(n - a + r, r) count vectors, are at
+    most the replicate count and the batch budget (n <= 16 at r = a = 2),
+    each leap is one uniform through that alias table
+    (_mark_table); otherwise it is r (r + 1) / 2 binomial draws per chain
+    (_mark_leap), with chances that depend on the margin M <= n alone, so
+    they may come from one table over 0..n (_leap_chance_lookup).  The
+    two paths draw the same law from different draws.
     """
     gen = _check_batch(replicates, rng)
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
     n, p, r, a = params.n, params.p, params.r, params.a
-    chances = _leap_chance_lookup(n, p, r, replicates)
+    # V >= n - a + r, so a larger n - a + r rules the table out unbuilt
+    m = n - a + r
+    if m * m <= _BATCH_ELEMENTS and (n + 1) * math.comb(m, r) ** 2 <= min(
+            replicates, _BATCH_ELEMENTS):
+        held, start, prob, own, other = _mark_table(n, p, r, a)
+        width = held.size
 
-    def fill(size, g):
-        active = np.full(size, a, dtype=np.int64)
-        idx = np.arange(size)
-        margin = active.copy()  # t = active - margin
-        counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
-        counts[0] = n - a
-        while idx.size:
-            gained = _mark_leap(counts, margin, chances, g)
-            active[idx] += gained
-            keep = gained.nonzero()[0]
-            idx, margin, counts = idx[keep], gained[keep], counts[:, keep]
-        return active
-    # batched by a leap's working set, not the chain's r + 2 counts: at its
-    # peak a leap holds the counts before and after compaction, log F and
-    # the split chances, about 6r + 6 numbers per chain (1.6 budgets)
-    return _map_chunks(replicates, 4 * r + 4, gen, fill)
+        def fill(size, g):
+            rows = np.full(size, start, dtype=np.int64)
+            live, cur = np.arange(size), rows.copy()
+            while live.size:
+                x = g.random(live.size)
+                x *= width
+                flat = x.astype(np.int64)  # the column, and x its fraction
+                x -= flat
+                flat += cur * width
+                cur = np.where(x < prob.take(flat), own.take(flat),
+                               other.take(flat))
+                rows[live] = cur
+                keep = np.flatnonzero(cur >= width)
+                live, cur = live[keep], cur[keep]
+            return n - held.take(rows)
+        # at a leap's peak a chain holds about seven numbers (its row, index
+        # and state, the uniform, the flat index and the gathers)
+        elements = 8
+    else:
+        chances = _leap_chance_lookup(n, p, r, replicates)
+
+        def fill(size, g):
+            active = np.full(size, a, dtype=np.int64)
+            idx = np.arange(size)
+            margin = active.copy()  # t = active - margin
+            counts = np.zeros((r, size), dtype=np.int64)  # inactive, by marks
+            counts[0] = n - a
+            while idx.size:
+                gained = _mark_leap(counts, margin, chances, g)
+                active[idx] += gained
+                keep = gained.nonzero()[0]
+                idx, margin, counts = idx[keep], gained[keep], counts[:, keep]
+            return active
+        # batched by a leap's working set, not the chain's r + 2 counts: at
+        # its peak a leap holds the counts before and after compaction,
+        # log F and the split chances, about 6r + 6 numbers per chain (1.6
+        # budgets)
+        elements = 4 * r + 4
+    return _map_chunks(replicates, elements, gen, fill)
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,15 @@ def _imported_packages(path: Path):
 
 
 def test_library_imports_no_scipy_and_tests_no_mpmath():
-    # numpy is the only runtime dependency; mpmath is no dependency at all
+    # numpy is the only runtime dependency; mpmath is no dependency at all;
+    # the sampler threads need no concurrent.futures, whose import (logging
+    # with it) a fresh process would pay on its first threaded batch
     library = sorted(Path(bootperc.__file__).parent.rglob("*.py"))
     tests = sorted(Path(__file__).parent.glob("*.py"))
     assert len(library) > 5 and len(tests) > 5
     found = [(path.name, package)
-             for paths, banned in ((library, "scipy"), (tests, "mpmath"))
+             for paths, banned in ((library, "scipy"), (library, "concurrent"),
+                                   (tests, "mpmath"))
              for path in paths for package in _imported_packages(path)
              if package == banned]
     assert found == []
@@ -65,6 +68,10 @@ def test_library_raises_only_package_errors():
     allowed = {name for name, obj in vars(errors).items()
                if isinstance(obj, type)
                and issubclass(obj, errors.BootpercError)}
+    # process._map_chunks passes on the first exception that a chunk's fill
+    # raised on a worker thread, as the thread pool before it did; it makes
+    # no exception of its own
+    passed_on = {("process.py", "failed[0]")}
     found, raised = [], set()
     for path in sorted(Path(bootperc.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -73,7 +80,8 @@ def test_library_raises_only_package_errors():
                     else node.exc
                 name = ast.unparse(exc) if exc is not None else "re-raise"
                 raised.add(name)
-                if name not in allowed:
+                if name not in allowed \
+                        and (path.name, name) not in passed_on:
                     found.append((path.name, node.lineno, name))
     assert len(allowed) > 5
     assert found == []

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 from collections import defaultdict
@@ -859,10 +860,13 @@ BATCH_BYTES = 8 * 2 ** 18
     (final_sizes_graph, _poisson_rule_instance(2000), 60),
     (low_degree_counts, _poisson_rule_instance(2000), 60),
     # the mark chain keeps O(r) counts per replicate at any n, so it takes
-    # many replicates of a small instance to fill two batches
+    # many replicates of a small instance to fill two batches; P6 leaps
+    # through its alias table, and n = 40 by binomial draws
     (final_sizes_markchain, P6, 400_000),
+    (final_sizes_markchain, ModelParams(n=40, p=0.15, r=2, a=4), 100_000),
 ], ids=["activation", "activation_every_block", "activation_large_r",
-        "leap", "leap_table", "graph", "low_degree", "markchain"])
+        "leap", "leap_table", "graph", "low_degree", "markchain",
+        "markchain_leaps"])
 def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
                                                     replicates):
     # each case spans two or more batches of process._BATCH_ELEMENTS
@@ -916,7 +920,11 @@ CHUNKED_CASES = {
     "activation-blocks": (final_sizes_activation,
                           _poisson_rule_instance(2000), 1600),
     "leap": (final_sizes_leap, _poisson_rule_instance(2000), 12_000),
-    "markchain": (final_sizes_markchain, P6, 12_000),
+    # 20 000 replicates leap through the alias table, 8 numbers per chain
+    "markchain": (final_sizes_markchain, P6, 20_000),
+    # 20 million table entries: binomial leaps, 12 numbers per chain
+    "markchain-leaps": (final_sizes_markchain,
+                        ModelParams(n=40, p=0.15, r=2, a=4), 12_000),
     "graph-table": (final_sizes_graph, P6, 40_000),
     "graph-cascade": (final_sizes_graph, ModelParams(n=30, p=0.5, r=4, a=5),
                       800),
@@ -1045,6 +1053,27 @@ def test_a_chunk_error_reaches_the_caller_and_its_threads_end(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_every_chunk_runs_once_under_many_threads(monkeypatch):
+    # the workers share one queue of chunk indices; a lost update would run
+    # a chunk twice or skip one.  Eight threads on a short switch interval
+    monkeypatch.setattr(process, "_worker_count", lambda chunks: 8)
+    runs = []
+
+    def fill(size, g):
+        runs.append(g.bit_generator.seed_seq.spawn_key)
+        return np.full(size, len(g.bit_generator.seed_seq.spawn_key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = process._map_chunks(400, process._CHUNK_ELEMENTS,
+                                  RngSpec(0, 0).generator(), fill)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == [(), *((k,) for k in range(399))]
+    np.testing.assert_array_equal(out, [0] + [1] * 399)
+
+
 # ---------------------------------------------------------------------------
 # distributional equality across samplers
 
@@ -1121,6 +1150,100 @@ def test_markchain_matches_exact_law_at_r3():
     params, pmf = _r3_instance_and_law()
     sizes = final_sizes_markchain(params, 200_000, RngSpec(9, 3))
     assert_tv_within_noise(sizes, pmf, params.n)
+
+
+#: instances whose mark chain leaps through its alias table at 10^6
+#: replicates; n = 3 is test_markchain_hand_enumeration's
+MARK_TABLE_INSTANCES = [
+    ModelParams(n=6, p=0.4, r=2, a=2), ModelParams(n=6, p=0.5, r=3, a=3),
+    ModelParams(n=7, p=0.3, r=2, a=2), ModelParams(n=7, p=0.6, r=4, a=4),
+    ModelParams(n=10, p=0.2, r=2, a=3), ModelParams(n=12, p=0.15, r=2, a=2),
+    ModelParams(n=3, p=0.5, r=2, a=2)]
+MARK_TABLE_IDS = [f"n{q.n}-p{q.p}-r{q.r}-a{q.a}" for q in MARK_TABLE_INSTANCES]
+
+
+def _mark_table_entries(params):
+    """(n + 1) V^2 for the V = C(n - a + r, r) count vectors."""
+    v = math.comb(params.n - params.a + params.r, params.r)
+    return (params.n + 1) * v * v
+
+
+@pytest.mark.parametrize("params", MARK_TABLE_INSTANCES, ids=MARK_TABLE_IDS)
+def test_markchain_table_path_matches_exact_law(params):
+    assert _mark_table_entries(params) <= process._BATCH_ELEMENTS
+    sizes = final_sizes_markchain(params, 1_000_000, RngSpec(39, params.n))
+    assert_tv_within_noise(sizes, exact_pmf(params), params.n)
+
+
+@pytest.mark.parametrize("params", MARK_TABLE_INSTANCES, ids=MARK_TABLE_IDS)
+def test_markchain_alias_table_carries_the_exact_law(params):
+    # the table's own law, pushed through it row by row: column k of a row
+    # sends chance prob / V to its own next row and 1 - prob of that to
+    # the alias's (a column of chance 0 may name no row); each leap but
+    # the last gains a node, so n - a + 1 leaps stop every chain
+    n, a = params.n, params.a
+    held, start, prob, own, other = process._mark_table(
+        n, params.p, params.r, a)
+    mass, law = np.zeros(prob.shape[0]), np.zeros(n + 1)
+    mass[start] = 1.0
+    for _ in range(n - a + 1):
+        share, mass = mass[:, None] / held.size, np.zeros_like(mass)
+        for rows, weight in ((own, share * prob),
+                             (other, share * (1.0 - prob))):
+            used = weight > 0.0
+            assert (rows[used] >= 0).all()
+            np.add.at(mass, rows[used], weight[used])
+        np.add.at(law, n - held, mass[:held.size])
+        mass[:held.size] = 0.0
+    assert np.abs(mass).sum() < 1e-12
+    pmf = exact_pmf(params)
+    np.testing.assert_allclose(law, [pmf.prob(k) for k in range(n + 1)],
+                               rtol=0.0, atol=1e-13)
+
+
+def test_markchain_table_and_binomial_paths_agree():
+    # below its 56 628 table entries the instance leaps by binomial draws:
+    # four such runs against one table run of as many replicates
+    params = ModelParams(n=12, p=0.15, r=2, a=2)
+    entries = _mark_table_entries(params)
+    leaps = np.concatenate([final_sizes_markchain(params, entries - 1,
+                                                  RngSpec(39, k))
+                            for k in range(4)])
+    table = final_sizes_markchain(params, leaps.size, RngSpec(39, 4))
+    counts = np.array([np.bincount(x, minlength=params.n + 1)
+                       for x in (leaps, table)])
+    counts = counts[:, counts.sum(axis=0) >= 20]
+    assert counts.shape[1] >= 8
+    assert chi2_contingency(counts).pvalue > 1e-3
+
+
+def test_markchain_takes_the_table_up_to_its_entries(monkeypatch):
+    # the rule (n + 1) V^2 <= min(replicates, budget), at its boundary on
+    # either side of the min
+    built, real = [], process._mark_table
+    monkeypatch.setattr(process, "_mark_table",
+                        lambda *args: built.append(args) or real(*args))
+    entries = _mark_table_entries(P6)
+    assert entries == 1575
+    for replicates, budget, table in [
+            (entries, process._BATCH_ELEMENTS, True),
+            (entries - 1, process._BATCH_ELEMENTS, False),
+            (10 ** 4, entries, True), (10 ** 4, entries - 1, False)]:
+        built.clear()
+        monkeypatch.setattr(process, "_BATCH_ELEMENTS", budget)
+        sizes = final_sizes_markchain(P6, replicates, RngSpec(0, 0))
+        assert len(built) == table and sizes.size == replicates
+    monkeypatch.undo()
+
+    # V >= n - a + r: above the root of the budget the rule computes no
+    # C(n - a + r, r), which takes long for a large r
+    def refuse(*args):
+        raise AssertionError(f"math.comb{args}")
+
+    monkeypatch.setattr(process.math, "comb", refuse)
+    params = ModelParams(n=1000, p=0.002, r=2, a=10)
+    sizes = final_sizes_markchain(params, 1000, RngSpec(0, 0))
+    assert ((10 <= sizes) & (sizes <= 1000)).all()
 
 
 def test_activation_matches_exact_law_at_r3():
@@ -1305,9 +1428,10 @@ def test_leap_sampler_gathers_from_one_table_when_it_is_short(monkeypatch):
     assert len(calls) == 18 and calls[0] == 2000
 
 
-#: outputs of the mark chain, with the leap chances gathered from one
-#: table over 0..n (n + 1 within the replicates and the batch budget over
-#: 2r) or evaluated at the margins of every leap
+#: outputs of the mark chain: table-n6 leaps through its alias table
+#: (1575 entries), and the others by binomial draws, with the leap chances
+#: gathered from one table over 0..n (n + 1 within the replicates and the
+#: batch budget over 2r) or evaluated at the margins of every leap
 MARKCHAIN_CASES = {
     "table-n6": lambda: final_sizes_markchain(P6, 100_000, RngSpec(29, 0)),
     "eval-n5000": lambda: final_sizes_markchain(
@@ -1319,10 +1443,11 @@ MARKCHAIN_CASES = {
 #: sha256 of each case's int64 output, computed before the mark chain
 #: built its leap-chance table once per run; table-n6 and table-r3 span
 #: more than one chunk and were retaken when chunks came to draw from
-#: spawned streams
+#: spawned streams, and table-n6 again when small instances came to leap
+#: through the alias table
 MARKCHAIN_SHA256 = {
     "table-n6":
-        "ddf021eab4bbc72cbe1d2d887084ac5f603b5db249df1fbbe5134a6d1cdfd892",
+        "3dcff2560a020f52d7edae923568e98f23c3da575b121481acd188b74bc1356b",
     "eval-n5000":
         "025f4ce587336663d9c9f2f43c90399922f7988451d55e3dd592e41c02db0319",
     "table-r3":
