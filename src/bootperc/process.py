@@ -5,6 +5,8 @@
   the 2^C(n, 2) graphs are few (n <= 6), reads each one's final size off
   one enumeration of them all by that engine (_graph_closures, which
   ``oracle.brute_force_pmf`` sums by edge count), from the same draws;
+  the enumeration does not depend on p, so it is built once per (n, r,
+  a) per process (_closure_table);
   low_degree_counts draws D_n, the nodes of degree < r, by deferred
   decisions: it reveals the edges of a band of about 2 a_c nodes, leaps
   over the nodes that band saturates with r neighbours as the mark chain
@@ -21,7 +23,8 @@
 * activation times: each non-seed node gets an i.i.d. r-th-success time
   Y_i, whose order statistics are read off the prefix sums of n - a + 1
   exponential spacings (Renyi's representation) against one table of
-  Q(t) = P(Bin(t, p) <= r - 1).  A longer row draws only the Gamma sums
+  Q(t) = P(Bin(t, p) <= r - 1), a column of a chunk's rows at a time
+  where a row is one block.  A longer row draws only the Gamma sums
   of blocks of about sqrt(2 (n - a)) spacings and expands just the
   blocks where a stop is possible, so a replicate costs O(sqrt(n - a))
   where a few blocks are, O(n - a) at worst, at any r;
@@ -71,7 +74,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -243,14 +246,19 @@ def _fill_log_q(out: np.ndarray, t0: int, p: float, r: int) -> np.ndarray:
 
 def _stop_from_spacings(spacings: np.ndarray, q: np.ndarray,
                         a: int) -> np.ndarray:
-    """Per row of m + 1 spacings (summed in place), the first t in
-    [a, a + m) with P_{a+m-t} < P_{m+1} q[t - a], else a + m."""
+    """Per row of m + 1 spacings, the first t in [a, a + m) with
+    P_{a+m-t} < P_{m+1} q[t - a], else a + m.  The prefix sums are built
+    as contiguous columns, one running add each: the float operations of
+    a cumsum along the rows, a column at a time."""
     size, m = spacings.shape[0], spacings.shape[1] - 1
-    prefix = np.cumsum(spacings, axis=1, out=spacings)  # column j - 1: P_j
-    prefix[:, :m] *= (1.0 / prefix[:, m])[:, None]
-    stop = np.ones((size, m + 1), dtype=bool)  # column t - a, t = a + m last
-    np.less(prefix[:, m - 1::-1], q, out=stop[:, :m])
-    return a + np.argmax(stop, axis=1)
+    prefix = np.empty((m + 1, size))  # row j - 1: P_j
+    prefix[0] = spacings[:, 0]
+    for j in range(1, m + 1):
+        np.add(prefix[j - 1], spacings[:, j], out=prefix[j])
+    prefix[:m] *= 1.0 / prefix[m]
+    stop = np.ones((m + 1, size), dtype=bool)  # row t - a, t = a + m last
+    np.less(prefix[m - 1::-1], q[:, None], out=stop[:m])
+    return a + np.argmax(stop, axis=0)
 
 
 #: SplitMix64's state increment and its two finaliser multipliers
@@ -509,8 +517,10 @@ def _mark_leap(counts: np.ndarray, margin: np.ndarray, chances,
 
 def _mark_table(n: int, p: float, r: int, a: int):
     """Walker alias table of the mark chain's leap from each state (M, c):
-    margin M = 0..n and count vector c, the inactive nodes by marks held
-    (levels 0..r-1, |c| <= n - a).
+    margin M = 0..max(a, n - a) and count vector c, the inactive nodes by
+    marks held (levels 0..r-1, |c| <= n - a).  A chain's first margin is
+    a and every later one the nodes it gained, at most n - a, so no chain
+    reads a larger margin.
 
     The V count vectors are the multisets of levels, by size.  The law of
     the next vector from c + e_j is the law from c convolved with one
@@ -525,7 +535,7 @@ def _mark_table(n: int, p: float, r: int, a: int):
     row below V is a stopped chain at c' (a column of chance 0 whose c'
     outsizes c names no row).  Returns (held, start, prob, own, other):
     |c| per vector, the row (a, (n - a, 0, ..., 0)) every chain starts
-    from, and the three (n + 1) V by V tables."""
+    from, and the three (max(a, n - a) + 1) V by V tables."""
     levels = [c for size in range(n - a + 1)
               for c in itertools.combinations_with_replacement(range(r), size)]
     ids = {c: v for v, c in enumerate(levels)}
@@ -533,9 +543,10 @@ def _mark_table(n: int, p: float, r: int, a: int):
     inner = width - math.comb(n - a + r - 1, r - 1)  # the vectors below n - a
     plus = np.array([[ids[tuple(sorted(c + (k,)))] for c in levels[:inner]]
                      for k in range(r)], dtype=np.int64)  # c + e_k
-    act = _leap_chances(np.arange(n + 1), p, r)[0]
+    margins = max(a, n - a) + 1
+    act = _leap_chances(np.arange(margins), p, r)[0]
     pmf = np.diff(1.0 - act, axis=0, prepend=0.0)  # P(G = d), d < r
-    kernel = np.zeros((n + 1, width, width))  # [M, c, c']
+    kernel = np.zeros((margins, width, width))  # [M, c, c']
     kernel[:, 0, 0] = 1.0
     for v, c in enumerate(levels[1:], 1):
         j, src = c[-1], kernel[:, ids[c[:-1]], :inner]
@@ -559,7 +570,7 @@ def _mark_table(n: int, p: float, r: int, a: int):
     del kernel, hi, lo
     held = np.array([len(c) for c in levels], dtype=np.int64)
     own = np.tile(((held[:, None] - held) * width + np.arange(width))
-                  .astype(np.int32), (n + 1, 1))
+                  .astype(np.int32), (margins, 1))
     return held, a * width + inner, prob, own, np.take_along_axis(
         own, alias, axis=1)
 
@@ -575,14 +586,15 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
     activated, so a leap that activates nobody stops the replicate at
     A* = A.  Exact in law.
 
-    A leap's law depends on the state (M, counts) alone.  Where its
-    (n + 1) V^2 table entries, V = C(n - a + r, r) count vectors, are at
-    most the replicate count and the batch budget (n <= 16 at r = a = 2),
-    each leap is one uniform through that alias table
-    (_mark_table); otherwise it is r (r + 1) / 2 binomial draws per chain
-    (_mark_leap), with chances that depend on the margin M <= n alone, so
-    they may come from one table over 0..n (_leap_chance_lookup).  The
-    two paths draw the same law from different draws.
+    A leap's law depends on the state (M, counts) alone.  Where
+    (n + 1) V^2, V = C(n - a + r, r) count vectors, a bound on the entries
+    of an alias table of every state's leap, is at most the replicate
+    count and the batch budget (n <= 16 at r = a = 2), each leap is one
+    uniform through that table (_mark_table); otherwise it is
+    r (r + 1) / 2 binomial draws per chain (_mark_leap), with chances
+    that depend on the margin M <= n alone, so they may come from one
+    table over 0..n (_leap_chance_lookup).  The two paths draw the same
+    law from different draws.
     """
     gen = _check_batch(replicates, rng)
     sure = _sure_final_size(params)
@@ -644,16 +656,22 @@ def final_sizes_markchain(params: ModelParams, replicates: int, rng) -> np.ndarr
 def _sample_edge_slots(total_slots: int, p: float,
                        gen: np.random.Generator) -> np.ndarray:
     """Indices of occupied slots among `total_slots` Bernoulli(p) slots, by
-    cumulative geometric gaps 1 + floor(log1p(-u) / log1p(-p)), u uniform."""
+    cumulative geometric gaps 1 + floor(log1p(-u) / log1p(-p)), u uniform
+    (Batagelj & Brandes 2005).  Rounds draw about as many gaps as they
+    keep; the slots kept do not depend on the round sizes, only the
+    generator's state after the call does."""
     if p == 0.0 or total_slots == 0:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(total_slots, dtype=np.int64)
     positions = []
     base = 0
-    mean_gap = 1.0 / p
     while base < total_slots:
-        want = max(64, int((total_slots - base) / mean_gap * 1.2) + 16)
+        # a round keeps about Bin(total_slots - base, p) gaps, so one of
+        # mean + 6 sd + 16 gaps falls short, and a next round runs, about
+        # once in 10^9 fills
+        mean = (total_slots - base) * p
+        want = max(64, int(mean + 6.0 * math.sqrt(mean)) + 16)
         pos = gen.random(want)
         np.negative(pos, out=pos)
         np.log1p(pos, out=pos)
@@ -790,6 +808,16 @@ def _graph_closures(n: int, r: int, a: int):
         bits = ((ids[:, None] >> np.arange(pairs)) & 1).astype(bool)
         u, v = _slot_pairs(np.flatnonzero(bits), n)
         yield bits.sum(axis=1), _vector_cascade_sizes(u, v, ids.size, n, r, a)
+
+
+@lru_cache(maxsize=128)
+def _closure_table(n: int, r: int, a: int) -> np.ndarray:
+    """Final size of every graph on n nodes by graph id (_graph_closures).
+    The table does not depend on p, so it is cached, and read-only
+    because the cache hands the same array to every call."""
+    table = np.concatenate([s for _, s in _graph_closures(n, r, a)])
+    table.setflags(write=False)
+    return table
 
 
 def _band_levels(n: int, s: int, r: int, size: int, p: float,
@@ -933,10 +961,10 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     draws its graphs' slots as one disjoint union and decodes them at
     once, so nothing holds them past the decode.  When the 2^C(n, 2)
     graphs are at most the replicate count and the batch budget (n <= 6
-    in practice), every graph's final size is enumerated once
-    (_graph_closures) and each replicate reads its own by graph id
-    (_slot_ids); otherwise each chunk runs the cascade.  The draws are
-    the same either way, and so are the sizes.
+    in practice), every graph's final size is read off one table per
+    (n, r, a), enumerated once per process whatever p is (_closure_table),
+    by each replicate's graph id (_slot_ids); otherwise each chunk runs
+    the cascade.  The draws are the same either way, and so are the sizes.
     """
     gen = _check_batch(replicates, rng)
     n, p, r, a = params.n, params.p, params.r, params.a
@@ -948,7 +976,7 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     pairs = n * (n - 1) // 2
     # 2^pairs <= min(replicates, budget), never building 2^pairs for a large n
     if pairs < _BATCH_ELEMENTS.bit_length() and 1 << pairs <= replicates:
-        table = np.concatenate([s for _, s in _graph_closures(n, r, a)])
+        table = _closure_table(n, r, a)
 
         def fill(size, g):
             return table.take(_slot_ids(

@@ -170,11 +170,13 @@ def test_rth_success_times_match_activation_law():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rth_success_times_are_the_inversion_formula_bit_for_bit(p, r):
     # the stop rule on prefix sums equals the stop time of the r-th-success
-    # times F^-1(U_(k)) built from the same spacings by a plain loop; Q is
-    # 1 at p = 0 and at a subnormal p, and 0 from t = r on at p = 1
+    # times F^-1(U_(k)) built from the same spacings by a plain loop, at
+    # every row width m + 1 = 2..64 of one block; Q is 1 at p = 0 and at a
+    # subnormal p, and 0 from t = r on at p = 1
     gen = RngSpec(31, 4).generator()
-    for _ in range(30):
-        reps, m, a = (int(k) for k in gen.integers([1, 1, 1], [4, 9, 5]))
+    assert process._block_lengths(63).size == 1
+    for m in range(1, 64):
+        reps, a = (int(k) for k in gen.integers([1, 1], [4, 5]))
         q = _exact_survival(a + m, p, r, a)
         spacings = gen.standard_exponential((reps, m + 1))
         want = [_stop_by_inversion(row, q, a) for row in spacings]
@@ -338,6 +340,26 @@ def test_activation_sampler_is_the_full_expansion_on_its_draws(params):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [0.02, 0.06, 0.15])
+def test_activation_sampler_at_the_last_one_block_and_first_two_block_rows(p):
+    # m + 1 = 64 is the widest row of one block, read by columns; m + 1 =
+    # 65 the narrowest of two blocks, read block by block
+    a = 3
+    params = ModelParams(n=a + 63, p=p, r=2, a=a)
+    sizes = final_sizes_activation(params, 200, RngSpec(15, 2))
+    spacings = RngSpec(15, 2).generator().standard_exponential((200, 64))
+    q = np.exp(log_cdf_head(np.arange(a, params.n), p, 1))
+    np.testing.assert_array_equal(
+        sizes, [_stop_by_inversion(row, q, a) for row in spacings])
+    assert len(set(sizes.tolist())) > 1
+    params = ModelParams(n=a + 64, p=p, r=2, a=a)
+    assert process._block_lengths(params.n - a).tolist() == [64, 1]
+    sizes, want = _activation_in_full(params, 200, RngSpec(15, 3))
+    np.testing.assert_array_equal(sizes, want)
+    assert len(set(sizes.tolist())) > 1
+
+
+@pytest.mark.filterwarnings("error")
 def test_activation_stop_falls_back_to_n_where_q_underflows():
     # Q(t) = (1 + t) 2^-t is 0.0 from t of about 1090, so no row stops
     # there, none stops before, and every row falls back to t = n
@@ -485,6 +507,31 @@ def test_edge_slots_refill_continues_the_cumulative_sum():
     np.testing.assert_array_equal(got, pos[pos < total].astype(np.int64))
 
 
+def _slots_in_rounds_of_64(total, p, gen):
+    """The slot fill, 64 gaps a round, each round's cumulative sum going
+    on from the last position of the round before."""
+    slots, base = [], 0
+    while True:
+        gaps = 1.0 + np.floor(np.log1p(-gen.random(64)) / math.log1p(-p))
+        pos = np.cumsum(gaps) + (base - 1)
+        slots.append(pos[pos < total].astype(np.int64))
+        if pos[-1] >= total:
+            return np.concatenate(slots)
+        base = int(pos[-1]) + 1
+
+
+@pytest.mark.parametrize("total, p", [(1, 0.5), (1000, 0.02), (5000, 0.3),
+                                      (100_000, 0.4), (10 ** 7, 1e-4),
+                                      (640, 0.999)])
+def test_edge_slots_do_not_depend_on_the_round_size(total, p):
+    # the library sizes its rounds by the mean it expects; rounds of 64
+    # gaps run many refills, and both keep the same slots
+    for seed in range(3):
+        got = process._sample_edge_slots(total, p, np.random.default_rng(seed))
+        want = _slots_in_rounds_of_64(total, p, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+
 def _edge_uniform_sizes():
     gen = np.random.default_rng(22)
     sizes = []
@@ -526,15 +573,18 @@ ENGINE_CASES = {
 #: The low-degree-* entries were retaken when low_degree_counts came to
 #: cut its band and finish batches at the chunk budget, not the batch
 #: budget: their slot draws split at other replicates (n5000 moves by its
-#: band batches alone, n1000 by both)
+#: band batches alone, n1000 by both), and again when the slot fill came
+#: to draw about as many gaps as it keeps: the graph-* runs call it once a
+#: chunk and keep their slots, but low_degree_counts calls it several
+#: times a chunk, so the generator state between the calls moved
 ENGINE_SHA256 = {
     "graph-n6": "e80f162779a07983581ce1b6ab809b129b1ebbecce2393aeb7d3185f21cd4d66",
     "graph-n30-r4": "8cdb8f8a1d30599e196826d9b86441f2527c566fb5021d85185d5e3c7ca9869e",
     "graph-n2000": "5379773adfedf921360a61e23e6bce44ae0b69929a582718446a3d25c274cc7a",
     "graph-n300-r3": "5034ca5f9dd3ff2f4f609a0281dfafc9fbc37262a3f5d2bc46a4ba8cd36e4f0b",
     "graph-n1-3": "8fe4a2261aa8c7f087cc311606c919e82896ab4776be17da4a97750655b20511",
-    "low-degree-n5000": "868c6940bb191dd3b173a46be4b572552299166663372e9fbf4fdbb9ca51a853",
-    "low-degree-n1000": "36154fc78ad8c0c60843d8cef2fee044260b139f0e1f82b7080b69e90ade7397",
+    "low-degree-n5000": "33cfb316316a458fba3deb8c1f609920696ccc9e41d8596ab6af193a8357bfef",
+    "low-degree-n1000": "ee79cad2edf171b2f206f61a5e247d0e7a84acd57d9054b2381c1a32bff9d80d",
     "brute-n7-r2": "39e2b48f734650fb465198800b2ee53f6be4e4a9d2c8dec7eaa0bd5edf9efdbc",
     "brute-n7-r3": "1894e6f96d938f852fbeb165c8eec6d7837db020c0a4f64a5dc025c7627626e2",
     "edge-uniforms": "4d298be784859e0583d92ee29a0bc090b2aedbc570670a2e49d486518562b32b",
@@ -689,11 +739,35 @@ def test_graph_table_is_built_only_when_it_costs_no_more_than_the_replicates(
     enumerate_all = process._graph_closures
     monkeypatch.setattr(process, "_graph_closures",
                         lambda *args: built.append(args) or enumerate_all(*args))
+    process._closure_table.cache_clear()  # earlier tests may have built it
     for reps in (1000, (1 << 15) - 1):  # fewer than the 2^15 graphs
         final_sizes_graph(P6, reps, RngSpec(0, 0))
     assert built == []
     final_sizes_graph(P6, 1 << 15, RngSpec(0, 0))
     assert built == [(6, 2, 2)]
+
+
+def test_graph_table_is_built_once_per_instance_across_p(monkeypatch):
+    built = []
+    enumerate_all = process._graph_closures
+    monkeypatch.setattr(process, "_graph_closures",
+                        lambda *args: built.append(args) or enumerate_all(*args))
+    process._closure_table.cache_clear()
+    for p in (0.2, 0.4, 0.7):
+        for r, a in ((2, 2), (3, 2)):
+            params = ModelParams(n=6, p=p, r=r, a=a)
+            sizes = final_sizes_graph(params, 1 << 15, RngSpec(0, 0))
+            np.testing.assert_array_equal(
+                sizes, _engine_sizes(params, 1 << 15, RngSpec(0, 0)))
+    assert built == [(6, 2, 2), (6, 3, 2)]
+
+
+def test_cached_closure_tables_are_read_only():
+    # each cache hands one array to every call, so no caller may write it
+    for table in (process._closure_table(6, 2, 2), _final_size_counts(5, 2, 2)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -848,6 +922,8 @@ BATCH_BYTES = 8 * 2 ** 18
 
 @pytest.mark.parametrize("batch, params, replicates", [
     (final_sizes_activation, _poisson_rule_instance(2000), 3000),
+    # rows of one block, whose stops are read a column at a time
+    (final_sizes_activation, P6, 400_000),
     # Q is near 1 over every time, so every block of every row is expanded
     (final_sizes_activation, ModelParams(n=2000, p=1e-7, r=2, a=20), 3000),
     # the survival table over 20000 times holds 99 head terms per time,
@@ -864,7 +940,8 @@ BATCH_BYTES = 8 * 2 ** 18
     # through its alias table, and n = 40 by binomial draws
     (final_sizes_markchain, P6, 400_000),
     (final_sizes_markchain, ModelParams(n=40, p=0.15, r=2, a=4), 100_000),
-], ids=["activation", "activation_every_block", "activation_large_r",
+], ids=["activation", "activation_one_block", "activation_every_block",
+        "activation_large_r",
         "leap", "leap_table", "graph", "low_degree", "markchain",
         "markchain_leaps"])
 def test_chunked_samplers_hold_a_bounded_working_set(batch, params,
@@ -1471,7 +1548,7 @@ def test_markchain_builds_its_leap_chances_once_when_the_table_is_short(
 
     monkeypatch.setattr(process, "_leap_chances", counted)
     MARKCHAIN_CASES["table-n6"]()
-    assert calls == [7]
+    assert calls == [5]  # the margins 0..max(a, n - a) of the alias table
     calls.clear()
     # n + 1 > replicates: one evaluation per leap, over the live margins
     MARKCHAIN_CASES["eval-n5000"]()
