@@ -167,8 +167,7 @@ def critical_quantities(params: ModelParams) -> CriticalQuantities:
 # Parametric families n -> (p_n, a_n)
 
 #: each p-rule with the constants it requires
-_P_RULES = {"power": ("beta",), "log_form": ("d",), "scaled_log": ("c",),
-            "table": ("points",)}
+_P_RULES = {"power": ("beta",), "log_form": ("d",), "scaled_log": ("c",)}
 
 
 def _finite_number(value) -> bool:
@@ -185,7 +184,6 @@ class SequenceSpec:
       power:      p_n = c * n**(-beta)                constants {c, beta}
       log_form:   p_n = (log n + (r-1)loglog n + d)/n constants {d}
       scaled_log: p_n = c * log(n)/n                  constants {c}
-      table:      p_n tabulated                       constants {points: [[n, p], ...]}
 
     Seeds default to a_n = ceil(alpha * a_c(n)); a tabulated override may
     be supplied in constants["a_points"].  The catalog is closed on
@@ -212,7 +210,7 @@ class SequenceSpec:
         if missing:
             raise ParameterError(f"rule {self.rule!r} needs constants {missing}")
         for key, value in self.constants.items():
-            if key in ("points", "a_points"):
+            if key == "a_points":
                 if not (isinstance(value, (list, tuple)) and all(
                         isinstance(row, (list, tuple)) and len(row) == 2
                         and all(map(_finite_number, row)) for row in value)):
@@ -221,8 +219,7 @@ class SequenceSpec:
                 if any(row[0] != int(row[0]) for row in value):
                     raise ParameterError(
                         f"constants[{key!r}] n entries must be integers: {value}")
-                if key == "a_points" and any(row[1] != int(row[1])
-                                             for row in value):
+                if any(row[1] != int(row[1]) for row in value):
                     raise ParameterError(
                         f"constants['a_points'] seeds must be integers: {value}")
             elif not _finite_number(value):
@@ -240,10 +237,8 @@ class SequenceSpec:
         elif self.rule == "log_form":
             ln = math.log(n)
             p = (ln + (self.r - 1) * math.log(ln) + c["d"]) / n
-        elif self.rule == "scaled_log":
-            p = c["c"] * math.log(n) / n
         else:
-            p = _table_lookup(c["points"], n, "p")
+            p = c["c"] * math.log(n) / n
         if not 0.0 < p < 1.0:
             raise ParameterError(f"rule gives p_n = {p} outside (0, 1) at n = {n}")
         return p
@@ -254,7 +249,7 @@ class SequenceSpec:
     def a_at(self, n) -> int:
         pts = self.constants.get("a_points")
         if pts is not None:
-            return int(_table_lookup(pts, n, "a"))
+            return int(_table_lookup(pts, n))
         a = math.ceil(self.alpha * self.crit_at(n).a_c)
         return max(1, min(int(a), int(n)))
 
@@ -281,11 +276,11 @@ class SequenceSpec:
             raise ParameterError(f"sequence spec JSON missing field {exc}") from exc
 
 
-def _table_lookup(points, n, what: str):
+def _table_lookup(points, n):
     for row in points:
         if int(row[0]) == int(n):
             return row[1]
-    raise ParameterError(f"tabulated rule has no {what} entry for n = {n}")
+    raise ParameterError(f"constants['a_points'] has no entry for n = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +291,8 @@ VIOLATED = "violated"
 
 
 def _check_limit_rule(spec: SequenceSpec) -> None:
-    """Refuse a spec without a limit as n -> inf: a table, which is finite,
-    or a rule whose p_n leaves (0, 1) for good (c <= 0, or p = c n^-beta
-    with beta < 0, or beta = 0 and c >= 1)."""
-    if spec.rule == "table":
-        raise ParameterError(
-            "a tabulated p-rule has no limit as n -> inf, so it has no "
-            "regime and no hypothesis verdict")
+    """Refuse a spec whose p_n leaves (0, 1) for good as n -> inf (c <= 0,
+    or p = c n^-beta with beta < 0, or beta = 0 and c >= 1)."""
     const = spec.constants
     c = const.get("c", 1.0)
     if spec.rule == "log_form" or c > 0 and (
@@ -333,8 +323,8 @@ def check_hypotheses(spec: SequenceSpec) -> HypothesisReport:
     """The three standing hypotheses, each satisfied or violated in the
     limit n -> inf of the rule's closed form: n p_n -> inf unless p =
     c n^-beta with beta >= 1; p_n n^(1/r) -> 0 unless p = c n^-beta with
-    beta <= 1/r; and a_n/a_c(n) -> alpha with alpha > 1.  A table or
-    a_points seeds fix no limit and are refused."""
+    beta <= 1/r; and a_n/a_c(n) -> alpha with alpha > 1.  a_points seeds
+    fix no limit and are refused."""
     _check_limit_rule(spec)
     if spec.alpha is None:
         raise ParameterError(
@@ -400,7 +390,7 @@ def classify_regime(spec: SequenceSpec) -> Regime:
       scaled_log, p = c ln n/n: d = (c-1) ln n - (r-1) ln ln n -> -inf for
         c <= 1; for c > 1, a_c/(n p) grows like n/(ln n)^((2r-1)/(r-1)).
 
-    A table, or a rule whose p_n leaves (0, 1), is refused.
+    A rule whose p_n leaves (0, 1) is refused.
     """
     _check_limit_rule(spec)
     const, r = spec.constants, spec.r

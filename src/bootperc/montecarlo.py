@@ -28,12 +28,12 @@ import numpy as np
 from ._binom import log_factorials, log_poisson_sf
 from .core import (ModelParams, SequenceSpec, _sure_final_size,
                    classify_regime, critical_quantities)
-from .errors import DegenerateLevels, MemoryGuardError, ParameterError
+from .errors import DegenerateLevels, ParameterError
 # _log_q_schedule and final_sizes_activation stay bound here, unused:
 # bench/spans.py wraps both by these names
 from .oracle import (_LN2, PMF_NODE_CAP, LogProb, _log_q_schedule, _pow2_mean,
                      event_threshold, exact_stop_cdf)
-from .process import (ACTIVATION_NODE_CAP, RngSpec, _check_batch, _chunks,
+from .process import (RngSpec, _check_batch, _check_elements, _chunks,
                       _fill_log_q, _leap_to_level, final_sizes_activation,
                       final_sizes_leap)
 from .ratefun import (_EARLY_STOP_CELLS, ScalingFamily, minimize_rate,
@@ -130,12 +130,10 @@ _T975_DF3 = 3.182446305284263  # t quantile for 4 groups
 def _split_ladder(params: ModelParams, tau: int, levels: int) -> tuple:
     """(ladder, log_q) for levels >= 2: log Q(t) for t = 0..tau, and the
     margin ladder spaced evenly from the floor of the lowest mean margin
-    down to 0.  A table of more than ACTIVATION_NODE_CAP entries is
-    refused before allocation."""
-    if tau >= ACTIVATION_NODE_CAP:
-        raise MemoryGuardError(
-            f"splitting refuses a log Q table of {tau + 1} entries above the "
-            f"cap {ACTIVATION_NODE_CAP}; levels=1 runs plain Monte Carlo")
+    down to 0.  A table of more than ELEMENT_CAP entries is refused
+    before allocation (_check_elements)."""
+    _check_elements(tau + 1, "splitting's log Q table (tau + 1)",
+                    "; levels=1 runs plain Monte Carlo")
     log_q = _fill_log_q(np.empty(tau + 1), 0, params.p, params.r)
     # the lowest mean margin a + E S(t) - t, E S(t) = (n - a)(1 - Q(t))
     n, a = params.n, params.a
@@ -205,7 +203,7 @@ def estimate_tail_splitting(params: ModelParams, tau: int, levels: int,
     collapses to [0], because the lowest mean margin is too low to space
     levels above 0, raises DegenerateLevels.  Any other ladder needs the
     log Q table over 0..tau, refused (MemoryGuardError) above
-    ACTIVATION_NODE_CAP entries before it is allocated.
+    ELEMENT_CAP entries before it is allocated.
     """
     if tau > params.n:
         raise ParameterError("tau must not exceed n")

@@ -58,7 +58,11 @@ on its own stream: chunk 0 draws from the caller's generator and chunk
 k >= 1 from the k-th child of its spawn.  So each holds a few MB beyond
 its output at any replicate count, and its output depends on the
 generator, the replicate count and the budget, not on the thread count;
-the budget moves the realised draws, not the law.
+the budget moves the realised draws, not the law.  Before it allocates,
+a route refuses (_check_elements) an estimate of one replicate's or
+table's array elements above ELEMENT_CAP: n(n - 1)p/2 + n for a graph
+(the graph sampler, low_degree_counts), n - a for the activation
+sampler's Q table and tau + 1 for the splitting estimator's log Q table.
 Every log Q table over a run of times (the activation sampler's, the
 splitting estimator's) is filled by _fill_log_q in such chunks, so it
 costs a few MB beyond itself at any length.  The splitting estimator in
@@ -86,16 +90,13 @@ from .errors import MemoryGuardError, ParameterError
 __all__ = [
     "RngSpec", "final_sizes_graph", "final_sizes_markchain",
     "final_sizes_activation", "final_sizes_leap", "low_degree_counts",
-    "GRAPH_NODE_CAP", "ACTIVATION_NODE_CAP", "REPLICATE_CAP",
+    "ELEMENT_CAP", "REPLICATE_CAP",
 ]
 
-#: the graph sampler and low_degree_counts refuse instances above this
-#: node count
-GRAPH_NODE_CAP = 100_000
-#: the activation-time sampler refuses rows of more non-seed nodes; one
-#: replicate at the cap peaks near 98 MB (the 80 MB Q table and a few
-#: batch budgets of work arrays)
-ACTIVATION_NODE_CAP = 10_000_000
+#: array elements above which a route refuses one replicate or table;
+#: there an activation replicate peaks near 98 MB (its 80 MB Q table) and
+#: a graph replicate at 270-450 MB, the more the denser
+ELEMENT_CAP = 10 ** 7
 #: samplers and estimators refuse more replicates than this (800 MB output)
 REPLICATE_CAP = 10 ** 8
 
@@ -139,6 +140,16 @@ def _check_batch(replicates: int, rng) -> np.random.Generator:
     if replicates > REPLICATE_CAP:
         raise MemoryGuardError(f"replicates above the cap {REPLICATE_CAP}")
     return _as_generator(rng)
+
+
+def _check_elements(elements, what: str, hint: str = "") -> None:
+    """Refuse (MemoryGuardError) a route whose estimate of the array
+    elements of one replicate or table is above ELEMENT_CAP; each route
+    asks before it allocates them."""
+    if elements > ELEMENT_CAP:
+        raise MemoryGuardError(
+            f"{what} needs {elements:.0f} array elements, above the cap "
+            f"{ELEMENT_CAP}{hint}")
 
 
 def _chunks(replicates: int, elements_per_replicate,
@@ -364,10 +375,8 @@ def final_sizes_activation(params: ModelParams, replicates: int, rng) -> np.ndar
         return np.full(replicates, sure, dtype=np.int64)
     n, p, r, a = params.n, params.p, params.r, params.a
     m = n - a
-    if m > ACTIVATION_NODE_CAP:
-        raise MemoryGuardError(
-            f"activation-time sampler refuses n - a = {m} above the cap "
-            f"{ACTIVATION_NODE_CAP}; use the leap sampler instead")
+    _check_elements(m, "activation-time sampler's Q table (n - a)",
+                    "; use the leap sampler instead")
     lengths = _block_lengths(m)
     blocks, width = lengths.size, int(lengths[0])
     # entry k - 1 is Q(n - k) for k = 1..m; the padding to whole blocks
@@ -704,13 +713,14 @@ def _slot_pairs(slots: np.ndarray, nodes, rows=None):
     C(M, 2) - C(m, 2).  Row i of that triangle starts at offset
     i (2M - i - 1) / 2, whose inverse is
     u = floor(((2M - 1) - sqrt((2M - 1)^2 - 8s)) / 2), and the float
-    floor is exact while 4M^2 < 2^53 (M below about 4.7e7, far above
-    GRAPH_NODE_CAP): the radicand is then an exact integer, and every
-    float step is monotone in s.  At a row start the radicand is the
-    square (2M - 1 - 2i)^2, so the root is exactly i.  At a row's last
-    slot the exact root lies more than 1/M below i + 1, by convexity in
-    s (its slope exceeds 2 / (2M - 1)), while the float root is off by
-    at most about M 2^-52.  So every slot of row i floors to i."""
+    floor is exact while 4M^2 < 2^53 (M below about 4.7e7, above the
+    ELEMENT_CAP that bounds every admitted graph's nodes): the radicand
+    is then an exact integer, and every float step is monotone in s.
+    At a row start the radicand is the square (2M - 1 - 2i)^2, so the
+    root is exactly i.  At a row's last slot the exact root lies more
+    than 1/M below i + 1, by convexity in s (its slope exceeds
+    2 / (2M - 1)), while the float root is off by at most about M 2^-52.
+    So every slot of row i floors to i."""
     if np.ndim(nodes) == 0:  # M = m: each slot's offset is its own
         top = nodes
         span = nodes if rows is None else rows  # the triangle's rows used
@@ -754,12 +764,6 @@ def _slot_ids(slots: np.ndarray, reps: int, pairs: int) -> np.ndarray:
     occupied[slots] = 1.0
     powers = (2.0 ** np.arange(pairs)).astype(np.float32)
     return (occupied.reshape(reps, pairs) @ powers).astype(np.int64)
-
-
-def _check_graph_cap(n: int, what: str, hint: str = "") -> None:
-    if n > GRAPH_NODE_CAP:
-        raise MemoryGuardError(
-            f"{what} refuses n = {n} above the cap {GRAPH_NODE_CAP}{hint}")
 
 
 def _vector_cascade_sizes(u: np.ndarray, v: np.ndarray, reps: int,
@@ -913,15 +917,17 @@ def low_degree_counts(params: ModelParams, replicates: int, rng) -> np.ndarray:
       as low by its level plus its degree there (_survivor_low_counts).
 
     Band and finish draw at most the C(n, 2) pairs per replicate that the
-    whole graph holds; where a_c >= n/2 (np <= 1 at r = 2) the band is
-    the whole graph.
+    whole graph holds, so its n(n - 1)p/2 + n expected edges and nodes
+    are the estimate that _check_elements weighs; where a_c >= n/2
+    (np <= 1 at r = 2) the band is the whole graph.
     """
     gen = _check_batch(replicates, rng)
     n, p, r = params.n, params.p, params.r
-    _check_graph_cap(n, "low_degree_counts")
     if p in (0.0, 1.0):
         low = n if p == 0.0 or n - 1 < r else 0
         return np.full(replicates, low, dtype=np.int64)
+    _check_elements(n * (n - 1) // 2 * p + n,
+                    "low_degree_counts' graph (n(n - 1)p/2 + n)")
     # 2 a_c = 2 (1 - 1/r) t_c from ln t_c, which is finite at any p > 0
     log_2a_c = math.log(2.0 - 2.0 / r) + _log_t_c(n, p, r)
     s = min(n, max(r, math.ceil(math.exp(min(log_2a_c, math.log(n))))))
@@ -957,7 +963,9 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     exchangeability the law of the final size is the same, and one
     randomness source less keeps coupling tests simple.
 
-    A sure A* (_sure_final_size) is returned without drawing.  Each chunk
+    A sure A* (_sure_final_size) is returned without drawing; any other
+    is refused (_check_elements) where one replicate's n(n - 1)p/2 + n
+    expected edges and nodes pass ELEMENT_CAP.  Each chunk
     draws its graphs' slots as one disjoint union and decodes them at
     once, so nothing holds them past the decode.  When the 2^C(n, 2)
     graphs are at most the replicate count and the batch budget (n <= 6
@@ -968,12 +976,14 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
     """
     gen = _check_batch(replicates, rng)
     n, p, r, a = params.n, params.p, params.r, params.a
-    _check_graph_cap(n, "graph sampler", "; use the leap, mark-chain or "
-                     "activation-time sampler instead")
     sure = _sure_final_size(params)
     if sure is not None:
         return np.full(replicates, sure, dtype=np.int64)
     pairs = n * (n - 1) // 2
+    elements = pairs * p + n
+    _check_elements(elements, "graph sampler's graph (n(n - 1)p/2 + n)",
+                    "; use the leap, mark-chain or activation-time sampler "
+                    "instead")
     # 2^pairs <= min(replicates, budget), never building 2^pairs for a large n
     if pairs < _BATCH_ELEMENTS.bit_length() and 1 << pairs <= replicates:
         table = _closure_table(n, r, a)
@@ -985,7 +995,7 @@ def final_sizes_graph(params: ModelParams, replicates: int, rng) -> np.ndarray:
         def fill(size, g):
             return _vector_cascade_sizes(*_slot_pairs(
                 _sample_edge_slots(size * pairs, p, g), n), size, n, r, a)
-    return _map_chunks(replicates, pairs * p + n, gen, fill)
+    return _map_chunks(replicates, elements, gen, fill)
 
 
 SAMPLER_BATCHES = {

@@ -777,7 +777,7 @@ def test_exit_code_model_refusals(tmp_path):
         "constants": {"points": [[100, 0.5], [1000, 1e-3],
                                  [10000, 0.1], [100000, 1e-4]]},
         "r": 2, "alpha": 2.0})
-    # a finite table has no limit, so it has no regime
+    # `table` names no rule, so it is refused as any unknown rule is
     assert main(["regime", "--spec", wobble, "--out", out]) == 2
     # and regime reads no ladder
     with pytest.raises(SystemExit) as exc:
@@ -840,7 +840,10 @@ def test_rate_curve_refuses_x_whose_h_overflows(tmp_path, capsys):
      "--a", "833", "--splitting", "--tau", "10000000", "--replicates", "16"],
     ["rate", "--alpha", "2", "--r", "2", "--curve-out", "curve.csv",
      "--curve-points", "1000000000000"],
-], ids=["simulate", "splitting", "splitting-table", "rate-curve"])
+    ["simulate", "--sampler", "graph", "--n", "100000", "--p", "0.5", "--r",
+     "2", "--a", "10", "--replicates", "1"],
+], ids=["simulate", "splitting", "splitting-table", "rate-curve",
+        "graph-dense"])
 def test_oversized_requests_are_refused_before_allocating(argv, tmp_path,
                                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

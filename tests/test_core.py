@@ -282,14 +282,14 @@ def test_boundary_specs_get_their_closed_form(rule, constants, r, label, b,
 
 
 @pytest.mark.parametrize("rule, constants", [
-    ("table", {"points": [[100, 0.01], [1000, 0.003]]}),
+    ("scaled_log", {"c": 0.0}),
     ("power", {"beta": -0.5}),
     ("power", {"beta": 0.0, "c": 1.0}),
     ("power", {"beta": 0.7, "c": 0.0}),
     ("scaled_log", {"c": -1.0}),
 ])
 def test_a_rule_without_a_limit_is_refused(rule, constants):
-    # a finite table fixes no limit; the others take p_n out of (0, 1)
+    # each takes p_n out of (0, 1) for all large n
     spec = SequenceSpec(rule, constants, r=2, alpha=2.0)
     for ask in (classify_regime, check_hypotheses):
         with pytest.raises(ParameterError, match="no limit|out of"):
@@ -344,15 +344,12 @@ def test_sequence_spec_validation():
             {"constants": {"beta": "0.7"}}, {"constants": {"beta": math.nan}},
             {"rule": "log_form", "constants": {}},
             {"rule": "scaled_log", "constants": {"c": None}},
-            {"rule": "table", "constants": {"points": 5}},
-            {"rule": "table", "constants": {"points": [[100, 0.1, 3]]}},
-            {"rule": "table", "constants": {"points": [[100, "0.1"]]}},
+            {"rule": "table", "constants": {"points": [[100, 0.1]]}},
+            {"constants": {"beta": 0.7, "a_points": 5}},
+            {"constants": {"beta": 0.7, "a_points": [[100, 7, 3]]}},
+            {"constants": {"beta": 0.7, "a_points": [[100, "7"]]}},
             {"constants": {"beta": 0.7, "a_points": [100, 7]}},
             {"constants": {"beta": 0.7, "a_points": [[100, 7.9]]}},
-            {"rule": "table", "constants": {"points": [[100.7, 0.1]],
-                                            "a_points": [[100, 7]]}},
-            {"rule": "table", "constants": {"points": [[100, 0.1]],
-                                            "a_points": [[100.2, 7]]}},
             {"constants": {"beta": 0.7, "a_points": [[100.9, 7]]}},
             {"constants": {"beta": 10 ** 400}}, {"alpha": 10 ** 400},
             {"rule": ["power"]}]:
@@ -371,15 +368,17 @@ def test_sequence_spec_validation():
 
 
 def test_sequence_spec_tabulated_rules():
+    # a_points override an analytic rule's seeds; p_n is never tabulated
     spec = SequenceSpec(
-        rule="table",
-        constants={"points": [[100, 0.01], [1000, 0.003]],
-                   "a_points": [[100, 7], [1000, 12]]},
+        rule="power", constants={"beta": 0.7, "a_points": [[100, 7],
+                                                           [1000, 12]]},
         r=2, alpha=None)
-    assert spec.p_at(100) == 0.01
     assert spec.a_at(1000) == 12
-    with pytest.raises(ParameterError):
-        spec.p_at(500)
+    assert spec.params_at(100) == ModelParams(n=100, p=100 ** -0.7, r=2, a=7)
+    with pytest.raises(ParameterError, match="no entry for n = 500"):
+        spec.a_at(500)
+    with pytest.raises(ParameterError, match="unknown p-rule 'table'"):
+        SequenceSpec("table", {"points": [[100, 0.01]]}, r=2, alpha=2.0)
 
 
 def test_params_at_builds_supercritical_instance():

@@ -12,7 +12,7 @@ from bootperc.montecarlo import (TailEstimate, default_stop_horizon,
                                  event_threshold, poisson_distance,
                                  rate_convergence_study, wilson_interval)
 from bootperc.oracle import exact_stop_cdf, exact_tail_query
-from bootperc.process import ACTIVATION_NODE_CAP, RngSpec, _leap_to_level
+from bootperc.process import ELEMENT_CAP, RngSpec, _leap_to_level
 from bootperc.ratefun import ScalingFamily, minimize_rate
 
 P6 = ModelParams(n=6, p=0.4, r=2, a=2)
@@ -258,11 +258,11 @@ def test_splitting_fills_its_log_q_table_in_chunks():
 
 @pytest.mark.parametrize("levels", [4])
 def test_splitting_refuses_a_log_q_table_above_the_cap(levels):
-    # ACTIVATION_NODE_CAP + 1 entries and more, refused before allocation
+    # ELEMENT_CAP + 1 entries and more, refused before allocation
     params = SPEC_07.params_at(2 * 10 ** 7)
     tracemalloc.start()
     try:
-        for tau in (ACTIVATION_NODE_CAP, params.n - 1):
+        for tau in (ELEMENT_CAP, params.n - 1):
             with pytest.raises(MemoryGuardError):
                 estimate_tail_splitting(params, tau, levels, 16, RngSpec(3, 0))
         _, peak = tracemalloc.get_traced_memory()

@@ -15,7 +15,7 @@ from scipy.stats import chi2, chi2_contingency
 from bootperc._binom import log_binom_cdf, log_cdf_head
 from bootperc.core import ModelParams, critical_quantities
 from bootperc.errors import MemoryGuardError, ParameterError
-from bootperc.montecarlo import wilson_interval
+from bootperc.montecarlo import _split_ladder, wilson_interval
 from bootperc.oracle import _final_size_counts, brute_force_pmf, exact_pmf
 from bootperc import process
 from bootperc.process import (SAMPLER_BATCHES, RngSpec,
@@ -456,7 +456,7 @@ def test_low_degree_nonseed_count_is_dominated_pathwise():
         assert n - final >= (deg[a:] < r).sum()
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 1000, 99_999, process.GRAPH_NODE_CAP])
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, 99_999, 100_000])
 def test_slot_pairs_match_a_binary_search_at_every_row_boundary(n):
     # row i of the pair triangle starts at offsets[i] = i (2n - i - 1) / 2;
     # the closed-form decoder must land on the row a search gives, bit for
@@ -479,8 +479,33 @@ def test_slot_pairs_match_a_binary_search_at_every_row_boundary(n):
 
 def test_slot_pairs_root_is_exact_up_to_the_graph_cap():
     # _slot_pairs floors the float root with no integer correction; its
-    # proof needs the radicand (2M - 1)^2 - 8v exact, so 4 M^2 < 2^53
-    assert 4 * process.GRAPH_NODE_CAP ** 2 < 2 ** 53
+    # proof needs the radicand (2M - 1)^2 - 8v exact, so 4 M^2 < 2^53, and
+    # an admitted graph's n is at most its element estimate
+    assert 4 * process.ELEMENT_CAP ** 2 < 2 ** 53
+
+
+def test_slot_pairs_match_a_binary_search_at_sampled_rows_of_the_cap():
+    # the largest graph the element cap admits: the slots either side of
+    # the first and last 2000 row starts and of every 997th, in two
+    # replicates
+    n = process.ELEMENT_CAP
+    pairs = n * (n - 1) // 2
+    rows = np.unique(np.concatenate([np.arange(2000), np.arange(n - 2000, n),
+                                     np.arange(0, n, 997)]))
+    first = rows * (2 * n - rows - 1) // 2
+    v = np.unique(np.concatenate([first - 1, first, first + 1]))
+    v = v[(v >= 0) & (v < pairs)]
+    # each of these slots lies in a sampled row or the row before one, so
+    # a search over those rows' starts finds its row
+    known = np.union1d(rows, rows[1:] - 1)
+    offsets = known * (2 * n - known - 1) // 2
+    slots = np.concatenate([v, v + pairs])
+    rep, s = np.divmod(slots, pairs)
+    k = np.searchsorted(offsets, s, side="right") - 1
+    got_u, got_v = process._slot_pairs(slots, n)
+    np.testing.assert_array_equal(got_u, rep * n + known[k])
+    np.testing.assert_array_equal(got_v,
+                                  rep * n + s - offsets[k] + known[k] + 1)
 
 
 class _FirstGapsOne:
@@ -617,7 +642,7 @@ def _row_boundary_cases(nodes, rows):
     return [np.concatenate(x) for x in (slots, want_u, want_v)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 1000, process.GRAPH_NODE_CAP])
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, 100_000])
 def test_slot_pairs_match_a_binary_search_in_bands_and_unions(n):
     # a band (rows < nodes) of one graph repeated, as low_degree_counts
     # reveals it: graphs 0 and 5 of six
@@ -718,10 +743,10 @@ def test_graph_table_path_equals_the_engine(data):
                                   _engine_sizes(params, reps, rng))
 
 
-@pytest.mark.parametrize("n", [50, process.GRAPH_NODE_CAP])
+@pytest.mark.parametrize("n", [50, 100_000])
 def test_graph_sampler_answers_a_sure_final_size_without_drawing(
         n, monkeypatch):
-    # p = 1 once drew all replicates * C(n, 2) slots: 40 GB at the cap
+    # p = 1 once drew all replicates * C(n, 2) slots: 40 GB at n = 1e5
     def refuse(*args):
         raise AssertionError("a sure final size drew edge slots")
     monkeypatch.setattr(process, "_sample_edge_slots", refuse)
@@ -796,13 +821,37 @@ def test_low_degree_mean_matches_binomial():
 
 
 def test_memory_guard():
-    big = ModelParams(n=200_000, p=1e-5, r=2, a=10)
-    with pytest.raises(MemoryGuardError):
-        final_sizes_graph(big, 1, RngSpec(0, 0))
-    with pytest.raises(MemoryGuardError):
-        low_degree_counts(big, 1, RngSpec(0, 0))
-    # other samplers have no such cap
-    final_sizes_activation(big, 1, RngSpec(0, 0))
+    # a dense graph passes the element cap however few its nodes
+    dense = ModelParams(n=100_000, p=0.5, r=2, a=10)
+    for batch in (final_sizes_graph, low_degree_counts):
+        with pytest.raises(MemoryGuardError, match="above the cap"):
+            batch(dense, 1, RngSpec(0, 0))
+    # a sparse one of twice the nodes holds about 4e5 elements and runs
+    sparse = ModelParams(n=200_000, p=1e-5, r=2, a=10)
+    for batch in (final_sizes_graph, low_degree_counts,
+                  final_sizes_activation):
+        assert batch(sparse, 2, RngSpec(0, 0)).shape == (2,)
+
+
+@pytest.mark.parametrize("route", ["graph", "low_degree", "activation",
+                                   "splitting"])
+def test_element_cap_admits_its_bound_and_refuses_one_more(route,
+                                                           monkeypatch):
+    # each route's estimate is 18: n(n - 1)p/2 + n for a graph of 9 nodes
+    # at p = 1/4, n - a for the Q table, tau + 1 for the log Q table
+    graph, rng = ModelParams(n=9, p=0.25, r=2, a=2), RngSpec(0, 0)
+    call = {"graph": lambda: final_sizes_graph(graph, 4, rng),
+            "low_degree": lambda: low_degree_counts(graph, 4, rng),
+            "activation": lambda: final_sizes_activation(
+                ModelParams(n=20, p=0.25, r=2, a=2), 4, rng),
+            "splitting": lambda: _split_ladder(
+                ModelParams(n=40, p=0.3, r=2, a=5), 17, 2)}[route]
+    monkeypatch.setattr(process, "ELEMENT_CAP", 18)
+    call()
+    monkeypatch.setattr(process, "ELEMENT_CAP", 17)
+    with pytest.raises(MemoryGuardError, match="needs 18 array elements, "
+                       "above the cap 17"):
+        call()
 
 
 def test_activation_guard_refuses_before_allocating():
